@@ -1,7 +1,12 @@
-"""Gate-list representation of qutrit circuits, plus a dense simulator.
+"""Gate-list representation of qutrit circuits, plus a structured simulator.
 
 Gates are stored in application order: ``gates[0]`` acts first, so the
 circuit matrix is the reversed product of the individual gate matrices.
+:func:`eval_circuit` builds that exact 3^n x 3^n unitary without forming
+any gate's full matrix: a rotation is a 3x3 contraction on one qutrit
+axis and LocalX/GCX/CINC are row permutations, so each gate costs
+O(9^n).  :func:`gate_matrix` gives the dense per-gate matrix, which the
+tests use as the reference.
 
 Text format (one gate per line, '#' starts a comment):
 
@@ -15,6 +20,7 @@ Text format (one gate per line, '#' starts a comment):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -147,12 +153,54 @@ def gate_matrix(g: Gate, n: int) -> np.ndarray:
     raise TypeError(f"not a gate: {g!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _row_permutation(g: Gate, n: int) -> np.ndarray:
+    """Index array p with ``gate_matrix(g, n) @ u == u[p]`` for a permutation gate.
+
+    Cached per (gate, width); for a given width there are finitely many
+    LocalX, Gcx and Cinc gates.  The result is read-only because every
+    caller shares it.
+    """
+    if isinstance(g, LocalX):
+        gid, target, control, value = f"X{g.level}", g.qutrit, None, None
+    elif isinstance(g, Gcx):
+        gid, target, control, value = f"X{g.level}", g.target, g.control, g.value
+    else:  # Cinc
+        gid, target, control, value = "INC", g.target, g.control, g.value
+    # row i of the 3x3 generator has its single 1 in column src[i]
+    src = np.abs(algebra.generator(algebra.GeneratorId[gid])).argmax(axis=1)
+    idx = np.arange(3**n).reshape((3,) * n)
+    p = np.take(idx, src, axis=target)
+    if control is not None:
+        fires = (np.arange(3) == value).reshape([3 if k == control else 1 for k in range(n)])
+        p = np.where(fires, p, idx)
+    p = p.ravel()
+    p.flags.writeable = False
+    return p
+
+
 def eval_circuit(c: Circuit) -> np.ndarray:
-    """Dense matrix of the circuit (later gates multiply on the left)."""
-    u = np.eye(3**c.n, dtype=complex)
+    """Exact 3^n x 3^n unitary of the circuit (later gates multiply on the left).
+
+    Updates the matrix gate by gate without building gate matrices: a
+    rotation contracts its 3x3 matrix with the gate's qutrit axis, a
+    LocalX/GCX/CINC gathers rows by a cached permutation, and the global
+    phases are summed and applied once.  O(len(gates) * 9^n) time.
+    """
+    d = 3**c.n
+    u = np.eye(d, dtype=complex)
+    phase = 0.0
     for g in c.gates:
-        u = gate_matrix(g, c.n) @ u
-    return u
+        if isinstance(g, Rotation):
+            r = algebra.rotation(g.axis, g.level, g.theta)
+            u = np.matmul(r, u.reshape(3**g.qutrit, 3, -1)).reshape(d, d)
+        elif isinstance(g, GlobalPhase):
+            phase += g.phi
+        elif isinstance(g, (LocalX, Gcx, Cinc)):
+            u = u[_row_permutation(g, c.n)]
+        else:
+            raise TypeError(f"not a gate: {g!r}")
+    return np.exp(1j * phase) * u
 
 
 @dataclass(frozen=True)

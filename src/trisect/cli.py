@@ -173,7 +173,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         print(line, file=sys.stderr)
     if args.report:
         Path(args.report).write_text(json.dumps(report.as_dict(), indent=2) + "\n")
-    if report.distance > args.tolerance:
+    if not report.ok:
         _err(
             f"verification failed: distance {report.distance:.3e} "
             f"exceeds tolerance {args.tolerance:.1e}"

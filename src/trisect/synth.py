@@ -386,6 +386,7 @@ class SynthesisReport:
     gate_set: GateSet
     counts: CountReport
     distance: float
+    ok: bool  # distance within SynthesisOptions.tolerance
     expected_two_qutrit: int | None
     elapsed_s: float
 
@@ -401,15 +402,16 @@ class SynthesisReport:
             "two_qutrit_count": self.two_qutrit_count,
             "expected_two_qutrit": self.expected_two_qutrit,
             "distance": self.distance,
+            "ok": self.ok,
             "elapsed_s": self.elapsed_s,
         }
 
     def lines(self) -> list[str]:
-        expect = (
-            f" (expected {self.expected_two_qutrit})"
-            if self.expected_two_qutrit is not None
-            else ""
-        )
+        expect = ""
+        if self.expected_two_qutrit is not None:
+            excess = self.two_qutrit_count - self.expected_two_qutrit
+            expect = f" (expected {self.expected_two_qutrit}"
+            expect += f"; {excess} above the closed form)" if excess > 0 else ")"
         return [
             f"qutrits:          {self.n}",
             f"gate set:         {self.gate_set.value}",
@@ -417,6 +419,7 @@ class SynthesisReport:
             f"rotations:        {self.counts.rotations}",
             f"total gates:      {self.counts.total}",
             f"distance:         {self.distance:.3e}",
+            f"within tolerance: {'yes' if self.ok else 'no'}",
             f"elapsed:          {self.elapsed_s:.3f} s",
         ]
 
@@ -449,8 +452,9 @@ def synthesize(
 
     Returns the circuit and a report carrying the measured gate counts,
     the closed-form expected two-qutrit count (generic inputs; n >= 2),
-    and the operator-norm-style distance between the evaluated circuit
-    and the input.
+    the phase-aligned Frobenius distance (:func:`unitary_distance`)
+    between the circuit's full simulated unitary and the input, and
+    whether that distance is within ``options.tolerance``.
     """
     options = options or SynthesisOptions()
     m = np.asarray(m, dtype=complex)
@@ -477,6 +481,7 @@ def synthesize(
         gate_set=options.gate_set,
         counts=count_gates(circ),
         distance=float(dist),
+        ok=dist <= options.tolerance,
         expected_two_qutrit=expected,
         elapsed_s=elapsed,
     )

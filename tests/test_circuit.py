@@ -1,11 +1,13 @@
-"""Circuit container, dense evaluation, counting, and the text format."""
+"""Circuit container, evaluation, counting, and the text format."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from trisect import algebra
+from trisect.algebra import LEVELS
 from trisect.circuit import (
     Circuit,
     CircuitParseError,
@@ -78,7 +80,7 @@ def test_circuit_validates_width():
 
 
 # ---------------------------------------------------------------------------
-# dense evaluation
+# evaluation
 # ---------------------------------------------------------------------------
 
 
@@ -111,6 +113,36 @@ def test_eval_applies_first_gate_first():
     # and the other order differs (these two do not commute)
     other = eval_circuit(Circuit(1, (b, a)))
     assert np.max(np.abs(got - other)) > 1e-3
+
+
+def _every_gate_kind(n: int, rng: np.random.Generator) -> list:
+    """Every rotation axis/level and LocalX level on each qutrit, every
+    GCX/CINC control value, level and ordered (control, target) pair, and
+    global phases, shuffled."""
+    gates: list = [GlobalPhase(float(rng.uniform(-3, 3))) for _ in range(2)]
+    for q in range(n):
+        gates += [Rotation(a, lv, q, float(rng.uniform(-7, 7))) for a in "xyz" for lv in LEVELS]
+        gates += [LocalX(lv, q) for lv in LEVELS]
+    for c, t in itertools.permutations(range(n), 2):
+        for v in range(3):
+            gates += [Gcx(c, v, t, lv) for lv in LEVELS] + [Cinc(c, v, t)]
+    rng.shuffle(gates)
+    return gates
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eval_matches_dense_gate_product(n):
+    rng = np.random.default_rng(100 + n)
+    gates = _every_gate_kind(n, rng) + _every_gate_kind(n, rng)
+    want = np.eye(3**n, dtype=complex)
+    for g in gates:
+        want = gate_matrix(g, n) @ want
+    assert np.max(np.abs(eval_circuit(Circuit(n, tuple(gates))) - want)) <= 1e-13
+
+
+def test_eval_rejects_non_gate():
+    with pytest.raises(TypeError, match="not a gate"):
+        eval_circuit(Circuit(1, ("R x 01 q0 1.0",)))
 
 
 def test_eval_empty_circuit_is_identity():

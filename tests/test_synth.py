@@ -6,6 +6,8 @@ factor circuits against independently transcribed closed-form gate
 products (``golden_cases``), including the primed-angle substitutions.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -426,6 +428,25 @@ def test_synthesize_report_serialization():
     assert d["gate_set"] == "gcx+cinc"
     assert d["two_qutrit_count"] == d["counts"]["two_qutrit"] == 21
     assert any("two-qutrit gates" in line for line in rep.lines())
+
+
+def test_synthesize_reports_tolerance():
+    u = haar_unitary(9, np.random.default_rng(67))
+    _, rep = synthesize(u)
+    assert rep.ok is True and rep.as_dict()["ok"] is True
+    assert "within tolerance: yes" in rep.lines()
+    # any floating-point synthesis sits above 1e-16
+    _, strict = synthesize(u, SynthesisOptions(tolerance=1e-16))
+    assert strict.ok is False and strict.as_dict()["ok"] is False
+    assert strict.distance == rep.distance
+    assert "within tolerance: no" in strict.lines()
+
+
+def test_synthesize_report_flags_count_above_closed_form():
+    _, rep = synthesize(haar_unitary(9, np.random.default_rng(68)))
+    assert "two-qutrit gates: 21 (expected 21)" in rep.lines()
+    over = dataclasses.replace(rep, counts=dataclasses.replace(rep.counts, gcx=rep.counts.gcx + 3))
+    assert "two-qutrit gates: 24 (expected 21; 3 above the closed form)" in over.lines()
 
 
 def test_synthesize_rejects_bad_input():

@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 from . import __version__
 from .algebra import (
@@ -329,23 +330,33 @@ def _identity_checks() -> list[tuple[str, float, float]]:
     return checks
 
 
+def _csd_residual(u: np.ndarray) -> float:
+    d = u.shape[0]
+    p = d // 3
+    res = csd(u, p, 2 * p)
+    left = scipy.linalg.block_diag(res.l1, res.l2)
+    right = scipy.linalg.block_diag(res.r1, res.r2)
+    recon = left @ csd_sigma(res.theta, p, 2 * p) @ right.conj().T
+    return float(np.max(np.abs(recon - u)))
+
+
 def _factorization_checks(seed: int) -> list[tuple[str, float, float]]:
     rng = np.random.default_rng(seed)
     checks: list[tuple[str, float, float]] = []
     for n in (2, 3):
         d = 3**n
-        u = haar_unitary(d, rng)
-        res = csd(u, d // 3, 2 * d // 3)
-        left = np.zeros((d, d), dtype=complex)
-        left[: d // 3, : d // 3] = res.l1
-        left[d // 3 :, d // 3 :] = res.l2
-        right = np.zeros((d, d), dtype=complex)
-        right[: d // 3, : d // 3] = res.r1
-        right[d // 3 :, d // 3 :] = res.r2
-        recon = left @ csd_sigma(res.theta, d // 3, 2 * d // 3) @ right.conj().T
+        # Identity and permutations have exactly-zero angles next to
+        # nonzero ones (or only zeros), which Haar inputs never produce.
         checks.append(
-            (f"cosine-sine split reconstructs (d={d})",
-             float(np.max(np.abs(recon - u))), 1e-10)
+            (f"cosine-sine split of the identity (d={d})", _csd_residual(np.eye(d)), 1e-10)
+        )
+        perm = np.eye(d)[rng.permutation(d)]
+        checks.append(
+            (f"cosine-sine split of a permutation (d={d})", _csd_residual(perm), 1e-10)
+        )
+        u = haar_unitary(d, rng)
+        checks.append(
+            (f"cosine-sine split reconstructs (d={d})", _csd_residual(u), 1e-10)
         )
 
         node = factorize(u)

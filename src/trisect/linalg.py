@@ -1,9 +1,8 @@
 """Dense linear-algebra kernels used by the synthesis pipeline.
 
-Everything here works on plain complex ndarrays.  The only nontrivial
-routine is :func:`csd`, a cosine-sine decomposition built from one SVD
-plus Householder QR factorizations, which keeps the four corner blocks
-simultaneously consistent even when principal angles cluster.
+Everything here works on plain complex ndarrays.  The cosine-sine
+decomposition :func:`csd` is LAPACK ``zuncsd`` (Sutton's algorithm, via
+``scipy.linalg.cossin``) with its factors reordered to our layout.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ __all__ = [
     "csd",
     "csd_sigma",
     "haar_unitary",
-    "hermitian_eig",
     "nearest_unitary",
     "unitarity_defect",
     "unitary_distance",
@@ -28,10 +26,6 @@ __all__ = [
 
 # Entry-wise bound on |U†U - I| below which a matrix is accepted as unitary.
 UNITARY_ATOL = 1e-10
-
-# sin(theta) below this is treated as an exact zero principal angle; the
-# corresponding column pairs are rebuilt jointly from the bottom-right block.
-_CSD_CLUSTER_TOL = 1e-8
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -100,16 +94,6 @@ def unitary_eig(u: np.ndarray, atol: float = UNITARY_ATOL) -> EigResult:
     return EigResult(phases[order], vecs[:, order])
 
 
-def hermitian_eig(h: np.ndarray, atol: float = UNITARY_ATOL) -> EigResult:
-    """Ascending eigen-decomposition of a Hermitian matrix (wraps eigh)."""
-    h = np.asarray(h, dtype=complex)
-    defect = float(np.max(np.abs(h - h.conj().T)))
-    if defect > atol:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {atol:.1e})")
-    vals, vecs = np.linalg.eigh(h)
-    return EigResult(vals, vecs)
-
-
 @dataclass(frozen=True)
 class CSDResult:
     """Cosine-sine factors:  U = diag(L1,L2) @ Sigma(theta) @ diag(R1,R2)†.
@@ -138,41 +122,16 @@ def csd_sigma(theta: np.ndarray, p: int, q: int) -> np.ndarray:
     return sig
 
 
-def _phase_fixed_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR with the diagonal of R made real nonnegative."""
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r).copy()
-    ph = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
-    return q * ph, r * ph.conj()[:, None]
-
-
-def _orthonormal_complement(cols: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of the complement of span(cols) in C^dim."""
-    k = cols.shape[1]
-    if k == 0:
-        return np.eye(dim, dtype=complex)
-    full, _ = np.linalg.qr(cols, mode="complete")
-    # Householder keeps the leading k columns spanning span(cols); re-project
-    # the tail once to scrub any leakage from near-dependent inputs.
-    tail = full[:, k:]
-    tail = tail - cols @ (cols.conj().T @ tail)
-    tail, _ = np.linalg.qr(tail)
-    return tail
-
-
 def csd(u: np.ndarray, p: int, q: int) -> CSDResult:
     """Cosine-sine decomposition of a (p+q) x (p+q) unitary, p <= q.
 
-    Construction: SVD of the top-left block gives L1, C, R1 with the
-    cosines descending (angles ascending).  The bottom-block columns come
-    from phase-fixed Householder QR of U21@R1 and U12†@L1 -- since
-    (U21 R1)†(U21 R1) = I - C² exactly for unitary input, those columns
-    are already orthogonal and QR only normalizes them, inheriting
-    whatever basis the SVD chose inside degenerate cosine clusters.
-    Columns whose sine falls below 1e-8 are declared exact-zero angles
-    and rebuilt jointly with the trailing q-p columns from the
-    bottom-right block, which keeps L2/R2 consistent where the
-    individual directions are not determined by U21/U12.
+    Computed by LAPACK ``zuncsd`` (B. D. Sutton, "Computing the complete
+    CS decomposition", Numer. Algorithms 50, 2009) through
+    ``scipy.linalg.cossin``, which stays accurate for exactly-zero,
+    tiny and clustered principal angles alike.  Its middle factor is
+    [[C, 0, -S], [0, I, 0], [S, 0, C]]; rolling the columns of L2 and R2
+    by p moves the C/S columns in front of the identity, as
+    :func:`csd_sigma` has them.
     """
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
@@ -182,41 +141,7 @@ def csd(u: np.ndarray, p: int, q: int) -> CSDResult:
     if defect > UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
 
-    u11, u12 = u[:p, :p], u[:p, p:]
-    u21, u22 = u[p:, :p], u[p:, p:]
-
-    l1, c, r1h = np.linalg.svd(u11)
-    r1 = r1h.conj().T
-    c = np.clip(c, 0.0, 1.0)
-
-    qy, ty = _phase_fixed_qr(u21 @ r1)
-    s = np.clip(np.abs(np.diagonal(ty)), 0.0, 1.0)
-    theta = np.arctan2(s, c)
-
-    qx, _ = _phase_fixed_qr(u12.conj().T @ l1)
-    # U12 = -L1 S R2†, so the QR direction carries an extra minus sign.
-    r2_lead = -qx
-
-    generic = s >= _CSD_CLUSTER_TOL
-    theta = np.where(generic, theta, 0.0)
-
-    l2 = np.zeros((q, q), dtype=complex)
-    r2 = np.zeros((q, q), dtype=complex)
-    l2[:, :p][:, generic] = qy[:, generic]
-    r2[:, :p][:, generic] = r2_lead[:, generic]
-
-    # Joint completion: remaining columns must reproduce the bottom-right
-    # block, U22 = L2 diag(C, I) R2†, and any orthonormal completion of
-    # the generic L2 columns works as long as R2 is slaved to it.
-    cols_idx = np.flatnonzero(~generic).tolist() + list(range(p, q))
-    e = u22 - (qy[:, generic] * c[generic]) @ r2_lead[:, generic].conj().T
-    l2_tail = _orthonormal_complement(qy[:, generic], q)
-    r2_tail = e.conj().T @ l2_tail
-    # Columns of r2_tail have unit norm up to the zero-angle cutoff; a final
-    # QR scrubs the O(tol²) drift without moving any direction.
-    r2_tail, _ = _phase_fixed_qr(r2_tail)
-    for k, idx in enumerate(cols_idx):
-        l2[:, idx] = l2_tail[:, k]
-        r2[:, idx] = r2_tail[:, k]
-
-    return CSDResult(l1=l1, l2=l2, r1=r1, r2=r2, theta=theta)
+    (l1, l2), theta, (r1h, r2h) = scipy.linalg.cossin(u, p=p, q=p, separate=True)
+    l2 = np.roll(l2, p, axis=1)
+    r2 = np.roll(r2h.conj().T, p, axis=1)
+    return CSDResult(l1=l1, l2=l2, r1=r1h.conj().T, r2=r2, theta=theta)

@@ -17,7 +17,6 @@ __all__ = [
     "pass_cancel",
     "pass_commute_reorder",
     "pass_fuse_cinc",
-    "pass_collapse_gcx_pair",
     "simplify",
 ]
 
@@ -176,28 +175,6 @@ def pass_commute_reorder(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
 # ---------------------------------------------------------------------------
 # targeted rewrites
 # ---------------------------------------------------------------------------
-
-
-def pass_collapse_gcx_pair(c: Circuit) -> Circuit:
-    """Merge adjacent same-control/target/level GCX pairs with different
-    trigger values:  applying value-m' then value-m equals a plain X on
-    the target followed by the GCX triggering on the third value."""
-    out: list[Gate] = []
-    for g in c.gates:
-        top = out[-1] if out else None
-        if (
-            isinstance(g, Gcx)
-            and isinstance(top, Gcx)
-            and top.control == g.control
-            and top.target == g.target
-            and top.level == g.level
-            and top.value != g.value
-        ):
-            third = 3 - top.value - g.value
-            out[-1:] = [LocalX(g.level, g.target), Gcx(g.control, third, g.target, g.level)]
-        else:
-            out.append(g)
-    return Circuit(c.n, tuple(out))
 
 
 def pass_fuse_cinc(c: Circuit) -> Circuit:

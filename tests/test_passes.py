@@ -23,7 +23,6 @@ from trisect.circuit import (
 from trisect.passes import (
     commutes,
     pass_cancel,
-    pass_collapse_gcx_pair,
     pass_commute_reorder,
     pass_fuse_cinc,
     simplify,
@@ -180,24 +179,6 @@ def test_reorder_preserves_matrix_on_random_circuits():
 # ---------------------------------------------------------------------------
 # targeted rewrites
 # ---------------------------------------------------------------------------
-
-
-def test_collapse_gcx_pair_rewrite():
-    # value-m' then value-m on one control/target/level = X + third value
-    for m in range(3):
-        for mp in range(3):
-            if m == mp:
-                continue
-            c = Circuit(2, (Gcx(0, mp, 1, "01"), Gcx(0, m, 1, "01")))
-            out = pass_collapse_gcx_pair(c)
-            third = 3 - m - mp
-            assert out.gates == (LocalX("01", 1), Gcx(0, third, 1, "01"))
-            assert _same_matrix(c, out)
-
-
-def test_collapse_leaves_equal_values_alone():
-    c = Circuit(2, (Gcx(0, 1, 1, "01"), Gcx(0, 1, 1, "01")))
-    assert pass_collapse_gcx_pair(c).gates == c.gates
 
 
 def test_fuse_cinc_rewrites_adjacent_pair():

@@ -406,7 +406,7 @@ class CommutationReport:
 
     def lines(self) -> list[str]:
         return [
-            f"[{'ok' if ok else 'FAIL'}] {name:<24s} worst residual {res:.3e}"
+            f"{'[ok]' if ok else '[FAIL]':<6} {name:<24s} worst residual {res:.3e}"
             for name, res, ok in self.results
         ]
 
@@ -486,11 +486,11 @@ class AbelianReport:
 
     def lines(self) -> list[str]:
         return [
-            f"[{'ok' if self.pairwise_commute else 'FAIL'}] diagonal basis pairwise commuting",
-            f"[{'ok' if self.span_dim_ok else 'FAIL'}] basis spans all 3^n imaginary diagonals",
-            f"[{'ok' if self.commutant_in_span else 'FAIL'}] commutant elements lie in the span "
+            f"{'[ok]' if self.pairwise_commute else '[FAIL]':<6} diagonal basis pairwise commuting",
+            f"{'[ok]' if self.span_dim_ok else '[FAIL]':<6} basis spans all 3^n imaginary diagonals",
+            f"{'[ok]' if self.commutant_in_span else '[FAIL]':<6} commutant elements lie in the span "
             f"(worst residual {self.worst_residual:.3e})",
-            f"[{'ok' if self.negative_control_caught else 'FAIL'}] off-diagonal element rejected",
+            f"{'[ok]' if self.negative_control_caught else '[FAIL]':<6} off-diagonal element rejected",
         ]
 
 

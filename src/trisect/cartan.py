@@ -284,13 +284,11 @@ class FactorizationNode:
     """One level of the recursion: 9 K entries interleaved with 8 others.
 
     ``entries`` is in chain (matrix-product) order, starting and ending
-    with a K.  ``phase`` is retained for interface symmetry but the
-    pipeline is exact, so it is always 0.  ``residuals`` records the
-    numerical health of each internal step.
+    with a K.  ``residuals`` records the numerical health of each
+    internal step.
     """
 
     n: int
-    phase: float
     entries: tuple[NodeEntry, ...]
     residuals: dict[str, float]
     absorbed: bool = False
@@ -362,25 +360,22 @@ def factorize(
     v7, lam_e, k8n = split_off_z12(k4n)
     v8, lam_d2, w8 = split_off_d(k8n)
 
-    residuals["split_dbar_1"] = float(
-        np.max(np.abs(np.kron(np.eye(3), v1) @ nonlocal_matrix("dbar", lam_b1)
-                      @ np.kron(np.eye(3), w1) - k1n))
+    def ik(w: np.ndarray) -> np.ndarray:
+        return np.kron(np.eye(3), w)
+
+    # (name, (left, kind, angles, right), target).  split_z12 alone leaves
+    # a full-size right factor, k8n, which split_d_2 splits in turn.  The
+    # dense factors are built one split at a time to keep peak memory low.
+    splits = (
+        ("split_dbar_1", (v1, "dbar", lam_b1, w1), k1n),
+        ("split_d_1", (v3, "d", lam_d1, w3), k2n),
+        ("split_dbar_2", (v5, "dbar", lam_b2, w5), k3n),
+        ("split_z12", (v7, "z12", lam_e, None), k4n),
+        ("split_d_2", (v8, "d", lam_d2, w8), k8n),
     )
-    residuals["split_d_1"] = float(
-        np.max(np.abs(np.kron(np.eye(3), v3) @ nonlocal_matrix("d", lam_d1)
-                      @ np.kron(np.eye(3), w3) - k2n))
-    )
-    residuals["split_dbar_2"] = float(
-        np.max(np.abs(np.kron(np.eye(3), v5) @ nonlocal_matrix("dbar", lam_b2)
-                      @ np.kron(np.eye(3), w5) - k3n))
-    )
-    residuals["split_z12"] = float(
-        np.max(np.abs(np.kron(np.eye(3), v7) @ nonlocal_matrix("z12", lam_e) @ k8n - k4n))
-    )
-    residuals["split_d_2"] = float(
-        np.max(np.abs(np.kron(np.eye(3), v8) @ nonlocal_matrix("d", lam_d2)
-                      @ np.kron(np.eye(3), w8) - k8n))
-    )
+    for name, (v, kind, lam, w), target in splits:
+        right = k8n if w is None else ik(w)
+        residuals[name] = float(np.max(np.abs(ik(v) @ nonlocal_matrix(kind, lam) @ right - target)))
 
     def k(mat: np.ndarray) -> NodeEntry:
         return NodeEntry(kind="K", matrix=mat)
@@ -398,15 +393,13 @@ def factorize(
         k(v7), ang("z12", lam_e),
         k(v8), ang("d", lam_d2), k(w8),
     )
-    return FactorizationNode(
-        n=n, phase=0.0, entries=entries, residuals=residuals, absorbed=absorb
-    )
+    return FactorizationNode(n=n, entries=entries, residuals=residuals, absorbed=absorb)
 
 
 def reassemble(node: FactorizationNode) -> np.ndarray:
     """Multiply the chain back out (entries are in matrix-product order)."""
     d = 3**node.n
-    u = np.eye(d, dtype=complex) * np.exp(1j * node.phase)
+    u = np.eye(d, dtype=complex)
     for e in node.entries:
         u = u @ e.dense(absorbed=node.absorbed)
     return u

@@ -381,7 +381,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     for name, resid, tol in _identity_checks() + _factorization_checks(args.seed):
         good = resid <= tol
         ok &= good
-        print(f"  [{'ok' if good else 'FAIL'}] {name:<44s} residual {resid:.3e}")
+        print(f"  {'[ok]' if good else '[FAIL]':<6} {name:<44s} residual {resid:.3e}")
 
     for n in args.qutrits:
         print(f"commutation tables (n={n}, {args.trials} trials/relation):")

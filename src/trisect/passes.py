@@ -1,29 +1,31 @@
-"""Peephole rewrite passes over gate lists.
+"""Rewrite passes over gate lists.
 
-All passes preserve the circuit matrix exactly (up to floating-point
-rounding in merged rotation angles) and are deterministic.  The
-commutation test is structural -- a small set of sufficient rules --
-never numerical, so a pass can only reorder gates it can prove safe.
+:func:`pass_cancel` is one sweep in which each gate looks back for a
+partner to cancel or merge with, past the gates it commutes with;
+:func:`pass_fuse_cinc` then fuses GCX pairs into CINCs.  Both preserve
+the circuit matrix exactly (up to floating-point rounding in merged
+rotation angles) and are deterministic.  The commutation test is
+structural -- a small set of sufficient rules -- never numerical, so a
+gate only moves past gates it provably commutes with.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Iterator, Sequence
 
-from .circuit import Circuit, Cinc, Gate, Gcx, GlobalPhase, LocalX, Rotation
+from .circuit import Circuit, Cinc, Gate, Gcx, GlobalPhase, LocalX, Rotation, _gate_qutrits
 
 __all__ = [
     "commutes",
     "pass_cancel",
-    "pass_commute_reorder",
     "pass_fuse_cinc",
     "simplify",
 ]
 
 # Angles below this are dropped after merging.
 ANGLE_EPS = 1e-12
-
-DEFAULT_WINDOW = 8
 
 
 def _wrap(theta: float, period: float) -> float:
@@ -39,14 +41,6 @@ def _wrap(theta: float, period: float) -> float:
 # ---------------------------------------------------------------------------
 # structural commutation rules
 # ---------------------------------------------------------------------------
-
-
-def _support(g: Gate) -> frozenset[int]:
-    if isinstance(g, (Rotation, LocalX)):
-        return frozenset((g.qutrit,))
-    if isinstance(g, (Gcx, Cinc)):
-        return frozenset((g.control, g.target))
-    return frozenset()
 
 
 def commutes(a: Gate, b: Gate) -> bool:
@@ -67,7 +61,7 @@ def commutes(a: Gate, b: Gate) -> bool:
     """
     if isinstance(a, GlobalPhase) or isinstance(b, GlobalPhase):
         return True
-    if not (_support(a) & _support(b)):
+    if set(_gate_qutrits(a)).isdisjoint(_gate_qutrits(b)):
         return True
 
     if isinstance(a, (Gcx, Cinc)) and isinstance(b, (Gcx, Cinc)):
@@ -113,12 +107,12 @@ def commutes(a: Gate, b: Gate) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# adjacent cancellation / merging
+# cancellation sweep
 # ---------------------------------------------------------------------------
 
 
 def _merge_pair(a: Gate, b: Gate) -> list[Gate] | None:
-    """Rewrite for the adjacent pair [a, b]; None means 'no rule applies'."""
+    """Rewrite for the pair [a, b] brought adjacent; None means 'no rule applies'."""
     if isinstance(a, Gcx) and a == b:
         return []
     if isinstance(a, LocalX) and a == b:
@@ -127,49 +121,61 @@ def _merge_pair(a: Gate, b: Gate) -> list[Gate] | None:
         if (a.axis, a.level, a.qutrit) == (b.axis, b.level, b.qutrit):
             theta = _wrap(a.theta + b.theta, 4 * math.pi)
             return [] if abs(theta) < ANGLE_EPS else [Rotation(a.axis, a.level, a.qutrit, theta)]
-    if isinstance(a, GlobalPhase) and isinstance(b, GlobalPhase):
-        phi = _wrap(a.phi + b.phi, 2 * math.pi)
-        return [] if abs(phi) < ANGLE_EPS else [GlobalPhase(phi)]
     return None
 
 
+def _latest_first(a: list[int], b: Sequence[int] = ()) -> Iterator[int]:
+    """Merge ascending index lists, latest first, shared indices once."""
+    i, j = len(a) - 1, len(b) - 1
+    while i >= 0 or j >= 0:
+        x = a[i] if i >= 0 else -1
+        y = b[j] if j >= 0 else -1
+        if x >= y:
+            i -= 1
+        if y >= x:
+            j -= 1
+        yield max(x, y)
+
+
 def pass_cancel(c: Circuit) -> Circuit:
-    """Adjacent-pair cleanup: involution pairs annihilate, rotations and
-    phases merge by angle addition, negligible angles are dropped."""
-    out: list[Gate] = []
+    """One sweep that cancels and merges gates across commuting neighbours.
+
+    Each gate walks back over the earlier gates on its own qutrits while
+    :func:`commutes` lets it pass, and merges into the first one that
+    :func:`_merge_pair` accepts: involution pairs annihilate, rotations
+    add their angles and vanish below ``ANGLE_EPS``.  A gate with no
+    partner is appended.  A per-qutrit list of live gate indices (the
+    frontier) keeps the walk off gates on other qutrits, which commute
+    by support.  Global phases are summed into one leading phase.
+    """
+    phi = 0.0
+    out: list[Gate | None] = []
+    frontier: list[list[int]] = [[] for _ in range(c.n)]
     for g in c.gates:
+        if isinstance(g, GlobalPhase):
+            phi += g.phi
+            continue
         if isinstance(g, Rotation) and abs(g.theta) < ANGLE_EPS:
             continue
-        if isinstance(g, GlobalPhase) and abs(_wrap(g.phi, 2 * math.pi)) < ANGLE_EPS:
-            continue
-        out.append(g)
-        # fold back while the new tail keeps merging
-        while len(out) >= 2:
-            merged = _merge_pair(out[-2], out[-1])
-            if merged is None:
+        fronts = [frontier[q] for q in _gate_qutrits(g)]
+        merged = None
+        for k in _latest_first(*fronts):
+            merged = _merge_pair(out[k], g)
+            if merged is not None or not commutes(out[k], g):
                 break
-            out[-2:] = merged
-    return Circuit(c.n, tuple(out))
-
-
-def pass_commute_reorder(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
-    """Move mergeable partners adjacent when the gates in between provably
-    commute with the moved gate.  Pure reordering; pairing is left to
-    :func:`pass_cancel`."""
-    gates = list(c.gates)
-    i = 0
-    while i < len(gates) - 1:
-        g = gates[i]
-        if not isinstance(g, GlobalPhase):
-            for j in range(i + 2, min(i + 1 + window, len(gates))):
-                h = gates[j]
-                if _merge_pair(g, h) is None:
-                    continue
-                if all(commutes(gates[k], h) for k in range(i + 1, j)):
-                    gates.insert(i + 1, gates.pop(j))
-                    break
-        i += 1
-    return Circuit(c.n, tuple(gates))
+        if merged is None:
+            for lst in fronts:
+                lst.append(len(out))
+            out.append(g)
+        elif merged:
+            out[k] = merged[0]
+        else:
+            out[k] = None
+            for lst in fronts:
+                del lst[bisect_left(lst, k)]
+    phi = _wrap(phi, 2 * math.pi)
+    lead = [GlobalPhase(phi)] if abs(phi) >= ANGLE_EPS else []
+    return Circuit(c.n, tuple(lead + [g for g in out if g is not None]))
 
 
 # ---------------------------------------------------------------------------
@@ -198,28 +204,8 @@ def pass_fuse_cinc(c: Circuit) -> Circuit:
     return Circuit(c.n, tuple(out))
 
 
-def _coalesce_phases(c: Circuit) -> Circuit:
-    phi = 0.0
-    rest: list[Gate] = []
-    for g in c.gates:
-        if isinstance(g, GlobalPhase):
-            phi += g.phi
-        else:
-            rest.append(g)
-    phi = _wrap(phi, 2 * math.pi)
-    gates = ([GlobalPhase(phi)] if abs(phi) > ANGLE_EPS else []) + rest
-    return Circuit(c.n, tuple(gates))
-
-
-def simplify(c: Circuit, use_cinc: bool = False, window: int = DEFAULT_WINDOW) -> Circuit:
-    """Default pipeline: cancel/reorder to a fixpoint, optionally fuse
-    GCX pairs into CINCs, and pull the accumulated phase to the front."""
-    prev = None
-    while prev != c.gates:
-        prev = c.gates
-        c = pass_cancel(c)
-        c = pass_commute_reorder(c, window)
+def simplify(c: Circuit, use_cinc: bool = False) -> Circuit:
+    """Default pipeline: the :func:`pass_cancel` sweep, then optionally
+    :func:`pass_fuse_cinc`."""
     c = pass_cancel(c)
-    if use_cinc:
-        c = pass_fuse_cinc(c)
-    return _coalesce_phases(c)
+    return pass_fuse_cinc(c) if use_cinc else c

@@ -246,7 +246,6 @@ def test_factorize_chain_structure():
     u = haar_unitary(9, np.random.default_rng(8))
     node = factorize(u)
     assert node.n == 2
-    assert node.phase == 0.0
     assert tuple(e.kind for e in node.entries) == _EXPECTED_KINDS
     assert len(node.k_factors) == 9
     assert [e.kind for e in node.angle_factors] == list(NONLOCAL_ORDER)
@@ -305,7 +304,6 @@ def test_reassemble_synthetic_node():
     lam = rng.uniform(-1, 1, size=3)
     node = FactorizationNode(
         n=2,
-        phase=0.4,
         entries=(
             NodeEntry(kind="K", matrix=w1),
             NodeEntry(kind="z12", angles=lam),
@@ -313,8 +311,5 @@ def test_reassemble_synthetic_node():
         ),
         residuals={},
     )
-    want = (
-        np.exp(0.4j)
-        * np.kron(np.eye(3), w1) @ nonlocal_matrix("z12", lam) @ np.kron(np.eye(3), w2)
-    )
+    want = np.kron(np.eye(3), w1) @ nonlocal_matrix("z12", lam) @ np.kron(np.eye(3), w2)
     assert np.max(np.abs(reassemble(node) - want)) < 1e-13

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from trisect import cli
 from trisect.cli import EXIT_NONUNITARY, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from trisect.linalg import haar_unitary
 
@@ -256,3 +257,15 @@ def test_selftest_detects_injected_fault(capsys):
     assert code == EXIT_VERIFY
     assert "FAILURES detected" in out
     assert "expect failures" in err
+
+
+def test_selftest_status_column_is_aligned(capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "_identity_checks", lambda: [("passing check", 0.0, 1.0), ("failing check", 2.0, 1.0)]
+    )
+    code, out, _ = _run(capsys, "selftest", "--qutrits", "2", "--trials", "2")
+    assert code == EXIT_VERIFY
+    passing = next(line for line in out.splitlines() if "passing check" in line)
+    failing = next(line for line in out.splitlines() if "failing check" in line)
+    assert "[ok]" in passing and "[FAIL]" in failing
+    assert passing.index("residual") == failing.index("residual")

@@ -23,7 +23,6 @@ from trisect.circuit import (
 from trisect.passes import (
     commutes,
     pass_cancel,
-    pass_commute_reorder,
     pass_fuse_cinc,
     simplify,
 )
@@ -149,7 +148,7 @@ def test_reorder_moves_partner_through_commuting_blocker():
             Rotation("z", "01", 0, -0.8),
         ),
     )
-    out = pass_cancel(pass_commute_reorder(c))
+    out = pass_cancel(c)
     assert count_gates(out).rotations == 0
     assert _same_matrix(c, out)
 
@@ -163,8 +162,19 @@ def test_reorder_respects_noncommuting_blockers():
             Rotation("z", "01", 0, -0.8),
         ),
     )
-    out = pass_cancel(pass_commute_reorder(c))
+    out = pass_cancel(c)
     assert count_gates(out).rotations == 3  # nothing may move
+    assert _same_matrix(c, out)
+
+
+def test_cancel_reaches_partner_past_nine_commuting_gates():
+    # every GCX controlled by q0 commutes with a z rotation on q0, so the
+    # pair meets however many of them sit in between
+    theta = 0.6
+    blockers = tuple(Gcx(0, v, 1, lvl) for v in range(3) for lvl in ("01", "02", "12"))
+    c = Circuit(2, (Rotation("z", "01", 0, theta),) + blockers + (Rotation("z", "01", 0, -theta),))
+    out = pass_cancel(c)
+    assert out.gates == blockers
     assert _same_matrix(c, out)
 
 
@@ -173,7 +183,7 @@ def test_reorder_preserves_matrix_on_random_circuits():
     for _ in range(5):
         gates = tuple(_GATE_POOL[i] for i in rng.integers(0, len(_GATE_POOL), size=25))
         c = Circuit(2, gates)
-        assert _same_matrix(c, pass_commute_reorder(c))
+        assert _same_matrix(c, pass_cancel(c))
 
 
 # ---------------------------------------------------------------------------

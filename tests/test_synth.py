@@ -405,6 +405,17 @@ def test_synthesize_three_qutrits_exact_counts(gate_set, count):
     assert rep.distance < 1e-8
 
 
+@pytest.mark.parametrize(
+    "gate_set,count", [(GateSet.GCX_ONLY, 3094), (GateSet.GCX_CINC, 2686)]
+)
+def test_synthesize_four_qutrits_exact_counts(gate_set, count):
+    # n=4 is the smallest size whose mux boundaries cancel two levels deep
+    u = haar_unitary(81, np.random.default_rng(69))
+    _, rep = synthesize(u, SynthesisOptions(gate_set=gate_set))
+    assert rep.two_qutrit_count == count == expected_count(4, gate_set)
+    assert rep.ok
+
+
 def test_synthesize_without_passes_still_correct():
     u = haar_unitary(9, np.random.default_rng(63))
     circ, rep = synthesize(u, SynthesisOptions(passes=False))

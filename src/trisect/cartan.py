@@ -17,6 +17,7 @@ splitters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,19 @@ def _bd3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
+# Block b of a diagonal kind is diag(exp(i * sign_b * lam)); the signs as a column.
+_BLOCK_SIGNS = {
+    "z12": np.array([[0], [-1], [1]]),
+    "d": np.array([[-1], [1], [1]]),
+    "dbar": np.array([[1], [1], [-1]]),
+}
+
+
+def _block_phases(kind: str, lam: np.ndarray) -> np.ndarray:
+    """The diagonals of the three blocks of a z12, d or dbar factor, (3, p)."""
+    return np.exp(1j * _BLOCK_SIGNS[kind] * lam)
+
+
 def nonlocal_matrix(kind: str, angles: np.ndarray) -> np.ndarray:
     """Dense matrix of one interleaved factor from its diagonal angles.
 
@@ -72,27 +86,40 @@ def nonlocal_matrix(kind: str, angles: np.ndarray) -> np.ndarray:
     with D = diag(1, -1, -1) and Dbar = diag(-1, -1, 1).
     """
     lam = np.asarray(angles, dtype=float)
-    p = lam.size
-    i3 = np.eye(p, dtype=complex)
     if kind in ("x01", "x12"):
-        c = np.diag(np.cos(lam)).astype(complex)
-        s = np.diag(np.sin(lam)).astype(complex)
-        m = np.eye(3 * p, dtype=complex)
-        off = 0 if kind == "x01" else p
-        m[off : off + p, off : off + p] = c
-        m[off : off + p, off + p : off + 2 * p] = -1j * s
-        m[off + p : off + 2 * p, off : off + p] = -1j * s
-        m[off + p : off + 2 * p, off + p : off + 2 * p] = c
-        return m
-    e_plus = np.diag(np.exp(1j * lam))
-    e_minus = np.diag(np.exp(-1j * lam))
-    if kind == "z12":
-        return _bd3(i3, e_minus, e_plus)
-    if kind == "d":
-        return _bd3(e_minus, e_plus, e_plus)
-    if kind == "dbar":
-        return _bd3(e_plus, e_plus, e_minus)
-    raise ValueError(f"unknown factor kind {kind!r}")
+        return _mix_columns(np.eye(3 * lam.size, dtype=complex), kind, lam)
+    if kind not in _BLOCK_SIGNS:
+        raise ValueError(f"unknown factor kind {kind!r}")
+    return _bd3(*(np.diag(e) for e in _block_phases(kind, lam)))
+
+
+def _mix_columns(a: np.ndarray, kind: str, angles: np.ndarray) -> np.ndarray:
+    """``a`` times an x01 or x12 factor, without forming the factor.
+
+    Column j of block 0 (x01) or 1 (x12) and its partner in the next block
+    mix by [[cos, -i sin], [-i sin, cos]] of angle j.
+    """
+    p = angles.size
+    off = 0 if kind == "x01" else p
+    c = np.cos(angles)
+    s = -1j * np.sin(angles)
+    a0 = a[:, off : off + p]
+    a1 = a[:, off + p : off + 2 * p]
+    out = a.copy()
+    out[:, off : off + p] = a0 * c + a1 * s
+    out[:, off + p : off + 2 * p] = a0 * s + a1 * c
+    return out
+
+
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.abs(a).max())
+
+
+def _diag_blocks(m: np.ndarray) -> np.ndarray:
+    """The three diagonal blocks of a 3p x 3p matrix, stacked to (3, p, p)."""
+    p = m.shape[0] // 3
+    i = np.arange(3)
+    return m.reshape(3, p, 3, p)[i, :, i, :]
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +182,7 @@ def stage2(l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     d = l.shape[0]
     p = d // 3
-    if np.max(np.abs(l[:p, p:])) > 1e-9 or np.max(np.abs(l[p:, :p])) > 1e-9:
+    if _max_abs(l[:p, p:]) > 1e-9 or _max_abs(l[p:, :p]) > 1e-9:
         raise ValueError("stage2 input is not block diagonal over (p, 2p)")
     v = l[:p, :p]
     w = l[p:, p:]
@@ -262,6 +289,20 @@ def absorption_factor(kind: str, p: int) -> np.ndarray:
     raise ValueError(f"no absorption for factor kind {kind!r}")
 
 
+@functools.cache
+def _absorption(kind: str, p: int) -> np.ndarray:
+    """:func:`absorption_factor`, built once per (kind, p) and read-only.
+
+    It is applied as a matrix product, not as a column-sign vector: a
+    product rounds the signs of exact zeros as BLAS does, and on inputs
+    with degenerate splits (permutations, diagonals) those signs steer
+    which eigenvectors come out.
+    """
+    factor = absorption_factor(kind, p)
+    factor.flags.writeable = False
+    return factor
+
+
 @dataclass(frozen=True)
 class NodeEntry:
     """One factor of the chain: a K (matrix) or an angle-vector factor."""
@@ -275,7 +316,7 @@ class NodeEntry:
             return np.kron(np.eye(3), self.matrix)
         m = nonlocal_matrix(self.kind, self.angles)
         if absorbed and self.kind in ("x01", "x12"):
-            return absorption_factor(self.kind, self.angles.size) @ m
+            return _absorption(self.kind, self.angles.size) @ m
         return m
 
 
@@ -327,27 +368,21 @@ def factorize(
     residuals: dict[str, float] = {}
 
     left, th_a, right = stage1(m)
-    residuals["stage1"] = float(
-        np.max(np.abs(left @ nonlocal_matrix("x01", th_a) @ right.conj().T - m))
-    )
+    residuals["stage1"] = _max_abs(_mix_columns(left, "x01", th_a) @ right.conj().T - m)
 
     k1p, th_l, r3 = stage2(left)
     k2p = r3.conj().T
-    residuals["stage2_left"] = float(
-        np.max(np.abs(k1p @ nonlocal_matrix("x12", th_l) @ r3.conj().T - left))
-    )
+    residuals["stage2_left"] = _max_abs(_mix_columns(k1p, "x12", th_l) @ r3.conj().T - left)
     l3r, th_r_raw, r3r = stage2(right)
     k3p = r3r
     k4p = l3r.conj().T
     th_r = -th_r_raw
-    residuals["stage2_right"] = float(
-        np.max(np.abs(l3r @ nonlocal_matrix("x12", th_r_raw) @ r3r.conj().T - right))
-    )
+    residuals["stage2_right"] = _max_abs(_mix_columns(l3r, "x12", th_r_raw) @ r3r.conj().T - right)
 
     if absorb:
         # Fold each stripped factor's sign diagonal into the K on its left.
-        za1 = absorption_factor("x12", d // 3)
-        za = absorption_factor("x01", d // 3)
+        za1 = _absorption("x12", d // 3)
+        za = _absorption("x01", d // 3)
         k1p = k1p @ za1
         k2p = k2p @ za
         k3p = k3p @ za1
@@ -360,22 +395,21 @@ def factorize(
     v7, lam_e, k8n = split_off_z12(k4n)
     v8, lam_d2, w8 = split_off_d(k8n)
 
-    def ik(w: np.ndarray) -> np.ndarray:
-        return np.kron(np.eye(3), w)
-
     # (name, (left, kind, angles, right), target).  split_z12 alone leaves
-    # a full-size right factor, k8n, which split_d_2 splits in turn.  The
-    # dense factors are built one split at a time to keep peak memory low.
+    # a full-size right factor, k8n (given as its three diagonal blocks),
+    # which split_d_2 splits in turn.  Every factor and target is block
+    # diagonal with exactly zero off-diagonal blocks, so the residual is
+    # the worst entry of the three diagonal blocks.
     splits = (
         ("split_dbar_1", (v1, "dbar", lam_b1, w1), k1n),
         ("split_d_1", (v3, "d", lam_d1, w3), k2n),
         ("split_dbar_2", (v5, "dbar", lam_b2, w5), k3n),
-        ("split_z12", (v7, "z12", lam_e, None), k4n),
+        ("split_z12", (v7, "z12", lam_e, _diag_blocks(k8n)), k4n),
         ("split_d_2", (v8, "d", lam_d2, w8), k8n),
     )
     for name, (v, kind, lam, w), target in splits:
-        right = k8n if w is None else ik(w)
-        residuals[name] = float(np.max(np.abs(ik(v) @ nonlocal_matrix(kind, lam) @ right - target)))
+        prod = (v * _block_phases(kind, lam)[:, None, :]) @ w
+        residuals[name] = _max_abs(prod - _diag_blocks(target))
 
     def k(mat: np.ndarray) -> NodeEntry:
         return NodeEntry(kind="K", matrix=mat)

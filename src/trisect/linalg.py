@@ -1,16 +1,23 @@
 """Dense linear-algebra kernels used by the synthesis pipeline.
 
-Everything here works on plain complex ndarrays.  The cosine-sine
-decomposition :func:`csd` is LAPACK ``zuncsd`` (Sutton's algorithm, via
-``scipy.linalg.cossin``) with its factors reordered to our layout.
+Everything here works on plain complex ndarrays.  The two
+decompositions call their LAPACK drivers directly: the cosine-sine
+decomposition :func:`csd` is ``zuncsd`` (Sutton's algorithm) with its
+factors reordered to our layout, and :func:`unitary_eig` is the complex
+Schur form ``zgees``.  Both pass the workspace sizes that each driver's
+own query reports (cached per shape), which is what
+``scipy.linalg.cossin`` and ``scipy.linalg.schur`` do, so the results
+are bitwise theirs without their per-call argument handling.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 __all__ = [
     "CSDResult",
@@ -27,12 +34,28 @@ __all__ = [
 # Entry-wise bound on |U†U - I| below which a matrix is accepted as unitary.
 UNITARY_ATOL = 1e-10
 
+# The LAPACK drivers, looked up at call time so tests can replace them.
+_zuncsd = lapack.zuncsd
+_zuncsd_lwork = lapack.zuncsd_lwork
+_zgees = lapack.zgees
+
+
+def _check_info(driver: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {driver} failed (info={info})")
+
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max-entry deviation of U†U from the identity."""
+    """Max-entry deviation of U†U from the identity; inf if U is not finite.
+
+    A NaN would otherwise compare False against every tolerance and pass
+    the unitarity guards.
+    """
     u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
+    g = u.conj().T @ u
+    np.fill_diagonal(g, g.diagonal() - 1)
+    defect = float(np.abs(g).max())
+    return defect if math.isfinite(defect) else math.inf
 
 
 def nearest_unitary(a: np.ndarray) -> np.ndarray:
@@ -77,8 +100,15 @@ class EigResult:
     vectors: np.ndarray
 
 
+@functools.cache
+def _zgees_lwork(n: int) -> int:
+    *_, work, info = _zgees(lambda x: None, np.eye(n, dtype=complex), lwork=-1)
+    _check_info("zgees", info)
+    return int(work[0].real)
+
+
 def unitary_eig(u: np.ndarray, atol: float = UNITARY_ATOL) -> EigResult:
-    """Eigen-decomposition of a unitary via a complex Schur form.
+    """Eigen-decomposition of a unitary via a complex Schur form (``zgees``).
 
     Phases are returned ascending in (-pi, pi].  Within a degenerate
     cluster the Schur vectors are kept in their incoming column order
@@ -88,7 +118,8 @@ def unitary_eig(u: np.ndarray, atol: float = UNITARY_ATOL) -> EigResult:
     defect = unitarity_defect(u)
     if defect > atol:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {atol:.1e})")
-    t, vecs = scipy.linalg.schur(u, output="complex")
+    t, _, _, vecs, _, info = _zgees(lambda x: None, u, lwork=_zgees_lwork(u.shape[0]))
+    _check_info("zgees", info)
     phases = np.angle(np.diagonal(t))
     order = np.argsort(phases, kind="stable")
     return EigResult(phases[order], vecs[:, order])
@@ -122,15 +153,22 @@ def csd_sigma(theta: np.ndarray, p: int, q: int) -> np.ndarray:
     return sig
 
 
+@functools.cache
+def _zuncsd_lwork_for(m: int, p: int) -> tuple[int, int]:
+    work, rwork, info = _zuncsd_lwork(m, p, p)
+    _check_info("zuncsd", info)
+    return int(work.real), int(rwork)
+
+
 def csd(u: np.ndarray, p: int, q: int) -> CSDResult:
     """Cosine-sine decomposition of a (p+q) x (p+q) unitary, p <= q.
 
     Computed by LAPACK ``zuncsd`` (B. D. Sutton, "Computing the complete
-    CS decomposition", Numer. Algorithms 50, 2009) through
-    ``scipy.linalg.cossin``, which stays accurate for exactly-zero,
+    CS decomposition", Numer. Algorithms 50, 2009) on the four blocks of
+    the (p, q) x (p, q) partition; it stays accurate for exactly-zero,
     tiny and clustered principal angles alike.  Its middle factor is
-    [[C, 0, -S], [0, I, 0], [S, 0, C]]; rolling the columns of L2 and R2
-    by p moves the C/S columns in front of the identity, as
+    [[C, 0, -S], [0, I, 0], [S, 0, C]]; moving the last p columns of L2
+    and R2 to the front puts the C/S columns before the identity, as
     :func:`csd_sigma` has them.
     """
     u = np.asarray(u, dtype=complex)
@@ -141,7 +179,11 @@ def csd(u: np.ndarray, p: int, q: int) -> CSDResult:
     if defect > UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
 
-    (l1, l2), theta, (r1h, r2h) = scipy.linalg.cossin(u, p=p, q=p, separate=True)
-    l2 = np.roll(l2, p, axis=1)
-    r2 = np.roll(r2h.conj().T, p, axis=1)
+    lwork, lrwork = _zuncsd_lwork_for(d, p)
+    *_, theta, l1, l2, r1h, r2h, info = _zuncsd(
+        u[:p, :p], u[:p, p:], u[p:, :p], u[p:, p:], lwork=lwork, lrwork=lrwork
+    )
+    _check_info("zuncsd", info)
+    l2 = np.concatenate((l2[:, -p:], l2[:, :-p]), axis=1)
+    r2 = np.concatenate((r2h[-p:], r2h[:-p])).conj().T
     return CSDResult(l1=l1, l2=l2, r1=r1h.conj().T, r2=r2, theta=theta)

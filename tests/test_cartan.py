@@ -1,9 +1,12 @@
 """Block factorization: stages, rearrangement, splitters, full chain."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from trisect import cartan
 from trisect.algebra import GeneratorId, generator
 from trisect.cartan import (
     NONLOCAL_ORDER,
@@ -276,6 +279,47 @@ def test_factorize_absorbed_reconstructs(n):
     node = factorize(u, absorb=True)
     assert node.absorbed
     assert np.max(np.abs(reassemble(node) - u)) < 1e-9 * d
+
+
+# An error of 1e-3 planted in one step, and the residuals that must see it.
+_FAULT = 1e-3
+_FAULT_KEYS = {
+    "split_off_d": {"split_d_1", "split_d_2"},
+    "split_off_dbar": {"split_dbar_1", "split_dbar_2"},
+    "split_off_z12": {"split_z12"},
+    "csd": {"stage1", "stage2_left", "stage2_right"},
+}
+
+
+def _with_fault(name, original):
+    if name == "csd":
+        def shifted(u, p, q):
+            res = original(u, p, q)
+            return dataclasses.replace(res, theta=res.theta + _FAULT)
+
+        return shifted
+
+    def phased(k):
+        v, lam, w = original(k)
+        return v, lam, w * np.exp(1j * _FAULT)
+
+    return phased
+
+
+@pytest.mark.parametrize("absorb", [False, True], ids=["plain", "absorbed"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", list(_FAULT_KEYS))
+def test_residuals_see_an_injected_fault(monkeypatch, name, n, absorb):
+    # The per-block residuals must still measure the product: a fault in
+    # one step shows in its own keys and nowhere else.
+    monkeypatch.setattr(cartan, name, _with_fault(name, getattr(cartan, name)))
+    u = haar_unitary(3**n, np.random.default_rng(20 + n))
+    residuals = factorize(u, absorb=absorb).residuals
+    for key, value in residuals.items():
+        if key in _FAULT_KEYS[name]:
+            assert 1e-4 < value < 1e-2, (key, value)
+        else:
+            assert value < 1e-10, (key, value)
 
 
 def test_factorize_rejects_bad_input():

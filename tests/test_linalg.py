@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from trisect import linalg
+from trisect.cartan import factorize
 from trisect.linalg import (
     CSDResult,
     csd,
@@ -14,6 +16,7 @@ from trisect.linalg import (
     unitary_distance,
     unitary_eig,
 )
+from trisect.synth import single_qutrit_gates, synthesize
 
 X01 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 
@@ -37,6 +40,30 @@ def test_unitarity_defect_zero_for_unitary():
 
 def test_unitarity_defect_grows_with_scaling():
     assert unitarity_defect(2.0 * np.eye(3)) == pytest.approx(3.0)
+
+
+# Every entry point that takes a unitary, with an input size it accepts.
+GUARDED = {
+    "factorize": (factorize, 9),
+    "csd": (lambda u: csd(u, 3, 6), 9),
+    "unitary_eig": (unitary_eig, 9),
+    "synthesize": (synthesize, 9),
+    "single_qutrit_gates": (single_qutrit_gates, 3),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", list(GUARDED))
+def test_non_finite_input_is_not_unitary(name, bad):
+    # A NaN defect compares False against any tolerance; the guard must
+    # still refuse the matrix.
+    call, d = GUARDED[name]
+    u = haar_unitary(d, np.random.default_rng(5))
+    u[d // 2, 1] = bad
+    assert unitarity_defect(u) == np.inf
+    with pytest.raises(ValueError, match="not unitary"):
+        call(u)
 
 
 def test_nearest_unitary_projects_and_fixes_noisy_input():
@@ -141,6 +168,19 @@ def test_unitary_eig_rejects_nonunitary():
         unitary_eig(np.ones((3, 3)))
 
 
+@pytest.mark.parametrize("d", [3, 9, 27])
+def test_unitary_eig_equals_scipy_schur(d):
+    # zgees is called directly; the result must be bitwise scipy's.
+    rng = np.random.default_rng(100 + d)
+    for u in (haar_unitary(d, rng), np.eye(d, dtype=complex)[rng.permutation(d)]):
+        t, z = scipy.linalg.schur(u, output="complex")
+        phases = np.angle(np.diagonal(t))
+        order = np.argsort(phases, kind="stable")
+        res = unitary_eig(u)
+        assert np.array_equal(res.phases, phases[order])
+        assert np.array_equal(res.vectors, z[:, order])
+
+
 # ---------------------------------------------------------------------------
 # cosine-sine decomposition
 # ---------------------------------------------------------------------------
@@ -232,6 +272,51 @@ def test_csd_deterministic():
     r2 = csd(u, 3, 6)
     for field in ("l1", "l2", "r1", "r2", "theta"):
         assert np.array_equal(getattr(r1, field), getattr(r2, field))
+
+
+@pytest.mark.parametrize("square", [False, True], ids=["p-2p", "p-p"])
+@pytest.mark.parametrize("p", [3, 9])
+def test_csd_equals_scipy_cossin(p, square):
+    # zuncsd is called directly; the result must be bitwise cossin's,
+    # with the columns of L2 and R2 rolled by p.
+    q = p if square else 2 * p
+    rng = np.random.default_rng(200 + p)
+    for _ in range(3):
+        u = haar_unitary(p + q, rng)
+        (l1, l2), theta, (r1h, r2h) = scipy.linalg.cossin(u, p=p, q=p, separate=True)
+        res = csd(u, p, q)
+        assert np.array_equal(res.l1, l1)
+        assert np.array_equal(res.l2, np.roll(l2, p, axis=1))
+        assert np.array_equal(res.r1, r1h.conj().T)
+        assert np.array_equal(res.r2, np.roll(r2h.conj().T, p, axis=1))
+        assert np.array_equal(res.theta, theta)
+
+
+def _info_1(driver):
+    def call(*args, **kwargs):
+        *out, _ = driver(*args, **kwargs)
+        return (*out, 1)
+
+    return call
+
+
+@pytest.mark.parametrize(
+    "driver,run",
+    [
+        ("_zuncsd", lambda u: csd(u, 3, 6)),
+        ("_zuncsd_lwork", lambda u: csd(u, 3, 6)),
+        ("_zgees", unitary_eig),
+    ],
+    ids=["zuncsd", "zuncsd_lwork", "zgees"],
+)
+def test_lapack_failure_raises(monkeypatch, driver, run):
+    u = haar_unitary(9, np.random.default_rng(14))
+    run(u)  # the workspace query of this shape is now cached
+    if driver == "_zuncsd_lwork":
+        linalg._zuncsd_lwork_for.cache_clear()
+    monkeypatch.setattr(linalg, driver, _info_1(getattr(linalg, driver)))
+    with pytest.raises(np.linalg.LinAlgError, match="info=1"):
+        run(u)
 
 
 def test_csd_rejects_bad_input():

@@ -29,6 +29,7 @@ __all__ = [
     "place",
     "random_subspace_element",
     "rotation",
+    "rotations",
     "subspace_membership",
     "subspace_project",
 ]
@@ -100,22 +101,44 @@ def generator(gid: GeneratorId, override: dict[GeneratorId, np.ndarray] | None =
     return _GENERATORS[gid].copy()
 
 
+_AXES = ("x", "y", "z")
+# code 3 * axis + level -> (i, j, spectator) of the rotation's active 2x2 block
+_ROTATION_CODE = {(a, ij): 3 * ia + il for ia, a in enumerate(_AXES) for il, ij in enumerate(LEVELS)}
+_ROTATION_SLOTS = np.array([(int(ij[0]), int(ij[1]), 3 - int(ij[0]) - int(ij[1])) for ij in LEVELS] * 3)
+
+
+def rotations(axes, levels, thetas) -> np.ndarray:
+    """Stack of rotations exp(-i theta_r/2 sigma_{axes[r]}^{levels[r]}), shape (R, 3, 3).
+
+    One vectorised pass over all R angles; each entry has period 4*pi.
+    """
+    half = 0.5 * np.asarray(thetas, dtype=float).reshape(-1)
+    if not len(axes) == len(levels) == half.size:
+        raise ValueError("axes, levels and thetas must have one entry per rotation")
+    try:
+        code = np.array([_ROTATION_CODE[key] for key in zip(axes, levels)], dtype=np.intp)
+    except KeyError:
+        bad = next(key for key in zip(axes, levels) if key not in _ROTATION_CODE)
+        raise ValueError(f"bad rotation axis/level: {bad[0]!r}/{bad[1]!r}") from None
+    ax = code // 3
+    i, j, k = _ROTATION_SLOTS[code].T
+    c, s = np.cos(half), np.sin(half)
+    is_z = ax == 2
+    # x: [[c, -is], [-is, c]]   y: [[c, -s], [s, c]]   z: diag(e^{-i half}, e^{i half})
+    off = np.where(ax == 0, -1j * s, -s)
+    r = np.arange(half.size)
+    m = np.zeros((half.size, 3, 3), dtype=complex)
+    m[r, i, i] = np.where(is_z, np.exp(-1j * half), c)
+    m[r, j, j] = np.where(is_z, np.exp(1j * half), c)
+    m[r, i, j] = np.where(is_z, 0.0, off)
+    m[r, j, i] = np.where(is_z, 0.0, np.where(ax == 0, off, s))
+    m[r, k, k] = 1.0
+    return m
+
+
 def rotation(axis: str, ij: str, theta: float) -> np.ndarray:
     """Single-qutrit rotation exp(-i theta/2 sigma_axis^ij); period 4*pi."""
-    if axis not in "xyz" or ij not in LEVELS:
-        raise ValueError(f"bad rotation axis/level: {axis!r}/{ij!r}")
-    half = 0.5 * theta
-    c, s = np.cos(half), np.sin(half)
-    if axis == "x":
-        block = np.array([[c, -1j * s], [-1j * s, c]])
-    elif axis == "y":
-        block = np.array([[c, -s], [s, c]])
-    else:
-        block = np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]])
-    m = _two_level(ij, block)
-    k = 3 - int(ij[0]) - int(ij[1])
-    m[k, k] = 1.0
-    return m
+    return rotations((axis,), (ij,), (theta,))[0]
 
 
 def place(n: int, ops: dict[int, np.ndarray]) -> np.ndarray:

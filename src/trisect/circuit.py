@@ -3,10 +3,11 @@
 Gates are stored in application order: ``gates[0]`` acts first, so the
 circuit matrix is the reversed product of the individual gate matrices.
 :func:`eval_circuit` builds that exact 3^n x 3^n unitary without forming
-any gate's full matrix: a rotation is a 3x3 contraction on one qutrit
-axis and LocalX/GCX/CINC are row permutations, so each gate costs
-O(9^n).  :func:`gate_matrix` gives the dense per-gate matrix, which the
-tests use as the reference.
+any gate's full matrix: it cuts the gate list into runs on at most three
+qutrits, simulates each run on its own matrix of at most 27 x 27 (3x3
+rotations and row permutations) and applies it to the full unitary in
+one tensor contraction.  :func:`gate_matrix` gives the dense per-gate matrix, which
+the tests use as the reference.
 
 Text format (one gate per line, '#' starts a comment):
 
@@ -21,6 +22,7 @@ Text format (one gate per line, '#' starts a comment):
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Union
 
@@ -55,7 +57,7 @@ class Rotation:
     theta: float
 
     def __post_init__(self):
-        if self.axis not in "xyz" or self.level not in LEVELS:
+        if self.axis not in ("x", "y", "z") or self.level not in LEVELS:
             raise ValueError(f"bad rotation {self.axis!r}/{self.level!r}")
         if not np.isfinite(self.theta):
             raise ValueError("rotation angle must be finite")
@@ -153,54 +155,151 @@ def gate_matrix(g: Gate, n: int) -> np.ndarray:
     raise TypeError(f"not a gate: {g!r}")
 
 
-@functools.lru_cache(maxsize=None)
-def _row_permutation(g: Gate, n: int) -> np.ndarray:
-    """Index array p with ``gate_matrix(g, n) @ u == u[p]`` for a permutation gate.
+# Widest support a run may have; its local matrix is at most 27 x 27.
+RUN_QUTRITS = 3
 
-    Cached per (gate, width); for a given width there are finitely many
-    LocalX, Gcx and Cinc gates.  The result is read-only because every
-    caller shares it.
+_LOCAL_X = np.array([algebra.generator(algebra.GeneratorId[f"X{lv}"]) for lv in LEVELS])
+
+
+@functools.lru_cache(maxsize=None)
+def _local_permutation(gid: str, target: int, control: int, value: int, width: int) -> np.ndarray:
+    """Index array p with ``m[p]`` applying a controlled generator to a width-qutrit ``m``.
+
+    ``gid`` names the 3x3 permutation applied to ``target`` when ``control``
+    reads ``value``.  Cached and read-only, since every caller shares it.
     """
-    if isinstance(g, LocalX):
-        gid, target, control, value = f"X{g.level}", g.qutrit, None, None
-    elif isinstance(g, Gcx):
-        gid, target, control, value = f"X{g.level}", g.target, g.control, g.value
-    else:  # Cinc
-        gid, target, control, value = "INC", g.target, g.control, g.value
     # row i of the 3x3 generator has its single 1 in column src[i]
     src = np.abs(algebra.generator(algebra.GeneratorId[gid])).argmax(axis=1)
-    idx = np.arange(3**n).reshape((3,) * n)
-    p = np.take(idx, src, axis=target)
-    if control is not None:
-        fires = (np.arange(3) == value).reshape([3 if k == control else 1 for k in range(n)])
-        p = np.where(fires, p, idx)
-    p = p.ravel()
+    idx = np.arange(3**width).reshape((3,) * width)
+    fires = (np.arange(3) == value).reshape([3 if k == control else 1 for k in range(width)])
+    p = np.where(fires, np.take(idx, src, axis=target), idx).ravel()
     p.flags.writeable = False
     return p
+
+
+def _chain_products(stack: np.ndarray, chains: list[list[int]]) -> np.ndarray:
+    """Product of each chain of ``stack`` indices (first index acts first), (len(chains), 3, 3).
+
+    Chains are sorted longest first, so step t multiplies a prefix of them
+    in one batched matmul and the work is the total chain length.
+    """
+    lengths = np.array([len(ch) for ch in chains], dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    lengths = lengths[order]
+    flat = np.fromiter(itertools.chain.from_iterable(chains), dtype=np.intp)
+    prod = stack[flat[starts]]
+    for t in range(1, lengths.max(initial=0)):
+        k = np.count_nonzero(lengths > t)
+        prod[:k] = stack[flat[starts[:k] + t]] @ prod[:k]
+    out = np.empty_like(prod)
+    out[order] = prod
+    return out
+
+
+def _apply_local(m: np.ndarray, r: np.ndarray, axis: int) -> np.ndarray:
+    """``r`` (3x3) applied on the left to qutrit ``axis`` of the square matrix ``m``."""
+    return np.matmul(r, m.reshape(3**axis, 3, -1)).reshape(m.shape)
+
+
+def _run_matrix(steps: list, axes: list[int], prods: np.ndarray) -> np.ndarray:
+    """The 3^k x 3^k matrix of a run's steps on the k qutrits ``axes`` (sorted).
+
+    A step ``(q, chain)`` applies the product of the single-qutrit gates
+    deferred on qutrit q; ``(gid, control, target, value)`` is a row gather.
+    """
+    width = len(axes)
+    local = {q: i for i, q in enumerate(axes)}
+    m = np.eye(3**width, dtype=complex)
+    for step in steps:
+        if len(step) == 2:
+            m = _apply_local(m, prods[step[1]], local[step[0]])
+        else:
+            gid, control, target, value = step
+            m = m.take(_local_permutation(gid, local[target], local[control], value, width), axis=0)
+    return m
+
+
+def _apply_run(u: np.ndarray, steps: list, support: list[int], prods: np.ndarray) -> np.ndarray:
+    """A run's matrix applied to its qutrit axes of the row tensor ``u``."""
+    axes = sorted(support)
+    k = len(axes)
+    m = _run_matrix(steps, axes, prods).reshape((3,) * (2 * k))
+    return np.moveaxis(np.tensordot(m, u, axes=(range(k, 2 * k), axes)), range(k), axes)
 
 
 def eval_circuit(c: Circuit) -> np.ndarray:
     """Exact 3^n x 3^n unitary of the circuit (later gates multiply on the left).
 
-    Updates the matrix gate by gate without building gate matrices: a
-    rotation contracts its 3x3 matrix with the gate's qutrit axis, a
-    LocalX/GCX/CINC gathers rows by a cached permutation, and the global
-    phases are summed and applied once.  O(len(gates) * 9^n) time.
+    The gate list is cut, in order, into maximal runs on at most
+    :data:`RUN_QUTRITS` qutrits, each simulated on its own 3^k x 3^k
+    matrix.  Within a run a single-qutrit gate is deferred into a chain on
+    its qutrit, whose product is applied only when a GCX/CINC (a cached row
+    permutation) touches that qutrit or the run ends; this is exact, since
+    a deferred gate commutes with every gate on other qutrits.  Rotation
+    matrices and chain products are built in batched numpy passes.  Each
+    run is applied to the full unitary with one ``tensordot`` on its qutrit
+    axes; for n <= 3 the one run's matrix is the result.  Global phases
+    are summed and applied once.
     """
-    d = 3**c.n
-    u = np.eye(d, dtype=complex)
-    phase = 0.0
+    n, d = c.n, 3**c.n
+    rots = [g for g in c.gates if isinstance(g, Rotation)]
+    stack = np.concatenate(
+        [algebra.rotations([g.axis for g in rots], [g.level for g in rots], [g.theta for g in rots]), _LOCAL_X]
+    )
+    runs: list = []  # (support in first-touch order, steps) per run
+    chains: list[list[int]] = []  # stack indices deferred on one qutrit, first acting first
+    support = list(range(n)) if n <= RUN_QUTRITS else []
+    steps: list = []
+    pending: dict[int, list[int]] = {}
+
+    def flush(q: int) -> None:
+        chains.append(pending.pop(q))
+        steps.append((q, len(chains) - 1))
+
+    phase, r = 0.0, 0
     for g in c.gates:
         if isinstance(g, Rotation):
-            r = algebra.rotation(g.axis, g.level, g.theta)
-            u = np.matmul(r, u.reshape(3**g.qutrit, 3, -1)).reshape(d, d)
+            qs, i = (g.qutrit,), r
+            r += 1
+        elif isinstance(g, LocalX):
+            qs, i = (g.qutrit,), len(rots) + LEVELS.index(g.level)
+        elif isinstance(g, Gcx):
+            qs, gid = (g.control, g.target), f"X{g.level}"
+        elif isinstance(g, Cinc):
+            qs, gid = (g.control, g.target), "INC"
         elif isinstance(g, GlobalPhase):
             phase += g.phi
-        elif isinstance(g, (LocalX, Gcx, Cinc)):
-            u = u[_row_permutation(g, c.n)]
+            continue
         else:
             raise TypeError(f"not a gate: {g!r}")
-    return np.exp(1j * phase) * u
+        if qs[0] not in support or qs[-1] not in support:
+            new = [q for q in qs if q not in support]
+            if len(support) + len(new) > RUN_QUTRITS:
+                for q in list(pending):
+                    flush(q)
+                runs.append((support, steps))
+                support, steps, new = [], [], list(qs)
+            support += new
+        if len(qs) == 1:
+            pending.setdefault(qs[0], []).append(i)
+            continue
+        for q in qs:
+            if q in pending:
+                flush(q)
+        steps.append((gid, g.control, g.target, g.value))
+    for q in list(pending):
+        flush(q)
+    runs.append((support, steps))
+    prods = _chain_products(stack, chains)
+    if n <= RUN_QUTRITS:
+        u = _run_matrix(steps, support, prods)
+    else:
+        u = np.eye(d, dtype=complex).reshape((3,) * n + (d,))
+        for support, steps in runs:
+            if steps:
+                u = _apply_run(u, steps, support, prods)
+    return np.exp(1j * phase) * np.ascontiguousarray(u).reshape(d, d)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from trisect.algebra import (
     place,
     random_subspace_element,
     rotation,
+    rotations,
     subspace_membership,
     subspace_project,
 )
@@ -119,6 +120,31 @@ def test_rotation_rejects_bad_args():
         rotation("w", "01", 1.0)
     with pytest.raises(ValueError):
         rotation("x", "21", 1.0)
+
+
+def test_rotations_match_exponential_for_every_axis_and_level():
+    import scipy.linalg
+
+    rng = np.random.default_rng(7)
+    axes = [a for a in "xyz" for _ in LEVELS for _ in range(4)]
+    levels = [ij for _ in "xyz" for ij in LEVELS for _ in range(4)]
+    thetas = rng.uniform(-4 * np.pi, 4 * np.pi, size=len(axes))
+    got = rotations(axes, levels, thetas)
+    assert got.shape == (len(axes), 3, 3)
+    for r, a, ij, th in zip(got, axes, levels, thetas):
+        want = scipy.linalg.expm(-0.5j * th * generator(GeneratorId[f"S{a.upper()}{ij}"]))
+        assert np.max(np.abs(r - want)) < 1e-13
+        assert np.array_equal(rotation(a, ij, th), r)
+
+
+def test_rotations_empty_and_bad_input():
+    assert rotations([], [], []).shape == (0, 3, 3)
+    with pytest.raises(ValueError):
+        rotations(["x", "w"], ["01", "01"], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        rotations(["x", "y"], ["01", "21"], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        rotations(["x"], ["01"], [1.0, 2.0])
 
 
 def test_swap_closed_forms():

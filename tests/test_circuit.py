@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from trisect import algebra
+from trisect import algebra, circuit
 from trisect.algebra import LEVELS
 from trisect.circuit import (
     Circuit,
@@ -54,6 +54,8 @@ def _random_circuit(n: int, length: int, rng: np.random.Generator) -> Circuit:
 def test_gate_validation():
     with pytest.raises(ValueError):
         Rotation("q", "01", 0, 1.0)
+    with pytest.raises(ValueError):
+        Rotation("xy", "01", 0, 1.0)  # a substring of "xyz" is not an axis
     with pytest.raises(ValueError):
         Rotation("x", "10", 0, 1.0)
     with pytest.raises(ValueError):
@@ -130,14 +132,76 @@ def _every_gate_kind(n: int, rng: np.random.Generator) -> list:
     return gates
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_eval_matches_dense_gate_product(n):
-    rng = np.random.default_rng(100 + n)
-    gates = _every_gate_kind(n, rng) + _every_gate_kind(n, rng)
+def _dense_product(gates, n: int) -> np.ndarray:
     want = np.eye(3**n, dtype=complex)
     for g in gates:
         want = gate_matrix(g, n) @ want
-    assert np.max(np.abs(eval_circuit(Circuit(n, tuple(gates))) - want)) <= 1e-13
+    return want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eval_matches_dense_gate_product(n):
+    rng = np.random.default_rng(100 + n)
+    gates = _every_gate_kind(n, rng) + _every_gate_kind(n, rng)
+    got = eval_circuit(Circuit(n, tuple(gates)))
+    assert got.shape == (3**n, 3**n) and got.dtype == np.complex128 and got.flags.c_contiguous
+    assert np.max(np.abs(got - _dense_product(gates, n))) <= 1e-13
+
+
+def _segment(qs: tuple[int, ...], rng: np.random.Generator) -> list:
+    """Gates first touching the qutrits ``qs`` in that order, with rotations
+    pending on both ends of every two-qutrit gate and at the end."""
+
+    def rot(q):
+        return Rotation("xyz"[rng.integers(0, 3)], LEVELS[rng.integers(0, 3)], q,
+                        float(rng.uniform(-7, 7)))
+
+    gates = [rot(q) for q in qs] + [LocalX(LEVELS[rng.integers(0, 3)], qs[0])]
+    for c, t in itertools.permutations(qs, 2):
+        v = int(rng.integers(0, 3))
+        gates += [Gcx(c, v, t, LEVELS[rng.integers(0, 3)]), rot(c), rot(t), Cinc(t, v, c), rot(c)]
+    return gates + [GlobalPhase(float(rng.uniform(-3, 3)))] + [rot(q) for q in qs]
+
+
+# Hand-placed runs, one per segment (first-touch order; each segment starts
+# on a qutrit the previous one left alone, so every run spills at the
+# fourth qutrit): runs first touched in unsorted order (q2 then q0), a
+# two-qutrit run at the end and, at n=5, the non-adjacent run {0, 2, 4}.
+_RUNS = {
+    4: [(0, 1, 2), (3, 1, 0), (2, 0, 1), (3, 2)],
+    5: [(0, 2, 4), (3, 4, 1), (2, 0, 3), (4, 1)],
+}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_eval_hand_placed_runs(n, monkeypatch):
+    rng = np.random.default_rng(200 + n)
+    gates = [g for qs in _RUNS[n] for g in _segment(qs, rng)]
+    seen = []
+    apply_run = circuit._apply_run
+    monkeypatch.setattr(
+        circuit, "_apply_run", lambda u, steps, support, prods: seen.append(tuple(support))
+        or apply_run(u, steps, support, prods)
+    )
+    got = eval_circuit(Circuit(n, tuple(gates)))
+    assert seen == _RUNS[n]
+    assert got.shape == (3**n, 3**n) and got.dtype == np.complex128 and got.flags.c_contiguous
+    if n == 4:
+        assert np.max(np.abs(got - _dense_product(gates, n))) <= 1e-13
+        return
+    # n=5: the gates applied one by one to three seeded vectors
+    v = rng.standard_normal((3**n, 3)) + 1j * rng.standard_normal((3**n, 3))
+    want = v
+    for g in gates:
+        want = gate_matrix(g, n) @ want
+    assert np.max(np.abs(got @ v - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_eval_phase_only_circuit_is_exact(n):
+    got = eval_circuit(Circuit(n, (GlobalPhase(0.3), GlobalPhase(-1.1))))
+    assert np.array_equal(got, np.exp(1j * (0.0 + 0.3 + -1.1)) * np.eye(3**n))
+    assert got.dtype == np.complex128 and got.flags.c_contiguous
 
 
 def test_eval_rejects_non_gate():

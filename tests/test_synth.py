@@ -7,14 +7,16 @@ products (``golden_cases``), including the primed-angle substitutions.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from trisect import cli
 from trisect.algebra import GeneratorId, gcx_matrix, generator, rotation
 from trisect.cartan import absorption_factor
-from trisect.circuit import Circuit, count_gates, eval_circuit
+from trisect.circuit import Circuit, count_gates, eval_circuit, serialize
 from trisect.linalg import haar_unitary, unitary_distance
 from trisect.synth import (
     CITED_CINC_TOTALS,
@@ -414,6 +416,19 @@ def test_synthesize_four_qutrits_exact_counts(gate_set, count):
     _, rep = synthesize(u, SynthesisOptions(gate_set=gate_set))
     assert rep.two_qutrit_count == count == expected_count(4, gate_set)
     assert rep.ok
+
+
+def test_synthesize_five_qutrits_exact_count(tmp_path):
+    u = haar_unitary(243, np.random.default_rng(70))
+    circ, rep = synthesize(u, SynthesisOptions(gate_set=GateSet.GCX_CINC))
+    assert rep.two_qutrit_count == expected_count(5) == 24882
+    assert rep.ok
+    # the same circuit survives the text format and the CLI's own check
+    circ_file, mat_file = tmp_path / "c.txt", tmp_path / "m.json"
+    circ_file.write_text(serialize(circ))
+    entries = [[float(z.real), float(z.imag)] for z in u.ravel()]
+    mat_file.write_text(json.dumps({"qutrits": 5, "dim": 243, "matrix": entries}))
+    assert cli.main(["verify", str(circ_file), str(mat_file)]) == 0
 
 
 def test_synthesize_without_passes_still_correct():

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -59,7 +60,7 @@ class Rotation:
     def __post_init__(self):
         if self.axis not in ("x", "y", "z") or self.level not in LEVELS:
             raise ValueError(f"bad rotation {self.axis!r}/{self.level!r}")
-        if not np.isfinite(self.theta):
+        if not math.isfinite(self.theta):
             raise ValueError("rotation angle must be finite")
 
 
@@ -107,7 +108,7 @@ class GlobalPhase:
     phi: float
 
     def __post_init__(self):
-        if not np.isfinite(self.phi):
+        if not math.isfinite(self.phi):
             raise ValueError("phase must be finite")
 
 

@@ -48,13 +48,16 @@ def _check_info(driver: str, info: int) -> None:
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry deviation of U†U from the identity; inf if U is not finite.
 
-    A NaN would otherwise compare False against every tolerance and pass
-    the unitarity guards.
+    ``u`` is one square matrix or a stack of them (the worst one counts;
+    an empty stack has defect 0).  A NaN would otherwise compare False
+    against every tolerance and pass the unitarity guards.
     """
     u = np.asarray(u, dtype=complex)
-    g = u.conj().T @ u
-    np.fill_diagonal(g, g.diagonal() - 1)
-    defect = float(np.abs(g).max())
+    g = u.conj().swapaxes(-1, -2) @ u
+    d = u.shape[-1]
+    # g is a fresh C-ordered array, so this reshape is a view of it
+    g.reshape(*g.shape[:-2], d * d)[..., :: d + 1] -= 1
+    defect = float(np.abs(g).max(initial=0.0))
     return defect if math.isfinite(defect) else math.inf
 
 

@@ -9,12 +9,18 @@ interleaved factor kinds map to multiplexed-rotation circuits:
     z12         plain multiplexed z rotation on the lead qutrit
     d / dbar    nested diagonal circuit with paired boundary GCX gates
 
-plus closed-form counting of the two-qutrit gates these circuits cost.
+The recursion bottoms out in 9^(n-1) single-qutrit leaves, all on the
+last qutrit.  The emitted list holds a placeholder for each, and
+:func:`synthesize` decomposes every leaf in one batched
+:func:`single_qutrit_gates` call and splices ten gates into each
+placeholder.  Also here: closed-form counting of the two-qutrit gates
+these circuits cost.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import time
 from collections.abc import Sequence
@@ -155,11 +161,11 @@ def x_mux_gates(
     mux = z_mux_gates(level, qutrits, angles)
     if absorb and len(qutrits) > 1:
         strip = len(qutrits) - 1
-        tail = mux[-strip:]
-        assert all(
+        if not all(
             isinstance(g, Gcx) and g.value == 1 and g.target == t and g.level == level
-            for g in tail
-        ), "mux tail did not have the expected absorbable shape"
+            for g in mux[-strip:]
+        ):
+            raise RuntimeError("mux tail did not have the expected absorbable shape")
         mux = mux[:-strip]
     return [
         Rotation("y", level, t, -math.pi / 2.0),
@@ -221,71 +227,83 @@ def d_mux_gates(kind: str, qutrits: Sequence[int], angles: np.ndarray) -> list[G
 # ---------------------------------------------------------------------------
 
 
-def _givens2(a: complex, b: complex) -> np.ndarray:
-    """Unit-determinant 2x2 unitary g with g @ (a, b) = (r, 0), r >= 0."""
-    r = math.hypot(abs(a), abs(b))
-    if r < 1e-15:
-        return np.eye(2, dtype=complex)
-    return np.array([[np.conj(a), np.conj(b)], [-b, a]], dtype=complex) / r
+# Each matrix becomes three z-y-z triples on these levels, in this order.
+_TRIPLE_LEVELS = ("12", "01", "12")
 
 
-def _embed2(block: np.ndarray, ij: str) -> np.ndarray:
+def _givens2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(k, 2, 2) unit-determinant unitaries g with g @ (a, b) = (r, 0), r >= 0.
+
+    A pair with r < 1e-15 gets the identity.
+    """
+    r = np.hypot(np.abs(a), np.abs(b))
+    flat = r < 1e-15
+    g = np.stack([np.conj(a), np.conj(b), -b, a], axis=-1) / np.where(flat, 1.0, r)[:, None]
+    g[flat] = (1.0, 0.0, 0.0, 1.0)
+    return g.reshape(-1, 2, 2)
+
+
+def _embed2(blocks: np.ndarray, ij: str) -> np.ndarray:
+    """(k, 3, 3) identities with the (k, 2, 2) blocks on levels i, j."""
     i, j = int(ij[0]), int(ij[1])
-    m = np.eye(3, dtype=complex)
-    m[i, i], m[i, j] = block[0, 0], block[0, 1]
-    m[j, i], m[j, j] = block[1, 0], block[1, 1]
+    m = np.zeros((len(blocks), 3, 3), dtype=complex)
+    m[:, range(3), range(3)] = 1.0
+    m[:, [[i], [j]], [i, j]] = blocks
     return m
 
 
-def _zyz_gates(level: str, qutrit: int, b: np.ndarray) -> list[Gate]:
-    """z-y-z rotation triple realizing the det-1 2x2 block b on a level."""
-    c = abs(b[0, 0])
-    s = abs(b[1, 0])
-    beta = 2.0 * math.atan2(s, c)
-    if s < 1e-12:
-        alpha, gamma = -2.0 * float(np.angle(b[0, 0])), 0.0
-    elif c < 1e-12:
-        alpha, gamma = 2.0 * float(np.angle(b[1, 0])), 0.0
-    else:
-        f1 = -float(np.angle(b[0, 0]))
-        f2 = float(np.angle(b[1, 0]))
-        alpha, gamma = f1 + f2, f1 - f2
-    return [
-        Rotation("z", level, qutrit, gamma),
-        Rotation("y", level, qutrit, beta),
-        Rotation("z", level, qutrit, alpha),
-    ]
+def _zyz_angles(b: np.ndarray) -> np.ndarray:
+    """(gamma, beta, alpha) of z(alpha) y(beta) z(gamma) = b for det-1 (..., 2, 2) b."""
+    c = np.abs(b[..., 0, 0])
+    s = np.abs(b[..., 1, 0])
+    beta = 2.0 * np.arctan2(s, c)
+    f1 = -np.angle(b[..., 0, 0])
+    f2 = np.angle(b[..., 1, 0])
+    # a vanishing column entry leaves one phase free; put it all in alpha
+    alpha = np.where(s < 1e-12, 2.0 * f1, np.where(c < 1e-12, 2.0 * f2, f1 + f2))
+    gamma = np.where((s < 1e-12) | (c < 1e-12), 0.0, f1 - f2)
+    return np.stack([gamma, beta, alpha], axis=-1)
 
 
 def single_qutrit_gates(u: np.ndarray, qutrit: int = 0) -> list[Gate]:
-    """Any U(3) as nine rotations plus a global phase.
+    """Any U(3) as nine rotations plus a global phase, for one matrix or a stack.
 
-    Pull out the determinant phase, zero the lower first column with two
-    unit-determinant two-level mixes, and expand each of the three
-    resulting det-1 blocks as a z-y-z rotation triple.
+    ``u`` is a (3, 3) matrix or a (k, 3, 3) stack; the result holds ten
+    gates per matrix, in stack order: nine rotations on ``qutrit``, then
+    the phase.  Pull out the determinant phase, zero the lower first
+    column with two unit-determinant two-level mixes, and expand each of
+    the three resulting det-1 blocks as a z-y-z rotation triple.  The
+    whole stack goes through each step as one array operation.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got {u.shape}")
+    if u.ndim not in (2, 3) or u.shape[-2:] != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix or a stack of them, got {u.shape}")
+    u = u.reshape(-1, 3, 3)
     defect = unitarity_defect(u)
     if defect > UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-    phi = float(np.angle(np.linalg.det(u))) / 3.0
-    v = u * np.exp(-1j * phi)
+    phi = np.angle(np.linalg.det(u)) / 3.0
+    v = u * np.exp(-1j * phi)[:, None, None]
 
-    ga = _givens2(v[1, 0], v[2, 0])  # rows 1,2 -> zero v[2,0]
+    ga = _givens2(v[:, 1, 0], v[:, 2, 0])  # rows 1,2 -> zero v[2,0]
     v1 = _embed2(ga, "12") @ v
-    gb = _givens2(v1[0, 0], v1[1, 0])  # rows 0,1 -> zero v[1,0]
+    gb = _givens2(v1[:, 0, 0], v1[:, 1, 0])  # rows 0,1 -> zero v[1,0]
     v2 = _embed2(gb, "01") @ v1
     # The mixes leave v2 = diag(1, B): the corner entry is the first
     # column's norm (gb's pivot never degenerates since |v1[0,0]|^2 +
     # |v1[1,0]|^2 = 1), and det B = det v2 = 1.
-    return (
-        _zyz_gates("12", qutrit, v2[1:, 1:])
-        + _zyz_gates("01", qutrit, gb.conj().T)
-        + _zyz_gates("12", qutrit, ga.conj().T)
-        + [GlobalPhase(phi)]
-    )
+    dagger = (0, 2, 1)
+    blocks = np.stack([v2[:, 1:, 1:], gb.conj().transpose(dagger), ga.conj().transpose(dagger)], 1)
+    gates: list[Gate] = []
+    for triples, p in zip(_zyz_angles(blocks).tolist(), phi.tolist()):
+        for level, (gamma, beta, alpha) in zip(_TRIPLE_LEVELS, triples):
+            gates += (
+                Rotation("z", level, qutrit, gamma),
+                Rotation("y", level, qutrit, beta),
+                Rotation("z", level, qutrit, alpha),
+            )
+        gates.append(GlobalPhase(p))
+    return gates
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +333,8 @@ def expected_count(n: int, gate_set: GateSet = GateSet.GCX_CINC) -> int:
             - 4 * Fraction(3) ** (n - 1)
             - (Fraction(n * n, 2) + Fraction(n, 4) - Fraction(29, 32))
         )
-    assert val.denominator == 1, "count formula did not give an integer"
+    if val.denominator != 1:
+        raise ArithmeticError(f"count formula did not give an integer: {val}")
     return int(val)
 
 
@@ -324,7 +343,8 @@ def cinc_savings(n: int) -> int:
     if n < 2:
         raise ValueError("two-qutrit counts are defined for n >= 2")
     val = Fraction(9) ** n / 16 - Fraction(n, 2) - Fraction(1, 16)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise ArithmeticError(f"savings formula did not give an integer: {val}")
     return int(val)
 
 
@@ -424,18 +444,29 @@ class SynthesisReport:
         ]
 
 
+# Stands in the emitted gate list for one single-qutrit leaf until
+# `synthesize` has decomposed all the leaves in one batched call.
+_LEAF = object()
+
+
 def _synthesize_span(
-    m: np.ndarray, offset: int, span: int, options: SynthesisOptions
-) -> list[Gate]:
+    m: np.ndarray, offset: int, span: int, options: SynthesisOptions, leaves: list
+) -> list:
+    """Gates for m on qutrits offset.., with a ``_LEAF`` per single-qutrit leaf.
+
+    Each leaf's matrix is appended to ``leaves`` in emission order; every
+    leaf acts on the last qutrit.
+    """
     if span == 1:
-        return single_qutrit_gates(m, offset)
+        leaves.append(m)
+        return [_LEAF]
     node = factorize(m, absorb=options.absorption)
     qs = list(range(offset, offset + span))
-    gates: list[Gate] = []
+    gates: list = []
     # entries are in matrix order; emission is in application order
     for e in reversed(node.entries):
         if e.kind == "K":
-            gates += _synthesize_span(e.matrix, offset + 1, span - 1, options)
+            gates += _synthesize_span(e.matrix, offset + 1, span - 1, options, leaves)
         elif e.kind in ("x01", "x12"):
             gates += x_mux_gates(e.kind[1:], qs, e.angles, absorb=options.absorption)
         elif e.kind == "z12":
@@ -467,7 +498,16 @@ def synthesize(
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
 
     t0 = time.perf_counter()
-    circ = Circuit(n, tuple(_synthesize_span(m, 0, n, options)))
+    leaves: list[np.ndarray] = []
+    emitted = _synthesize_span(m, 0, n, options, leaves)
+    leaf_gates = iter(single_qutrit_gates(np.stack(leaves), n - 1))
+    gates: list[Gate] = []
+    for g in emitted:
+        if g is _LEAF:
+            gates += itertools.islice(leaf_gates, 10)
+        else:
+            gates.append(g)
+    circ = Circuit(n, tuple(gates))
     if options.passes:
         circ = simplify(circ, use_cinc=options.gate_set is GateSet.GCX_CINC)
     dist = unitary_distance(eval_circuit(circ), m)

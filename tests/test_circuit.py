@@ -72,6 +72,18 @@ def test_gate_validation():
         GlobalPhase(float("inf"))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_angles_must_be_finite(bad):
+    for value in (bad, np.float64(bad)):
+        with pytest.raises(ValueError, match="finite"):
+            Rotation("z", "12", 0, value)
+        with pytest.raises(ValueError, match="finite"):
+            GlobalPhase(value)
+    # numpy scalars are accepted and kept as given
+    assert Rotation("z", "12", 0, np.float64(0.5)).theta == 0.5
+    assert GlobalPhase(np.float64(-0.25)).phi == -0.25
+
+
 def test_circuit_validates_width():
     with pytest.raises(ValueError):
         Circuit(0, ())

@@ -42,6 +42,15 @@ def test_unitarity_defect_grows_with_scaling():
     assert unitarity_defect(2.0 * np.eye(3)) == pytest.approx(3.0)
 
 
+def test_unitarity_defect_of_a_stack_is_the_worst_matrix():
+    rng = np.random.default_rng(3)
+    stack = np.stack([haar_unitary(3, rng) for _ in range(5)])
+    stack[3] *= 1.5
+    assert unitarity_defect(stack) == max(unitarity_defect(u) for u in stack)
+    assert unitarity_defect(stack) == pytest.approx(1.25)
+    assert unitarity_defect(np.zeros((0, 3, 3))) == 0.0
+
+
 # Every entry point that takes a unitary, with an input size it accepts.
 GUARDED = {
     "factorize": (factorize, 9),
@@ -49,6 +58,7 @@ GUARDED = {
     "unitary_eig": (unitary_eig, 9),
     "synthesize": (synthesize, 9),
     "single_qutrit_gates": (single_qutrit_gates, 3),
+    "single_qutrit_gates stack": (lambda u: single_qutrit_gates(np.stack([np.eye(3), u])), 3),
 }
 
 

@@ -8,15 +8,27 @@ products (``golden_cases``), including the primed-angle substitutions.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from trisect import cli
+from trisect import cli, synth
 from trisect.algebra import GeneratorId, gcx_matrix, generator, rotation
 from trisect.cartan import absorption_factor
-from trisect.circuit import Circuit, count_gates, eval_circuit, serialize
+from trisect.circuit import (
+    Circuit,
+    Gcx,
+    GlobalPhase,
+    Rotation,
+    count_gates,
+    eval_circuit,
+    serialize,
+)
 from trisect.linalg import haar_unitary, unitary_distance
 from trisect.synth import (
     CITED_CINC_TOTALS,
@@ -34,6 +46,7 @@ from trisect.synth import (
     z_mux_gates,
 )
 
+_SRC = Path(synth.__file__).resolve().parents[1]
 _SZ = {ij: generator(GeneratorId[f"SZ{ij}"]) for ij in ("01", "02", "12")}
 _SX = {ij: generator(GeneratorId[f"SX{ij}"]) for ij in ("01", "12")}
 _D = generator(GeneratorId.D)
@@ -115,6 +128,46 @@ def test_x_mux_matches_oracle(level, n):
 def test_x_mux_rejects_level_02():
     with pytest.raises(ValueError, match="levels 01 and 12"):
         x_mux_gates("02", [0, 1], np.ones(3))
+
+
+def test_x_mux_refuses_to_strip_a_wrong_tail(monkeypatch):
+    z_mux = synth.z_mux_gates
+
+    def value2_tail(level, qutrits, angles, reverse=False):
+        gates = z_mux(level, qutrits, angles, reverse)
+        return gates[:-1] + [Gcx(qutrits[-1], 2, qutrits[0], level)]
+
+    monkeypatch.setattr(synth, "z_mux_gates", value2_tail)
+    with pytest.raises(RuntimeError, match="absorbable shape"):
+        x_mux_gates("01", [0, 1], np.ones(3))
+    # without stripping there is nothing to check: the tail is kept as emitted
+    assert x_mux_gates("01", [0, 1], np.ones(3), absorb=False)[-2] == Gcx(1, 2, 0, "01")
+
+
+def test_x_mux_tail_check_survives_optimized_mode():
+    # `python -O` strips assert statements; the tail check must not be one
+    code = """
+import sys
+import trisect.synth as synth
+from trisect.circuit import Gcx
+assert False, "asserts are live"
+z_mux = synth.z_mux_gates
+def emit(level, qutrits, angles, reverse=False):
+    gates = z_mux(level, qutrits, angles, reverse)
+    return gates[:-1] + [Gcx(qutrits[-1], 2, qutrits[0], level)]
+synth.z_mux_gates = emit
+try:
+    synth.x_mux_gates("12", [0, 1, 2], [0.3] * 9)
+except RuntimeError as e:
+    print("raised", sys.flags.optimize, e)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith("raised 1 mux tail did not have the expected absorbable shape")
 
 
 @pytest.mark.parametrize("kind", ["d", "dbar"])
@@ -337,16 +390,16 @@ def test_single_qutrit_nine_rotations():
     assert np.max(np.abs(_eval(1, gates) - u)) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "u",
-    [
-        np.eye(3, dtype=complex),
-        np.diag(np.exp(1j * np.array([0.3, -1.1, 2.0]))),
-        np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex),  # 01 swap
-        np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex),  # cycle
-        rotation("y", "02", 2.2),
-    ],
-)
+_DEGENERATE_1Q = [
+    np.eye(3, dtype=complex),
+    np.diag(np.exp(1j * np.array([0.3, -1.1, 2.0]))),
+    np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex),  # 01 swap
+    np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex),  # cycle
+    rotation("y", "02", 2.2),
+]
+
+
+@pytest.mark.parametrize("u", _DEGENERATE_1Q)
 def test_single_qutrit_degenerate_inputs(u):
     # permutations and diagonals hit the zero-pivot branches of the
     # column-zeroing mixes and the z-y-z extraction
@@ -367,6 +420,73 @@ def test_single_qutrit_rejects_bad_input():
         single_qutrit_gates(np.eye(9, dtype=complex))
     with pytest.raises(ValueError, match="not unitary"):
         single_qutrit_gates(np.ones((3, 3)))
+
+
+def _same_gates(got, want, atol):
+    """Same gate sequence, with rotation angles and phases within atol."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        if isinstance(g, Rotation):
+            assert (g.axis, g.level, g.qutrit) == (w.axis, w.level, w.qutrit)
+            assert abs(g.theta - w.theta) <= atol
+        elif isinstance(g, GlobalPhase):
+            assert abs(g.phi - w.phi) <= atol
+        else:
+            assert g == w
+
+
+def _branch_leaves():
+    """3x3 unitaries whose decomposition takes each degenerate branch."""
+    phases = np.diag(np.exp(1j * np.array([0.4, -1.3, 0.7])))
+    swap01 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+    return [
+        # zero lower first column: the first Givens mix is the identity (r < 1e-15)
+        rotation("y", "12", 1.1) @ phases,
+        # diagonal det-1 blocks: s < 1e-12 in every z-y-z triple
+        phases,
+        rotation("y", "01", 1e-13) @ phases,
+        # a zero corner in a det-1 block: c < 1e-12
+        swap01 @ phases,
+        rotation("y", "01", np.pi) @ rotation("y", "12", 0.6),
+    ]
+
+
+def test_single_qutrit_stack_matches_single_calls():
+    rng = np.random.default_rng(52)
+    leaves = [haar_unitary(3, rng) for _ in range(6)]
+    leaves += _DEGENERATE_1Q + _branch_leaves()
+    rng.shuffle(leaves)
+    assert any(abs(u[1, 0]) + abs(u[2, 0]) == 0 for u in leaves)
+    gates = single_qutrit_gates(np.stack(leaves), qutrit=2)
+    assert len(gates) == 10 * len(leaves)
+    angles = []
+    for i, u in enumerate(leaves):
+        chunk = gates[10 * i : 10 * i + 10]
+        assert all(isinstance(g, Rotation) for g in chunk[:9])
+        assert isinstance(chunk[9], GlobalPhase)
+        assert np.max(np.abs(_eval(3, chunk) - np.kron(np.eye(9), u))) < 1e-12
+        _same_gates(chunk, single_qutrit_gates(u, qutrit=2), 1e-14)
+        angles += [(g.theta, g.axis) for g in chunk[:9]]
+    # the s < 1e-12 and c < 1e-12 branches zero gamma and leave beta at 0 or pi
+    zyz = [angles[j : j + 3] for j in range(0, len(angles), 3)]
+    assert any(t[0][0] == 0.0 and t[1][0] == 0.0 for t in zyz)
+    assert any(t[0][0] == 0.0 and abs(t[1][0] - np.pi) < 1e-12 for t in zyz)
+    # angles stay Python floats so reprs and serialized text keep their form
+    assert all(type(theta) is float for theta, _ in angles)
+
+
+def test_single_qutrit_stack_rejects_bad_input():
+    rng = np.random.default_rng(53)
+    stack = np.stack([haar_unitary(3, rng) for _ in range(4)])
+    # one bad leaf fails the whole stack (NaN leaves: test_linalg's GUARDED)
+    stack[2] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="not unitary"):
+        single_qutrit_gates(stack)
+    for shape in [(9, 9), (2, 2, 3, 3), (3,), (4, 3, 2)]:
+        with pytest.raises(ValueError, match="3x3"):
+            single_qutrit_gates(np.zeros(shape, dtype=complex))
+    assert single_qutrit_gates(np.zeros((0, 3, 3), dtype=complex)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -487,3 +607,33 @@ def test_synthesize_deterministic():
     c1, _ = synthesize(u)
     c2, _ = synthesize(u)
     assert c1 == c2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_synthesize_decomposes_all_leaves_in_one_call(monkeypatch, n):
+    calls = []
+
+    def spy(u, qutrit=0):
+        calls.append((np.shape(u), qutrit))
+        return single_qutrit_gates(u, qutrit)
+
+    monkeypatch.setattr(synth, "single_qutrit_gates", spy)
+    u = haar_unitary(3**n, np.random.default_rng(67 + n))
+    _, rep = synthesize(u)
+    assert calls == [((9 ** (n - 1), 3, 3), n - 1)]
+    assert rep.ok
+
+
+def test_synthesize_leaf_batch_matches_per_leaf_calls(monkeypatch):
+    u = haar_unitary(27, np.random.default_rng(72))
+    for gate_set in GateSet:
+        options = SynthesisOptions(gate_set=gate_set)
+        batched, _ = synthesize(u, options)
+        with monkeypatch.context() as m:
+            m.setattr(
+                synth,
+                "single_qutrit_gates",
+                lambda us, q: [g for leaf in us for g in single_qutrit_gates(leaf, q)],
+            )
+            per_leaf, _ = synthesize(u, options)
+        _same_gates(batched.gates, per_leaf.gates, 1e-14)

@@ -13,6 +13,13 @@ The machinery: two cosine-sine splits (:func:`stage1`, :func:`stage2`),
 a block rearrangement that regroups the four outer factors into
 splittable shapes (:func:`rearrange`), and three eigenvalue-based
 splitters.
+
+Level j of the recursion holds 9^j independent matrices, so every step
+also takes a (k, d, d) stack: :func:`factorize_stack` runs one level
+for a whole stack in one pass of array operations, with only the LAPACK
+drivers looping per matrix, and :func:`factorize` is its one-matrix
+case.  Steps are called through this module's names (``csd``,
+``unitary_eig``, ``split_off_*``), so they can be wrapped from outside.
 """
 
 from __future__ import annotations
@@ -29,8 +36,8 @@ __all__ = [
     "NodeEntry",
     "NONLOCAL_ORDER",
     "absorption_factor",
-    "equal_blocks_residual",
     "factorize",
+    "factorize_stack",
     "nonlocal_matrix",
     "rearrange",
     "reassemble",
@@ -39,39 +46,47 @@ __all__ = [
     "split_off_z12",
     "stage1",
     "stage2",
-    "tensor_identity_residual",
-    "three_block_residual",
 ]
 
 # Kinds of the eight interleaved non-K factors, in chain order.
 NONLOCAL_ORDER = ("dbar", "x12", "d", "x01", "dbar", "x12", "z12", "d")
 
 
-def _blocks3(m: np.ndarray) -> list[list[np.ndarray]]:
-    p = m.shape[0] // 3
-    return [[m[i * p : (i + 1) * p, j * p : (j + 1) * p] for j in range(3)] for i in range(3)]
+def _diag_block(m: np.ndarray, i: int) -> np.ndarray:
+    """Diagonal block i of a 3p x 3p matrix, or of each matrix of a stack (a view)."""
+    p = m.shape[-1] // 3
+    return m[..., i * p : (i + 1) * p, i * p : (i + 1) * p]
 
 
 def _bd3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    p = a.shape[0]
-    out = np.zeros((3 * p, 3 * p), dtype=complex)
-    out[:p, :p] = a
-    out[p : 2 * p, p : 2 * p] = b
-    out[2 * p :, 2 * p :] = c
+    """diag(a, b, c); ``b`` sets the stack shape and ``a`` may broadcast."""
+    p = b.shape[-1]
+    out = np.zeros((*b.shape[:-2], 3 * p, 3 * p), dtype=complex)
+    out[..., :p, :p] = a
+    out[..., p : 2 * p, p : 2 * p] = b
+    out[..., 2 * p :, 2 * p :] = c
     return out
 
 
-# Block b of a diagonal kind is diag(exp(i * sign_b * lam)); the signs as a column.
+def _diag_matrix(e: np.ndarray) -> np.ndarray:
+    """diag(e) for a vector, or one diagonal matrix per row of a (k, p) stack."""
+    p = e.shape[-1]
+    out = np.zeros((*e.shape, p), dtype=complex)
+    out.reshape(*e.shape[:-1], p * p)[..., :: p + 1] = e
+    return out
+
+
+# Block b of a diagonal kind is diag(exp(i * sign_b * lam)); i times the signs.
 _BLOCK_SIGNS = {
-    "z12": np.array([[0], [-1], [1]]),
-    "d": np.array([[-1], [1], [1]]),
-    "dbar": np.array([[1], [1], [-1]]),
+    "z12": 1j * np.array([0, -1, 1]),
+    "d": 1j * np.array([-1, 1, 1]),
+    "dbar": 1j * np.array([1, 1, -1]),
 }
 
 
 def _block_phases(kind: str, lam: np.ndarray) -> np.ndarray:
-    """The diagonals of the three blocks of a z12, d or dbar factor, (3, p)."""
-    return np.exp(1j * _BLOCK_SIGNS[kind] * lam)
+    """The diagonals of the three blocks of a z12, d or dbar factor, (..., 3, p)."""
+    return np.exp(_BLOCK_SIGNS[kind][:, None] * lam[..., None, :])
 
 
 def nonlocal_matrix(kind: str, angles: np.ndarray) -> np.ndarray:
@@ -97,17 +112,18 @@ def _mix_columns(a: np.ndarray, kind: str, angles: np.ndarray) -> np.ndarray:
     """``a`` times an x01 or x12 factor, without forming the factor.
 
     Column j of block 0 (x01) or 1 (x12) and its partner in the next block
-    mix by [[cos, -i sin], [-i sin, cos]] of angle j.
+    mix by [[cos, -i sin], [-i sin, cos]] of angle j.  A (k, d, d) stack
+    takes (k, p) angles, one row per matrix.
     """
-    p = angles.size
+    p = angles.shape[-1]
     off = 0 if kind == "x01" else p
-    c = np.cos(angles)
-    s = -1j * np.sin(angles)
-    a0 = a[:, off : off + p]
-    a1 = a[:, off + p : off + 2 * p]
+    c = np.cos(angles)[..., None, :]
+    s = -1j * np.sin(angles)[..., None, :]
+    a0 = a[..., off : off + p]
+    a1 = a[..., off + p : off + 2 * p]
     out = a.copy()
-    out[:, off : off + p] = a0 * c + a1 * s
-    out[:, off + p : off + 2 * p] = a0 * s + a1 * c
+    out[..., off : off + p] = a0 * c + a1 * s
+    out[..., off + p : off + 2 * p] = a0 * s + a1 * c
     return out
 
 
@@ -115,42 +131,31 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max())
 
 
+def _worst(a: np.ndarray) -> np.ndarray:
+    """Max-abs entry of each item of a stack, shape (k,)."""
+    return np.abs(a).reshape(len(a), -1).max(axis=1)
+
+
 def _diag_blocks(m: np.ndarray) -> np.ndarray:
-    """The three diagonal blocks of a 3p x 3p matrix, stacked to (3, p, p)."""
-    p = m.shape[0] // 3
-    i = np.arange(3)
-    return m.reshape(3, p, 3, p)[i, :, i, :]
-
-
-# ---------------------------------------------------------------------------
-# group-shape residuals
-# ---------------------------------------------------------------------------
-
-
-def tensor_identity_residual(u: np.ndarray) -> tuple[np.ndarray, float]:
-    """Best W with u ~ I3 (x) W, and the max-entry residual."""
-    b = _blocks3(u)
-    w = (b[0][0] + b[1][1] + b[2][2]) / 3.0
-    return w, float(np.max(np.abs(u - np.kron(np.eye(3), w))))
-
-
-def three_block_residual(u: np.ndarray) -> float:
-    """Leakage outside the three diagonal blocks."""
-    b = _blocks3(u)
-    return float(
-        max(np.max(np.abs(b[i][j])) if b[i][j].size else 0.0 for i in range(3) for j in range(3) if i != j)
-    )
-
-
-def equal_blocks_residual(u: np.ndarray, pair: tuple[int, int]) -> float:
-    """Off-block leakage plus mismatch of the two nominally equal blocks."""
-    b = _blocks3(u)
-    return max(three_block_residual(u), float(np.max(np.abs(b[pair[0]][pair[0]] - b[pair[1]][pair[1]]))))
+    """The three diagonal blocks of each matrix of a (k, 3p, 3p) stack, as a (k, 3, p, p) view."""
+    p = m.shape[-1] // 3
+    return m.reshape(len(m), 3, p, 3, p).diagonal(0, 1, 3).transpose(0, 3, 1, 2)
 
 
 # ---------------------------------------------------------------------------
 # the two cosine-sine stages
 # ---------------------------------------------------------------------------
+#
+# Every step from here on takes one matrix or a (k, ...) stack of them,
+# and returns stacks in the second case.
+
+
+@functools.cache
+def _middle_phase(p: int) -> np.ndarray:
+    """Column scaling (1, i, 1) per block, built once per p and read-only."""
+    phase = np.concatenate([np.ones(p), 1j * np.ones(p), np.ones(p)])
+    phase.flags.writeable = False
+    return phase
 
 
 def stage1(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,16 +165,16 @@ def stage1(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     real; scaling the second block column of both L and R by i turns it
     into the generator exponential with -i*sin off-diagonals.
     """
-    d = u.shape[0]
+    d = u.shape[-1]
     p = d // 3
     res = csd(u, p, 2 * p)
-    phase = np.concatenate([np.ones(p), 1j * np.ones(p), np.ones(p)])
-    left = np.zeros((d, d), dtype=complex)
-    left[:p, :p] = res.l1
-    left[p:, p:] = res.l2
-    right = np.zeros((d, d), dtype=complex)
-    right[:p, :p] = res.r1
-    right[p:, p:] = res.r2
+    phase = _middle_phase(p)
+    left = np.zeros(u.shape, dtype=complex)
+    left[..., :p, :p] = res.l1
+    left[..., p:, p:] = res.l2
+    right = np.zeros(u.shape, dtype=complex)
+    right[..., :p, :p] = res.r1
+    right[..., p:, p:] = res.r2
     return left * phase, res.theta, right * phase
 
 
@@ -180,12 +185,12 @@ def stage2(l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     2p x 2p block at partition (p, p), and the top block rides along in
     left3.  Both outputs are block diagonal over (p, p, p).
     """
-    d = l.shape[0]
+    d = l.shape[-1]
     p = d // 3
-    if _max_abs(l[:p, p:]) > 1e-9 or _max_abs(l[p:, :p]) > 1e-9:
+    if _max_abs(l[..., :p, p:]) > 1e-9 or _max_abs(l[..., p:, :p]) > 1e-9:
         raise ValueError("stage2 input is not block diagonal over (p, 2p)")
-    v = l[:p, :p]
-    w = l[p:, p:]
+    v = l[..., :p, :p]
+    w = l[..., p:, p:]
     res = csd(w, p, p)
     left3 = _bd3(v, res.l1, 1j * res.l2)
     right3 = _bd3(np.eye(p, dtype=complex), res.r1, 1j * res.r2)
@@ -204,15 +209,13 @@ def rearrange(
     gain the shapes the splitters need: K1', K3' get equal blocks 0 and
     1; K2' gets equal blocks 1 and 2.
     """
-    b1, b2, b3, b4 = (_blocks3(k) for k in (k1, k2, k3, k4))
-    u11, u12, u13 = b1[0][0], b1[1][1], b1[2][2]
-    u21, u22, u23 = b2[0][0], b2[1][1], b2[2][2]
-    u31, u32, u33 = b3[0][0], b3[1][1], b3[2][2]
-    u41, u42, u43 = b4[0][0], b4[1][1], b4[2][2]
+    (u11, u12, u13), (u21, u22, u23), (u31, u32, u33), (u41, u42, u43) = (
+        [_diag_block(k, i) for i in range(3)] for k in (k1, k2, k3, k4)
+    )
     k1n = _bd3(u12, u12, u13)
-    k2n = _bd3(u12.conj().T @ u11 @ u21, u22, u22)
-    k3n = _bd3(u32, u32, u22.conj().T @ u23 @ u33)
-    k4n = _bd3(u32.conj().T @ u31 @ u41, u42, u43)
+    k2n = _bd3(u12.conj().mT @ u11 @ u21, u22, u22)
+    k3n = _bd3(u32, u32, u22.conj().mT @ u23 @ u33)
+    k4n = _bd3(u32.conj().mT @ u31 @ u41, u42, u43)
     return k1n, k2n, k3n, k4n
 
 
@@ -236,29 +239,27 @@ def split_off_z12(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     K' = diag(V†U1, W, W) has equal lower blocks, ready for
     :func:`split_off_d`.
     """
-    b = _blocks3(k)
-    u1, u2, u3 = b[0][0], b[1][1], b[2][2]
-    v, lam = _split_conjugated_diag(u2 @ u3.conj().T)
-    w = np.diag(np.exp(1j * lam)) @ v.conj().T @ u2
-    rest = _bd3(v.conj().T @ u1, w, w)
+    u1, u2, u3 = (_diag_block(k, i) for i in range(3))
+    v, lam = _split_conjugated_diag(u2 @ u3.conj().mT)
+    w = _diag_matrix(np.exp(1j * lam)) @ v.conj().mT @ u2
+    rest = _bd3(v.conj().mT @ u1, w, w)
     return v, lam, rest
 
 
 def split_off_d(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split diag(P,Q,Q) = (I3 (x) V) . exp(-i D (x) lam) . (I3 (x) W)."""
-    b = _blocks3(k)
-    p_blk, q_blk = b[0][0], b[1][1]
-    v, lam = _split_conjugated_diag(p_blk @ q_blk.conj().T)
-    w = np.diag(np.exp(-1j * lam)) @ v.conj().T @ q_blk
-    return v, lam, w
+    return _split_off_outer(_diag_block(k, 0), _diag_block(k, 1))
 
 
 def split_off_dbar(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split diag(Q,Q,P) = (I3 (x) V) . exp(-i Dbar (x) lam) . (I3 (x) W)."""
-    b = _blocks3(k)
-    q_blk, p_blk = b[0][0], b[2][2]
-    v, lam = _split_conjugated_diag(p_blk @ q_blk.conj().T)
-    w = np.diag(np.exp(-1j * lam)) @ v.conj().T @ q_blk
+    return _split_off_outer(_diag_block(k, 2), _diag_block(k, 0))
+
+
+def _split_off_outer(p_blk: np.ndarray, q_blk: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The d / dbar split from its outer block P and one copy of its repeated block Q."""
+    v, lam = _split_conjugated_diag(p_blk @ q_blk.conj().mT)
+    w = _diag_matrix(np.exp(-1j * lam)) @ v.conj().mT @ q_blk
     return v, lam, w
 
 
@@ -303,7 +304,8 @@ def _absorption(kind: str, p: int) -> np.ndarray:
     return factor
 
 
-@dataclass(frozen=True)
+# Slotted: a recursion tree holds (9^(n-1) - 1) / 8 nodes of 17 entries each.
+@dataclass(frozen=True, slots=True)
 class NodeEntry:
     """One factor of the chain: a K (matrix) or an angle-vector factor."""
 
@@ -320,7 +322,7 @@ class NodeEntry:
         return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactorizationNode:
     """One level of the recursion: 9 K entries interleaved with 8 others.
 
@@ -343,46 +345,59 @@ class FactorizationNode:
         return [e for e in self.entries if e.kind != "K"]
 
 
-def factorize(
-    m: np.ndarray, atol: float = UNITARY_ATOL, absorb: bool = False
-) -> FactorizationNode:
-    """One full level: M in U(3^n), n >= 2, into the 17-factor chain.
+def _qutrit_count(d: int) -> int | None:
+    """n with 3^n == d, or None; integer arithmetic, so any d is safe."""
+    n, power = 0, 1
+    while power < d:
+        n, power = n + 1, power * 3
+    return n if power == d else None
 
-    With ``absorb=True`` the sign compensation of the stripped x01 and
-    x12 circuits is folded into the neighbouring K factors before the
-    block rearrangement, so the node reconstructs against the stripped
-    gate lists instead of the plain exponentials (see
-    ``absorption_factor``).
+
+def factorize_stack(
+    ms: np.ndarray, atol: float = UNITARY_ATOL, absorb: bool = False
+) -> list[FactorizationNode]:
+    """One full level for each matrix of a (k, 3^n, 3^n) stack, n >= 2.
+
+    Every step runs once over the whole stack, so the k nodes cost one
+    pass of array operations plus the per-matrix LAPACK calls.  Each
+    node equals the one a single-matrix stack gives, and keeps its own
+    residuals.  With ``absorb=True`` the sign compensation of the
+    stripped x01 and x12 circuits is folded into the neighbouring K
+    factors before the block rearrangement, so the node reconstructs
+    against the stripped gate lists instead of the plain exponentials
+    (see ``absorption_factor``).  An empty stack gives no nodes.
     """
-    m = np.asarray(m, dtype=complex)
-    d = m.shape[0]
-    n = round(np.log(d) / np.log(3))
-    if 3**n != d or m.shape != (d, d):
-        raise ValueError(f"dimension {m.shape} is not a 3^n square")
+    ms = np.asarray(ms, dtype=complex)
+    n = _qutrit_count(ms.shape[-1]) if ms.ndim == 3 and ms.shape[1] == ms.shape[2] else None
+    if n is None:
+        raise ValueError(f"expected a (k, 3^n, 3^n) stack, got shape {ms.shape}")
     if n < 2:
         raise ValueError("factorize needs at least two qutrits; n=1 is a local gate")
-    defect = unitarity_defect(m)
+    if not len(ms):
+        return []
+    defect = unitarity_defect(ms)
     if defect > atol:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
 
-    residuals: dict[str, float] = {}
+    residuals: dict[str, np.ndarray] = {}
 
-    left, th_a, right = stage1(m)
-    residuals["stage1"] = _max_abs(_mix_columns(left, "x01", th_a) @ right.conj().T - m)
+    left, th_a, right = stage1(ms)
+    residuals["stage1"] = _worst(_mix_columns(left, "x01", th_a) @ right.conj().mT - ms)
 
     k1p, th_l, r3 = stage2(left)
-    k2p = r3.conj().T
-    residuals["stage2_left"] = _max_abs(_mix_columns(k1p, "x12", th_l) @ r3.conj().T - left)
+    k2p = r3.conj().mT
+    residuals["stage2_left"] = _worst(_mix_columns(k1p, "x12", th_l) @ r3.conj().mT - left)
     l3r, th_r_raw, r3r = stage2(right)
     k3p = r3r
-    k4p = l3r.conj().T
+    k4p = l3r.conj().mT
     th_r = -th_r_raw
-    residuals["stage2_right"] = _max_abs(_mix_columns(l3r, "x12", th_r_raw) @ r3r.conj().T - right)
+    residuals["stage2_right"] = _worst(_mix_columns(l3r, "x12", th_r_raw) @ r3r.conj().mT - right)
 
     if absorb:
         # Fold each stripped factor's sign diagonal into the K on its left.
-        za1 = _absorption("x12", d // 3)
-        za = _absorption("x01", d // 3)
+        p = ms.shape[-1] // 3
+        za1 = _absorption("x12", p)
+        za = _absorption("x01", p)
         k1p = k1p @ za1
         k2p = k2p @ za
         k3p = k3p @ za1
@@ -401,33 +416,49 @@ def factorize(
     # diagonal with exactly zero off-diagonal blocks, so the residual is
     # the worst entry of the three diagonal blocks.
     splits = (
-        ("split_dbar_1", (v1, "dbar", lam_b1, w1), k1n),
-        ("split_d_1", (v3, "d", lam_d1, w3), k2n),
-        ("split_dbar_2", (v5, "dbar", lam_b2, w5), k3n),
+        ("split_dbar_1", (v1, "dbar", lam_b1, w1[:, None]), k1n),
+        ("split_d_1", (v3, "d", lam_d1, w3[:, None]), k2n),
+        ("split_dbar_2", (v5, "dbar", lam_b2, w5[:, None]), k3n),
         ("split_z12", (v7, "z12", lam_e, _diag_blocks(k8n)), k4n),
-        ("split_d_2", (v8, "d", lam_d2, w8), k8n),
+        ("split_d_2", (v8, "d", lam_d2, w8[:, None]), k8n),
     )
     for name, (v, kind, lam, w), target in splits:
-        prod = (v * _block_phases(kind, lam)[:, None, :]) @ w
-        residuals[name] = _max_abs(prod - _diag_blocks(target))
+        prod = (v[:, None] * _block_phases(kind, lam)[..., None, :]) @ w
+        residuals[name] = _worst(prod - _diag_blocks(target))
 
-    def k(mat: np.ndarray) -> NodeEntry:
-        return NodeEntry(kind="K", matrix=mat)
-
-    def ang(kind: str, angles: np.ndarray) -> NodeEntry:
-        return NodeEntry(kind=kind, angles=np.asarray(angles, dtype=float))
-
-    entries = (
-        k(v1), ang("dbar", lam_b1), k(w1),
-        ang("x12", th_l),
-        k(v3), ang("d", lam_d1), k(w3),
-        ang("x01", th_a),
-        k(v5), ang("dbar", lam_b2), k(w5),
-        ang("x12", th_r),
-        k(v7), ang("z12", lam_e),
-        k(v8), ang("d", lam_d2), k(w8),
+    # The chain in matrix-product order, as (kind, stack) pairs: K factors
+    # and angle vectors, one per node along the leading axis.
+    chain = (
+        ("K", v1), ("dbar", lam_b1), ("K", w1),
+        ("x12", th_l),
+        ("K", v3), ("d", lam_d1), ("K", w3),
+        ("x01", th_a),
+        ("K", v5), ("dbar", lam_b2), ("K", w5),
+        ("x12", th_r),
+        ("K", v7), ("z12", lam_e),
+        ("K", v8), ("d", lam_d2), ("K", w8),
     )
-    return FactorizationNode(n=n, entries=entries, residuals=residuals, absorbed=absorb)
+    return [
+        FactorizationNode(
+            n=n,
+            entries=tuple(
+                NodeEntry(kind, x[i]) if kind == "K" else NodeEntry(kind, None, x[i]) for kind, x in chain
+            ),
+            residuals=dict(zip(residuals, worst)),
+            absorbed=absorb,
+        )
+        for i, worst in enumerate(zip(*(r.tolist() for r in residuals.values())))
+    ]
+
+
+def factorize(
+    m: np.ndarray, atol: float = UNITARY_ATOL, absorb: bool = False
+) -> FactorizationNode:
+    """One full level: M in U(3^n), n >= 2, into the 17-factor chain.
+
+    The single-matrix case of :func:`factorize_stack`.
+    """
+    return factorize_stack(np.asarray(m)[None], atol, absorb)[0]
 
 
 def reassemble(node: FactorizationNode) -> np.ndarray:

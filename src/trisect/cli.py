@@ -36,7 +36,7 @@ from .algebra import (
     maximal_abelian_check,
     rotation,
 )
-from .cartan import factorize, reassemble
+from .cartan import factorize, factorize_stack, reassemble
 from .circuit import (
     Cinc,
     Circuit,
@@ -340,6 +340,16 @@ def _csd_residual(u: np.ndarray) -> float:
     return float(np.max(np.abs(recon - u)))
 
 
+def _stack_mismatch(ms: np.ndarray) -> float:
+    """Worst entry gap between one stacked factorization and per-matrix calls."""
+    worst = 0.0
+    for m, node in zip(ms, factorize_stack(ms)):
+        for a, b in zip(node.entries, factorize(m).entries):
+            gap = a.matrix - b.matrix if a.kind == "K" else a.angles - b.angles
+            worst = max(worst, float(np.max(np.abs(gap))))
+    return worst
+
+
 def _factorization_checks(seed: int) -> list[tuple[str, float, float]]:
     rng = np.random.default_rng(seed)
     checks: list[tuple[str, float, float]] = []
@@ -368,6 +378,9 @@ def _factorization_checks(seed: int) -> list[tuple[str, float, float]]:
             (f"factorization stage residuals (d={d})",
              max(node.residuals.values()), 1e-10)
         )
+        stack_rng = np.random.default_rng([seed, d])
+        ms = np.stack([haar_unitary(d, stack_rng) for _ in range(3)] + [np.eye(d, dtype=complex)])
+        checks.append((f"stacked factorize equals per-matrix (d={d})", _stack_mismatch(ms), 0.0))
     return checks
 
 

@@ -7,7 +7,10 @@ factors reordered to our layout, and :func:`unitary_eig` is the complex
 Schur form ``zgees``.  Both pass the workspace sizes that each driver's
 own query reports (cached per shape), which is what
 ``scipy.linalg.cossin`` and ``scipy.linalg.schur`` do, so the results
-are bitwise theirs without their per-call argument handling.
+are bitwise theirs without their per-call argument handling.  Both also
+take a (k, d, d) stack: the driver runs once per matrix into
+preallocated outputs, and everything around it is one array operation
+over the stack.
 """
 
 from __future__ import annotations
@@ -45,18 +48,31 @@ def _check_info(driver: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {driver} failed (info={info})")
 
 
+def _not_square(u: np.ndarray) -> ValueError:
+    return ValueError(f"expected a square matrix or a stack of them, got shape {u.shape}")
+
+
+@functools.cache
+def _identity(d: int) -> np.ndarray:
+    """I_d, built once per d and read-only; boolean to keep the cache small."""
+    eye = np.eye(d, dtype=bool)
+    eye.flags.writeable = False
+    return eye
+
+
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry deviation of U†U from the identity; inf if U is not finite.
 
     ``u`` is one square matrix or a stack of them (the worst one counts;
     an empty stack has defect 0).  A NaN would otherwise compare False
-    against every tolerance and pass the unitarity guards.
+    against every tolerance and pass the unitarity guards.  Non-square
+    input raises ``ValueError``: an isometry's U†U is the identity too.
     """
     u = np.asarray(u, dtype=complex)
-    g = u.conj().swapaxes(-1, -2) @ u
-    d = u.shape[-1]
-    # g is a fresh C-ordered array, so this reshape is a view of it
-    g.reshape(*g.shape[:-2], d * d)[..., :: d + 1] -= 1
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
+        raise _not_square(u)
+    g = u.conj().mT @ u
+    g -= _identity(u.shape[-1])
     defect = float(np.abs(g).max(initial=0.0))
     return defect if math.isfinite(defect) else math.inf
 
@@ -105,27 +121,44 @@ class EigResult:
 
 @functools.cache
 def _zgees_lwork(n: int) -> int:
-    *_, work, info = _zgees(lambda x: None, np.eye(n, dtype=complex), lwork=-1)
+    *_, work, info = _zgees(_no_sort, np.eye(n, dtype=complex), lwork=-1)
     _check_info("zgees", info)
     return int(work[0].real)
+
+
+def _no_sort(x):
+    return None
 
 
 def unitary_eig(u: np.ndarray, atol: float = UNITARY_ATOL) -> EigResult:
     """Eigen-decomposition of a unitary via a complex Schur form (``zgees``).
 
-    Phases are returned ascending in (-pi, pi].  Within a degenerate
-    cluster the Schur vectors are kept in their incoming column order
-    (stable sort), so identical inputs give identical outputs.
+    ``u`` is one square matrix or a (k, n, n) stack; the result's fields
+    gain the same leading axis.  Phases are returned ascending in
+    (-pi, pi].  Within a degenerate cluster the Schur vectors are kept in
+    their incoming column order (stable sort), so identical inputs give
+    identical outputs.
     """
     u = np.asarray(u, dtype=complex)
+    if u.ndim not in (2, 3) or u.shape[-1] != u.shape[-2]:
+        raise _not_square(u)
     defect = unitarity_defect(u)
     if defect > atol:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {atol:.1e})")
-    t, _, _, vecs, _, info = _zgees(lambda x: None, u, lwork=_zgees_lwork(u.shape[0]))
-    _check_info("zgees", info)
-    phases = np.angle(np.diagonal(t))
-    order = np.argsort(phases, kind="stable")
-    return EigResult(phases[order], vecs[:, order])
+    n = u.shape[-1]
+    stack = u.reshape(-1, n, n)
+    lwork = _zgees_lwork(n)
+    eigvals = np.empty(stack.shape[:2], dtype=complex)
+    vecs = np.empty(stack.shape, dtype=complex)
+    for i, x in enumerate(stack):
+        _, _, eigvals[i], vecs[i], _, info = _zgees(_no_sort, x, lwork=lwork)
+        _check_info("zgees", info)
+    phases = np.angle(eigvals)
+    order = phases.argsort(kind="stable")
+    rows = np.arange(len(stack))[:, None]
+    phases = phases[rows, order]
+    vecs = vecs.mT[rows, order].mT
+    return EigResult(phases[0], vecs[0]) if u.ndim == 2 else EigResult(phases, vecs)
 
 
 @dataclass(frozen=True)
@@ -172,21 +205,31 @@ def csd(u: np.ndarray, p: int, q: int) -> CSDResult:
     tiny and clustered principal angles alike.  Its middle factor is
     [[C, 0, -S], [0, I, 0], [S, 0, C]]; moving the last p columns of L2
     and R2 to the front puts the C/S columns before the identity, as
-    :func:`csd_sigma` has them.
+    :func:`csd_sigma` has them.  ``u`` may also be a (k, d, d) stack; the
+    result's fields then gain the same leading axis.
     """
     u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    if u.shape != (d, d) or d != p + q or p > q or p < 1:
+    d = p + q
+    if u.ndim not in (2, 3) or u.shape[-2:] != (d, d) or p > q or p < 1:
         raise ValueError(f"bad partition ({p},{q}) for shape {u.shape}")
     defect = unitarity_defect(u)
     if defect > UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
 
+    stack = u.reshape(-1, d, d)
+    k = len(stack)
     lwork, lrwork = _zuncsd_lwork_for(d, p)
-    *_, theta, l1, l2, r1h, r2h, info = _zuncsd(
-        u[:p, :p], u[:p, p:], u[p:, :p], u[p:, p:], lwork=lwork, lrwork=lrwork
-    )
-    _check_info("zuncsd", info)
-    l2 = np.concatenate((l2[:, -p:], l2[:, :-p]), axis=1)
-    r2 = np.concatenate((r2h[-p:], r2h[:-p])).conj().T
-    return CSDResult(l1=l1, l2=l2, r1=r1h.conj().T, r2=r2, theta=theta)
+    theta = np.empty((k, p))
+    l1 = np.empty((k, p, p), dtype=complex)
+    r1h = np.empty((k, p, p), dtype=complex)
+    l2 = np.empty((k, q, q), dtype=complex)
+    r2h = np.empty((k, q, q), dtype=complex)
+    for i, x in enumerate(stack):
+        *_, theta[i], l1[i], l2[i], r1h[i], r2h[i], info = _zuncsd(
+            x[:p, :p], x[:p, p:], x[p:, :p], x[p:, p:], lwork=lwork, lrwork=lrwork
+        )
+        _check_info("zuncsd", info)
+    l2 = np.concatenate((l2[..., -p:], l2[..., :-p]), axis=-1)
+    r2 = np.concatenate((r2h[:, -p:], r2h[:, :-p]), axis=1).conj().mT
+    fields = (l1, l2, r1h.conj().mT, r2, theta)
+    return CSDResult(*(f[0] for f in fields) if u.ndim == 2 else fields)

@@ -9,9 +9,12 @@ interleaved factor kinds map to multiplexed-rotation circuits:
     z12         plain multiplexed z rotation on the lead qutrit
     d / dbar    nested diagonal circuit with paired boundary GCX gates
 
-The recursion bottoms out in 9^(n-1) single-qutrit leaves, all on the
-last qutrit.  The emitted list holds a placeholder for each, and
-:func:`synthesize` decomposes every leaf in one batched
+:func:`synthesize` factorizes the recursion tree breadth-first, one
+:func:`~trisect.cartan.factorize_stack` call per level (stacks of 1, 9,
+81, ... matrices), then emits the stored nodes depth-first in
+application order.  The recursion bottoms out in 9^(n-1) single-qutrit
+leaves, all on the last qutrit.  The emitted list holds a placeholder
+for each, and :func:`synthesize` decomposes every leaf in one batched
 :func:`single_qutrit_gates` call and splices ten gates into each
 placeholder.  Also here: closed-form counting of the two-qutrit gates
 these circuits cost.
@@ -29,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cartan import factorize
+from .cartan import FactorizationNode, factorize_stack
 from .circuit import (
     Circuit,
     CountReport,
@@ -449,24 +452,40 @@ class SynthesisReport:
 _LEAF = object()
 
 
-def _synthesize_span(
-    m: np.ndarray, offset: int, span: int, options: SynthesisOptions, leaves: list
+def _factor_levels(m: np.ndarray, n: int, absorb: bool) -> list[list[FactorizationNode]]:
+    """The recursion tree breadth-first: one :func:`factorize_stack` call per level.
+
+    Level j holds 9^j nodes; the children of node i of level j are nodes
+    9i..9i+8 of level j+1, its K factors in entry order.
+    """
+    levels = [factorize_stack(m[None], absorb=absorb)]
+    while len(levels) < n - 1:
+        stack = np.stack([w for node in levels[-1] for w in node.k_factors])
+        levels.append(factorize_stack(stack, absorb=absorb))
+    return levels
+
+
+def _emit_node(
+    levels: list[list[FactorizationNode]], depth: int, i: int, options: SynthesisOptions, leaves: list
 ) -> list:
-    """Gates for m on qutrits offset.., with a ``_LEAF`` per single-qutrit leaf.
+    """Gates for node i of level ``depth``, with a ``_LEAF`` per single-qutrit leaf.
 
     Each leaf's matrix is appended to ``leaves`` in emission order; every
     leaf acts on the last qutrit.
     """
-    if span == 1:
-        leaves.append(m)
-        return [_LEAF]
-    node = factorize(m, absorb=options.absorption)
-    qs = list(range(offset, offset + span))
+    node = levels[depth][i]
+    qs = list(range(depth, depth + node.n))
     gates: list = []
+    child = 9 * i + 9
     # entries are in matrix order; emission is in application order
     for e in reversed(node.entries):
         if e.kind == "K":
-            gates += _synthesize_span(e.matrix, offset + 1, span - 1, options, leaves)
+            child -= 1
+            if depth + 1 < len(levels):
+                gates += _emit_node(levels, depth + 1, child, options, leaves)
+            else:
+                leaves.append(e.matrix)
+                gates.append(_LEAF)
         elif e.kind in ("x01", "x12"):
             gates += x_mux_gates(e.kind[1:], qs, e.angles, absorb=options.absorption)
         elif e.kind == "z12":
@@ -499,7 +518,10 @@ def synthesize(
 
     t0 = time.perf_counter()
     leaves: list[np.ndarray] = []
-    emitted = _synthesize_span(m, 0, n, options, leaves)
+    if n == 1:
+        leaves, emitted = [m], [_LEAF]
+    else:
+        emitted = _emit_node(_factor_levels(m, n, options.absorption), 0, 0, options, leaves)
     leaf_gates = iter(single_qutrit_gates(np.stack(leaves), n - 1))
     gates: list[Gate] = []
     for g in emitted:

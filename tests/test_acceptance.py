@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from test_cartan import tensor_identity_residual
 from test_synth import golden_cases
 
 from trisect.algebra import commutation_selftest, maximal_abelian_check
@@ -21,7 +22,6 @@ from trisect.cartan import (
     split_off_d,
     split_off_z12,
     stage2,
-    tensor_identity_residual,
 )
 from trisect.cli import _identity_checks, main
 from trisect.circuit import Circuit, eval_circuit

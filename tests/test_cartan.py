@@ -13,8 +13,8 @@ from trisect.cartan import (
     NodeEntry,
     FactorizationNode,
     absorption_factor,
-    equal_blocks_residual,
     factorize,
+    factorize_stack,
     nonlocal_matrix,
     rearrange,
     reassemble,
@@ -23,8 +23,6 @@ from trisect.cartan import (
     split_off_z12,
     stage1,
     stage2,
-    tensor_identity_residual,
-    three_block_residual,
 )
 from trisect.linalg import haar_unitary, unitarity_defect
 
@@ -43,6 +41,33 @@ def _bd(*blocks: np.ndarray) -> np.ndarray:
 
 def _random_block_diag(p: int, rng: np.random.Generator) -> np.ndarray:
     return _bd(*(haar_unitary(p, rng) for _ in range(3)))
+
+
+# Group-shape residuals of a 3p x 3p matrix, for checking factor shapes.
+
+
+def _blocks3(m: np.ndarray) -> list[list[np.ndarray]]:
+    p = m.shape[0] // 3
+    return [[m[i * p : (i + 1) * p, j * p : (j + 1) * p] for j in range(3)] for i in range(3)]
+
+
+def tensor_identity_residual(u: np.ndarray) -> tuple[np.ndarray, float]:
+    """Best W with u ~ I3 (x) W, and the max-entry residual."""
+    b = _blocks3(u)
+    w = (b[0][0] + b[1][1] + b[2][2]) / 3.0
+    return w, float(np.max(np.abs(u - np.kron(np.eye(3), w))))
+
+
+def three_block_residual(u: np.ndarray) -> float:
+    """Leakage outside the three diagonal blocks."""
+    b = _blocks3(u)
+    return max(float(np.max(np.abs(b[i][j]))) for i in range(3) for j in range(3) if i != j)
+
+
+def equal_blocks_residual(u: np.ndarray, pair: tuple[int, int]) -> float:
+    """Off-block leakage plus mismatch of the two nominally equal blocks."""
+    b = _blocks3(u)
+    return max(three_block_residual(u), float(np.max(np.abs(b[pair[0]][pair[0]] - b[pair[1]][pair[1]]))))
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +354,49 @@ def test_factorize_rejects_bad_input():
         factorize(np.eye(3, dtype=complex))
     with pytest.raises(ValueError, match="not unitary"):
         factorize(np.ones((9, 9)))
+    for bad in (np.zeros((0, 0)), np.eye(9)[:, :3], np.zeros(9)):
+        with pytest.raises(ValueError, match="3\\^n"):
+            factorize(bad)
+
+
+@pytest.mark.parametrize("absorb", [False, True], ids=["plain", "absorbed"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_factorize_stack_matches_single_calls(n, absorb):
+    # One stacked pass gives each matrix the node that a call on it alone
+    # gives.  Identity and permutation inputs have degenerate splits, where
+    # any eigenbasis is valid, so those are held to reassembly only.
+    d = 3**n
+    rng = np.random.default_rng(30 + n)
+    haar = [haar_unitary(d, rng) for _ in range(4)]
+    ms = np.stack(haar + [np.eye(d, dtype=complex), np.eye(d, dtype=complex)[rng.permutation(d)]])
+    nodes = factorize_stack(ms, absorb=absorb)
+    assert len(nodes) == len(ms)
+    for i, (m, node) in enumerate(zip(ms, nodes)):
+        assert node.n == n and node.absorbed == absorb
+        assert np.max(np.abs(reassemble(node) - m)) < 1e-10
+        assert len(node.residuals) == 8 and max(node.residuals.values()) < 1e-10
+        if i >= len(haar):
+            continue
+        single = factorize(m, absorb=absorb)
+        assert node.residuals == single.residuals
+        for a, b in zip(node.entries, single.entries):
+            assert a.kind == b.kind
+            if a.kind == "K":
+                assert np.array_equal(a.matrix, b.matrix)
+            else:
+                assert np.array_equal(a.angles, b.angles)
+
+
+def test_factorize_stack_shapes():
+    assert factorize_stack(np.zeros((0, 9, 9))) == []
+    for bad in (np.eye(9), np.zeros((1, 1, 9, 9)), np.zeros(9), np.zeros((2, 9, 3)), np.zeros((2, 8, 8))):
+        with pytest.raises(ValueError, match="stack"):
+            factorize_stack(bad)
+    with pytest.raises(ValueError, match="two qutrits"):
+        factorize_stack(np.eye(3)[None])
+    ms = np.stack([np.eye(9), 2.0 * np.eye(9)])
+    with pytest.raises(ValueError, match="not unitary"):
+        factorize_stack(ms)
 
 
 def test_factorize_deterministic():

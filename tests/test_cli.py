@@ -250,6 +250,14 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_selftest_compares_stacked_factorize(capsys):
+    code, out, _ = _run(capsys, "selftest", "--qutrits", "2", "--trials", "2")
+    assert code == EXIT_OK
+    rows = [line for line in out.splitlines() if "stacked factorize equals per-matrix" in line]
+    assert len(rows) == 2 and "(d=9)" in rows[0] and "(d=27)" in rows[1]
+    assert all("[ok]" in row for row in rows)
+
+
 def test_selftest_detects_injected_fault(capsys):
     code, out, err = _run(
         capsys, "selftest", "--qutrits", "2", "--trials", "8", "--inject-fault"

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from trisect import linalg
-from trisect.cartan import factorize
+from trisect.cartan import factorize, factorize_stack
 from trisect.linalg import (
     CSDResult,
     csd,
@@ -51,6 +51,22 @@ def test_unitarity_defect_of_a_stack_is_the_worst_matrix():
     assert unitarity_defect(np.zeros((0, 3, 3))) == 0.0
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (4, 3, 2), (3,), ()])
+def test_non_square_input_is_refused(shape):
+    # A 3x2 isometry has U†U = I, so without a shape check it would pass
+    # as unitary and fail later inside LAPACK.
+    u = np.eye(3)[:, :2] if shape == (3, 2) else np.ones(shape)
+    with pytest.raises(ValueError, match="square"):
+        unitarity_defect(u)
+    with pytest.raises(ValueError, match="square"):
+        unitary_eig(u)
+
+
+def test_unitary_eig_takes_one_matrix_or_one_stack():
+    with pytest.raises(ValueError, match="square"):
+        unitary_eig(np.eye(3)[None, None])
+
+
 # Every entry point that takes a unitary, with an input size it accepts.
 GUARDED = {
     "factorize": (factorize, 9),
@@ -59,6 +75,9 @@ GUARDED = {
     "synthesize": (synthesize, 9),
     "single_qutrit_gates": (single_qutrit_gates, 3),
     "single_qutrit_gates stack": (lambda u: single_qutrit_gates(np.stack([np.eye(3), u])), 3),
+    "factorize_stack": (lambda u: factorize_stack(np.stack([np.eye(9), u])), 9),
+    "csd stack": (lambda u: csd(np.stack([np.eye(9), u]), 3, 6), 9),
+    "unitary_eig stack": (lambda u: unitary_eig(np.stack([np.eye(9), u])), 9),
 }
 
 
@@ -171,6 +190,23 @@ def test_unitary_eig_degenerate_spectrum():
     res = unitary_eig(u)
     recon = res.vectors @ np.diag(np.exp(1j * res.phases)) @ res.vectors.conj().T
     assert np.max(np.abs(recon - u)) < 1e-14
+
+
+@pytest.mark.parametrize("d", [3, 9])
+def test_stacked_decompositions_match_single_calls(d):
+    rng = np.random.default_rng(40 + d)
+    us = np.stack([haar_unitary(d, rng) for _ in range(3)] + [np.eye(d, dtype=complex)])
+    eig = unitary_eig(us)
+    p = d // 3
+    res = csd(us, p, d - p)
+    for i, u in enumerate(us):
+        one = unitary_eig(u)
+        assert np.array_equal(eig.phases[i], one.phases)
+        assert np.array_equal(eig.vectors[i], one.vectors)
+        single = csd(u, p, d - p)
+        for field in ("l1", "l2", "r1", "r2", "theta"):
+            assert np.array_equal(getattr(res, field)[i], getattr(single, field))
+    assert unitary_eig(np.zeros((0, d, d))).vectors.shape == (0, d, d)
 
 
 def test_unitary_eig_rejects_nonunitary():

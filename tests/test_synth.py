@@ -19,7 +19,7 @@ import scipy.linalg
 
 from trisect import cli, synth
 from trisect.algebra import GeneratorId, gcx_matrix, generator, rotation
-from trisect.cartan import absorption_factor
+from trisect.cartan import absorption_factor, factorize_stack
 from trisect.circuit import (
     Circuit,
     Gcx,
@@ -621,6 +621,21 @@ def test_synthesize_decomposes_all_leaves_in_one_call(monkeypatch, n):
     u = haar_unitary(3**n, np.random.default_rng(67 + n))
     _, rep = synthesize(u)
     assert calls == [((9 ** (n - 1), 3, 3), n - 1)]
+    assert rep.ok
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_synthesize_factorizes_each_level_in_one_call(monkeypatch, n):
+    shapes = []
+
+    def spy(ms, *args, **kwargs):
+        shapes.append(np.shape(ms))
+        return factorize_stack(ms, *args, **kwargs)
+
+    monkeypatch.setattr(synth, "factorize_stack", spy)
+    u = haar_unitary(3**n, np.random.default_rng(75 + n))
+    _, rep = synthesize(u)
+    assert shapes == [(9**j, 3 ** (n - j), 3 ** (n - j)) for j in range(n - 1)]
     assert rep.ok
 
 

@@ -11,16 +11,13 @@ inconsistent with its own closed form (271); the table marks it.
 
 import numpy as np
 
-from trisect import (
+from trisect import GateSet, SynthesisOptions, haar_unitary, synthesize
+from trisect.synth import (
     CITED_CINC_TOTALS,
-    GateSet,
-    SynthesisOptions,
     cinc_savings,
     expected_count,
-    haar_unitary,
     measured_operator_counts,
     operator_count,
-    synthesize,
 )
 
 print("closed-form totals")

@@ -13,9 +13,9 @@ demonstrates the absorption trick that drops one GCX per span level.
 import numpy as np
 import scipy.linalg
 
-from trisect import Circuit, count_gates, eval_circuit, z_mux_gates
+from trisect import Circuit, eval_circuit, x_mux_gates, z_mux_gates
 from trisect.algebra import GeneratorId, generator
-from trisect.synth import x_mux_gates
+from trisect.circuit import count_gates
 
 rng = np.random.default_rng(21)
 angles = rng.uniform(-1.0, 1.0, size=3)

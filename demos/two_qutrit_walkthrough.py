@@ -11,15 +11,8 @@ two-qutrit vocabularies.
 
 import numpy as np
 
-from trisect import (
-    GateSet,
-    SynthesisOptions,
-    factorize,
-    haar_unitary,
-    reassemble,
-    serialize,
-    synthesize,
-)
+from trisect import GateSet, SynthesisOptions, factorize, haar_unitary, serialize, synthesize
+from trisect.cartan import reassemble
 
 rng = np.random.default_rng(7)
 u = haar_unitary(9, rng)

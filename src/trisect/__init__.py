@@ -7,77 +7,19 @@ simplifies the result with local rewrite passes (:mod:`trisect.passes`).
 Every step is verifiable by simulating the circuit's exact unitary
 in runs of gates on at most three qutrits (:mod:`trisect.circuit`), and the
 Lie-algebra scaffolding behind the splits can be self-tested
-(:mod:`trisect.algebra`).
+(:mod:`trisect.algebra`).  The package root re-exports the documented
+API; everything else is imported from its module.
 """
 
-from .algebra import (
-    LEVELS,
-    AbelianReport,
-    CommutationReport,
-    GeneratorId,
-    SubspaceId,
-    cinc_matrix,
-    commutation_selftest,
-    diagonal_basis,
-    embed_local,
-    gcx_matrix,
-    generator,
-    maximal_abelian_check,
-    place,
-    random_subspace_element,
-    rotation,
-    subspace_membership,
-    subspace_project,
-)
-from .cartan import (
-    NONLOCAL_ORDER,
-    FactorizationNode,
-    NodeEntry,
-    factorize,
-    factorize_stack,
-    nonlocal_matrix,
-    reassemble,
-)
-from .circuit import (
-    Cinc,
-    Circuit,
-    CircuitParseError,
-    CountReport,
-    Gate,
-    Gcx,
-    GlobalPhase,
-    LocalX,
-    Rotation,
-    count_gates,
-    eval_circuit,
-    gate_matrix,
-    parse,
-    serialize,
-)
-from .linalg import (
-    UNITARY_ATOL,
-    csd,
-    haar_unitary,
-    nearest_unitary,
-    unitarity_defect,
-    unitary_distance,
-    unitary_eig,
-)
-from .passes import (
-    pass_cancel,
-    pass_fuse_cinc,
-    simplify,
-)
+from .algebra import commutation_selftest, maximal_abelian_check
+from .cartan import factorize, factorize_stack
+from .circuit import Circuit, eval_circuit, parse, serialize
+from .linalg import haar_unitary, unitary_distance
+from .passes import pass_cancel, pass_fuse_cinc, simplify
 from .synth import (
-    CITED_CINC_TOTALS,
     GateSet,
     SynthesisOptions,
-    SynthesisReport,
-    cinc_savings,
     d_mux_gates,
-    expected_count,
-    measured_operator_counts,
-    operator_count,
     single_qutrit_gates,
     synthesize,
     w_mux_gates,
@@ -88,65 +30,24 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianReport",
-    "CITED_CINC_TOTALS",
-    "Cinc",
     "Circuit",
-    "CircuitParseError",
-    "CommutationReport",
-    "CountReport",
-    "FactorizationNode",
-    "Gate",
     "GateSet",
-    "Gcx",
-    "GeneratorId",
-    "GlobalPhase",
-    "LEVELS",
-    "LocalX",
-    "NodeEntry",
-    "NONLOCAL_ORDER",
-    "Rotation",
-    "SubspaceId",
     "SynthesisOptions",
-    "SynthesisReport",
-    "UNITARY_ATOL",
-    "cinc_matrix",
-    "cinc_savings",
     "commutation_selftest",
-    "count_gates",
-    "csd",
     "d_mux_gates",
-    "diagonal_basis",
-    "embed_local",
     "eval_circuit",
-    "expected_count",
     "factorize",
     "factorize_stack",
-    "gate_matrix",
-    "gcx_matrix",
-    "generator",
     "haar_unitary",
     "maximal_abelian_check",
-    "measured_operator_counts",
-    "nearest_unitary",
-    "nonlocal_matrix",
-    "operator_count",
     "parse",
     "pass_cancel",
     "pass_fuse_cinc",
-    "place",
-    "random_subspace_element",
-    "reassemble",
-    "rotation",
     "serialize",
     "simplify",
     "single_qutrit_gates",
-    "subspace_membership",
-    "subspace_project",
     "synthesize",
-    "unitarity_defect",
     "unitary_distance",
-    "unitary_eig",
     "w_mux_gates",
     "x_mux_gates",
     "z_mux_gates",

@@ -12,7 +12,9 @@ for the five kinds and :data:`NONLOCAL_ORDER` for their sequence).
 The machinery: two cosine-sine splits (:func:`stage1`, :func:`stage2`),
 a block rearrangement that regroups the four outer factors into
 splittable shapes (:func:`rearrange`), and three eigenvalue-based
-splitters.
+splitters.  From :func:`stage2` on, every K is block diagonal with
+three p x p blocks (p = 3^(n-1)) and is carried as the (..., 3, p, p)
+stack of those blocks, never as a zero-padded 3p x 3p matrix.
 
 Level j of the recursion holds 9^j independent matrices, so every step
 also takes a (k, d, d) stack: :func:`factorize_stack` runs one level
@@ -52,19 +54,12 @@ __all__ = [
 NONLOCAL_ORDER = ("dbar", "x12", "d", "x01", "dbar", "x12", "z12", "d")
 
 
-def _diag_block(m: np.ndarray, i: int) -> np.ndarray:
-    """Diagonal block i of a 3p x 3p matrix, or of each matrix of a stack (a view)."""
-    p = m.shape[-1] // 3
-    return m[..., i * p : (i + 1) * p, i * p : (i + 1) * p]
-
-
-def _bd3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """diag(a, b, c); ``b`` sets the stack shape and ``a`` may broadcast."""
-    p = b.shape[-1]
-    out = np.zeros((*b.shape[:-2], 3 * p, 3 * p), dtype=complex)
-    out[..., :p, :p] = a
-    out[..., p : 2 * p, p : 2 * p] = b
-    out[..., 2 * p :, 2 * p :] = c
+def _block_diag(blocks: np.ndarray) -> np.ndarray:
+    """The dense 3p x 3p matrix of a (..., 3, p, p) diagonal-block stack."""
+    p = blocks.shape[-1]
+    out = np.zeros((*blocks.shape[:-3], 3 * p, 3 * p), dtype=complex)
+    for i in range(3):
+        out[..., i * p : (i + 1) * p, i * p : (i + 1) * p] = blocks[..., i, :, :]
     return out
 
 
@@ -105,7 +100,7 @@ def nonlocal_matrix(kind: str, angles: np.ndarray) -> np.ndarray:
         return _mix_columns(np.eye(3 * lam.size, dtype=complex), kind, lam)
     if kind not in _BLOCK_SIGNS:
         raise ValueError(f"unknown factor kind {kind!r}")
-    return _bd3(*(np.diag(e) for e in _block_phases(kind, lam)))
+    return _block_diag(_diag_matrix(_block_phases(kind, lam)))
 
 
 def _mix_columns(a: np.ndarray, kind: str, angles: np.ndarray) -> np.ndarray:
@@ -136,18 +131,13 @@ def _worst(a: np.ndarray) -> np.ndarray:
     return np.abs(a).reshape(len(a), -1).max(axis=1)
 
 
-def _diag_blocks(m: np.ndarray) -> np.ndarray:
-    """The three diagonal blocks of each matrix of a (k, 3p, 3p) stack, as a (k, 3, p, p) view."""
-    p = m.shape[-1] // 3
-    return m.reshape(len(m), 3, p, 3, p).diagonal(0, 1, 3).transpose(0, 3, 1, 2)
-
-
 # ---------------------------------------------------------------------------
 # the two cosine-sine stages
 # ---------------------------------------------------------------------------
 #
 # Every step from here on takes one matrix or a (k, ...) stack of them,
-# and returns stacks in the second case.
+# and returns stacks in the second case.  From stage2 on, a K is its
+# (3, p, p) block stack, so a stack of them is (k, 3, p, p).
 
 
 @functools.cache
@@ -183,24 +173,23 @@ def stage2(l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     L must be block diagonal over (p, 2p); the CSD runs on the lower
     2p x 2p block at partition (p, p), and the top block rides along in
-    left3.  Both outputs are block diagonal over (p, p, p).
+    left3.  Both outputs are block diagonal over (p, p, p) and come as
+    their (..., 3, p, p) block stacks.
     """
-    d = l.shape[-1]
-    p = d // 3
+    p = l.shape[-1] // 3
     if _max_abs(l[..., :p, p:]) > 1e-9 or _max_abs(l[..., p:, :p]) > 1e-9:
         raise ValueError("stage2 input is not block diagonal over (p, 2p)")
-    v = l[..., :p, :p]
-    w = l[..., p:, p:]
-    res = csd(w, p, p)
-    left3 = _bd3(v, res.l1, 1j * res.l2)
-    right3 = _bd3(np.eye(p, dtype=complex), res.r1, 1j * res.r2)
+    res = csd(l[..., p:, p:], p, p)
+    left3 = np.stack((l[..., :p, :p], res.l1, 1j * res.l2), axis=-3)
+    right3 = np.stack((res.r1, res.r1, 1j * res.r2), axis=-3)
+    right3[..., 0, :, :] = np.eye(p)  # the first r1 only set block 0's shape
     return left3, res.theta, right3
 
 
 def rearrange(
     k1: np.ndarray, k2: np.ndarray, k3: np.ndarray, k4: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Regroup four block-diagonal factors around the fixed mixing factors.
+    """Regroup four block stacks around the fixed mixing factors.
 
     Factors of the form diag(X, I, I) slide through the blocks-1/2 mixers
     and diag(I, I, X) through the blocks-0/1 mixer, so each K can donate
@@ -210,12 +199,12 @@ def rearrange(
     1; K2' gets equal blocks 1 and 2.
     """
     (u11, u12, u13), (u21, u22, u23), (u31, u32, u33), (u41, u42, u43) = (
-        [_diag_block(k, i) for i in range(3)] for k in (k1, k2, k3, k4)
+        [k[..., i, :, :] for i in range(3)] for k in (k1, k2, k3, k4)
     )
-    k1n = _bd3(u12, u12, u13)
-    k2n = _bd3(u12.conj().mT @ u11 @ u21, u22, u22)
-    k3n = _bd3(u32, u32, u22.conj().mT @ u23 @ u33)
-    k4n = _bd3(u32.conj().mT @ u31 @ u41, u42, u43)
+    k1n = np.stack((u12, u12, u13), axis=-3)
+    k2n = np.stack((u12.conj().mT @ u11 @ u21, u22, u22), axis=-3)
+    k3n = np.stack((u32, u32, u22.conj().mT @ u23 @ u33), axis=-3)
+    k4n = np.stack((u32.conj().mT @ u31 @ u41, u42, u43), axis=-3)
     return k1n, k2n, k3n, k4n
 
 
@@ -236,24 +225,24 @@ def split_off_z12(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split diag(U1,U2,U3) = (I3 (x) V) . exp(-i sz12 (x) lam) . K'.
 
     V and lam come from the eigenstructure of U2 U3†; the remainder
-    K' = diag(V†U1, W, W) has equal lower blocks, ready for
-    :func:`split_off_d`.
+    K' = diag(V†U1, W, W), returned as its block stack, has equal lower
+    blocks, ready for :func:`split_off_d`.
     """
-    u1, u2, u3 = (_diag_block(k, i) for i in range(3))
+    u1, u2, u3 = (k[..., i, :, :] for i in range(3))
     v, lam = _split_conjugated_diag(u2 @ u3.conj().mT)
     w = _diag_matrix(np.exp(1j * lam)) @ v.conj().mT @ u2
-    rest = _bd3(v.conj().mT @ u1, w, w)
+    rest = np.stack((v.conj().mT @ u1, w, w), axis=-3)
     return v, lam, rest
 
 
 def split_off_d(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split diag(P,Q,Q) = (I3 (x) V) . exp(-i D (x) lam) . (I3 (x) W)."""
-    return _split_off_outer(_diag_block(k, 0), _diag_block(k, 1))
+    return _split_off_outer(k[..., 0, :, :], k[..., 1, :, :])
 
 
 def split_off_dbar(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split diag(Q,Q,P) = (I3 (x) V) . exp(-i Dbar (x) lam) . (I3 (x) W)."""
-    return _split_off_outer(_diag_block(k, 2), _diag_block(k, 0))
+    return _split_off_outer(k[..., 2, :, :], k[..., 0, :, :])
 
 
 def _split_off_outer(p_blk: np.ndarray, q_blk: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -278,30 +267,21 @@ def absorption_factor(kind: str, p: int) -> np.ndarray:
     where Zd is the tensor power of diag(1, -1, 1).  The stripped
     circuit's matrix is this factor times the full exponential.
     """
-    k = round(np.log(p) / np.log(3))
-    zd = np.eye(1)
-    for _ in range(k):
-        zd = np.kron(zd, np.diag([1.0, -1.0, 1.0]))
-    i_p = np.eye(p)
-    if kind == "x01":
-        return _bd3(zd.astype(complex), i_p, i_p)
-    if kind == "x12":
-        return _bd3(i_p.astype(complex), zd, i_p)
-    raise ValueError(f"no absorption for factor kind {kind!r}")
+    return np.diag(_absorption_signs(kind, p).ravel())
 
 
 @functools.cache
-def _absorption(kind: str, p: int) -> np.ndarray:
-    """:func:`absorption_factor`, built once per (kind, p) and read-only.
-
-    It is applied as a matrix product, not as a column-sign vector: a
-    product rounds the signs of exact zeros as BLAS does, and on inputs
-    with degenerate splits (permutations, diagonals) those signs steer
-    which eigenvectors come out.
-    """
-    factor = absorption_factor(kind, p)
-    factor.flags.writeable = False
-    return factor
+def _absorption_signs(kind: str, p: int) -> np.ndarray:
+    """The diagonal of :func:`absorption_factor` as (3, p) block signs, read-only."""
+    if kind not in ("x01", "x12"):
+        raise ValueError(f"no absorption for factor kind {kind!r}")
+    zd = np.ones(1)
+    while zd.size < p:
+        zd = np.kron(zd, [1.0, -1.0, 1.0])
+    signs = np.ones((3, p))
+    signs[0 if kind == "x01" else 1] = zd
+    signs.flags.writeable = False
+    return signs
 
 
 # Slotted: a recursion tree holds (9^(n-1) - 1) / 8 nodes of 17 entries each.
@@ -318,7 +298,7 @@ class NodeEntry:
             return np.kron(np.eye(3), self.matrix)
         m = nonlocal_matrix(self.kind, self.angles)
         if absorbed and self.kind in ("x01", "x12"):
-            return _absorption(self.kind, self.angles.size) @ m
+            return _absorption_signs(self.kind, self.angles.size).reshape(-1, 1) * m
         return m
 
 
@@ -384,23 +364,29 @@ def factorize_stack(
     left, th_a, right = stage1(ms)
     residuals["stage1"] = _worst(_mix_columns(left, "x01", th_a) @ right.conj().mT - ms)
 
+    # From here on every K is a (k, 3, p, p) block stack.
     k1p, th_l, r3 = stage2(left)
     k2p = r3.conj().mT
-    residuals["stage2_left"] = _worst(_mix_columns(k1p, "x12", th_l) @ r3.conj().mT - left)
+    residuals["stage2_left"] = _worst(_mix_columns(_block_diag(k1p), "x12", th_l) @ _block_diag(k2p) - left)
     l3r, th_r_raw, r3r = stage2(right)
     k3p = r3r
     k4p = l3r.conj().mT
     th_r = -th_r_raw
-    residuals["stage2_right"] = _worst(_mix_columns(l3r, "x12", th_r_raw) @ r3r.conj().mT - right)
+    r3r_h = _block_diag(r3r).conj().mT
+    residuals["stage2_right"] = _worst(_mix_columns(_block_diag(l3r), "x12", th_r_raw) @ r3r_h - right)
 
     if absorb:
-        # Fold each stripped factor's sign diagonal into the K on its left.
+        # Fold each stripped factor's sign diagonal into the K on its left as
+        # column signs.  ``+ 0.0`` turns -0.0 into +0.0, as a BLAS product
+        # with the dense diagonal does: on degenerate splits the signs of
+        # exact zeros decide which eigenbasis LAPACK returns, so without it
+        # some structured inputs get other (equally valid) circuits.
         p = ms.shape[-1] // 3
-        za1 = _absorption("x12", p)
-        za = _absorption("x01", p)
-        k1p = k1p @ za1
-        k2p = k2p @ za
-        k3p = k3p @ za1
+        za1 = _absorption_signs("x12", p)[:, None, :]
+        za = _absorption_signs("x01", p)[:, None, :]
+        k1p = k1p * za1 + 0.0
+        k2p = k2p * za + 0.0
+        k3p = k3p * za1 + 0.0
 
     k1n, k2n, k3n, k4n = rearrange(k1p, k2p, k3p, k4p)
 
@@ -411,20 +397,18 @@ def factorize_stack(
     v8, lam_d2, w8 = split_off_d(k8n)
 
     # (name, (left, kind, angles, right), target).  split_z12 alone leaves
-    # a full-size right factor, k8n (given as its three diagonal blocks),
-    # which split_d_2 splits in turn.  Every factor and target is block
-    # diagonal with exactly zero off-diagonal blocks, so the residual is
-    # the worst entry of the three diagonal blocks.
+    # a full right block stack, k8n, which split_d_2 splits in turn.  The
+    # residual is the worst entry over the three blocks.
     splits = (
         ("split_dbar_1", (v1, "dbar", lam_b1, w1[:, None]), k1n),
         ("split_d_1", (v3, "d", lam_d1, w3[:, None]), k2n),
         ("split_dbar_2", (v5, "dbar", lam_b2, w5[:, None]), k3n),
-        ("split_z12", (v7, "z12", lam_e, _diag_blocks(k8n)), k4n),
+        ("split_z12", (v7, "z12", lam_e, k8n), k4n),
         ("split_d_2", (v8, "d", lam_d2, w8[:, None]), k8n),
     )
     for name, (v, kind, lam, w), target in splits:
         prod = (v[:, None] * _block_phases(kind, lam)[..., None, :]) @ w
-        residuals[name] = _worst(prod - _diag_blocks(target))
+        residuals[name] = _worst(prod - target)
 
     # The chain in matrix-product order, as (kind, stack) pairs: K factors
     # and angle vectors, one per node along the leading axis.

@@ -115,9 +115,12 @@ def _matrix_from_json(text: str) -> tuple[np.ndarray, int]:
     for key in ("qutrits", "dim", "matrix"):
         if key not in data:
             raise ValueError(f"matrix file is missing the {key!r} field")
-    n = int(data["qutrits"])
-    dim = int(data["dim"])
-    if n < 1 or dim != 3**n:
+    n, dim = data["qutrits"], data["dim"]
+    # JSON integers only: bool is an int subclass, and int() would truncate a float.
+    if type(n) is not int or type(dim) is not int:
+        raise ValueError("qutrits and dim must be JSON integers")
+    # 3^n > dim once n exceeds dim's bit length, so an absurd n never reaches 3**n.
+    if n < 1 or n > dim.bit_length() or dim != 3**n:
         raise ValueError(f"dim {dim} does not match 3^qutrits for qutrits={n}")
     try:
         arr = np.asarray(data["matrix"], dtype=float)

@@ -241,7 +241,7 @@ def test_criterion_9_kernel_reconstruction_and_determinism():
 
             blocks = [haar_unitary(p, rng) for _ in range(3)]
             k = _bd3(*blocks)
-            v1, lam1, rest = split_off_z12(k)
+            v1, lam1, rest = split_off_z12(np.stack(blocks))
             v2, lam2, w2 = split_off_d(rest)
             redone = (
                 np.kron(np.eye(3), v1)

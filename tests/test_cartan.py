@@ -39,8 +39,9 @@ def _bd(*blocks: np.ndarray) -> np.ndarray:
     return scipy.linalg.block_diag(*blocks).astype(complex)
 
 
-def _random_block_diag(p: int, rng: np.random.Generator) -> np.ndarray:
-    return _bd(*(haar_unitary(p, rng) for _ in range(3)))
+def _random_blocks(p: int, rng: np.random.Generator) -> np.ndarray:
+    """A block-diagonal K as the (3, p, p) stack of its blocks."""
+    return np.stack([haar_unitary(p, rng) for _ in range(3)])
 
 
 # Group-shape residuals of a 3p x 3p matrix, for checking factor shapes.
@@ -145,10 +146,9 @@ def test_stage2_reconstructs_three_blocks(d):
     p = d // 3
     l = _bd(haar_unitary(p, rng), haar_unitary(2 * p, rng))
     left3, theta, right3 = stage2(l)
-    recon = left3 @ nonlocal_matrix("x12", theta) @ right3.conj().T
+    assert left3.shape == right3.shape == (3, p, p)  # the three diagonal blocks
+    recon = _bd(*left3) @ nonlocal_matrix("x12", theta) @ _bd(*right3).conj().T
     assert np.max(np.abs(recon - l)) < 1e-10
-    assert three_block_residual(left3) < 1e-12
-    assert three_block_residual(right3) < 1e-12
 
 
 def test_stage2_rejects_coupled_input():
@@ -179,24 +179,24 @@ def test_block_factors_slide_through_mixers():
 @pytest.mark.parametrize("p", [3, 9])
 def test_rearrange_preserves_product_and_fixes_shapes(p):
     rng = np.random.default_rng(p + 4)
-    ks = [_random_block_diag(p, rng) for _ in range(4)]
+    ks = [_random_blocks(p, rng) for _ in range(4)]
     a, b, c = (rng.uniform(-1.5, 1.5, size=p) for _ in range(3))
 
     def chain(k1, k2, k3, k4):
         return (
-            k1 @ nonlocal_matrix("x12", a) @ k2 @ nonlocal_matrix("x01", b)
-            @ k3 @ nonlocal_matrix("x12", c) @ k4
+            _bd(*k1) @ nonlocal_matrix("x12", a) @ _bd(*k2) @ nonlocal_matrix("x01", b)
+            @ _bd(*k3) @ nonlocal_matrix("x12", c) @ _bd(*k4)
         )
 
     k1n, k2n, k3n, k4n = rearrange(*ks)
     assert np.max(np.abs(chain(k1n, k2n, k3n, k4n) - chain(*ks))) < 1e-12
     # shapes required by the splitters
-    assert equal_blocks_residual(k1n, (0, 1)) < 1e-12
-    assert equal_blocks_residual(k2n, (1, 2)) < 1e-12
-    assert equal_blocks_residual(k3n, (0, 1)) < 1e-12
-    assert three_block_residual(k4n) < 1e-12
+    assert np.max(np.abs(k1n[0] - k1n[1])) < 1e-12
+    assert np.max(np.abs(k2n[1] - k2n[2])) < 1e-12
+    assert np.max(np.abs(k3n[0] - k3n[1])) < 1e-12
     for k in (k1n, k2n, k3n, k4n):
-        assert unitarity_defect(k) < 1e-12
+        assert k.shape == (3, p, p)
+        assert unitarity_defect(k) < 1e-12  # every block is unitary
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +207,13 @@ def test_rearrange_preserves_product_and_fixes_shapes(p):
 @pytest.mark.parametrize("p", [3, 9])
 def test_split_off_z12(p):
     rng = np.random.default_rng(p + 5)
-    k = _random_block_diag(p, rng)
+    k = _random_blocks(p, rng)
     v, lam, rest = split_off_z12(k)
-    recon = np.kron(np.eye(3), v) @ nonlocal_matrix("z12", lam) @ rest
-    assert np.max(np.abs(recon - k)) < 1e-10
+    assert rest.shape == (3, p, p)
+    recon = np.kron(np.eye(3), v) @ nonlocal_matrix("z12", lam) @ _bd(*rest)
+    assert np.max(np.abs(recon - _bd(*k))) < 1e-10
     assert np.all(lam > -np.pi / 2) and np.all(lam <= np.pi / 2 + 1e-12)
-    assert equal_blocks_residual(rest, (1, 2)) < 1e-10  # ready for the d split
+    assert np.max(np.abs(rest[1] - rest[2])) < 1e-10  # ready for the d split
 
 
 @pytest.mark.parametrize("p", [3, 9])
@@ -221,18 +222,18 @@ def test_split_off_d_and_dbar(p):
     q = haar_unitary(p, rng)
     pm = haar_unitary(p, rng)
 
-    v, lam, w = split_off_d(_bd(pm, q, q))
+    v, lam, w = split_off_d(np.stack((pm, q, q)))
     recon = np.kron(np.eye(3), v) @ nonlocal_matrix("d", lam) @ np.kron(np.eye(3), w)
     assert np.max(np.abs(recon - _bd(pm, q, q))) < 1e-10
 
-    v, lam, w = split_off_dbar(_bd(q, q, pm))
+    v, lam, w = split_off_dbar(np.stack((q, q, pm)))
     recon = np.kron(np.eye(3), v) @ nonlocal_matrix("dbar", lam) @ np.kron(np.eye(3), w)
     assert np.max(np.abs(recon - _bd(q, q, pm))) < 1e-10
 
 
 def test_split_identity_input():
     # degenerate case: unit block ratios, all angles zero
-    v, lam, w = split_off_d(np.eye(9, dtype=complex))
+    v, lam, w = split_off_d(np.stack([np.eye(3, dtype=complex)] * 3))
     assert np.max(np.abs(lam)) < 1e-12
     recon = np.kron(np.eye(3), v) @ nonlocal_matrix("d", lam) @ np.kron(np.eye(3), w)
     assert np.max(np.abs(recon - np.eye(9))) < 1e-12
@@ -295,15 +296,29 @@ def test_factorize_reconstructs(n):
         assert unitarity_defect(w) < 1e-10
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_factorize_absorbed_reconstructs(n):
+_ABSORB_CASES = [(kind, n) for kind in ("haar", "identity", "permutation", "diagonal") for n in (2, 3)]
+
+
+@pytest.mark.parametrize(
+    "kind, n", _ABSORB_CASES, ids=[str(n) if k == "haar" else f"{k}-{n}" for k, n in _ABSORB_CASES]
+)
+def test_factorize_absorbed_reconstructs(kind, n):
     # absorbed mode folds the stripped-mux sign factors into the K's;
-    # reassembly multiplies them back through NodeEntry.dense(absorbed=...)
+    # reassembly multiplies them back through NodeEntry.dense(absorbed=...).
+    # Identity, permutation and diagonal inputs have degenerate splits,
+    # where the folded signs meet exact zeros.
     d = 3**n
-    u = haar_unitary(d, np.random.default_rng(d + 9))
+    rng = np.random.default_rng(d + 9)
+    u = {
+        "haar": lambda: haar_unitary(d, rng),
+        "identity": lambda: np.eye(d, dtype=complex),
+        "permutation": lambda: np.eye(d, dtype=complex)[:, rng.permutation(d)],
+        "diagonal": lambda: np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, d))),
+    }[kind]()
     node = factorize(u, absorb=True)
     assert node.absorbed
     assert np.max(np.abs(reassemble(node) - u)) < 1e-9 * d
+    assert max(node.residuals.values()) < 1e-10
 
 
 # An error of 1e-3 planted in one step, and the residuals that must see it.

@@ -144,6 +144,19 @@ def test_synth_rejects_dimension_mismatch(tmp_path, capsys):
     assert "does not match 3^qutrits" in err
 
 
+@pytest.mark.parametrize(
+    "qutrits, dim",
+    [(None, 9), ([2], 9), (2.5, 9), (True, 3), (2, 9.0)],
+    ids=["null", "list", "float", "bool", "float-dim"],
+)
+def test_synth_rejects_non_integer_sizes(tmp_path, capsys, qutrits, dim):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"qutrits": qutrits, "dim": dim, "matrix": [[1.0, 0.0]] * 81}))
+    code, _, err = _run(capsys, "synth", str(path))
+    assert code == EXIT_PARSE
+    assert "must be JSON integers" in err
+
+
 def test_synth_rejects_wrong_entry_count(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"qutrits": 1, "dim": 3, "matrix": [[1.0, 0.0]] * 4}))

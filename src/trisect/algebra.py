@@ -156,24 +156,23 @@ def embed_local(g: np.ndarray, n: int, target: int) -> np.ndarray:
     return place(n, {target: np.asarray(g, dtype=complex)})
 
 
-def _projector(v: int) -> np.ndarray:
-    p = np.zeros((3, 3), dtype=complex)
-    p[v, v] = 1.0
-    return p
-
-
-def gcx_matrix(n: int, control: int, value: int, target: int, ij: str) -> np.ndarray:
-    """GCX: apply X^ij on ``target`` when ``control`` reads ``value``."""
+def _controlled(n: int, control: int, value: int, target: int, g: np.ndarray) -> np.ndarray:
+    """Apply g on ``target`` when ``control`` reads ``value``: a dense sum of
+    control projectors over :func:`place`, independent of the simulator."""
     if control == target:
         raise ValueError("control and target must differ")
     if value not in (0, 1, 2):
         raise ValueError(f"control value must be a trit, got {value}")
-    x = _GENERATORS[GeneratorId[f"X{ij}"]]
     m = np.zeros((3**n, 3**n), dtype=complex)
     for v in range(3):
-        tgt = x if v == value else _GENERATORS[GeneratorId.I3]
-        m += place(n, {control: _projector(v), target: tgt})
+        tgt = g if v == value else _GENERATORS[GeneratorId.I3]
+        m += place(n, {control: np.diag(np.eye(3, dtype=complex)[v]), target: tgt})
     return m
+
+
+def gcx_matrix(n: int, control: int, value: int, target: int, ij: str) -> np.ndarray:
+    """GCX: apply X^ij on ``target`` when ``control`` reads ``value``."""
+    return _controlled(n, control, value, target, _GENERATORS[GeneratorId[f"X{ij}"]])
 
 
 def cinc_matrix(n: int, control: int, value: int, target: int) -> np.ndarray:
@@ -181,15 +180,7 @@ def cinc_matrix(n: int, control: int, value: int, target: int) -> np.ndarray:
 
     Equals gcx(value -> X02) @ gcx(value -> X01) as matrices.
     """
-    if control == target:
-        raise ValueError("control and target must differ")
-    if value not in (0, 1, 2):
-        raise ValueError(f"control value must be a trit, got {value}")
-    m = np.zeros((3**n, 3**n), dtype=complex)
-    for v in range(3):
-        tgt = _GENERATORS[GeneratorId.INC] if v == value else _GENERATORS[GeneratorId.I3]
-        m += place(n, {control: _projector(v), target: tgt})
-    return m
+    return _controlled(n, control, value, target, _GENERATORS[GeneratorId.INC])
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +228,7 @@ class SubspaceId(enum.Enum):
     (even); stage 1 splits the even part into block-diagonal and the
     12-coupling; stage 2 compares the two lower blocks (the reflected
     chain, tagged R, compares the two upper blocks); stage 3 leaves
-    I3 (x) u(3^{n-1}) plus one diagonal direction.  The *_DIAG tags are
-    the commuting directions actually synthesized as multiplexed
-    rotations, and DIAGONAL is the full maximal-abelian span of
-    imaginary diagonals.
+    I3 (x) u(3^{n-1}) plus one diagonal direction.
     """
 
     EVEN0 = "even0"
@@ -254,106 +242,53 @@ class SubspaceId(enum.Enum):
     EVEN3 = "even3"
     ODD3 = "odd3"
     ODD3R = "odd3r"
-    X01_DIAG = "x01_diag"
-    X12_DIAG = "x12_diag"
-    Z12_DIAG = "z12_diag"
-    D_DIAG = "d_diag"
-    DBAR_DIAG = "dbar_diag"
-    DIAGONAL = "diagonal"
 
 
-def _blocks(m: np.ndarray) -> tuple[int, list[list[np.ndarray]]]:
-    d = m.shape[0]
-    p = d // 3
-    return p, [[m[i * p : (i + 1) * p, j * p : (j + 1) * p] for j in range(3)] for i in range(3)]
+def _units(*ijs: str) -> list[np.ndarray]:
+    return [np.outer(np.eye(3)[int(ij[0])], np.eye(3)[int(ij[1])]) for ij in ijs]
 
 
-def _from_blocks(b: list[list[np.ndarray]]) -> np.ndarray:
-    return np.block(b)
+def _diags(*rows: tuple[int, int, int]) -> list[np.ndarray]:
+    return [np.diag(np.array(w, dtype=float)) for w in rows]
 
 
-def _zero_like(p: int) -> np.ndarray:
-    return np.zeros((p, p), dtype=complex)
-
-
-def _sigma_diag_project(m: np.ndarray, weights: tuple[float, float, float]) -> np.ndarray:
-    """Project onto {i * sigma (x) diag(real)} for a diagonal sigma pattern.
-
-    ``weights`` is the diagonal of sigma; returns the projected matrix.
-    """
-    p, b = _blocks(m)
-    lam = np.zeros(p)
-    norm = sum(w * w for w in weights)
-    for k in range(p):
-        acc = 0.0
-        for v in range(3):
-            if weights[v]:
-                acc += weights[v] * float(np.imag(b[v][v][k, k]))
-        lam[k] = acc / norm
-    rows = []
-    for v in range(3):
-        blk = 1j * weights[v] * np.diag(lam) if weights[v] else _zero_like(p)
-        rows.append([blk if j == v else _zero_like(p) for j in range(3)])
-    return _from_blocks(rows)
-
-
-def _sigma_x_project(m: np.ndarray, iv: int, jv: int) -> np.ndarray:
-    """Project onto {i * sigma_x^{iv,jv} (x) diag(real)}."""
-    p, b = _blocks(m)
-    lam = (np.imag(np.diagonal(b[iv][jv])) + np.imag(np.diagonal(b[jv][iv]))) / 2.0
-    rows = [[_zero_like(p) for _ in range(3)] for _ in range(3)]
-    rows[iv][jv] = 1j * np.diag(lam)
-    rows[jv][iv] = 1j * np.diag(lam)
-    return _from_blocks(rows)
+# Each subspace is span{P (x) X} over its pairwise-orthogonal 3x3 block
+# patterns P and all p x p blocks X.  The patterns are literals, not derived
+# from _GENERATORS or _SPAN_RECIPES: subspace_project is the oracle the
+# generator-driven sampler is checked against, so a corrupted generator
+# table (the self-test fault injection) must not corrupt it as well.
+_STAGE_PATTERNS: dict[SubspaceId, list[np.ndarray]] = {
+    SubspaceId.EVEN0: _units("00", "11", "22", "12", "21"),
+    SubspaceId.ODD0: _units("01", "02", "10", "20"),
+    SubspaceId.EVEN1: _units("00", "11", "22"),
+    SubspaceId.ODD1: _units("12", "21"),
+    SubspaceId.EVEN2: _diags((1, 0, 0), (0, 1, 1)),
+    SubspaceId.ODD2: _diags((0, 1, -1)),
+    SubspaceId.EVEN2R: _diags((1, 1, 0), (0, 0, 1)),
+    SubspaceId.ODD2R: _diags((1, -1, 0)),
+    SubspaceId.EVEN3: _diags((1, 1, 1)),
+    SubspaceId.ODD3: _diags((1, -1, -1)),
+    SubspaceId.ODD3R: _diags((-1, -1, 1)),
+}
 
 
 def subspace_project(m: np.ndarray, s: SubspaceId) -> np.ndarray:
-    """Frobenius-orthogonal projection of m onto the tagged subspace."""
+    """Frobenius-orthogonal projection of m onto the tagged subspace.
+
+    Sum over the patterns P of P (x) (sum_ij P_ij B_ij) / |P|^2, where B_ij
+    are the p x p blocks of m.  Only the nonzero pattern entries enter, and
+    each pattern's blocks are written in place, since the patterns of one
+    subspace have disjoint supports.
+    """
     m = np.asarray(m, dtype=complex)
-    p, b = _blocks(m)
-    z = _zero_like(p)
-    if s is SubspaceId.EVEN0:
-        return _from_blocks([[b[0][0], z, z], [z, b[1][1], b[1][2]], [z, b[2][1], b[2][2]]])
-    if s is SubspaceId.ODD0:
-        return _from_blocks([[z, b[0][1], b[0][2]], [b[1][0], z, z], [b[2][0], z, z]])
-    if s is SubspaceId.EVEN1:
-        return _from_blocks([[b[0][0], z, z], [z, b[1][1], z], [z, z, b[2][2]]])
-    if s is SubspaceId.ODD1:
-        return _from_blocks([[z, z, z], [z, z, b[1][2]], [z, b[2][1], z]])
-    if s is SubspaceId.EVEN2:
-        c = (b[1][1] + b[2][2]) / 2.0
-        return _from_blocks([[b[0][0], z, z], [z, c, z], [z, z, c]])
-    if s is SubspaceId.ODD2:
-        c = (b[1][1] - b[2][2]) / 2.0
-        return _from_blocks([[z, z, z], [z, c, z], [z, z, -c]])
-    if s is SubspaceId.EVEN2R:
-        c = (b[0][0] + b[1][1]) / 2.0
-        return _from_blocks([[c, z, z], [z, c, z], [z, z, b[2][2]]])
-    if s is SubspaceId.ODD2R:
-        c = (b[0][0] - b[1][1]) / 2.0
-        return _from_blocks([[c, z, z], [z, -c, z], [z, z, z]])
-    if s is SubspaceId.EVEN3:
-        c = (b[0][0] + b[1][1] + b[2][2]) / 3.0
-        return _from_blocks([[c, z, z], [z, c, z], [z, z, c]])
-    if s is SubspaceId.ODD3:
-        c = (b[0][0] - b[1][1] - b[2][2]) / 3.0
-        return _from_blocks([[c, z, z], [z, -c, z], [z, z, -c]])
-    if s is SubspaceId.ODD3R:
-        c = (-b[0][0] - b[1][1] + b[2][2]) / 3.0
-        return _from_blocks([[-c, z, z], [z, -c, z], [z, z, c]])
-    if s is SubspaceId.X01_DIAG:
-        return _sigma_x_project(m, 0, 1)
-    if s is SubspaceId.X12_DIAG:
-        return _sigma_x_project(m, 1, 2)
-    if s is SubspaceId.Z12_DIAG:
-        return _sigma_diag_project(m, (0.0, 1.0, -1.0))
-    if s is SubspaceId.D_DIAG:
-        return _sigma_diag_project(m, (1.0, -1.0, -1.0))
-    if s is SubspaceId.DBAR_DIAG:
-        return _sigma_diag_project(m, (-1.0, -1.0, 1.0))
-    if s is SubspaceId.DIAGONAL:
-        return np.diag(1j * np.imag(np.diagonal(m)))
-    raise ValueError(f"unknown subspace {s}")
+    p = m.shape[0] // 3
+    b = m.reshape(3, p, 3, p)
+    out = np.zeros_like(b)
+    for pattern in _STAGE_PATTERNS[s]:
+        i, j = np.nonzero(pattern)
+        w = pattern[i, j][:, None, None]
+        out[i, :, j] = w * ((w * b[i, :, j]).sum(0) / (w * w).sum())
+    return out.reshape(m.shape)
 
 
 def subspace_membership(m: np.ndarray, s: SubspaceId, tol: float = 1e-10) -> tuple[bool, float]:

@@ -9,8 +9,9 @@ Subcommands:
     selftest  algebraic identities, commutation tables, factorization checks
 
 Matrix files are JSON objects {"qutrits": n, "dim": 3^n, "matrix": [[re,
-im], ...]} with row-major entries.  Exit codes: 0 success, 2 unreadable
-input, 3 non-unitary matrix without --sanitize, 4 verification failure.
+im], ...]} with row-major, finite entries.  Exit codes: 0 success, 2
+unreadable input or out-of-range option, 3 non-unitary matrix without
+--sanitize, 4 verification failure.
 Diagnostics go to stderr; machine-readable output goes to stdout or -o.
 """
 
@@ -130,6 +131,9 @@ def _matrix_from_json(text: str) -> tuple[np.ndarray, int]:
         raise ValueError(
             f"expected {dim * dim} [re, im] entries, got shape {arr.shape}"
         )
+    # Python's json reads NaN and Infinity; no unitary contains them.
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite numbers")
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(dim, dim), n
 
 
@@ -421,6 +425,18 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # so a non-integer gets argparse's "invalid int value" message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="trisect",
@@ -461,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser("random", help="emit a Haar-random unitary matrix file")
     rp.add_argument("qutrits", type=int, choices=range(1, 6), help="register width")
     rp.add_argument("-o", "--output", help="matrix file (default: stdout)")
-    rp.add_argument("--seed", type=int, default=0)
+    rp.add_argument("--seed", type=_int_at_least(0), default=0)
     rp.set_defaults(func=cmd_random)
 
     cp = sub.add_parser("counts", help="two-qutrit gate-count tables")
@@ -477,13 +493,15 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[g.value for g in GateSet],
         default=GateSet.GCX_CINC.value,
     )
-    cp.add_argument("--seed", type=int, default=0)
+    cp.add_argument("--seed", type=_int_at_least(0), default=0)
     cp.set_defaults(func=cmd_counts)
 
     tp = sub.add_parser("selftest", help="run the built-in verification suite")
-    tp.add_argument("--qutrits", type=int, nargs="+", default=[2, 3], help="widths for the commutation tables")
-    tp.add_argument("--trials", type=int, default=50)
-    tp.add_argument("--seed", type=int, default=0)
+    tp.add_argument(
+        "--qutrits", type=_int_at_least(1), nargs="+", default=[2, 3], help="widths for the commutation tables"
+    )
+    tp.add_argument("--trials", type=_int_at_least(1), default=50)
+    tp.add_argument("--seed", type=_int_at_least(0), default=0)
     tp.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     tp.set_defaults(func=cmd_selftest)
     return p

@@ -13,11 +13,10 @@ interleaved factor kinds map to multiplexed-rotation circuits:
 :func:`~trisect.cartan.factorize_stack` call per level (stacks of 1, 9,
 81, ... matrices), then emits the stored nodes depth-first in
 application order.  The recursion bottoms out in 9^(n-1) single-qutrit
-leaves, all on the last qutrit.  The emitted list holds a placeholder
-for each, and :func:`synthesize` decomposes every leaf in one batched
-:func:`single_qutrit_gates` call and splices ten gates into each
-placeholder.  Also here: closed-form counting of the two-qutrit gates
-these circuits cost.
+leaves, all on the last qutrit; :func:`synthesize` decomposes them in
+one batched :func:`single_qutrit_gates` call before the emission, which
+takes ten gates per leaf as it meets them.  Also here: closed-form
+counting of the two-qutrit gates these circuits cost.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import enum
 import itertools
 import math
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,14 +121,7 @@ def _z_mux_forward(level: str, qutrits: list[int], angles: np.ndarray) -> list[G
 
 def _trit_reversal(k: int) -> np.ndarray:
     """Permutation sending each index to the one with reversed base-3 digits."""
-    out = np.zeros(3**k, dtype=int)
-    for j in range(3**k):
-        x, r = j, 0
-        for _ in range(k):
-            r = r * 3 + x % 3
-            x //= 3
-        out[j] = r
-    return out
+    return np.arange(3**k).reshape((3,) * k).T.ravel()
 
 
 def w_mux_gates(
@@ -198,16 +190,10 @@ def d_mux_gates(kind: str, qutrits: Sequence[int], angles: np.ndarray) -> list[G
     if len(qutrits) == 1:
         q = qutrits[0]
         tp = 4.0 * float(lam[0]) / 3.0
-        if kind == "d":
-            return [
-                GlobalPhase(tp / 4.0),
-                Rotation("z", "01", q, tp),
-                Rotation("z", "02", q, tp),
-            ]
         return [
             GlobalPhase(tp / 4.0),
             Rotation("z", "01", q, tp),
-            Rotation("z", "02", q, -2.0 * tp),
+            Rotation("z", "02", q, tp if kind == "d" else -2.0 * tp),
         ]
     value = 0 if kind == "d" else 2
     c, t = qutrits[0], qutrits[-1]
@@ -323,19 +309,13 @@ def expected_count(n: int, gate_set: GateSet = GateSet.GCX_CINC) -> int:
     """Closed-form two-qutrit gate count of a generic n-qutrit synthesis."""
     if n < 2:
         raise ValueError("two-qutrit counts are defined for n >= 2")
-    nine = Fraction(9) ** n
     if gate_set is GateSet.GCX_ONLY:
-        val = (
-            Fraction(47, 96) * nine
-            - 4 * Fraction(3) ** (n - 1)
-            - (Fraction(n * n, 2) + Fraction(3 * n, 4) - Fraction(27, 32))
-        )
-    else:
-        val = (
-            Fraction(41, 96) * nine
-            - 4 * Fraction(3) ** (n - 1)
-            - (Fraction(n * n, 2) + Fraction(n, 4) - Fraction(29, 32))
-        )
+        return expected_count(n) + cinc_savings(n)
+    val = (
+        Fraction(41, 96) * Fraction(9) ** n
+        - 4 * Fraction(3) ** (n - 1)
+        - (Fraction(n * n, 2) + Fraction(n, 4) - Fraction(29, 32))
+    )
     if val.denominator != 1:
         raise ArithmeticError(f"count formula did not give an integer: {val}")
     return int(val)
@@ -447,11 +427,6 @@ class SynthesisReport:
         ]
 
 
-# Stands in the emitted gate list for one single-qutrit leaf until
-# `synthesize` has decomposed all the leaves in one batched call.
-_LEAF = object()
-
-
 def _factor_levels(m: np.ndarray, n: int, absorb: bool) -> list[list[FactorizationNode]]:
     """The recursion tree breadth-first: one :func:`factorize_stack` call per level.
 
@@ -466,26 +441,25 @@ def _factor_levels(m: np.ndarray, n: int, absorb: bool) -> list[list[Factorizati
 
 
 def _emit_node(
-    levels: list[list[FactorizationNode]], depth: int, i: int, options: SynthesisOptions, leaves: list
-) -> list:
-    """Gates for node i of level ``depth``, with a ``_LEAF`` per single-qutrit leaf.
+    levels: list[list[FactorizationNode]], depth: int, i: int, options: SynthesisOptions, leaf_gates: Iterator
+) -> list[Gate]:
+    """Gates for node i of level ``depth``.
 
-    Each leaf's matrix is appended to ``leaves`` in emission order; every
-    leaf acts on the last qutrit.
+    Each single-qutrit leaf takes its ten gates from ``leaf_gates``, which
+    holds the last level's K factors decomposed in emission order.
     """
     node = levels[depth][i]
     qs = list(range(depth, depth + node.n))
-    gates: list = []
+    gates: list[Gate] = []
     child = 9 * i + 9
     # entries are in matrix order; emission is in application order
     for e in reversed(node.entries):
         if e.kind == "K":
             child -= 1
             if depth + 1 < len(levels):
-                gates += _emit_node(levels, depth + 1, child, options, leaves)
+                gates += _emit_node(levels, depth + 1, child, options, leaf_gates)
             else:
-                leaves.append(e.matrix)
-                gates.append(_LEAF)
+                gates += itertools.islice(leaf_gates, 10)
         elif e.kind in ("x01", "x12"):
             gates += x_mux_gates(e.kind[1:], qs, e.angles, absorb=options.absorption)
         elif e.kind == "z12":
@@ -517,18 +491,13 @@ def synthesize(
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
 
     t0 = time.perf_counter()
-    leaves: list[np.ndarray] = []
     if n == 1:
-        leaves, emitted = [m], [_LEAF]
+        gates = single_qutrit_gates(m[None])
     else:
-        emitted = _emit_node(_factor_levels(m, n, options.absorption), 0, 0, options, leaves)
-    leaf_gates = iter(single_qutrit_gates(np.stack(leaves), n - 1))
-    gates: list[Gate] = []
-    for g in emitted:
-        if g is _LEAF:
-            gates += itertools.islice(leaf_gates, 10)
-        else:
-            gates.append(g)
+        levels = _factor_levels(m, n, options.absorption)
+        # the depth-first emission meets the last level's K factors in reverse stack order
+        leaves = np.stack([w for node in levels[-1] for w in node.k_factors][::-1])
+        gates = _emit_node(levels, 0, 0, options, iter(single_qutrit_gates(leaves, n - 1)))
     circ = Circuit(n, tuple(gates))
     if options.passes:
         circ = simplify(circ, use_cinc=options.gate_set is GateSet.GCX_CINC)

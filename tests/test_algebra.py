@@ -292,19 +292,6 @@ def test_complementary_subspaces_are_disjoint():
     assert not ok and resid > 1e-3
 
 
-def test_diag_projection_recipes():
-    # membership in the three sigma-diagonal directions via explicit spans
-    lam = np.diag(_RNG.standard_normal(3))
-    for sid, weights in (
-        (SubspaceId.Z12_DIAG, (0, 1, -1)),
-        (SubspaceId.D_DIAG, (1, -1, -1)),
-        (SubspaceId.DBAR_DIAG, (-1, -1, 1)),
-    ):
-        m = 1j * np.kron(np.diag(weights).astype(complex), lam)
-        ok, resid = subspace_membership(m, sid)
-        assert ok, (sid, resid)
-
-
 # ---------------------------------------------------------------------------
 # self-tests
 # ---------------------------------------------------------------------------

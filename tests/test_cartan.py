@@ -44,31 +44,12 @@ def _random_blocks(p: int, rng: np.random.Generator) -> np.ndarray:
     return np.stack([haar_unitary(p, rng) for _ in range(3)])
 
 
-# Group-shape residuals of a 3p x 3p matrix, for checking factor shapes.
-
-
-def _blocks3(m: np.ndarray) -> list[list[np.ndarray]]:
-    p = m.shape[0] // 3
-    return [[m[i * p : (i + 1) * p, j * p : (j + 1) * p] for j in range(3)] for i in range(3)]
-
-
 def tensor_identity_residual(u: np.ndarray) -> tuple[np.ndarray, float]:
     """Best W with u ~ I3 (x) W, and the max-entry residual."""
-    b = _blocks3(u)
-    w = (b[0][0] + b[1][1] + b[2][2]) / 3.0
+    p = u.shape[0] // 3
+    b = u.reshape(3, p, 3, p)
+    w = (b[0, :, 0] + b[1, :, 1] + b[2, :, 2]) / 3.0
     return w, float(np.max(np.abs(u - np.kron(np.eye(3), w))))
-
-
-def three_block_residual(u: np.ndarray) -> float:
-    """Leakage outside the three diagonal blocks."""
-    b = _blocks3(u)
-    return max(float(np.max(np.abs(b[i][j]))) for i in range(3) for j in range(3) if i != j)
-
-
-def equal_blocks_residual(u: np.ndarray, pair: tuple[int, int]) -> float:
-    """Off-block leakage plus mismatch of the two nominally equal blocks."""
-    b = _blocks3(u)
-    return max(three_block_residual(u), float(np.max(np.abs(b[pair[0]][pair[0]] - b[pair[1]][pair[1]]))))
 
 
 # ---------------------------------------------------------------------------
@@ -109,16 +90,6 @@ def test_tensor_identity_residual():
     assert np.max(np.abs(got_w - w)) < 1e-15
     _, bad = tensor_identity_residual(haar_unitary(9, rng))
     assert bad > 1e-2
-
-
-def test_block_residuals():
-    rng = np.random.default_rng(1)
-    w = haar_unitary(3, rng)
-    bd = _bd(w, w, haar_unitary(3, rng))
-    assert three_block_residual(bd) == 0.0
-    assert equal_blocks_residual(bd, (0, 1)) == 0.0
-    assert equal_blocks_residual(bd, (1, 2)) > 1e-2
-    assert three_block_residual(haar_unitary(9, rng)) > 1e-2
 
 
 # ---------------------------------------------------------------------------

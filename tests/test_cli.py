@@ -165,6 +165,21 @@ def test_synth_rejects_wrong_entry_count(tmp_path, capsys):
     assert "[re, im]" in err
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+def test_non_finite_entries_are_rejected(tmp_path, capsys, bad):
+    # Python's json writes and reads NaN/Infinity; every command must refuse them
+    m = np.eye(9, dtype=complex)
+    m[4, 4] = complex(bad, 0.0)
+    mat = _matrix_file(tmp_path, "m.json", m, 2)
+    assert ("NaN" if np.isnan(bad) else "Infinity") in (tmp_path / "m.json").read_text()
+    circ = tmp_path / "c.txt"
+    circ.write_text("QUTRITS 2\n")
+    for argv in (["synth", mat], ["synth", mat, "--sanitize"], ["verify", str(circ), mat]):
+        code, _, err = _run(capsys, *argv)
+        assert code == EXIT_PARSE, argv
+        assert "must be finite" in err, argv
+
+
 def test_synth_non_unitary_needs_sanitize(tmp_path, capsys):
     mat = _matrix_file(tmp_path, "m.json", 2.0 * np.eye(3, dtype=complex), 1)
     code, _, err = _run(capsys, "synth", mat)
@@ -269,6 +284,28 @@ def test_selftest_compares_stacked_factorize(capsys):
     rows = [line for line in out.splitlines() if "stacked factorize equals per-matrix" in line]
     assert len(rows) == 2 and "(d=9)" in rows[0] and "(d=27)" in rows[1]
     assert all("[ok]" in row for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "--trials", "0"],
+        ["selftest", "--trials", "-5"],
+        ["selftest", "--qutrits", "0"],
+        ["selftest", "--qutrits", "2", "-1"],
+        ["selftest", "--seed", "-1"],
+        ["random", "1", "--seed", "-1"],
+        ["counts", "--seed", "-3"],
+        ["random", "1", "--seed", "x"],
+    ],
+    ids=["trials-0", "trials-neg", "qutrits-0", "qutrits-neg", "selftest-seed", "random-seed", "counts-seed", "not-int"],
+)
+def test_out_of_range_options_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least" in err or "invalid int value" in err
 
 
 def test_selftest_detects_injected_fault(capsys):

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -319,10 +320,14 @@ def test_expected_count_values():
 
 def test_cinc_savings_consistency():
     assert [cinc_savings(n) for n in (2, 3, 4)] == [4, 44, 408]
-    for n in range(2, 7):
-        assert cinc_savings(n) == expected_count(n, GateSet.GCX_ONLY) - expected_count(
-            n, GateSet.GCX_CINC
+    # expected_count(n, GCX_ONLY) is defined as the fused count plus the
+    # savings; check it against the independent gcx-only closed form
+    for n in range(2, 15):
+        gcx_only = (
+            Fraction(47, 96) * 9**n - 4 * 3 ** (n - 1) - (Fraction(n * n, 2) + Fraction(3 * n, 4) - Fraction(27, 32))
         )
+        assert expected_count(n, GateSet.GCX_ONLY) == gcx_only
+        assert cinc_savings(n) == expected_count(n, GateSet.GCX_ONLY) - expected_count(n, GateSet.GCX_CINC)
 
 
 def test_operator_count_table():

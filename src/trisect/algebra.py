@@ -172,6 +172,8 @@ def _controlled(n: int, control: int, value: int, target: int, g: np.ndarray) ->
 
 def gcx_matrix(n: int, control: int, value: int, target: int, ij: str) -> np.ndarray:
     """GCX: apply X^ij on ``target`` when ``control`` reads ``value``."""
+    if ij not in LEVELS:
+        raise ValueError(f"bad level {ij!r}")
     return _controlled(n, control, value, target, _GENERATORS[GeneratorId[f"X{ij}"]])
 
 
@@ -184,31 +186,17 @@ def cinc_matrix(n: int, control: int, value: int, target: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Diagonal (Cartan subalgebra) bases
+# Diagonal (Cartan subalgebra) basis
 # ---------------------------------------------------------------------------
 
-_DIAG_KINDS = {
-    # kind -> the diagonal triple; the base is i * triple and the recursion
-    # multiplies the same triple onto the leading qutrit.
-    "z": (GeneratorId.I3, GeneratorId.SZ01, GeneratorId.SZ02),
-    "d": (GeneratorId.I3, GeneratorId.D, GeneratorId.SZ12),
-    "dbar": (GeneratorId.I3, GeneratorId.DBAR, GeneratorId.SZ01),
-}
 
+def diagonal_basis(n: int) -> list[np.ndarray]:
+    """The 3^n commuting skew-Hermitian diagonals i * {I3, sz01, sz02}^(x)n.
 
-def diagonal_basis(
-    kind: str, n: int, override: dict[GeneratorId, np.ndarray] | None = None
-) -> list[np.ndarray]:
-    """The 3^n commuting skew-Hermitian diagonals of the given flavor.
-
-    Built recursively: base {i*I3, i*M1, i*M2} multiplied through by
-    {I3, M1, M2} on the leading qutrit, where (M1, M2) is (sz01, sz02)
-    for kind "z", (D, sz12) for "d", (Dbar, sz01) for "dbar".  All
-    three flavors span the same space of imaginary diagonals.
+    Built recursively: base {i*I3, i*sz01, i*sz02} multiplied through by
+    {I3, sz01, sz02} on the leading qutrit.
     """
-    if kind not in _DIAG_KINDS:
-        raise ValueError(f"unknown diagonal basis kind {kind!r}")
-    mats = [generator(g, override) for g in _DIAG_KINDS[kind]]
+    mats = [_GENERATORS[g] for g in (GeneratorId.I3, GeneratorId.SZ01, GeneratorId.SZ02)]
     basis = [1j * m for m in mats]
     for _ in range(n - 1):
         basis = [np.kron(m, b) for m in mats for b in basis]
@@ -452,9 +440,7 @@ class AbelianReport:
         ]
 
 
-def maximal_abelian_check(
-    n: int, seed: int = 0, trials: int = 50, tol: float = 1e-10
-) -> AbelianReport:
+def maximal_abelian_check(n: int, seed: int = 0, trials: int = 50) -> AbelianReport:
     """The diagonal basis is maximally abelian inside the skew-Hermitians.
 
     Pairwise commutators of basis elements are exactly zero (they are
@@ -463,8 +449,9 @@ def maximal_abelian_check(
     matrix with any off-diagonal entry must fail to commute with at least
     one basis element.
     """
+    tol = 1e-10
     rng = np.random.default_rng(seed)
-    basis = diagonal_basis("z", n)
+    basis = diagonal_basis(n)
     d = 3**n
 
     pairwise = all(

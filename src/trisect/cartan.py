@@ -259,12 +259,12 @@ def _split_off_outer(p_blk: np.ndarray, q_blk: np.ndarray) -> tuple[np.ndarray, 
 
 def absorption_factor(kind: str, p: int) -> np.ndarray:
     """Diagonal sign compensation left over when the trailing all-value-1
-    GCX run of an x01 or x12 multiplexed-rotation circuit is dropped.
+    GCX run of an x01 or x12 multiplexed-rotation circuit is left out.
 
-    The dropped run applies the level X once per control reading 1; after
+    The omitted run applies the level X once per control reading 1; after
     the y-conjugation that collapses to a -1 on one block per odd-parity
     control pattern:  diag(Zd, I, I) for x01, diag(I, Zd, I) for x12,
-    where Zd is the tensor power of diag(1, -1, 1).  The stripped
+    where Zd is the tensor power of diag(1, -1, 1).  The absorbed
     circuit's matrix is this factor times the full exponential.
     """
     return np.diag(_absorption_signs(kind, p).ravel())
@@ -320,10 +320,6 @@ class FactorizationNode:
     def k_factors(self) -> list[np.ndarray]:
         return [e.matrix for e in self.entries if e.kind == "K"]
 
-    @property
-    def angle_factors(self) -> list[NodeEntry]:
-        return [e for e in self.entries if e.kind != "K"]
-
 
 def _qutrit_count(d: int) -> int | None:
     """n with 3^n == d, or None; integer arithmetic, so any d is safe."""
@@ -333,18 +329,16 @@ def _qutrit_count(d: int) -> int | None:
     return n if power == d else None
 
 
-def factorize_stack(
-    ms: np.ndarray, atol: float = UNITARY_ATOL, absorb: bool = False
-) -> list[FactorizationNode]:
+def factorize_stack(ms: np.ndarray, absorb: bool = False) -> list[FactorizationNode]:
     """One full level for each matrix of a (k, 3^n, 3^n) stack, n >= 2.
 
     Every step runs once over the whole stack, so the k nodes cost one
     pass of array operations plus the per-matrix LAPACK calls.  Each
     node equals the one a single-matrix stack gives, and keeps its own
     residuals.  With ``absorb=True`` the sign compensation of the
-    stripped x01 and x12 circuits is folded into the neighbouring K
+    absorbed x01 and x12 circuits is folded into the neighbouring K
     factors before the block rearrangement, so the node reconstructs
-    against the stripped gate lists instead of the plain exponentials
+    against the absorbed gate lists instead of the plain exponentials
     (see ``absorption_factor``).  An empty stack gives no nodes.
     """
     ms = np.asarray(ms, dtype=complex)
@@ -356,7 +350,7 @@ def factorize_stack(
     if not len(ms):
         return []
     defect = unitarity_defect(ms)
-    if defect > atol:
+    if defect > UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
 
     residuals: dict[str, np.ndarray] = {}
@@ -376,7 +370,7 @@ def factorize_stack(
     residuals["stage2_right"] = _worst(_mix_columns(_block_diag(l3r), "x12", th_r_raw) @ r3r_h - right)
 
     if absorb:
-        # Fold each stripped factor's sign diagonal into the K on its left as
+        # Fold each absorbed factor's sign diagonal into the K on its left as
         # column signs.  ``+ 0.0`` turns -0.0 into +0.0, as a BLAS product
         # with the dense diagonal does: on degenerate splits the signs of
         # exact zeros decide which eigenbasis LAPACK returns, so without it
@@ -435,14 +429,12 @@ def factorize_stack(
     ]
 
 
-def factorize(
-    m: np.ndarray, atol: float = UNITARY_ATOL, absorb: bool = False
-) -> FactorizationNode:
+def factorize(m: np.ndarray, absorb: bool = False) -> FactorizationNode:
     """One full level: M in U(3^n), n >= 2, into the 17-factor chain.
 
     The single-matrix case of :func:`factorize_stack`.
     """
-    return factorize_stack(np.asarray(m)[None], atol, absorb)[0]
+    return factorize_stack(np.asarray(m)[None], absorb)[0]
 
 
 def reassemble(node: FactorizationNode) -> np.ndarray:

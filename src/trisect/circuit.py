@@ -240,8 +240,7 @@ def eval_circuit(c: Circuit) -> np.ndarray:
     a deferred gate commutes with every gate on other qutrits.  Rotation
     matrices and chain products are built in batched numpy passes.  Each
     run is applied to the full unitary with one ``tensordot`` on its qutrit
-    axes; for n <= 3 the one run's matrix is the result.  Global phases
-    are summed and applied once.
+    axes.  Global phases are summed and applied once.
     """
     n, d = c.n, 3**c.n
     rots = [g for g in c.gates if isinstance(g, Rotation)]
@@ -250,7 +249,7 @@ def eval_circuit(c: Circuit) -> np.ndarray:
     )
     runs: list = []  # (support in first-touch order, steps) per run
     chains: list[list[int]] = []  # stack indices deferred on one qutrit, first acting first
-    support = list(range(n)) if n <= RUN_QUTRITS else []
+    support: list[int] = []
     steps: list = []
     pending: dict[int, list[int]] = {}
 
@@ -293,13 +292,10 @@ def eval_circuit(c: Circuit) -> np.ndarray:
         flush(q)
     runs.append((support, steps))
     prods = _chain_products(stack, chains)
-    if n <= RUN_QUTRITS:
-        u = _run_matrix(steps, support, prods)
-    else:
-        u = np.eye(d, dtype=complex).reshape((3,) * n + (d,))
-        for support, steps in runs:
-            if steps:
-                u = _apply_run(u, steps, support, prods)
+    u = np.eye(d, dtype=complex).reshape((3,) * n + (d,))
+    for support, steps in runs:
+        if steps:
+            u = _apply_run(u, steps, support, prods)
     return np.exp(1j * phase) * np.ascontiguousarray(u).reshape(d, d)
 
 

@@ -130,7 +130,7 @@ def _no_sort(x):
     return None
 
 
-def unitary_eig(u: np.ndarray, atol: float = UNITARY_ATOL) -> EigResult:
+def unitary_eig(u: np.ndarray) -> EigResult:
     """Eigen-decomposition of a unitary via a complex Schur form (``zgees``).
 
     ``u`` is one square matrix or a (k, n, n) stack; the result's fields
@@ -143,8 +143,8 @@ def unitary_eig(u: np.ndarray, atol: float = UNITARY_ATOL) -> EigResult:
     if u.ndim not in (2, 3) or u.shape[-1] != u.shape[-2]:
         raise _not_square(u)
     defect = unitarity_defect(u)
-    if defect > atol:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {atol:.1e})")
+    if defect > UNITARY_ATOL:
+        raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     n = u.shape[-1]
     stack = u.reshape(-1, n, n)
     lwork = _zgees_lwork(n)

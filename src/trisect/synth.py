@@ -14,18 +14,17 @@ interleaved factor kinds map to multiplexed-rotation circuits:
 81, ... matrices), then emits the stored nodes depth-first in
 application order.  The recursion bottoms out in 9^(n-1) single-qutrit
 leaves, all on the last qutrit; :func:`synthesize` decomposes them in
-one batched :func:`single_qutrit_gates` call before the emission, which
-takes ten gates per leaf as it meets them.  Also here: closed-form
+one batched :func:`single_qutrit_gates` call before the emission, and
+leaf j takes its gates 10j..10j+9.  Also here: closed-form
 counting of the two-qutrit gates these circuits cost.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,6 +75,17 @@ class GateSet(enum.Enum):
 # ---------------------------------------------------------------------------
 
 
+def _mux_args(qutrits: Sequence[int], angles: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """``qutrits`` as a list and ``angles`` flattened, one angle per control pattern."""
+    qutrits = list(qutrits)
+    angles = np.asarray(angles, dtype=float).ravel()
+    if angles.size != 3 ** (len(qutrits) - 1):
+        raise ValueError(
+            f"need {3 ** (len(qutrits) - 1)} angles for {len(qutrits)} qutrits, got {angles.size}"
+        )
+    return qutrits, angles
+
+
 def z_mux_gates(
     level: str, qutrits: Sequence[int], angles: np.ndarray, reverse: bool = False
 ) -> list[Gate]:
@@ -89,17 +99,16 @@ def z_mux_gates(
     alternating orientations lets neighbouring muxes cancel at their
     shared boundary.
     """
-    qutrits = list(qutrits)
-    angles = np.asarray(angles, dtype=float).ravel()
-    if angles.size != 3 ** (len(qutrits) - 1):
-        raise ValueError(
-            f"need {3 ** (len(qutrits) - 1)} angles for {len(qutrits)} qutrits, got {angles.size}"
-        )
-    gates = _z_mux_forward(level, qutrits, angles)
+    gates = _z_mux_forward(level, *_mux_args(qutrits, angles))
     return gates[::-1] if reverse else gates
 
 
-def _z_mux_forward(level: str, qutrits: list[int], angles: np.ndarray) -> list[Gate]:
+def _z_mux_forward(level: str, qutrits: list[int], angles: np.ndarray, tail: bool = True) -> list[Gate]:
+    """The z mux in application order.
+
+    ``tail=False`` leaves out the closing value-1 GCX of this level and of
+    its nested ``a`` sub-muxes: the trailing run of one GCX per control.
+    """
     t = qutrits[0]
     if len(qutrits) == 1:
         return [Rotation("z", level, t, 2.0 * float(angles[0]))]
@@ -114,8 +123,8 @@ def _z_mux_forward(level: str, qutrits: list[int], angles: np.ndarray) -> list[G
         + [Gcx(c, 2, t, level)]
         + _z_mux_forward(level, sub, b)[::-1]
         + [LocalX(level, t), Gcx(c, 0, t, level)]
-        + _z_mux_forward(level, sub, a)
-        + [Gcx(c, 1, t, level)]
+        + _z_mux_forward(level, sub, a, tail)
+        + ([Gcx(c, 1, t, level)] if tail else [])
     )
 
 
@@ -124,19 +133,15 @@ def _trit_reversal(k: int) -> np.ndarray:
     return np.arange(3**k).reshape((3,) * k).T.ravel()
 
 
-def w_mux_gates(
-    level: str, qutrits: Sequence[int], angles: np.ndarray, reverse: bool = False
-) -> list[Gate]:
+def w_mux_gates(level: str, qutrits: Sequence[int], angles: np.ndarray) -> list[Gate]:
     """Gates for exp(-i diag(angles) (x) sz^level): rotation on the *last* qutrit.
 
     Same mux as :func:`z_mux_gates` with the roles flipped: the target is
     ``qutrits[-1]`` and ``qutrits[:-1]`` control, big-endian.  Realized by
     handing the emitter the reversed qutrit list and trit-reversed angles.
     """
-    qutrits = list(qutrits)
-    angles = np.asarray(angles, dtype=float).ravel()
-    order = [qutrits[-1]] + list(reversed(qutrits[:-1]))
-    return z_mux_gates(level, order, angles[_trit_reversal(len(qutrits) - 1)], reverse)
+    qutrits, angles = _mux_args(qutrits, angles)
+    return _z_mux_forward(level, qutrits[::-1], angles[_trit_reversal(len(qutrits) - 1)])
 
 
 def x_mux_gates(
@@ -145,26 +150,17 @@ def x_mux_gates(
     """Gates for exp(-i sx^level (x) diag(angles)): a y-conjugated z mux.
 
     With ``absorb=True`` the trailing run of value-1 GCX gates (one per
-    control) is dropped; the omitted product equals a diagonal sign
+    control) is not emitted; the omitted product equals a diagonal sign
     factor that the factorization folds into the neighbouring block
     (see :func:`trisect.cartan.absorption_factor`).
     """
     if level not in ("01", "12"):
         raise ValueError(f"x mux is emitted for levels 01 and 12 only, got {level!r}")
-    qutrits = list(qutrits)
+    qutrits, angles = _mux_args(qutrits, angles)
     t = qutrits[0]
-    mux = z_mux_gates(level, qutrits, angles)
-    if absorb and len(qutrits) > 1:
-        strip = len(qutrits) - 1
-        if not all(
-            isinstance(g, Gcx) and g.value == 1 and g.target == t and g.level == level
-            for g in mux[-strip:]
-        ):
-            raise RuntimeError("mux tail did not have the expected absorbable shape")
-        mux = mux[:-strip]
     return [
         Rotation("y", level, t, -math.pi / 2.0),
-        *mux,
+        *_z_mux_forward(level, qutrits, angles, tail=not absorb),
         Rotation("y", level, t, math.pi / 2.0),
     ]
 
@@ -181,12 +177,7 @@ def d_mux_gates(kind: str, qutrits: Sequence[int], angles: np.ndarray) -> list[G
     """
     if kind not in ("d", "dbar"):
         raise ValueError(f"unknown diagonal mux kind {kind!r}")
-    qutrits = list(qutrits)
-    lam = np.asarray(angles, dtype=float).ravel()
-    if lam.size != 3 ** (len(qutrits) - 1):
-        raise ValueError(
-            f"need {3 ** (len(qutrits) - 1)} angles for {len(qutrits)} qutrits, got {lam.size}"
-        )
+    qutrits, lam = _mux_args(qutrits, angles)
     if len(qutrits) == 1:
         q = qutrits[0]
         tp = 4.0 * float(lam[0]) / 3.0
@@ -209,6 +200,15 @@ def d_mux_gates(kind: str, qutrits: Sequence[int], angles: np.ndarray) -> list[G
         + [g01, *w_mux_gates("01", inner, th01), g01]
         + [g02, *w_mux_gates("02", inner, th02), g02]
     )
+
+
+def _factor_gates(kind: str, qutrits: list[int], angles: np.ndarray) -> list[Gate]:
+    """Gates of one interleaved factor of the chain, x factors absorbed."""
+    if kind in ("x01", "x12"):
+        return x_mux_gates(kind[1:], qutrits, angles)
+    if kind == "z12":
+        return z_mux_gates("12", qutrits, angles)
+    return d_mux_gates(kind, qutrits, angles)
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +359,7 @@ def measured_operator_counts(
     counts: dict[str, int] = {}
     for kind in ("x01", "x12", "z12", "d", "dbar"):
         angles = rng.uniform(0.2, 1.3, size=3 ** (n - 1))
-        if kind in ("x01", "x12"):
-            gates = x_mux_gates(kind[1:], qs, angles, absorb=True)
-        elif kind == "z12":
-            gates = z_mux_gates("12", qs, angles)
-        else:
-            gates = d_mux_gates(kind, qs, angles)
+        gates = _factor_gates(kind, qs, angles)
         circ = simplify(Circuit(n, tuple(gates)), use_cinc=gate_set is GateSet.GCX_CINC)
         counts[kind] = count_gates(circ).two_qutrit
     return counts
@@ -379,7 +374,6 @@ def measured_operator_counts(
 class SynthesisOptions:
     gate_set: GateSet = GateSet.GCX_CINC
     tolerance: float = 1e-8
-    absorption: bool = True
     passes: bool = True
 
 
@@ -427,26 +421,24 @@ class SynthesisReport:
         ]
 
 
-def _factor_levels(m: np.ndarray, n: int, absorb: bool) -> list[list[FactorizationNode]]:
+def _factor_levels(m: np.ndarray, n: int) -> list[list[FactorizationNode]]:
     """The recursion tree breadth-first: one :func:`factorize_stack` call per level.
 
     Level j holds 9^j nodes; the children of node i of level j are nodes
     9i..9i+8 of level j+1, its K factors in entry order.
     """
-    levels = [factorize_stack(m[None], absorb=absorb)]
+    levels = [factorize_stack(m[None], absorb=True)]
     while len(levels) < n - 1:
         stack = np.stack([w for node in levels[-1] for w in node.k_factors])
-        levels.append(factorize_stack(stack, absorb=absorb))
+        levels.append(factorize_stack(stack, absorb=True))
     return levels
 
 
-def _emit_node(
-    levels: list[list[FactorizationNode]], depth: int, i: int, options: SynthesisOptions, leaf_gates: Iterator
-) -> list[Gate]:
+def _emit_node(levels: list[list[FactorizationNode]], depth: int, i: int, leaf_gates: list[Gate]) -> list[Gate]:
     """Gates for node i of level ``depth``.
 
-    Each single-qutrit leaf takes its ten gates from ``leaf_gates``, which
-    holds the last level's K factors decomposed in emission order.
+    ``leaf_gates`` holds the last level's K factors decomposed in stack
+    order, ten gates each, so single-qutrit leaf j is gates 10j..10j+9.
     """
     node = levels[depth][i]
     qs = list(range(depth, depth + node.n))
@@ -454,18 +446,14 @@ def _emit_node(
     child = 9 * i + 9
     # entries are in matrix order; emission is in application order
     for e in reversed(node.entries):
-        if e.kind == "K":
-            child -= 1
-            if depth + 1 < len(levels):
-                gates += _emit_node(levels, depth + 1, child, options, leaf_gates)
-            else:
-                gates += itertools.islice(leaf_gates, 10)
-        elif e.kind in ("x01", "x12"):
-            gates += x_mux_gates(e.kind[1:], qs, e.angles, absorb=options.absorption)
-        elif e.kind == "z12":
-            gates += z_mux_gates("12", qs, e.angles)
+        if e.kind != "K":
+            gates += _factor_gates(e.kind, qs, e.angles)
+            continue
+        child -= 1
+        if depth + 1 < len(levels):
+            gates += _emit_node(levels, depth + 1, child, leaf_gates)
         else:
-            gates += d_mux_gates(e.kind, qs, e.angles)
+            gates += leaf_gates[10 * child : 10 * child + 10]
     return gates
 
 
@@ -494,19 +482,16 @@ def synthesize(
     if n == 1:
         gates = single_qutrit_gates(m[None])
     else:
-        levels = _factor_levels(m, n, options.absorption)
-        # the depth-first emission meets the last level's K factors in reverse stack order
-        leaves = np.stack([w for node in levels[-1] for w in node.k_factors][::-1])
-        gates = _emit_node(levels, 0, 0, options, iter(single_qutrit_gates(leaves, n - 1)))
+        levels = _factor_levels(m, n)
+        leaves = np.stack([w for node in levels[-1] for w in node.k_factors])
+        gates = _emit_node(levels, 0, 0, single_qutrit_gates(leaves, n - 1))
     circ = Circuit(n, tuple(gates))
     if options.passes:
         circ = simplify(circ, use_cinc=options.gate_set is GateSet.GCX_CINC)
     dist = unitary_distance(eval_circuit(circ), m)
     elapsed = time.perf_counter() - t0
 
-    expected = None
-    if n >= 2 and options.passes and options.absorption:
-        expected = expected_count(n, options.gate_set)
+    expected = expected_count(n, options.gate_set) if n >= 2 and options.passes else None
     report = SynthesisReport(
         n=n,
         gate_set=options.gate_set,

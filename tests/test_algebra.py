@@ -218,14 +218,19 @@ def test_controlled_gates_reject_self_control():
         cinc_matrix(2, 1, 3, 0)
 
 
+@pytest.mark.parametrize("ij", ["03", "10", "x"])
+def test_gcx_rejects_unknown_level(ij):
+    with pytest.raises(ValueError, match="level"):
+        gcx_matrix(2, 0, 0, 1, ij)
+
+
 # ---------------------------------------------------------------------------
-# diagonal bases
+# diagonal basis
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["z", "d", "dbar"])
-def test_diagonal_basis_shape_and_commutativity(kind):
-    basis = diagonal_basis(kind, 2)
+def test_diagonal_basis_shape_and_commutativity():
+    basis = diagonal_basis(2)
     assert len(basis) == 9
     for b in basis:
         assert np.max(np.abs(b - np.diag(np.diagonal(b)))) == 0.0  # diagonal
@@ -233,20 +238,11 @@ def test_diagonal_basis_shape_and_commutativity(kind):
 
 
 def test_diagonal_bases_span_the_same_space():
-    # all three flavors span the full 3^n-dimensional imaginary diagonals
-    stacks = {
-        kind: np.stack([np.real(-1j * np.diagonal(b)) for b in diagonal_basis(kind, 2)])
-        for kind in ("z", "d", "dbar")
-    }
-    for kind, s in stacks.items():
-        assert np.linalg.matrix_rank(s) == 9, kind
-    joint = np.vstack(list(stacks.values()))
-    assert np.linalg.matrix_rank(joint) == 9  # no flavor leaves the common span
-
-
-def test_diagonal_basis_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        diagonal_basis("w", 2)
+    # the basis spans the full 3^n-dimensional imaginary diagonals
+    for n in (1, 2, 3):
+        s = np.stack([np.real(-1j * np.diagonal(b)) for b in diagonal_basis(n)])
+        assert s.shape == (3**n, 3**n)
+        assert np.linalg.matrix_rank(s) == 3**n, n
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def test_factorize_chain_structure():
     assert node.n == 2
     assert tuple(e.kind for e in node.entries) == _EXPECTED_KINDS
     assert len(node.k_factors) == 9
-    assert [e.kind for e in node.angle_factors] == list(NONLOCAL_ORDER)
+    assert [e.kind for e in node.entries if e.kind != "K"] == list(NONLOCAL_ORDER)
     assert set(node.residuals) == {
         "stage1", "stage2_left", "stage2_right",
         "split_dbar_1", "split_d_1", "split_dbar_2", "split_z12", "split_d_2",

@@ -120,7 +120,9 @@ def _gate_qutrits(g: Gate) -> tuple[int, ...]:
         return (g.qutrit,)
     if isinstance(g, (Gcx, Cinc)):
         return (g.control, g.target)
-    return ()
+    if isinstance(g, GlobalPhase):
+        return ()
+    raise TypeError(f"not a gate: {g!r}")
 
 
 @dataclass(frozen=True)
@@ -268,11 +270,9 @@ def eval_circuit(c: Circuit) -> np.ndarray:
             qs, gid = (g.control, g.target), f"X{g.level}"
         elif isinstance(g, Cinc):
             qs, gid = (g.control, g.target), "INC"
-        elif isinstance(g, GlobalPhase):
+        else:  # GlobalPhase; Circuit admits only the five gate classes
             phase += g.phi
             continue
-        else:
-            raise TypeError(f"not a gate: {g!r}")
         if qs[0] not in support or qs[-1] not in support:
             new = [q for q in qs if q not in support]
             if len(support) + len(new) > RUN_QUTRITS:
@@ -366,10 +366,8 @@ def serialize(c: Circuit) -> str:
             lines.append(f"GCX q{g.control}={g.value} q{g.target} {g.level}")
         elif isinstance(g, Cinc):
             lines.append(f"CINC q{g.control}={g.value} q{g.target}")
-        elif isinstance(g, GlobalPhase):
+        else:  # GlobalPhase
             lines.append(f"PHASE {_fmt(g.phi)}")
-        else:
-            raise TypeError(f"not a gate: {g!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -481,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.set_defaults(func=cmd_random)
 
     cp = sub.add_parser("counts", help="two-qutrit gate-count tables")
-    cp.add_argument("--n-max", type=int, default=4, help="largest width to tabulate")
+    cp.add_argument("--n-max", type=_int_at_least(2), default=4, help="largest width to tabulate")
     cp.add_argument(
         "--measured",
         action="store_true",

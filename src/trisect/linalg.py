@@ -11,6 +11,10 @@ are bitwise theirs without their per-call argument handling.  Both also
 take a (k, d, d) stack: the driver runs once per matrix into
 preallocated outputs, and everything around it is one array operation
 over the stack.
+
+Both decompositions require a unitary input and do not check it: trisect
+checks a matrix once, where it enters (``cartan.factorize_stack`` and
+``synth.single_qutrit_gates``), and the per-node residuals catch the rest.
 """
 
 from __future__ import annotations
@@ -134,17 +138,15 @@ def unitary_eig(u: np.ndarray) -> EigResult:
     """Eigen-decomposition of a unitary via a complex Schur form (``zgees``).
 
     ``u`` is one square matrix or a (k, n, n) stack; the result's fields
-    gain the same leading axis.  Phases are returned ascending in
-    (-pi, pi].  Within a degenerate cluster the Schur vectors are kept in
-    their incoming column order (stable sort), so identical inputs give
-    identical outputs.
+    gain the same leading axis.  ``u`` must be unitary; this is not
+    checked here but at trisect's entry points.  Phases are returned
+    ascending in (-pi, pi].  Within a degenerate cluster the Schur vectors
+    are kept in their incoming column order (stable sort), so identical
+    inputs give identical outputs.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim not in (2, 3) or u.shape[-1] != u.shape[-2]:
         raise _not_square(u)
-    defect = unitarity_defect(u)
-    if defect > UNITARY_ATOL:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     n = u.shape[-1]
     stack = u.reshape(-1, n, n)
     lwork = _zgees_lwork(n)
@@ -206,16 +208,13 @@ def csd(u: np.ndarray, p: int, q: int) -> CSDResult:
     [[C, 0, -S], [0, I, 0], [S, 0, C]]; moving the last p columns of L2
     and R2 to the front puts the C/S columns before the identity, as
     :func:`csd_sigma` has them.  ``u`` may also be a (k, d, d) stack; the
-    result's fields then gain the same leading axis.
+    result's fields then gain the same leading axis.  ``u`` must be
+    unitary; this is not checked here but at trisect's entry points.
     """
     u = np.asarray(u, dtype=complex)
     d = p + q
     if u.ndim not in (2, 3) or u.shape[-2:] != (d, d) or p > q or p < 1:
         raise ValueError(f"bad partition ({p},{q}) for shape {u.shape}")
-    defect = unitarity_defect(u)
-    if defect > UNITARY_ATOL:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-
     stack = u.reshape(-1, d, d)
     k = len(stack)
     lwork, lrwork = _zuncsd_lwork_for(d, p)

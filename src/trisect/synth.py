@@ -466,7 +466,9 @@ def synthesize(
     the closed-form expected two-qutrit count (generic inputs; n >= 2),
     the phase-aligned Frobenius distance (:func:`unitary_distance`)
     between the circuit's full simulated unitary and the input, and
-    whether that distance is within ``options.tolerance``.
+    whether that distance is within ``options.tolerance``.  A non-unitary
+    matrix raises ``ValueError`` from :func:`factorize_stack` (n = 1:
+    :func:`single_qutrit_gates`).
     """
     options = options or SynthesisOptions()
     m = np.asarray(m, dtype=complex)
@@ -474,9 +476,6 @@ def synthesize(
     n = max(round(math.log(d, 3)), 1) if d else 0
     if m.ndim != 2 or m.shape != (d, d) or 3**n != d:
         raise ValueError(f"matrix shape {m.shape} is not 3^n square")
-    defect = unitarity_defect(m)
-    if defect > UNITARY_ATOL:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
 
     t0 = time.perf_counter()
     if n == 1:

@@ -122,11 +122,6 @@ def test_stage2_reconstructs_three_blocks(d):
     assert np.max(np.abs(recon - l)) < 1e-10
 
 
-def test_stage2_rejects_coupled_input():
-    with pytest.raises(ValueError, match="block diagonal"):
-        stage2(haar_unitary(9, np.random.default_rng(2)))
-
-
 # ---------------------------------------------------------------------------
 # rearrangement
 # ---------------------------------------------------------------------------

@@ -221,6 +221,12 @@ def test_eval_rejects_non_gate():
         eval_circuit(Circuit(1, ("R x 01 q0 1.0",)))
 
 
+@pytest.mark.parametrize("entry", ["foo", None, 1.0, (0, 1)], ids=["str", "none", "float", "tuple"])
+def test_circuit_refuses_non_gate(entry):
+    with pytest.raises(TypeError, match="not a gate"):
+        Circuit(1, (Rotation("x", "01", 0, 1.0), entry))
+
+
 def test_eval_empty_circuit_is_identity():
     assert np.array_equal(eval_circuit(Circuit(2, ())), np.eye(9))
 

@@ -296,9 +296,14 @@ def test_selftest_compares_stacked_factorize(capsys):
         ["selftest", "--seed", "-1"],
         ["random", "1", "--seed", "-1"],
         ["counts", "--seed", "-3"],
+        ["counts", "--n-max", "1"],
+        ["counts", "--n-max", "0"],
         ["random", "1", "--seed", "x"],
     ],
-    ids=["trials-0", "trials-neg", "qutrits-0", "qutrits-neg", "selftest-seed", "random-seed", "counts-seed", "not-int"],
+    ids=[
+        "trials-0", "trials-neg", "qutrits-0", "qutrits-neg", "selftest-seed", "random-seed", "counts-seed",
+        "n-max-1", "n-max-0", "not-int",
+    ],
 )
 def test_out_of_range_options_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from trisect import cli, synth
+from trisect import cartan, cli, linalg, synth
 from trisect.algebra import GeneratorId, gcx_matrix, generator, rotation
-from trisect.cartan import absorption_factor, factorize_stack
+from trisect.cartan import absorption_factor, factorize, factorize_stack
 from trisect.circuit import (
     Circuit,
     Gcx,
@@ -26,7 +26,7 @@ from trisect.circuit import (
     eval_circuit,
     serialize,
 )
-from trisect.linalg import haar_unitary, unitary_distance
+from trisect.linalg import haar_unitary, unitarity_defect, unitary_distance
 from trisect.synth import (
     CITED_CINC_TOTALS,
     GateSet,
@@ -626,3 +626,75 @@ def test_synthesize_leaf_batch_matches_per_leaf_calls(monkeypatch):
             )
             per_leaf, _ = synthesize(u, options)
         _same_gates(batched.gates, per_leaf.gates, 1e-14)
+
+
+# ---------------------------------------------------------------------------
+# unitarity is checked once, where a matrix enters
+# ---------------------------------------------------------------------------
+
+
+def _at_defect(n: int, target: float) -> np.ndarray:
+    """A Haar unitary times I + eps G, with eps set so the defect is ``target``."""
+    rng = np.random.default_rng(90 + n)
+    u = haar_unitary(3**n, rng)
+    g = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+    eps = 1e-6 * target / unitarity_defect(u @ (np.eye(3**n) + 1e-6 * g))
+    m = u @ (np.eye(3**n) + eps * g)
+    assert unitarity_defect(m) == pytest.approx(target, rel=1e-3)
+    return m
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernels_only_see_unitary_input_at_the_tolerance_edge(monkeypatch, n):
+    # csd and unitary_eig do not check their input: inside the pipeline it
+    # is a product of unitary LAPACK factors.  Even for an input just inside
+    # UNITARY_ATOL, only stage 1's CSD of that very input (checked on entry)
+    # sees its defect; every other kernel input is unitary to rounding.
+    m = _at_defect(n, 0.9e-10)
+    seen = []
+
+    def record(kernel):
+        def wrapped(u, *args):
+            entry = u.size == m.size and np.array_equal(u.reshape(m.shape), m)
+            seen.append((entry, unitarity_defect(u)))
+            return kernel(u, *args)
+
+        return wrapped
+
+    monkeypatch.setattr(cartan, "csd", record(linalg.csd))
+    monkeypatch.setattr(cartan, "unitary_eig", record(linalg.unitary_eig))
+    _, rep = synthesize(m)
+    node = factorize(m)
+    assert rep.ok
+    assert max(node.residuals.values()) <= 1e-9
+    internal = [defect for entry, defect in seen if not entry]
+    assert [defect for entry, defect in seen if entry] == [unitarity_defect(m)] * 2
+    # Eight kernel calls per level (synthesize's n - 1, factorize's one), less the two entry CSDs.
+    assert len(internal) == 8 * n - 2 and max(internal) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_input_just_past_the_tolerance_is_refused(n):
+    m = _at_defect(n, 1.1e-10)
+    with pytest.raises(ValueError, match="not unitary"):
+        synthesize(m)
+    with pytest.raises(ValueError, match="not unitary"):
+        factorize(m)
+
+
+def test_unitarity_is_checked_once_per_entry(monkeypatch):
+    # One guard per factorize_stack level and one for the leaf stack.
+    calls = []
+
+    def counted(u):
+        calls.append(np.shape(u))
+        return unitarity_defect(u)
+
+    for module in (cartan, synth, linalg):
+        monkeypatch.setattr(module, "unitarity_defect", counted)
+    u = haar_unitary(27, np.random.default_rng(93))
+    synthesize(u)
+    assert calls == [(1, 27, 27), (9, 9, 9), (81, 3, 3)]
+    calls.clear()
+    factorize(u)
+    assert calls == [(1, 27, 27)]

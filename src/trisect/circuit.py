@@ -50,6 +50,13 @@ __all__ = [
 ]
 
 
+def _check_ints(*values) -> None:
+    """Qutrits, widths and control values are Python or numpy integers, not floats or bools."""
+    for v in values:
+        if type(v) is not int and not isinstance(v, np.integer):  # exact type, so bool fails
+            raise ValueError(f"qutrits and control values must be integers, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Rotation:
     axis: str  # 'x' | 'y' | 'z'
@@ -58,6 +65,7 @@ class Rotation:
     theta: float
 
     def __post_init__(self):
+        _check_ints(self.qutrit)
         if self.axis not in ("x", "y", "z") or self.level not in LEVELS:
             raise ValueError(f"bad rotation {self.axis!r}/{self.level!r}")
         if not math.isfinite(self.theta):
@@ -70,6 +78,7 @@ class LocalX:
     qutrit: int
 
     def __post_init__(self):
+        _check_ints(self.qutrit)
         if self.level not in LEVELS:
             raise ValueError(f"bad level {self.level!r}")
 
@@ -82,6 +91,7 @@ class Gcx:
     level: str
 
     def __post_init__(self):
+        _check_ints(self.control, self.value, self.target)
         if self.control == self.target:
             raise ValueError("control and target must differ")
         if self.value not in (0, 1, 2):
@@ -97,6 +107,7 @@ class Cinc:
     target: int
 
     def __post_init__(self):
+        _check_ints(self.control, self.value, self.target)
         if self.control == self.target:
             raise ValueError("control and target must differ")
         if self.value not in (0, 1, 2):
@@ -125,19 +136,24 @@ def _gate_qutrits(g: Gate) -> tuple[int, ...]:
     raise TypeError(f"not a gate: {g!r}")
 
 
+def _check_width(gates, n: int) -> None:
+    for g in gates:
+        for qt in _gate_qutrits(g):
+            if not 0 <= qt < n:
+                raise ValueError(f"gate {g} touches qutrit {qt} outside width {n}")
+
+
 @dataclass(frozen=True)
 class Circuit:
     n: int
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
+        _check_ints(self.n)
         if self.n < 1:
             raise ValueError("circuit needs at least one qutrit")
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            for qt in _gate_qutrits(g):
-                if not 0 <= qt < self.n:
-                    raise ValueError(f"gate {g} touches qutrit {qt} outside width {self.n}")
+        _check_width(self.gates, self.n)
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -407,42 +423,40 @@ def parse(text: str) -> Circuit:
                 if len(args) != 1 or not args[0].isdigit() or int(args[0]) < 1:
                     raise CircuitParseError(line_no, "QUTRITS needs a positive integer")
                 n = int(args[0])
-            elif kind == "QUTRITS":
+                continue
+            if kind == "QUTRITS":
                 raise CircuitParseError(line_no, "duplicate QUTRITS header")
             elif kind == "R":
                 if len(args) != 4:
                     raise CircuitParseError(line_no, "R needs: axis level qutrit angle")
-                gates.append(
-                    Rotation(args[0].lower(), args[1], _parse_qutrit(args[2], line_no),
-                             _parse_float(args[3], line_no))
-                )
+                gate = Rotation(args[0].lower(), args[1], _parse_qutrit(args[2], line_no),
+                                _parse_float(args[3], line_no))
             elif kind == "X":
                 if len(args) != 2:
                     raise CircuitParseError(line_no, "X needs: level qutrit")
-                gates.append(LocalX(args[0], _parse_qutrit(args[1], line_no)))
+                gate = LocalX(args[0], _parse_qutrit(args[1], line_no))
             elif kind == "GCX":
                 if len(args) != 3:
                     raise CircuitParseError(line_no, "GCX needs: control=value target level")
                 ctl, val = _parse_control(args[0], line_no)
-                gates.append(Gcx(ctl, val, _parse_qutrit(args[1], line_no), args[2]))
+                gate = Gcx(ctl, val, _parse_qutrit(args[1], line_no), args[2])
             elif kind == "CINC":
                 if len(args) != 2:
                     raise CircuitParseError(line_no, "CINC needs: control=value target")
                 ctl, val = _parse_control(args[0], line_no)
-                gates.append(Cinc(ctl, val, _parse_qutrit(args[1], line_no)))
+                gate = Cinc(ctl, val, _parse_qutrit(args[1], line_no))
             elif kind == "PHASE":
                 if len(args) != 1:
                     raise CircuitParseError(line_no, "PHASE needs one angle")
-                gates.append(GlobalPhase(_parse_float(args[0], line_no)))
+                gate = GlobalPhase(_parse_float(args[0], line_no))
             else:
                 raise CircuitParseError(line_no, f"unknown gate {toks[0]!r}")
+            _check_width((gate,), n)
+            gates.append(gate)
         except CircuitParseError:
             raise
-        except ValueError as exc:  # gate constructor rejected the fields
+        except ValueError as exc:  # gate constructor or width check rejected the fields
             raise CircuitParseError(line_no, str(exc)) from None
     if n is None:
         raise CircuitParseError(0, "empty circuit file (missing QUTRITS header)")
-    try:
-        return Circuit(n, tuple(gates))
-    except ValueError as exc:
-        raise CircuitParseError(0, str(exc)) from None
+    return Circuit(n, tuple(gates))

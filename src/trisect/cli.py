@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from . import __version__
 from .algebra import (
     LEVELS,
     GeneratorId,
+    check_line,
     cinc_matrix,
     commutation_selftest,
     embed_local,
@@ -89,10 +91,19 @@ def _err(msg: str) -> None:
     print(f"trisect: {msg}", file=sys.stderr)
 
 
+class _BadInput(Exception):
+    """Unreadable or malformed input: :func:`main` prints it and exits 2."""
+
+
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    """Text of ``path``, or of stdin for ``-``."""
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
+    except OSError as exc:
+        reason = (exc.strerror or str(exc)).lower()
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    raise _BadInput(f"cannot read {path}: {reason}")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -137,16 +148,13 @@ def _matrix_from_json(text: str) -> tuple[np.ndarray, int]:
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(dim, dim), n
 
 
-def _load_matrix_arg(path: str) -> tuple[np.ndarray, int] | int:
-    """Matrix + width, or an exit code after printing the problem."""
+def _load_matrix(path: str) -> tuple[np.ndarray, int]:
+    """Matrix and width from a matrix file."""
+    text = _read_text(path)
     try:
-        return _matrix_from_json(_read_text(path))
-    except FileNotFoundError:
-        _err(f"no such file: {path}")
-        return EXIT_PARSE
-    except (json.JSONDecodeError, ValueError) as exc:
-        _err(f"cannot read matrix file {path}: {exc}")
-        return EXIT_PARSE
+        return _matrix_from_json(text)
+    except ValueError as exc:  # json.JSONDecodeError included
+        raise _BadInput(f"cannot read matrix file {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +163,7 @@ def _load_matrix_arg(path: str) -> tuple[np.ndarray, int] | int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    loaded = _load_matrix_arg(args.matrix)
-    if isinstance(loaded, int):
-        return loaded
-    m, _ = loaded
+    m, _ = _load_matrix(args.matrix)
     defect = unitarity_defect(m)
     if defect > UNITARY_ATOL:
         if not args.sanitize:
@@ -191,21 +196,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    text = _read_text(args.circuit)
     try:
-        circuit = parse(_read_text(args.circuit))
-    except FileNotFoundError:
-        _err(f"no such file: {args.circuit}")
-        return EXIT_PARSE
+        circuit = parse(text)
     except CircuitParseError as exc:
-        _err(f"cannot parse circuit {args.circuit}: {exc}")
-        return EXIT_PARSE
-    loaded = _load_matrix_arg(args.matrix)
-    if isinstance(loaded, int):
-        return loaded
-    m, n = loaded
+        raise _BadInput(f"cannot parse circuit {args.circuit}: {exc}") from None
+    m, n = _load_matrix(args.matrix)
     if n != circuit.n:
-        _err(f"circuit is on {circuit.n} qutrits but the matrix is on {n}")
-        return EXIT_PARSE
+        raise _BadInput(f"circuit is on {circuit.n} qutrits but the matrix is on {n}")
     dist = unitary_distance(eval_circuit(circuit), m)
     ok = dist <= args.tolerance
     counts = count_gates(circuit)
@@ -271,70 +269,51 @@ def cmd_counts(args: argparse.Namespace) -> int:
     return status
 
 
+def _gap(pairs) -> float:
+    """Worst entry-wise difference over (lhs, rhs) pairs."""
+    return float(np.max([np.max(np.abs(lhs - rhs)) for lhs, rhs in pairs]))
+
+
 def _identity_checks() -> list[tuple[str, float, float]]:
     """(name, worst residual, tolerance) for the closed-form identities."""
-    checks: list[tuple[str, float, float]] = []
     thetas = (-5.1, -2.0, -0.7, 0.3, 1.9, 4.4)
-
-    worst = 0.0
-    for ij in LEVELS:
-        for th in thetas:
-            lhs = rotation("x", ij, th)
-            rhs = (
-                rotation("y", ij, np.pi / 2)
-                @ rotation("z", ij, th)
-                @ rotation("y", ij, -np.pi / 2)
-            )
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    checks.append(("x rotation = y-conjugated z rotation", worst, 1e-12))
-
-    worst = 0.0
-    for ij in LEVELS:
-        x_t = embed_local(generator(GeneratorId[f"X{ij}"]), 2, 1)
-        for m in range(3):
-            for mp in range(3):
-                if m == mp:
-                    continue
-                m2 = 3 - m - mp
-                lhs = gcx_matrix(2, 0, m, 1, ij) @ gcx_matrix(2, 0, mp, 1, ij)
-                rhs = gcx_matrix(2, 0, m2, 1, ij) @ x_t
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    checks.append(("GCX pair collapses to third value + X", worst, 1e-12))
-
-    worst = 0.0
-    for m in range(3):
-        lhs = cinc_matrix(2, 0, m, 1)
-        rhs = gcx_matrix(2, 0, m, 1, "02") @ gcx_matrix(2, 0, m, 1, "01")
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    checks.append(("CINC = X02-GCX after X01-GCX", worst, 1e-12))
-
-    worst = 0.0
-    for m in range(3):
-        raw = Circuit(2, (Gcx(0, m, 1, "01"), Gcx(0, m, 1, "02")))
-        fused = pass_fuse_cinc(raw)
-        if len(fused.gates) != 1 or not isinstance(fused.gates[0], Cinc):
-            worst = float("inf")
-            break
-        worst = max(worst, float(np.max(np.abs(eval_circuit(fused) - eval_circuit(raw)))))
-    checks.append(("fusion pass rewrites the GCX pair", worst, 1e-12))
-
+    y_conjugated = [
+        (rotation("x", ij, th),
+         rotation("y", ij, np.pi / 2) @ rotation("z", ij, th) @ rotation("y", ij, -np.pi / 2))
+        for ij in LEVELS
+        for th in thetas
+    ]
+    gcx_pairs = [
+        (gcx_matrix(2, 0, m, 1, ij) @ gcx_matrix(2, 0, mp, 1, ij),
+         gcx_matrix(2, 0, 3 - m - mp, 1, ij) @ embed_local(generator(GeneratorId[f"X{ij}"]), 2, 1))
+        for ij in LEVELS
+        for m in range(3)
+        for mp in range(3)
+        if m != mp
+    ]
+    cincs = [
+        (cinc_matrix(2, 0, m, 1), gcx_matrix(2, 0, m, 1, "02") @ gcx_matrix(2, 0, m, 1, "01"))
+        for m in range(3)
+    ]
+    raws = [Circuit(2, (Gcx(0, m, 1, "01"), Gcx(0, m, 1, "02"))) for m in range(3)]
+    fused = [pass_fuse_cinc(raw) for raw in raws]
+    if all(len(f.gates) == 1 and isinstance(f.gates[0], Cinc) for f in fused):
+        fusion = _gap((eval_circuit(f), eval_circuit(raw)) for f, raw in zip(fused, raws))
+    else:
+        fusion = math.inf
     ph = np.exp(1j * np.pi / 3)
     x01 = ph * rotation("x", "01", np.pi) @ rotation("z", "02", -2 * np.pi / 3) @ rotation("z", "01", np.pi / 3)
-    checks.append(
-        ("X01 from three rotations + phase",
-         float(np.max(np.abs(x01 - generator(GeneratorId.X01)))), 1e-12)
-    )
     x12 = ph * rotation("x", "12", np.pi) @ rotation("z", "01", 2 * np.pi / 3) @ rotation("z", "12", np.pi / 3)
-    checks.append(
-        ("X12 from three rotations + phase",
-         float(np.max(np.abs(x12 - generator(GeneratorId.X12)))), 1e-12)
-    )
     x02 = generator(GeneratorId.X01) @ generator(GeneratorId.X12) @ generator(GeneratorId.X01)
-    checks.append(
-        ("X02 = X01.X12.X01",
-         float(np.max(np.abs(x02 - generator(GeneratorId.X02)))), 1e-12)
-    )
-    return checks
+    return [
+        ("x rotation = y-conjugated z rotation", _gap(y_conjugated), 1e-12),
+        ("GCX pair collapses to third value + X", _gap(gcx_pairs), 1e-12),
+        ("CINC = X02-GCX after X01-GCX", _gap(cincs), 1e-12),
+        ("fusion pass rewrites the GCX pair", fusion, 1e-12),
+        ("X01 from three rotations + phase", _gap([(x01, generator(GeneratorId.X01))]), 1e-12),
+        ("X12 from three rotations + phase", _gap([(x12, generator(GeneratorId.X12))]), 1e-12),
+        ("X02 = X01.X12.X01", _gap([(x02, generator(GeneratorId.X02))]), 1e-12),
+    ]
 
 
 def _csd_residual(u: np.ndarray) -> float:
@@ -343,18 +322,16 @@ def _csd_residual(u: np.ndarray) -> float:
     res = csd(u, p, 2 * p)
     left = scipy.linalg.block_diag(res.l1, res.l2)
     right = scipy.linalg.block_diag(res.r1, res.r2)
-    recon = left @ csd_sigma(res.theta, p, 2 * p) @ right.conj().T
-    return float(np.max(np.abs(recon - u)))
+    return _gap([(left @ csd_sigma(res.theta, p, 2 * p) @ right.conj().T, u)])
 
 
 def _stack_mismatch(ms: np.ndarray) -> float:
     """Worst entry gap between one stacked factorization and per-matrix calls."""
-    worst = 0.0
-    for m, node in zip(ms, factorize_stack(ms)):
-        for a, b in zip(node.entries, factorize(m).entries):
-            gap = a.matrix - b.matrix if a.kind == "K" else a.angles - b.angles
-            worst = max(worst, float(np.max(np.abs(gap))))
-    return worst
+    return _gap(
+        (a.matrix, b.matrix) if a.kind == "K" else (a.angles, b.angles)
+        for m, node in zip(ms, factorize_stack(ms))
+        for a, b in zip(node.entries, factorize(m).entries)
+    )
 
 
 def _factorization_checks(seed: int) -> list[tuple[str, float, float]]:
@@ -378,8 +355,7 @@ def _factorization_checks(seed: int) -> list[tuple[str, float, float]]:
 
         node = factorize(u)
         checks.append(
-            (f"factorization reconstructs (d={d})",
-             float(np.max(np.abs(reassemble(node) - u))), 1e-9 * d)
+            (f"factorization reconstructs (d={d})", _gap([(reassemble(node), u)]), 1e-9 * d)
         )
         checks.append(
             (f"factorization stage residuals (d={d})",
@@ -395,27 +371,19 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     override = _FAULT if args.inject_fault else None
     if args.inject_fault:
         print("running with an injected generator fault (expect failures)", file=sys.stderr)
-    ok = True
-
-    print("closed-form identities:")
-    for name, resid, tol in _identity_checks() + _factorization_checks(args.seed):
-        good = resid <= tol
-        ok &= good
-        print(f"  {'[ok]' if good else '[FAIL]':<6} {name:<44s} residual {resid:.3e}")
-
+    sections = [("closed-form identities:", _identity_checks() + _factorization_checks(args.seed))]
     for n in args.qutrits:
-        print(f"commutation tables (n={n}, {args.trials} trials/relation):")
         report = commutation_selftest(n, seed=args.seed, trials=args.trials, override=override)
-        ok &= report.passed
-        for line in report.lines():
-            print(f"  {line}")
+        sections.append((f"commutation tables (n={n}, {args.trials} trials/relation):",
+                         report.results))
+    report = maximal_abelian_check(2, seed=args.seed, trials=args.trials)
+    sections.append(("maximal abelian diagonal span (n=2):", report.results))
 
-    print("maximal abelian diagonal span (n=2):")
-    abelian = maximal_abelian_check(2, seed=args.seed, trials=args.trials)
-    ok &= abelian.passed
-    for line in abelian.lines():
-        print(f"  {line}")
-
+    for title, rows in sections:
+        print(title)
+        for row in rows:
+            print(f"  {check_line(*row)}")
+    ok = all(res <= tol for _, rows in sections for _, res, tol in rows)
     print(f"selftest: {'all checks passed' if ok else 'FAILURES detected'}")
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -437,6 +405,16 @@ def _int_at_least(low: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for a finite positive float."""
+    if not 0 < (value := float(text)) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
+    return value
+
+
+_tolerance.__name__ = "float"  # so a non-number gets argparse's "invalid float value" message
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="trisect",
@@ -454,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=GateSet.GCX_CINC.value,
         help="two-qutrit vocabulary (default: %(default)s)",
     )
-    sp.add_argument("--tolerance", type=float, default=1e-8, help="verification bound")
+    sp.add_argument("--tolerance", type=_tolerance, default=1e-8, help="verification bound")
     sp.add_argument(
         "--sanitize",
         action="store_true",
@@ -471,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="simulate a circuit against a matrix")
     vp.add_argument("circuit", help="circuit file, or - for stdin")
     vp.add_argument("matrix", help="JSON matrix file")
-    vp.add_argument("--tolerance", type=float, default=1e-8)
+    vp.add_argument("--tolerance", type=_tolerance, default=1e-8)
     vp.set_defaults(func=cmd_verify)
 
     rp = sub.add_parser("random", help="emit a Haar-random unitary matrix file")
@@ -509,7 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _BadInput as exc:
+        _err(str(exc))
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -183,7 +183,7 @@ def test_criterion_6_commutation_and_abelian_suites():
     worst = 0.0
     ok = True
     for n in (2, 3):
-        report = commutation_selftest(n, seed=1006, trials=50, tol=1e-10)
+        report = commutation_selftest(n, seed=1006, trials=50)
         ok &= report.passed and report.trials >= 50
         worst = max(worst, max(res for _, res, _ in report.results))
     abelian = maximal_abelian_check(2, seed=1006)

@@ -5,6 +5,7 @@ import pytest
 
 from trisect.algebra import (
     LEVELS,
+    CheckReport,
     GeneratorId,
     SubspaceId,
     cinc_matrix,
@@ -278,7 +279,7 @@ def test_random_elements_live_in_their_subspace(sid):
     for n in (2, 3):
         m = random_subspace_element(sid, n, _RNG)
         assert np.max(np.abs(m + m.conj().T)) < 1e-12  # skew-Hermitian
-        ok, resid = subspace_membership(m, sid, tol=1e-10)
+        ok, resid = subspace_membership(m, sid)
         assert ok, (sid, n, resid)
 
 
@@ -327,3 +328,14 @@ def test_maximal_abelian_check_passes():
     assert report.passed
     assert report.worst_residual < 1e-10
     assert len(report.lines()) == 4
+
+
+def test_check_report_rows_pass_within_their_tolerance():
+    report = CheckReport(n=2, trials=1, results=(("exact", 0.0, 0.0), ("loose", 5e-11, 1e-10)))
+    assert report.passed and report.worst_residual == 5e-11
+    for bad in (1e-300, float("nan")):
+        failing = CheckReport(n=2, trials=1, results=report.results + (("strict", bad, 0.0),))
+        assert not failing.passed
+        assert failing.lines()[-1].startswith("[FAIL]")
+    # one column layout for every row, whatever the name's length
+    assert len({line.index("residual") for line in failing.lines()}) == 1

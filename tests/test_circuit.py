@@ -84,9 +84,46 @@ def test_angles_must_be_finite(bad):
     assert GlobalPhase(np.float64(-0.25)).phi == -0.25
 
 
+_NON_INTEGER_FIELDS = {
+    "rotation-float-qutrit": lambda: Rotation("z", "01", 1.0, 0.5),
+    "rotation-bool-qutrit": lambda: Rotation("z", "01", True, 0.5),
+    "localx-numpy-float-qutrit": lambda: LocalX("01", np.float64(0.0)),
+    "gcx-float-control": lambda: Gcx(0.0, 1, 1, "01"),
+    "gcx-bool-value": lambda: Gcx(0, True, 1, "01"),
+    "gcx-float-target": lambda: Gcx(0, 1, 1.0, "01"),
+    "cinc-bool-control": lambda: Cinc(False, 1, 1),
+    "cinc-float-value": lambda: Cinc(0, 2.0, 1),
+    "cinc-numpy-bool-target": lambda: Cinc(0, 1, np.True_),
+}
+
+
+@pytest.mark.parametrize("build", _NON_INTEGER_FIELDS.values(), ids=_NON_INTEGER_FIELDS.keys())
+def test_gate_fields_must_be_integers(build):
+    # a float or bool would serialize as q1.0 or q0=True, which parse refuses
+    with pytest.raises(ValueError, match="must be integers"):
+        build()
+
+
+@pytest.mark.parametrize("to_int", [int, np.int64, np.int32, np.uint8, np.intp])
+def test_accepted_gates_round_trip(to_int):
+    gates = (
+        Rotation("y", "02", to_int(1), 0.25),
+        LocalX("12", to_int(0)),
+        Gcx(to_int(0), to_int(2), to_int(1), "01"),
+        Cinc(to_int(1), to_int(0), to_int(0)),
+        GlobalPhase(np.float64(0.5)),
+    )
+    c = Circuit(2, gates)
+    assert parse(serialize(c)) == c
+
+
 def test_circuit_validates_width():
     with pytest.raises(ValueError):
         Circuit(0, ())
+    for width in (2.0, True):  # would serialize as "QUTRITS 2.0" or "QUTRITS True"
+        with pytest.raises(ValueError, match="must be integers"):
+            Circuit(width, ())
+    assert parse(serialize(Circuit(np.int64(2), ()))).n == 2
     with pytest.raises(ValueError, match="outside width"):
         Circuit(2, (Rotation("x", "01", 2, 1.0),))
     with pytest.raises(ValueError, match="outside width"):
@@ -320,6 +357,7 @@ def test_serialize_format_lines():
         ("QUTRITS 2\nR x 01 q0", 2, "R needs"),
         ("QUTRITS 2\nR x 33 q0 1.0", 2, "bad rotation"),
         ("QUTRITS 1\nGCX q0=1 q0 01", 2, "must differ"),
+        ("QUTRITS 2\nR x 01 q0 1.0\nGCX q0=1 q7 01\n", 3, "outside width"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no, fragment):

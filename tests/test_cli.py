@@ -215,6 +215,42 @@ def test_verify_missing_circuit_file(tmp_path, capsys):
     assert "no such file" in err
 
 
+def _unreadable(tmp_path, kind):
+    if kind == "directory":
+        path = tmp_path / "a-directory"
+        path.mkdir()
+    else:
+        path = tmp_path / "binary"
+        path.write_bytes(b"\xff\xfe\x00QUTRITS")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_input_exits_2(tmp_path, capsys, kind):
+    bad = _unreadable(tmp_path, kind)
+    mat = _matrix_file(tmp_path, "m.json", np.eye(3, dtype=complex), 1)
+    circ = tmp_path / "c.txt"
+    circ.write_text("QUTRITS 1\n")
+    for argv in (["synth", bad], ["verify", bad, mat], ["verify", str(circ), bad]):
+        code, _, err = _run(capsys, *argv)
+        assert code == EXIT_PARSE, argv
+        assert f"cannot read {bad}" in err, argv
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-1", "inf", "-inf", "tiny"])
+@pytest.mark.parametrize("command", ["synth", "verify"])
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, command, value):
+    mat = _matrix_file(tmp_path, "m.json", np.eye(3, dtype=complex), 1)
+    circ = tmp_path / "c.txt"
+    circ.write_text("QUTRITS 1\n")
+    files = [mat] if command == "synth" else [str(circ), mat]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *files, f"--tolerance={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be a finite positive number" in err or "invalid float value" in err
+
+
 def test_verify_width_mismatch(tmp_path, capsys):
     circ = tmp_path / "c.txt"
     circ.write_text("QUTRITS 1\n")
@@ -331,4 +367,7 @@ def test_selftest_status_column_is_aligned(capsys, monkeypatch):
     passing = next(line for line in out.splitlines() if "passing check" in line)
     failing = next(line for line in out.splitlines() if "failing check" in line)
     assert "[ok]" in passing and "[FAIL]" in failing
-    assert passing.index("residual") == failing.index("residual")
+    # every row of every section, commutation and abelian ones included
+    rows = [line for line in out.splitlines() if line.lstrip().startswith(("[ok]", "[FAIL]"))]
+    assert len(rows) == 2 + 12 + 18 + 4
+    assert {line.rindex("residual") for line in rows} == {passing.index("residual")}

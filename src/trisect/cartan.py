@@ -399,18 +399,14 @@ def factorize_stack(ms: np.ndarray, absorb: bool = False) -> list[FactorizationN
         prod = (v[:, None] * _block_phases(kind, lam)[..., None, :]) @ w
         residuals[name] = _worst(prod - target)
 
-    # The chain in matrix-product order, as (kind, stack) pairs: K factors
-    # and angle vectors, one per node along the leading axis.
-    chain = (
-        ("K", v1), ("dbar", lam_b1), ("K", w1),
-        ("x12", th_l),
-        ("K", v3), ("d", lam_d1), ("K", w3),
-        ("x01", th_a),
-        ("K", v5), ("dbar", lam_b2), ("K", w5),
-        ("x12", th_r),
-        ("K", v7), ("z12", lam_e),
-        ("K", v8), ("d", lam_d2), ("K", w8),
-    )
+    # The chain in matrix-product order, as (kind, stack) pairs, one node
+    # per index of the leading axis: the nine K block stacks interleaved
+    # with the eight angle stacks of NONLOCAL_ORDER.
+    ks = (v1, w1, v3, w3, v5, w5, v7, v8, w8)
+    angles = (lam_b1, th_l, lam_d1, th_a, lam_b2, th_r, lam_e, lam_d2)
+    chain = [("K", ks[0])]
+    for kind, lam, k in zip(NONLOCAL_ORDER, angles, ks[1:], strict=True):
+        chain += [(kind, lam), ("K", k)]
     return [
         FactorizationNode(
             n=n,

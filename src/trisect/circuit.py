@@ -24,7 +24,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
@@ -55,6 +56,15 @@ def _check_ints(*values) -> None:
     for v in values:
         if type(v) is not int and not isinstance(v, np.integer):  # exact type, so bool fails
             raise ValueError(f"qutrits and control values must be integers, got {v!r}")
+
+
+def _check_controlled(g: Gcx | Cinc) -> None:
+    """Control and target are distinct qutrits and the control value is a trit."""
+    _check_ints(g.control, g.value, g.target)
+    if g.control == g.target:
+        raise ValueError("control and target must differ")
+    if g.value not in (0, 1, 2):
+        raise ValueError(f"control value must be 0, 1 or 2, got {g.value}")
 
 
 @dataclass(frozen=True)
@@ -91,11 +101,7 @@ class Gcx:
     level: str
 
     def __post_init__(self):
-        _check_ints(self.control, self.value, self.target)
-        if self.control == self.target:
-            raise ValueError("control and target must differ")
-        if self.value not in (0, 1, 2):
-            raise ValueError(f"control value must be 0, 1 or 2, got {self.value}")
+        _check_controlled(self)
         if self.level not in LEVELS:
             raise ValueError(f"bad level {self.level!r}")
 
@@ -106,12 +112,7 @@ class Cinc:
     value: int
     target: int
 
-    def __post_init__(self):
-        _check_ints(self.control, self.value, self.target)
-        if self.control == self.target:
-            raise ValueError("control and target must differ")
-        if self.value not in (0, 1, 2):
-            raise ValueError(f"control value must be 0, 1 or 2, got {self.value}")
+    __post_init__ = _check_controlled
 
 
 @dataclass(frozen=True)
@@ -329,31 +330,15 @@ class CountReport:
 
     @property
     def total(self) -> int:
-        return self.rotations + self.local_x + self.gcx + self.cinc + self.phases
+        return sum(asdict(self).values())
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "rotations": self.rotations,
-            "local_x": self.local_x,
-            "gcx": self.gcx,
-            "cinc": self.cinc,
-            "phases": self.phases,
-            "two_qutrit": self.two_qutrit,
-            "total": self.total,
-        }
+        return {**asdict(self), "two_qutrit": self.two_qutrit, "total": self.total}
 
 
 def count_gates(c: Circuit) -> CountReport:
-    kinds = {Rotation: 0, LocalX: 0, Gcx: 0, Cinc: 0, GlobalPhase: 0}
-    for g in c.gates:
-        kinds[type(g)] += 1
-    return CountReport(
-        rotations=kinds[Rotation],
-        local_x=kinds[LocalX],
-        gcx=kinds[Gcx],
-        cinc=kinds[Cinc],
-        phases=kinds[GlobalPhase],
-    )
+    kinds = Counter(map(type, c.gates))
+    return CountReport(kinds[Rotation], kinds[LocalX], kinds[Gcx], kinds[Cinc], kinds[GlobalPhase])
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ Subcommands:
 
 Matrix files are JSON objects {"qutrits": n, "dim": 3^n, "matrix": [[re,
 im], ...]} with row-major, finite entries.  Exit codes: 0 success, 2
-unreadable input or out-of-range option, 3 non-unitary matrix without
---sanitize, 4 verification failure.
+unreadable input, unwritable output or out-of-range option, 3 non-unitary
+matrix without --sanitize, 4 verification failure.
 Diagnostics go to stderr; machine-readable output goes to stdout or -o.
 """
 
@@ -62,6 +62,7 @@ from .linalg import (
 from .passes import pass_fuse_cinc
 from .synth import (
     CITED_CINC_TOTALS,
+    FACTOR_KINDS,
     GateSet,
     SynthesisOptions,
     cinc_savings,
@@ -92,7 +93,7 @@ def _err(msg: str) -> None:
 
 
 class _BadInput(Exception):
-    """Unreadable or malformed input: :func:`main` prints it and exits 2."""
+    """Unreadable or malformed input, or an unwritable output: :func:`main` prints it and exits 2."""
 
 
 def _read_text(path: str) -> str:
@@ -107,12 +108,15 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """Write ``text``, ending in a newline, to ``path``, or to stdout for None or ``-``."""
+    text = text if text.endswith("\n") else text + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        Path(path).write_text(text if text.endswith("\n") else text + "\n")
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _BadInput(f"cannot write {path}: {(exc.strerror or str(exc)).lower()}") from None
 
 
 def _matrix_to_json(m: np.ndarray, n: int) -> str:
@@ -185,7 +189,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     for line in report.lines():
         print(line, file=sys.stderr)
     if args.report:
-        Path(args.report).write_text(json.dumps(report.as_dict(), indent=2) + "\n")
+        _write_text(args.report, json.dumps(report.as_dict(), indent=2))
     if not report.ok:
         _err(
             f"verification failed: distance {report.distance:.3e} "
@@ -196,6 +200,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.circuit == args.matrix == "-":
+        raise _BadInput("stdin can supply only one of the circuit and the matrix")
     text = _read_text(args.circuit)
     try:
         circuit = parse(text)
@@ -240,14 +246,14 @@ def cmd_counts(args: argparse.Namespace) -> int:
 
     if args.operators:
         print()
-        print(f"{'n':>2}  " + "  ".join(f"{k:>6}" for k in ("x01", "x12", "z12", "d", "dbar")))
+        print(f"{'n':>2}  " + "  ".join(f"{k:>6}" for k in FACTOR_KINDS))
         for n in range(2, args.n_max + 1):
-            row = [operator_count(k, n, GateSet(args.gate_set)) for k in ("x01", "x12", "z12", "d", "dbar")]
+            row = [operator_count(k, n, GateSet(args.gate_set)) for k in FACTOR_KINDS]
             print(f"{n:>2}  " + "  ".join(f"{v:>6}" for v in row))
             if args.measured and n <= 4:
-                meas = measured_operator_counts(n, GateSet(args.gate_set), seed=args.seed)
-                print(f"    " + "  ".join(f"{meas[k]:>6}" for k in ("x01", "x12", "z12", "d", "dbar")) + "  (measured)")
-                if any(meas[k] != v for k, v in zip(("x01", "x12", "z12", "d", "dbar"), row)):
+                meas = [measured_operator_counts(n, GateSet(args.gate_set), seed=args.seed)[k] for k in FACTOR_KINDS]
+                print(f"    " + "  ".join(f"{v:>6}" for v in meas) + "  (measured)")
+                if meas != row:
                     status = EXIT_VERIFY
 
     if args.measured:
@@ -443,12 +449,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the simplification passes (also disables CINC fusion)",
     )
-    sp.add_argument("--report", help="write a JSON synthesis report to this path")
+    sp.add_argument("--report", help="write a JSON synthesis report to this path (- for stdout)")
     sp.set_defaults(func=cmd_synth)
 
     vp = sub.add_parser("verify", help="simulate a circuit against a matrix")
     vp.add_argument("circuit", help="circuit file, or - for stdin")
-    vp.add_argument("matrix", help="JSON matrix file")
+    vp.add_argument("matrix", help="JSON matrix file, or - for stdin")
     vp.add_argument("--tolerance", type=_tolerance, default=1e-8)
     vp.set_defaults(func=cmd_verify)
 

@@ -57,53 +57,27 @@ def commutes(a: Gate, b: Gate) -> bool:
       * z-rotations are diagonal: they commute with each other on any
         levels and with any controlled gate through its control qutrit;
       * same-axis same-level rotations on one qutrit commute; LocalX
-        commutes with an x-rotation at its own level.
+        commutes with an x-rotation or a LocalX at its own level.
     """
     if isinstance(a, GlobalPhase) or isinstance(b, GlobalPhase):
         return True
     if set(_gate_qutrits(a)).isdisjoint(_gate_qutrits(b)):
         return True
-
-    if isinstance(a, (Gcx, Cinc)) and isinstance(b, (Gcx, Cinc)):
-        if a.control == b.control:
-            if a.value != b.value or a.target != b.target:
-                # different blocks, or diagonal-in-control with separate targets
-                if b.target != a.control and a.target != b.control:
-                    return True
-        if (
-            isinstance(a, Gcx)
-            and isinstance(b, Gcx)
-            and a.target == b.target
-            and a.level == b.level
-            and a.control != b.target
-            and b.control != a.target
-        ):
+    # Controlled gate first, then LocalX; the rules below are symmetric.
+    if isinstance(b, (Gcx, Cinc)) or isinstance(b, LocalX) and isinstance(a, Rotation):
+        a, b = b, a
+    if isinstance(a, (Gcx, Cinc)):
+        if isinstance(b, Rotation):
+            return b.axis == "z" and b.qutrit == a.control
+        if isinstance(b, LocalX):
+            return isinstance(a, Gcx) and (b.qutrit, b.level) == (a.target, a.level)
+        if a.control == b.control and (a.value != b.value or a.target != b.target):
             return True
-        return False
-
-    # rotation / controlled-gate pairs
-    for rot, ctl in ((a, b), (b, a)):
-        if isinstance(rot, Rotation) and isinstance(ctl, (Gcx, Cinc)):
-            return rot.axis == "z" and rot.qutrit == ctl.control
-
-    for loc, ctl in ((a, b), (b, a)):
-        if isinstance(loc, LocalX) and isinstance(ctl, Gcx):
-            return loc.qutrit == ctl.target and loc.level == ctl.level and ctl.control != loc.qutrit
-
-    if isinstance(a, Rotation) and isinstance(b, Rotation):
-        # same qutrit here (disjoint handled above)
-        if a.axis == "z" and b.axis == "z":
-            return True
-        return a.axis == b.axis and a.level == b.level
-
-    for loc, rot in ((a, b), (b, a)):
-        if isinstance(loc, LocalX) and isinstance(rot, Rotation):
-            return rot.axis == "x" and rot.level == loc.level
-
-    if isinstance(a, LocalX) and isinstance(b, LocalX):
-        return a.level == b.level
-
-    return False
+        return isinstance(a, Gcx) and isinstance(b, Gcx) and (a.target, a.level) == (b.target, b.level)
+    if isinstance(a, LocalX):
+        return a.level == b.level and (isinstance(b, LocalX) or b.axis == "x")
+    # two rotations on one qutrit
+    return a.axis == b.axis and (a.axis == "z" or a.level == b.level)
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +87,7 @@ def commutes(a: Gate, b: Gate) -> bool:
 
 def _merge_pair(a: Gate, b: Gate) -> list[Gate] | None:
     """Rewrite for the pair [a, b] brought adjacent; None means 'no rule applies'."""
-    if isinstance(a, Gcx) and a == b:
-        return []
-    if isinstance(a, LocalX) and a == b:
+    if isinstance(a, (Gcx, LocalX)) and a == b:
         return []
     if isinstance(a, Rotation) and isinstance(b, Rotation):
         if (a.axis, a.level, a.qutrit) == (b.axis, b.level, b.qutrit):
@@ -188,16 +160,7 @@ def pass_fuse_cinc(c: Circuit) -> Circuit:
     value and target, applied in that order) into a single CINC."""
     out: list[Gate] = []
     for g in c.gates:
-        top = out[-1] if out else None
-        if (
-            isinstance(g, Gcx)
-            and isinstance(top, Gcx)
-            and g.level == "02"
-            and top.level == "01"
-            and top.control == g.control
-            and top.value == g.value
-            and top.target == g.target
-        ):
+        if isinstance(g, Gcx) and g.level == "02" and out and out[-1] == Gcx(g.control, g.value, g.target, "01"):
             out[-1] = Cinc(g.control, g.value, g.target)
         else:
             out.append(g)

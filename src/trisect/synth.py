@@ -47,6 +47,7 @@ from .passes import simplify
 
 __all__ = [
     "CITED_CINC_TOTALS",
+    "FACTOR_KINDS",
     "GateSet",
     "SynthesisOptions",
     "SynthesisReport",
@@ -304,6 +305,9 @@ def single_qutrit_gates(u: np.ndarray, qutrit: int = 0) -> list[Gate]:
 # command calls that out rather than silently preferring either number.
 CITED_CINC_TOTALS = {2: 21, 3: 217, 4: 2686}
 
+# The nonlocal factor kinds, in the column order of the count tables.
+FACTOR_KINDS = ("x01", "x12", "z12", "d", "dbar")
+
 
 def expected_count(n: int, gate_set: GateSet = GateSet.GCX_CINC) -> int:
     """Closed-form two-qutrit gate count of a generic n-qutrit synthesis."""
@@ -357,7 +361,7 @@ def measured_operator_counts(
     rng = np.random.default_rng(seed)
     qs = list(range(n))
     counts: dict[str, int] = {}
-    for kind in ("x01", "x12", "z12", "d", "dbar"):
+    for kind in FACTOR_KINDS:
         angles = rng.uniform(0.2, 1.3, size=3 ** (n - 1))
         gates = _factor_gates(kind, qs, angles)
         circ = simplify(Circuit(n, tuple(gates)), use_cinc=gate_set is GateSet.GCX_CINC)

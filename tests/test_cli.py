@@ -122,6 +122,38 @@ def test_synth_report_file(tmp_path, capsys):
     assert data["distance"] < 1e-8
 
 
+def test_synth_report_to_stdout(tmp_path, capsys):
+    mat = _matrix_file(tmp_path, "m.json", np.eye(3, dtype=complex), 1)
+    code, out, _ = _run(capsys, "synth", mat, "-o", str(tmp_path / "c.txt"), "--report", "-")
+    assert code == EXIT_OK
+    assert json.loads(out)["qutrits"] == 1
+
+
+def test_synth_no_passes(tmp_path, capsys):
+    mat = _matrix_file(tmp_path, "m.json", haar_unitary(9, np.random.default_rng(3)), 2)
+    report = tmp_path / "r.json"
+    code, out, _ = _run(capsys, "synth", mat, "--no-passes", "--report", str(report))
+    assert code == EXIT_OK
+    assert out.startswith("QUTRITS 2") and "CINC" not in out
+    assert json.loads(report.read_text())["expected_two_qutrit"] is None
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("command", ["random -o", "synth -o", "synth --report"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, where):
+    if where == "directory":
+        bad, reason = tmp_path / "a-directory", "is a directory"
+        bad.mkdir()
+    else:
+        bad, reason = tmp_path / "no-such-dir" / "out.txt", "no such file or directory"
+    mat = _matrix_file(tmp_path, "m.json", np.eye(3, dtype=complex), 1)
+    name, flag = command.split()
+    argv = [name, "1"] if name == "random" else [name, mat]
+    code, _, err = _run(capsys, *argv, flag, str(bad))
+    assert code == EXIT_PARSE
+    assert f"cannot write {bad}: {reason}" in err
+
+
 def test_synth_missing_file(capsys):
     code, _, err = _run(capsys, "synth", "/nonexistent/m.json")
     assert code == EXIT_PARSE
@@ -206,6 +238,15 @@ def test_verify_reports_parse_error_with_line(tmp_path, capsys):
     code, _, err = _run(capsys, "verify", str(circ), mat)
     assert code == EXIT_PARSE
     assert "line 2" in err
+
+
+def test_verify_refuses_stdin_for_both_inputs(capsys, monkeypatch):
+    stdin = io.StringIO("QUTRITS 1\n")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, _, err = _run(capsys, "verify", "-", "-")
+    assert code == EXIT_PARSE
+    assert "stdin can supply only one of the circuit and the matrix" in err
+    assert stdin.tell() == 0  # refused before reading anything
 
 
 def test_verify_missing_circuit_file(tmp_path, capsys):

@@ -52,13 +52,34 @@ _GATE_POOL = (
 )
 
 
+def _every_gate_kind(n: int) -> list:
+    """One gate of each kind, axis, level, qutrit and control pattern on n qutrits."""
+    levels = ("01", "02", "12")
+    pool = [GlobalPhase(0.3)]
+    for q in range(n):
+        pool += [Rotation(axis, lv, q, 0.7) for axis in "xyz" for lv in levels]
+        pool += [LocalX(lv, q) for lv in levels]
+    for c in range(n):
+        for t in range(n):
+            if c != t:
+                for v in range(3):
+                    pool += [Gcx(c, v, t, lv) for lv in levels] + [Cinc(c, v, t)]
+    return pool
+
+
 def test_commutes_is_sound():
     # whenever the structural rule says True, the matrices must commute
-    for a in _GATE_POOL:
-        for b in _GATE_POOL:
+    pool = _every_gate_kind(3)
+    assert len(pool) == 109
+    mats = [gate_matrix(g, 3) for g in pool]
+    commuting = 0
+    for a, ma in zip(pool, mats):
+        for b, mb in zip(pool, mats):
             if commutes(a, b):
-                ma, mb = gate_matrix(a, 2), gate_matrix(b, 2)
+                commuting += 1
                 assert np.max(np.abs(ma @ mb - mb @ ma)) < 1e-12, (a, b)
+    # the exact count pins the rules: any change in what they admit moves it
+    assert commuting == 5077
 
 
 def test_commutes_specific_rules():

@@ -6,8 +6,7 @@ circuit matrix is the reversed product of the individual gate matrices.
 any gate's full matrix: it cuts the gate list into runs on at most three
 qutrits, simulates each run on its own matrix of at most 27 x 27 (3x3
 rotations and row permutations) and applies it to the full unitary in
-one tensor contraction.  :func:`gate_matrix` gives the dense per-gate matrix, which
-the tests use as the reference.
+one tensor contraction as soon as the run is cut, keeping nothing of it.
 
 Text format (one gate per line, '#' starts a comment):
 
@@ -22,7 +21,6 @@ Text format (one gate per line, '#' starts a comment):
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -45,7 +43,6 @@ __all__ = [
     "Rotation",
     "count_gates",
     "eval_circuit",
-    "gate_matrix",
     "parse",
     "serialize",
 ]
@@ -160,24 +157,10 @@ class Circuit:
         return len(self.gates)
 
 
-def gate_matrix(g: Gate, n: int) -> np.ndarray:
-    if isinstance(g, Rotation):
-        return algebra.embed_local(algebra.rotation(g.axis, g.level, g.theta), n, g.qutrit)
-    if isinstance(g, LocalX):
-        gid = algebra.GeneratorId[f"X{g.level}"]
-        return algebra.embed_local(algebra.generator(gid), n, g.qutrit)
-    if isinstance(g, Gcx):
-        return algebra.gcx_matrix(n, g.control, g.value, g.target, g.level)
-    if isinstance(g, Cinc):
-        return algebra.cinc_matrix(n, g.control, g.value, g.target)
-    if isinstance(g, GlobalPhase):
-        return np.exp(1j * g.phi) * np.eye(3**n, dtype=complex)
-    raise TypeError(f"not a gate: {g!r}")
-
-
 # Widest support a run may have; its local matrix is at most 27 x 27.
 RUN_QUTRITS = 3
 
+# X01, X02, X12; a chain reaches them by negative index, after its run's rotations.
 _LOCAL_X = np.array([algebra.generator(algebra.GeneratorId[f"X{lv}"]) for lv in LEVELS])
 
 
@@ -200,20 +183,17 @@ def _local_permutation(gid: str, target: int, control: int, value: int, width: i
 def _chain_products(stack: np.ndarray, chains: list[list[int]]) -> np.ndarray:
     """Product of each chain of ``stack`` indices (first index acts first), (len(chains), 3, 3).
 
-    Chains are sorted longest first, so step t multiplies a prefix of them
-    in one batched matmul and the work is the total chain length.
+    The chains of one length are multiplied together, step t of all of
+    them in one batched matmul, so the work is the total chain length.
     """
-    lengths = np.array([len(ch) for ch in chains], dtype=np.intp)
-    order = np.argsort(-lengths, kind="stable")
-    starts = (np.cumsum(lengths) - lengths)[order]
-    lengths = lengths[order]
-    flat = np.fromiter(itertools.chain.from_iterable(chains), dtype=np.intp)
-    prod = stack[flat[starts]]
-    for t in range(1, lengths.max(initial=0)):
-        k = np.count_nonzero(lengths > t)
-        prod[:k] = stack[flat[starts[:k] + t]] @ prod[:k]
-    out = np.empty_like(prod)
-    out[order] = prod
+    out = np.empty((len(chains), 3, 3), dtype=complex)
+    for length in set(map(len, chains)):
+        rows = [i for i, ch in enumerate(chains) if len(ch) == length]
+        mats = stack[np.array([chains[i] for i in rows])]
+        prod = mats[:, 0]
+        for t in range(1, length):
+            prod = mats[:, t] @ prod
+        out[rows] = prod
     return out
 
 
@@ -222,14 +202,14 @@ def _apply_local(m: np.ndarray, r: np.ndarray, axis: int) -> np.ndarray:
     return np.matmul(r, m.reshape(3**axis, 3, -1)).reshape(m.shape)
 
 
-def _run_matrix(steps: list, axes: list[int], prods: np.ndarray) -> np.ndarray:
-    """The 3^k x 3^k matrix of a run's steps on the k qutrits ``axes`` (sorted).
+def _run_matrix(steps: list, support: list[int], prods: np.ndarray) -> np.ndarray:
+    """The 3^k x 3^k matrix of a run's steps on its k qutrits ``support``, in sorted order.
 
     A step ``(q, chain)`` applies the product of the single-qutrit gates
     deferred on qutrit q; ``(gid, control, target, value)`` is a row gather.
     """
-    width = len(axes)
-    local = {q: i for i, q in enumerate(axes)}
+    width = len(support)
+    local = {q: i for i, q in enumerate(sorted(support))}
     m = np.eye(3**width, dtype=complex)
     for step in steps:
         if len(step) == 2:
@@ -240,35 +220,26 @@ def _run_matrix(steps: list, axes: list[int], prods: np.ndarray) -> np.ndarray:
     return m
 
 
-def _apply_run(u: np.ndarray, steps: list, support: list[int], prods: np.ndarray) -> np.ndarray:
-    """A run's matrix applied to its qutrit axes of the row tensor ``u``."""
-    axes = sorted(support)
-    k = len(axes)
-    m = _run_matrix(steps, axes, prods).reshape((3,) * (2 * k))
-    return np.moveaxis(np.tensordot(m, u, axes=(range(k, 2 * k), axes)), range(k), axes)
-
-
 def eval_circuit(c: Circuit) -> np.ndarray:
     """Exact 3^n x 3^n unitary of the circuit (later gates multiply on the left).
 
-    The gate list is cut, in order, into maximal runs on at most
-    :data:`RUN_QUTRITS` qutrits, each simulated on its own 3^k x 3^k
-    matrix.  Within a run a single-qutrit gate is deferred into a chain on
-    its qutrit, whose product is applied only when a GCX/CINC (a cached row
-    permutation) touches that qutrit or the run ends; this is exact, since
-    a deferred gate commutes with every gate on other qutrits.  Rotation
-    matrices and chain products are built in batched numpy passes.  Each
-    run is applied to the full unitary with one ``tensordot`` on its qutrit
-    axes.  Global phases are summed and applied once.
+    One pass cuts the gate list, in order, into maximal runs on at most
+    :data:`RUN_QUTRITS` qutrits.  Each run is simulated on its own 3^k x
+    3^k matrix and applied to the full unitary, with one ``tensordot`` on
+    its qutrit axes, as soon as it is cut (the next gate would widen it,
+    or the circuit ends); nothing of it is kept.  Within a run a
+    single-qutrit gate is deferred into a chain on its qutrit, whose
+    product is applied only when a GCX/CINC (a cached row permutation)
+    touches that qutrit or the run ends; this is exact, since a deferred
+    gate commutes with every gate on other qutrits.  A run's rotation
+    matrices and chain products are built in batched numpy passes.
+    Global phases are summed and applied once.
     """
     n, d = c.n, 3**c.n
-    rots = [g for g in c.gates if isinstance(g, Rotation)]
-    stack = np.concatenate(
-        [algebra.rotations([g.axis for g in rots], [g.level for g in rots], [g.theta for g in rots]), _LOCAL_X]
-    )
-    runs: list = []  # (support in first-touch order, steps) per run
-    chains: list[list[int]] = []  # stack indices deferred on one qutrit, first acting first
-    support: list[int] = []
+    u = np.eye(d, dtype=complex).reshape((3,) * n + (d,))
+    rots: list[Rotation] = []  # the run's rotations; chains index them, then _LOCAL_X
+    chains: list[list[int]] = []  # indices deferred on one qutrit, first acting first
+    support: list[int] = []  # the run's qutrits in first-touch order
     steps: list = []
     pending: dict[int, list[int]] = {}
 
@@ -276,43 +247,46 @@ def eval_circuit(c: Circuit) -> np.ndarray:
         chains.append(pending.pop(q))
         steps.append((q, len(chains) - 1))
 
-    phase, r = 0.0, 0
+    def apply_run(u: np.ndarray) -> np.ndarray:
+        for q in list(pending):
+            flush(q)
+        if steps:
+            axes, k = sorted(support), len(support)
+            stack = np.concatenate(
+                [algebra.rotations([g.axis for g in rots], [g.level for g in rots], [g.theta for g in rots]), _LOCAL_X]
+            )
+            m = _run_matrix(steps, support, _chain_products(stack, chains)).reshape((3,) * (2 * k))
+            u = np.moveaxis(np.tensordot(m, u, axes=(range(k, 2 * k), axes)), range(k), axes)
+        for part in (rots, chains, support, steps):
+            part.clear()
+        return u
+
+    phase = 0.0
     for g in c.gates:
-        if isinstance(g, Rotation):
-            qs, i = (g.qutrit,), r
-            r += 1
-        elif isinstance(g, LocalX):
-            qs, i = (g.qutrit,), len(rots) + LEVELS.index(g.level)
-        elif isinstance(g, Gcx):
-            qs, gid = (g.control, g.target), f"X{g.level}"
-        elif isinstance(g, Cinc):
-            qs, gid = (g.control, g.target), "INC"
+        if isinstance(g, (Rotation, LocalX)):
+            qs = (g.qutrit,)
+        elif isinstance(g, (Gcx, Cinc)):
+            qs = (g.control, g.target)
         else:  # GlobalPhase; Circuit admits only the five gate classes
             phase += g.phi
             continue
         if qs[0] not in support or qs[-1] not in support:
             new = [q for q in qs if q not in support]
             if len(support) + len(new) > RUN_QUTRITS:
-                for q in list(pending):
-                    flush(q)
-                runs.append((support, steps))
-                support, steps, new = [], [], list(qs)
+                u = apply_run(u)
+                new = list(qs)
             support += new
-        if len(qs) == 1:
-            pending.setdefault(qs[0], []).append(i)
-            continue
-        for q in qs:
-            if q in pending:
-                flush(q)
-        steps.append((gid, g.control, g.target, g.value))
-    for q in list(pending):
-        flush(q)
-    runs.append((support, steps))
-    prods = _chain_products(stack, chains)
-    u = np.eye(d, dtype=complex).reshape((3,) * n + (d,))
-    for support, steps in runs:
-        if steps:
-            u = _apply_run(u, steps, support, prods)
+        if len(qs) == 2:
+            for q in qs:
+                if q in pending:
+                    flush(q)
+            steps.append((f"X{g.level}" if isinstance(g, Gcx) else "INC", g.control, g.target, g.value))
+        elif isinstance(g, Rotation):
+            pending.setdefault(g.qutrit, []).append(len(rots))
+            rots.append(g)
+        else:
+            pending.setdefault(g.qutrit, []).append(LEVELS.index(g.level) - len(_LOCAL_X))
+    u = apply_run(u)
     return np.exp(1j * phase) * np.ascontiguousarray(u).reshape(d, d)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from .algebra import (
     maximal_abelian_check,
     rotation,
 )
-from .cartan import factorize, factorize_stack, reassemble
+from .cartan import _qutrit_count, factorize, factorize_stack, reassemble
 from .circuit import (
     Cinc,
     Circuit,
@@ -107,6 +108,10 @@ def _read_text(path: str) -> str:
     raise _BadInput(f"cannot read {path}: {reason}")
 
 
+def _cannot_write(path: str, exc: OSError) -> _BadInput:
+    return _BadInput(f"cannot write {path}: {(exc.strerror or str(exc)).lower()}")
+
+
 def _write_text(path: str | None, text: str) -> None:
     """Write ``text``, ending in a newline, to ``path``, or to stdout for None or ``-``."""
     text = text if text.endswith("\n") else text + "\n"
@@ -116,7 +121,21 @@ def _write_text(path: str | None, text: str) -> None:
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        raise _BadInput(f"cannot write {path}: {(exc.strerror or str(exc)).lower()}") from None
+        raise _cannot_write(path, exc) from None
+
+
+def _check_writable(*paths: str | None) -> None:
+    """Fail now, as :func:`_write_text` would later, on any unwritable path; leave no new file."""
+    for path in paths:
+        if path is None or path == "-":
+            continue
+        created = not os.path.lexists(path)
+        try:
+            open(path, "a").close()  # append mode leaves an existing file as it is
+        except OSError as exc:
+            raise _cannot_write(path, exc) from None
+        if created:
+            os.remove(path)
 
 
 def _matrix_to_json(m: np.ndarray, n: int) -> str:
@@ -135,8 +154,7 @@ def _matrix_from_json(text: str) -> tuple[np.ndarray, int]:
     # JSON integers only: bool is an int subclass, and int() would truncate a float.
     if type(n) is not int or type(dim) is not int:
         raise ValueError("qutrits and dim must be JSON integers")
-    # 3^n > dim once n exceeds dim's bit length, so an absurd n never reaches 3**n.
-    if n < 1 or n > dim.bit_length() or dim != 3**n:
+    if n < 1 or _qutrit_count(dim) != n:
         raise ValueError(f"dim {dim} does not match 3^qutrits for qutrits={n}")
     try:
         arr = np.asarray(data["matrix"], dtype=float)
@@ -184,6 +202,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         tolerance=args.tolerance,
         passes=not args.no_passes,
     )
+    _check_writable(args.output, args.report)
     circuit, report = synthesize(m, options)
     _write_text(args.output, serialize(circuit))
     for line in report.lines():
@@ -251,7 +270,8 @@ def cmd_counts(args: argparse.Namespace) -> int:
             row = [operator_count(k, n, GateSet(args.gate_set)) for k in FACTOR_KINDS]
             print(f"{n:>2}  " + "  ".join(f"{v:>6}" for v in row))
             if args.measured and n <= 4:
-                meas = [measured_operator_counts(n, GateSet(args.gate_set), seed=args.seed)[k] for k in FACTOR_KINDS]
+                measured = measured_operator_counts(n, GateSet(args.gate_set), seed=args.seed)
+                meas = [measured[k] for k in FACTOR_KINDS]
                 print(f"    " + "  ".join(f"{v:>6}" for v in meas) + "  (measured)")
                 if meas != row:
                     status = EXIT_VERIFY
@@ -264,7 +284,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
             for gs in (GateSet.GCX_ONLY, GateSet.GCX_CINC):
                 _, rep = synthesize(m, SynthesisOptions(gate_set=gs))
                 want = expected_count(n, gs)
-                ok = rep.two_qutrit_count == want and rep.distance <= 1e-8
+                ok = rep.two_qutrit_count == want and rep.ok
                 if not ok:
                     status = EXIT_VERIFY
                 print(
@@ -438,7 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=GateSet.GCX_CINC.value,
         help="two-qutrit vocabulary (default: %(default)s)",
     )
-    sp.add_argument("--tolerance", type=_tolerance, default=1e-8, help="verification bound")
+    sp.add_argument(
+        "--tolerance", type=_tolerance, default=SynthesisOptions().tolerance, help="verification bound"
+    )
     sp.add_argument(
         "--sanitize",
         action="store_true",
@@ -455,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="simulate a circuit against a matrix")
     vp.add_argument("circuit", help="circuit file, or - for stdin")
     vp.add_argument("matrix", help="JSON matrix file, or - for stdin")
-    vp.add_argument("--tolerance", type=_tolerance, default=1e-8)
+    vp.add_argument("--tolerance", type=_tolerance, default=SynthesisOptions().tolerance)
     vp.set_defaults(func=cmd_verify)
 
     rp = sub.add_parser("random", help="emit a Haar-random unitary matrix file")

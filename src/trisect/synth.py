@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cartan import FactorizationNode, factorize_stack
+from .cartan import FactorizationNode, _qutrit_count, factorize_stack
 from .circuit import (
     Circuit,
     CountReport,
@@ -476,9 +476,8 @@ def synthesize(
     """
     options = options or SynthesisOptions()
     m = np.asarray(m, dtype=complex)
-    d = m.shape[0] if m.ndim == 2 else 0
-    n = max(round(math.log(d, 3)), 1) if d else 0
-    if m.ndim != 2 or m.shape != (d, d) or 3**n != d:
+    n = _qutrit_count(m.shape[0]) if m.ndim == 2 and m.shape[0] == m.shape[1] else None
+    if n is None or n < 1:
         raise ValueError(f"matrix shape {m.shape} is not 3^n square")
 
     t0 = time.perf_counter()

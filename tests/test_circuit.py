@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +19,13 @@ from trisect.circuit import (
     Rotation,
     count_gates,
     eval_circuit,
-    gate_matrix,
     parse,
     serialize,
 )
+from trisect.linalg import haar_unitary
+from trisect.synth import synthesize
+
+from oracle import gate_matrix
 
 
 def _random_circuit(n: int, length: int, rng: np.random.Generator) -> Circuit:
@@ -227,10 +231,10 @@ def test_eval_hand_placed_runs(n, monkeypatch):
     rng = np.random.default_rng(200 + n)
     gates = [g for qs in _RUNS[n] for g in _segment(qs, rng)]
     seen = []
-    apply_run = circuit._apply_run
+    run_matrix = circuit._run_matrix
     monkeypatch.setattr(
-        circuit, "_apply_run", lambda u, steps, support, prods: seen.append(tuple(support))
-        or apply_run(u, steps, support, prods)
+        circuit, "_run_matrix", lambda steps, support, prods: seen.append(tuple(support))
+        or run_matrix(steps, support, prods)
     )
     got = eval_circuit(Circuit(n, tuple(gates)))
     assert seen == _RUNS[n]
@@ -244,6 +248,19 @@ def test_eval_hand_placed_runs(n, monkeypatch):
     for g in gates:
         want = gate_matrix(g, n) @ want
     assert np.max(np.abs(got @ v - want)) <= 1e-12
+
+
+def test_eval_keeps_nothing_of_an_applied_run():
+    # each run is applied as it is cut, so the peak is a few copies of the
+    # 81x81 unitary (~0.1 MB each), not a plan of the whole circuit
+    circ, _ = synthesize(haar_unitary(81, np.random.default_rng(1)))
+    tracemalloc.start()
+    try:
+        eval_circuit(circ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 @pytest.mark.parametrize("n", [2, 4, 5])

@@ -154,6 +154,29 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command, where):
     assert f"cannot write {bad}: {reason}" in err
 
 
+@pytest.mark.parametrize("bad_flag", ["-o", "--report"])
+@pytest.mark.parametrize("circuit_file", ["new", "existing"])
+def test_synth_checks_outputs_before_synthesis(tmp_path, capsys, monkeypatch, bad_flag, circuit_file):
+    # an unwritable output fails before any synthesis work and changes no file
+    calls = []
+    synthesize = cli.synthesize
+    monkeypatch.setattr(cli, "synthesize", lambda *a, **k: calls.append(a) or synthesize(*a, **k))
+    mat = _matrix_file(tmp_path, "m.json", np.eye(3, dtype=complex), 1)
+    bad, circ, report = tmp_path / "no-such-dir" / "out.txt", tmp_path / "c.txt", tmp_path / "r.json"
+    if circuit_file == "existing":
+        circ.write_text("keep\n")
+    outputs = {"-o": circ, "--report": report, bad_flag: bad}
+    code, _, err = _run(capsys, "synth", mat, *(str(x) for kv in outputs.items() for x in kv))
+    assert code == EXIT_PARSE
+    assert f"cannot write {bad}: no such file or directory" in err
+    assert calls == []
+    assert not report.exists()
+    if circuit_file == "existing":
+        assert circ.read_text() == "keep\n"
+    else:
+        assert not circ.exists()
+
+
 def test_synth_missing_file(capsys):
     code, _, err = _run(capsys, "synth", "/nonexistent/m.json")
     assert code == EXIT_PARSE
@@ -334,6 +357,16 @@ def test_counts_operator_table(capsys):
     assert any(
         line.split() == ["3", "8", "8", "10", "12", "12"] for line in out.splitlines()
     )
+
+
+def test_counts_measures_operators_once_per_width(capsys, monkeypatch):
+    calls = []
+    measured = cli.measured_operator_counts
+    monkeypatch.setattr(cli, "measured_operator_counts", lambda n, *a, **k: calls.append(n) or measured(n, *a, **k))
+    code, out, _ = _run(capsys, "counts", "--operators", "--measured", "--n-max", "3")
+    assert code == EXIT_OK
+    assert calls == [2, 3]
+    assert out.count("(measured)") == 2
 
 
 def test_counts_measured(capsys):

@@ -18,7 +18,6 @@ from trisect.circuit import (
     Rotation,
     count_gates,
     eval_circuit,
-    gate_matrix,
 )
 from trisect.passes import (
     commutes,
@@ -26,6 +25,8 @@ from trisect.passes import (
     pass_fuse_cinc,
     simplify,
 )
+
+from oracle import gate_matrix
 
 TOL = 1e-11
 

@@ -7,13 +7,19 @@ the circuit matrix exactly (up to floating-point rounding in merged
 rotation angles) and are deterministic.  The commutation test is
 structural -- a small set of sufficient rules -- never numerical, so a
 gate only moves past gates it provably commutes with.
+
+Neither the commutation rules nor the merge rules read an angle.  The
+sweep therefore decides both on gate *shapes* (every field but the
+angle): each commutation answer is worked out once per ordered pair of
+shapes and looked up after that, and a merge is tried only between
+gates of equal shape, the one case in which a rule can apply.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 from .circuit import Circuit, Cinc, Gate, Gcx, GlobalPhase, LocalX, Rotation, _gate_qutrits
 
@@ -86,7 +92,10 @@ def commutes(a: Gate, b: Gate) -> bool:
 
 
 def _merge_pair(a: Gate, b: Gate) -> list[Gate] | None:
-    """Rewrite for the pair [a, b] brought adjacent; None means 'no rule applies'."""
+    """Rewrite for the pair [a, b] brought adjacent; None means 'no rule applies'.
+
+    Every rule needs ``_shape(a) == _shape(b)``, which :func:`pass_cancel` checks first.
+    """
     if isinstance(a, (Gcx, LocalX)) and a == b:
         return []
     if isinstance(a, Rotation) and isinstance(b, Rotation):
@@ -96,7 +105,26 @@ def _merge_pair(a: Gate, b: Gate) -> list[Gate] | None:
     return None
 
 
-def _latest_first(a: list[int], b: Sequence[int] = ()) -> Iterator[int]:
+def _shape(g: Gate) -> tuple:
+    """Every field of g but its angle: all that :func:`commutes` and :func:`_merge_pair` read."""
+    if isinstance(g, Rotation):
+        return (g.axis, g.level, g.qutrit)
+    if isinstance(g, LocalX):
+        return ("X", g.level, g.qutrit)
+    if isinstance(g, Gcx):
+        return ("GCX", g.control, g.value, g.target, g.level)
+    if isinstance(g, Cinc):
+        return ("CINC", g.control, g.value, g.target)
+    if isinstance(g, GlobalPhase):
+        return ("PHASE",)
+    raise TypeError(f"not a gate: {g!r}")
+
+
+# commutes() answer per ordered pair of shapes, filled the first time a pair is seen
+_COMMUTES: dict[tuple[tuple, tuple], bool] = {}
+
+
+def _latest_first(a: list[int], b: list[int]) -> Iterator[int]:
     """Merge ascending index lists, latest first, shared indices once."""
     i, j = len(a) - 1, len(b) - 1
     while i >= 0 or j >= 0:
@@ -119,9 +147,16 @@ def pass_cancel(c: Circuit) -> Circuit:
     partner is appended.  A per-qutrit list of live gate indices (the
     frontier) keeps the walk off gates on other qutrits, which commute
     by support.  Global phases are summed into one leading phase.
+
+    Each gate's :func:`_shape` is computed once.  :func:`commutes` is
+    answered from a table keyed by the ordered pair of shapes, filled by
+    calling it the first time a pair is met, and :func:`_merge_pair` is
+    called only when the two shapes are equal, since it rewrites no
+    other pair.
     """
     phi = 0.0
     out: list[Gate | None] = []
+    shapes: list[tuple] = []
     frontier: list[list[int]] = [[] for _ in range(c.n)]
     for g in c.gates:
         if isinstance(g, GlobalPhase):
@@ -129,16 +164,30 @@ def pass_cancel(c: Circuit) -> Circuit:
             continue
         if isinstance(g, Rotation) and abs(g.theta) < ANGLE_EPS:
             continue
-        fronts = [frontier[q] for q in _gate_qutrits(g)]
+        s = _shape(g)
+        if isinstance(g, (Rotation, LocalX)):
+            fronts = (frontier[g.qutrit],)
+            walk = reversed(fronts[0])
+        else:
+            fronts = (frontier[g.control], frontier[g.target])
+            walk = _latest_first(*fronts)
         merged = None
-        for k in _latest_first(*fronts):
-            merged = _merge_pair(out[k], g)
-            if merged is not None or not commutes(out[k], g):
+        for k in walk:
+            if shapes[k] == s:
+                merged = _merge_pair(out[k], g)
+                if merged is not None:
+                    break
+            pair = (shapes[k], s)
+            ok = _COMMUTES.get(pair)
+            if ok is None:
+                ok = _COMMUTES[pair] = commutes(out[k], g)
+            if not ok:
                 break
         if merged is None:
             for lst in fronts:
                 lst.append(len(out))
             out.append(g)
+            shapes.append(s)
         elif merged:
             out[k] = merged[0]
         else:
@@ -160,10 +209,11 @@ def pass_fuse_cinc(c: Circuit) -> Circuit:
     value and target, applied in that order) into a single CINC."""
     out: list[Gate] = []
     for g in c.gates:
-        if isinstance(g, Gcx) and g.level == "02" and out and out[-1] == Gcx(g.control, g.value, g.target, "01"):
-            out[-1] = Cinc(g.control, g.value, g.target)
-        else:
-            out.append(g)
+        if isinstance(g, Gcx) and g.level == "02" and out and type(prev := out[-1]) is Gcx and prev.level == "01":
+            if (prev.control, prev.value, prev.target) == (g.control, g.value, g.target):
+                out[-1] = Cinc(g.control, g.value, g.target)
+                continue
+        out.append(g)
     return Circuit(c.n, tuple(out))
 
 

@@ -1,9 +1,20 @@
-"""Dense reference matrices for single gates, the oracle the simulator tests compare against."""
+"""Reference implementations the tests compare against.
+
+:func:`gate_matrix` is the dense matrix of one gate, the simulator's
+oracle.  :func:`reference_cancel` is the cancellation sweep in its plain
+form, with its own walk order, calling the rules on every pair it
+visits; ``pass_cancel`` must give the same gates.
+"""
+
+import math
+from bisect import bisect_left
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
 from trisect import algebra
-from trisect.circuit import Cinc, Gate, Gcx, GlobalPhase, LocalX, Rotation
+from trisect.circuit import Circuit, Cinc, Gate, Gcx, GlobalPhase, LocalX, Rotation, _gate_qutrits
+from trisect.passes import ANGLE_EPS, _merge_pair, _wrap, commutes
 
 
 def gate_matrix(g: Gate, n: int) -> np.ndarray:
@@ -20,3 +31,48 @@ def gate_matrix(g: Gate, n: int) -> np.ndarray:
     if isinstance(g, GlobalPhase):
         return np.exp(1j * g.phi) * np.eye(3**n, dtype=complex)
     raise TypeError(f"not a gate: {g!r}")
+
+
+def _latest_first(a: list[int], b: Sequence[int] = ()) -> Iterator[int]:
+    """Merge ascending index lists, latest first, shared indices once."""
+    i, j = len(a) - 1, len(b) - 1
+    while i >= 0 or j >= 0:
+        x = a[i] if i >= 0 else -1
+        y = b[j] if j >= 0 else -1
+        if x >= y:
+            i -= 1
+        if y >= x:
+            j -= 1
+        yield max(x, y)
+
+
+def reference_cancel(c: Circuit) -> Circuit:
+    """The cancellation sweep with :func:`commutes` and :func:`_merge_pair` called on every visited pair."""
+    phi = 0.0
+    out: list[Gate | None] = []
+    frontier: list[list[int]] = [[] for _ in range(c.n)]
+    for g in c.gates:
+        if isinstance(g, GlobalPhase):
+            phi += g.phi
+            continue
+        if isinstance(g, Rotation) and abs(g.theta) < ANGLE_EPS:
+            continue
+        fronts = [frontier[q] for q in _gate_qutrits(g)]
+        merged = None
+        for k in _latest_first(*fronts):
+            merged = _merge_pair(out[k], g)
+            if merged is not None or not commutes(out[k], g):
+                break
+        if merged is None:
+            for lst in fronts:
+                lst.append(len(out))
+            out.append(g)
+        elif merged:
+            out[k] = merged[0]
+        else:
+            out[k] = None
+            for lst in fronts:
+                del lst[bisect_left(lst, k)]
+    phi = _wrap(phi, 2 * math.pi)
+    lead = [GlobalPhase(phi)] if abs(phi) >= ANGLE_EPS else []
+    return Circuit(c.n, tuple(lead + [g for g in out if g is not None]))

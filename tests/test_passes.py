@@ -4,6 +4,7 @@ Every pass must preserve the dense circuit matrix; the checks here
 compare before/after evaluations on top of the targeted rewrites.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,14 +20,19 @@ from trisect.circuit import (
     count_gates,
     eval_circuit,
 )
+from trisect.linalg import haar_unitary
 from trisect.passes import (
+    _merge_pair,
+    _shape,
     commutes,
     pass_cancel,
     pass_fuse_cinc,
     simplify,
 )
+from trisect.synth import GateSet, SynthesisOptions, synthesize
 
-from oracle import gate_matrix
+from oracle import gate_matrix, reference_cancel
+from test_structured import KINDS, structured_input
 
 TOL = 1e-11
 
@@ -81,6 +87,41 @@ def test_commutes_is_sound():
                 assert np.max(np.abs(ma @ mb - mb @ ma)) < 1e-12, (a, b)
     # the exact count pins the rules: any change in what they admit moves it
     assert commuting == 5077
+
+
+def _with_angle(g, angle: float):
+    """g with its rotation angle or global phase set to ``angle``; other gates unchanged."""
+    if isinstance(g, Rotation):
+        return dataclasses.replace(g, theta=angle)
+    if isinstance(g, GlobalPhase):
+        return dataclasses.replace(g, phi=angle)
+    return g
+
+
+def test_commutes_reads_no_angle():
+    # pass_cancel looks commutes() up per pair of shapes, which holds only
+    # if no angle can change its answer
+    pool = _every_gate_kind(3)
+    for angle in (0.0, -2.9, 5.1):
+        moved = [_with_angle(g, angle) for g in pool]
+        for a, a2 in zip(pool, moved):
+            for b, b2 in zip(pool, moved):
+                assert commutes(a2, b) == commutes(a, b2) == commutes(a, b), (a, b, angle)
+
+
+def test_merge_needs_equal_shapes():
+    # pass_cancel calls _merge_pair only on equal shapes; that skips no rewrite
+    pool = _every_gate_kind(3)
+    assert len({_shape(g) for g in pool}) == len(pool)  # one shape per gate kind
+    merges = 0
+    for a in pool:
+        for b in pool:
+            if _shape(a) != _shape(b):
+                assert _merge_pair(a, b) is None, (a, b)
+            elif _merge_pair(a, b) is not None:
+                merges += 1
+    # every rotation, LocalX and GCX merges with itself; CINC and phases never
+    assert merges == 3 * 9 + 3 * 3 + 6 * 3 * 3
 
 
 def test_commutes_specific_rules():
@@ -155,6 +196,49 @@ def test_cancel_cascades_through_merges():
     assert pass_cancel(c).gates == ()
 
 
+def _random_circuit(rng: np.random.Generator, pool: list, length: int) -> Circuit:
+    """A circuit over a few gate kinds of ``pool``, so that partners meet often."""
+    kinds = rng.choice(len(pool), size=8, replace=False)
+    angles = (0.7, -0.7, 1.3, 4 * math.pi - 0.7)
+    gates = (_with_angle(pool[i], float(rng.choice(angles))) for i in rng.choice(kinds, size=length))
+    return Circuit(3, tuple(gates))
+
+
+def test_cancel_matches_reference_on_random_circuits():
+    pool = _every_gate_kind(3)
+    rng = np.random.default_rng(16)
+    removed = 0
+    for _ in range(200):
+        c = _random_circuit(rng, pool, int(rng.integers(1, 60)))
+        out = pass_cancel(c)
+        assert out.gates == reference_cancel(c).gates
+        removed += len(c.gates) - len(out.gates)
+    assert removed > 1000  # the corpus exercises merges, not just appends
+
+
+def _input(kind: str, n: int) -> np.ndarray:
+    """A seed-0 Haar unitary, or one of the structured corpus."""
+    return haar_unitary(3**n, np.random.default_rng(0)) if kind == "haar" else structured_input(kind, n)
+
+
+@pytest.mark.parametrize("gate_set", list(GateSet), ids=lambda g: g.value)
+@pytest.mark.parametrize(
+    "kind, n",
+    [("haar", n) for n in (2, 3, 4)]
+    + [(k, n) for k in ("identity", "permutation", "gcx", "cinc", "diagonal") for n in (2, 3)],
+)
+def test_cancel_matches_reference_on_synthesis_output(kind, n, gate_set):
+    c, _ = synthesize(_input(kind, n), SynthesisOptions(gate_set=gate_set, passes=False))
+    assert pass_cancel(c).gates == reference_cancel(c).gates
+
+
+@pytest.mark.parametrize("gate_set", list(GateSet), ids=lambda g: g.value)
+@pytest.mark.parametrize("kind, n", [("haar", n) for n in (2, 3, 4)] + [(k, n) for k in KINDS for n in (2, 3)])
+def test_synthesis_output_is_a_fixed_point_of_simplify(kind, n, gate_set):
+    c, _ = synthesize(_input(kind, n), SynthesisOptions(gate_set=gate_set))
+    assert simplify(c, use_cinc=gate_set is GateSet.GCX_CINC).gates == c.gates
+
+
 # ---------------------------------------------------------------------------
 # reordering
 # ---------------------------------------------------------------------------
@@ -224,6 +308,17 @@ def test_fuse_cinc_rewrites_adjacent_pair():
 def test_fuse_cinc_requires_01_then_02_order():
     # the reversed application order is a different operator; no fusion
     c = Circuit(2, (Gcx(0, 1, 1, "02"), Gcx(0, 1, 1, "01")))
+    assert pass_fuse_cinc(c).gates == c.gates
+
+
+@pytest.mark.parametrize(
+    "prev",
+    [Gcx(0, 1, 1, "02"), Gcx(0, 1, 1, "12"), Gcx(0, 2, 1, "01"), Gcx(1, 1, 0, "01"), Gcx(0, 1, 2, "01"),
+     LocalX("01", 1), Cinc(0, 1, 1)],
+)
+def test_fuse_cinc_needs_the_matching_01_gcx(prev):
+    # only GCX(c=v -> t, 01) directly before GCX(c=v -> t, 02) fuses
+    c = Circuit(3, (prev, Gcx(0, 1, 1, "02")))
     assert pass_fuse_cinc(c).gates == c.gates
 
 

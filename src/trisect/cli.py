@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    synth     factor a unitary (JSON matrix file) into a circuit
+    synth     factor a unitary (JSON matrix file) into a simplified, verified circuit
     verify    re-simulate a circuit file against a matrix file
     random    emit a Haar-random n-qutrit unitary as a matrix file
     counts    closed-form and measured two-qutrit gate counts
@@ -197,11 +197,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         m = nearest_unitary(m)
         _err(f"sanitized input (unitarity defect was {defect:.3e})")
 
-    options = SynthesisOptions(
-        gate_set=GateSet(args.gate_set),
-        tolerance=args.tolerance,
-        passes=not args.no_passes,
-    )
+    options = SynthesisOptions(gate_set=GateSet(args.gate_set), tolerance=args.tolerance)
     _check_writable(args.output, args.report)
     circuit, report = synthesize(m, options)
     _write_text(args.output, serialize(circuit))
@@ -449,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("synth", help="factor a matrix file into a circuit")
+    sp = sub.add_parser("synth", help="factor a matrix file into a simplified, verified circuit")
     sp.add_argument("matrix", help="JSON matrix file, or - for stdin")
     sp.add_argument("-o", "--output", help="circuit file (default: stdout)")
     sp.add_argument(
@@ -465,11 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sanitize",
         action="store_true",
         help="project a slightly non-unitary input onto the nearest unitary",
-    )
-    sp.add_argument(
-        "--no-passes",
-        action="store_true",
-        help="skip the simplification passes (also disables CINC fusion)",
     )
     sp.add_argument("--report", help="write a JSON synthesis report to this path (- for stdout)")
     sp.set_defaults(func=cmd_synth)

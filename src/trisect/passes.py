@@ -6,7 +6,10 @@ partner to cancel or merge with, past the gates it commutes with;
 the circuit matrix exactly (up to floating-point rounding in merged
 rotation angles) and are deterministic.  The commutation test is
 structural -- a small set of sufficient rules -- never numerical, so a
-gate only moves past gates it provably commutes with.
+gate only moves past gates it provably commutes with.  Synthesis emits each
+factor at its closed-form size; there the sweep merges rotations across
+factor and leaf boundaries, folds the phases into one and, on structured
+inputs, drops zero-angle rotations and the GCX pairs they leave adjacent.
 
 Neither the commutation rules nor the merge rules read an angle.  The
 sweep therefore decides both on gate *shapes* (every field but the

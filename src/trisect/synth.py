@@ -15,8 +15,8 @@ interleaved factor kinds map to multiplexed-rotation circuits:
 application order.  The recursion bottoms out in 9^(n-1) single-qutrit
 leaves, all on the last qutrit; :func:`synthesize` decomposes them in
 one batched :func:`single_qutrit_gates` call before the emission, and
-leaf j takes its gates 10j..10j+9.  Also here: closed-form
-counting of the two-qutrit gates these circuits cost.
+leaf j takes its gates 10j..10j+9.  Each factor circuit is emitted at the
+closed-form size of :func:`operator_count`, which is also here.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .circuit import (
     eval_circuit,
 )
 from .linalg import UNITARY_ATOL, unitarity_defect, unitary_distance
-from .passes import simplify
+from .passes import pass_fuse_cinc, simplify
 
 __all__ = [
     "CITED_CINC_TOTALS",
@@ -77,14 +77,21 @@ class GateSet(enum.Enum):
 
 
 def _mux_args(qutrits: Sequence[int], angles: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """``qutrits`` as a list and ``angles`` flattened, one angle per control pattern."""
+    """``qutrits`` as a list and ``angles`` flattened, one real angle per control pattern."""
     qutrits = list(qutrits)
-    angles = np.asarray(angles, dtype=float).ravel()
+    angles = np.asarray(angles).ravel()
+    if not qutrits or angles.dtype.kind == "c":
+        raise ValueError(f"need one or more qutrits and real angles, got {len(qutrits)} and {angles.dtype}")
     if angles.size != 3 ** (len(qutrits) - 1):
         raise ValueError(
             f"need {3 ** (len(qutrits) - 1)} angles for {len(qutrits)} qutrits, got {angles.size}"
         )
-    return qutrits, angles
+    return qutrits, angles.astype(float, copy=False)
+
+
+def _closing_run(level: str, qutrits: list[int]) -> list[Gate]:
+    """The value-1 GCX run, one per control, that closes a mux on ``qutrits[0]``."""
+    return [Gcx(q, 1, qutrits[0], level) for q in qutrits[1:]]
 
 
 def z_mux_gates(
@@ -95,20 +102,20 @@ def z_mux_gates(
     The rotation acts on ``qutrits[0]``; the remaining qutrits control
     it, with ``angles`` indexed big-endian by their computational
     values.  ``reverse=True`` emits the same gates back to front, which
-    is an equally valid realization (every gate in the list is its own
-    transpose in the computational basis and the target is diagonal);
-    alternating orientations lets neighbouring muxes cancel at their
-    shared boundary.
+    is an equally valid realization: every gate in the list is its own
+    transpose in the computational basis, and the operator is diagonal.
     """
-    gates = _z_mux_forward(level, *_mux_args(qutrits, angles))
+    qutrits, angles = _mux_args(qutrits, angles)
+    gates = _z_mux_core(level, qutrits, angles) + _closing_run(level, qutrits)
     return gates[::-1] if reverse else gates
 
 
-def _z_mux_forward(level: str, qutrits: list[int], angles: np.ndarray, tail: bool = True) -> list[Gate]:
-    """The z mux in application order.
+def _z_mux_core(level: str, qutrits: list[int], angles: np.ndarray) -> list[Gate]:
+    """The z mux on k qutrits in application order without its closing run: 3^(k-1) - 1 GCX.
 
-    ``tail=False`` leaves out the closing value-1 GCX of this level and of
-    its nested ``a`` sub-muxes: the trailing run of one GCX per control.
+    Each sub-mux drops its run too: the ``dv`` run and the reversed ``b``
+    run commute with the GCX between them and cancel, and the ``a`` run is
+    part of this mux's own run.
     """
     t = qutrits[0]
     if len(qutrits) == 1:
@@ -120,12 +127,11 @@ def _z_mux_forward(level: str, qutrits: list[int], angles: np.ndarray, tail: boo
     b = (tri[:, 0] - tri[:, 2]) / 2.0
     dv = (tri[:, 1] + tri[:, 2]) / 2.0
     return (
-        _z_mux_forward(level, sub, dv)
+        _z_mux_core(level, sub, dv)
         + [Gcx(c, 2, t, level)]
-        + _z_mux_forward(level, sub, b)[::-1]
+        + _z_mux_core(level, sub, b)[::-1]
         + [LocalX(level, t), Gcx(c, 0, t, level)]
-        + _z_mux_forward(level, sub, a, tail)
-        + ([Gcx(c, 1, t, level)] if tail else [])
+        + _z_mux_core(level, sub, a)
     )
 
 
@@ -141,8 +147,8 @@ def w_mux_gates(level: str, qutrits: Sequence[int], angles: np.ndarray) -> list[
     ``qutrits[-1]`` and ``qutrits[:-1]`` control, big-endian.  Realized by
     handing the emitter the reversed qutrit list and trit-reversed angles.
     """
-    qutrits, angles = _mux_args(qutrits, angles)
-    return _z_mux_forward(level, qutrits[::-1], angles[_trit_reversal(len(qutrits) - 1)])
+    qutrits, angles = _mux_args(qutrits[::-1], angles)
+    return _z_mux_core(level, qutrits, angles[_trit_reversal(len(qutrits) - 1)]) + _closing_run(level, qutrits)
 
 
 def x_mux_gates(
@@ -150,7 +156,7 @@ def x_mux_gates(
 ) -> list[Gate]:
     """Gates for exp(-i sx^level (x) diag(angles)): a y-conjugated z mux.
 
-    With ``absorb=True`` the trailing run of value-1 GCX gates (one per
+    With ``absorb=True`` the closing run of value-1 GCX gates (one per
     control) is not emitted; the omitted product equals a diagonal sign
     factor that the factorization folds into the neighbouring block
     (see :func:`trisect.cartan.absorption_factor`).
@@ -161,7 +167,8 @@ def x_mux_gates(
     t = qutrits[0]
     return [
         Rotation("y", level, t, -math.pi / 2.0),
-        *_z_mux_forward(level, qutrits, angles, tail=not absorb),
+        *_z_mux_core(level, qutrits, angles),
+        *([] if absorb else _closing_run(level, qutrits)),
         Rotation("y", level, t, math.pi / 2.0),
     ]
 
@@ -336,7 +343,7 @@ def cinc_savings(n: int) -> int:
 
 
 def operator_count(kind: str, n: int, gate_set: GateSet = GateSet.GCX_CINC) -> int:
-    """Two-qutrit gates in one optimized factor circuit spanning n qutrits."""
+    """Two-qutrit gates that the emitters spend on one factor circuit spanning n qutrits."""
     if n < 2:
         raise ValueError("two-qutrit counts are defined for n >= 2")
     p = 3 ** (n - 1)
@@ -355,16 +362,19 @@ def measured_operator_counts(
 ) -> dict[str, int]:
     """Emit each factor kind standalone with generic angles and count.
 
-    Cross-checks :func:`operator_count` by actually running the emitters
-    and the simplification passes.
+    Cross-checks :func:`operator_count` by counting the emitters' own
+    output, after :func:`~trisect.passes.pass_fuse_cinc` for
+    ``GateSet.GCX_CINC``; no cancellation pass runs.
     """
+    if n < 2:
+        raise ValueError("two-qutrit counts are defined for n >= 2")
     rng = np.random.default_rng(seed)
-    qs = list(range(n))
     counts: dict[str, int] = {}
     for kind in FACTOR_KINDS:
         angles = rng.uniform(0.2, 1.3, size=3 ** (n - 1))
-        gates = _factor_gates(kind, qs, angles)
-        circ = simplify(Circuit(n, tuple(gates)), use_cinc=gate_set is GateSet.GCX_CINC)
+        circ = Circuit(n, tuple(_factor_gates(kind, list(range(n)), angles)))
+        if gate_set is GateSet.GCX_CINC:
+            circ = pass_fuse_cinc(circ)
         counts[kind] = count_gates(circ).two_qutrit
     return counts
 
@@ -378,7 +388,6 @@ def measured_operator_counts(
 class SynthesisOptions:
     gate_set: GateSet = GateSet.GCX_CINC
     tolerance: float = 1e-8
-    passes: bool = True
 
 
 @dataclass(frozen=True)
@@ -487,20 +496,17 @@ def synthesize(
         levels = _factor_levels(m, n)
         leaves = np.stack([w for node in levels[-1] for w in node.k_factors])
         gates = _emit_node(levels, 0, 0, single_qutrit_gates(leaves, n - 1))
-    circ = Circuit(n, tuple(gates))
-    if options.passes:
-        circ = simplify(circ, use_cinc=options.gate_set is GateSet.GCX_CINC)
+    circ = simplify(Circuit(n, tuple(gates)), use_cinc=options.gate_set is GateSet.GCX_CINC)
     dist = unitary_distance(eval_circuit(circ), m)
     elapsed = time.perf_counter() - t0
 
-    expected = expected_count(n, options.gate_set) if n >= 2 and options.passes else None
     report = SynthesisReport(
         n=n,
         gate_set=options.gate_set,
         counts=count_gates(circ),
         distance=float(dist),
         ok=dist <= options.tolerance,
-        expected_two_qutrit=expected,
+        expected_two_qutrit=expected_count(n, options.gate_set) if n >= 2 else None,
         elapsed_s=elapsed,
     )
     return circ, report

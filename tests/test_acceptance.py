@@ -81,7 +81,7 @@ def test_criterion_1_two_qutrit_counts_on_100_instances():
 
 
 def test_criterion_2_per_operator_count_table():
-    # (mixing x01/x12, shift z12, diagonal d/dbar) per width, after passes
+    # (mixing x01/x12, shift z12, diagonal d/dbar) per width, as emitted
     want = {2: (2, 3, 4), 3: (8, 10, 14), 4: (26, 29, 38)}
     ok = True
     for n, (x, z, dd) in want.items():

@@ -129,15 +129,6 @@ def test_synth_report_to_stdout(tmp_path, capsys):
     assert json.loads(out)["qutrits"] == 1
 
 
-def test_synth_no_passes(tmp_path, capsys):
-    mat = _matrix_file(tmp_path, "m.json", haar_unitary(9, np.random.default_rng(3)), 2)
-    report = tmp_path / "r.json"
-    code, out, _ = _run(capsys, "synth", mat, "--no-passes", "--report", str(report))
-    assert code == EXIT_OK
-    assert out.startswith("QUTRITS 2") and "CINC" not in out
-    assert json.loads(report.read_text())["expected_two_qutrit"] is None
-
-
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])
 @pytest.mark.parametrize("command", ["random -o", "synth -o", "synth --report"])
 def test_unwritable_output_exits_2(tmp_path, capsys, command, where):

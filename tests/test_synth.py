@@ -27,6 +27,7 @@ from trisect.circuit import (
     serialize,
 )
 from trisect.linalg import haar_unitary, unitarity_defect, unitary_distance
+from trisect.passes import pass_cancel, pass_fuse_cinc
 from trisect.synth import (
     CITED_CINC_TOTALS,
     GateSet,
@@ -73,8 +74,9 @@ def test_z_mux_matches_oracle(n, reverse):
 
 
 def test_z_mux_raw_gate_counts():
-    # unoptimized emission costs (3^k - 3)/2 two-qutrit gates at span k
-    for n, gcx in ((1, 0), (2, 3), (3, 12), (4, 39)):
+    # the emitter's own output is already at the closed form of operator_count
+    for n, gcx in ((1, 0), (2, 3), (3, 10), (4, 29)):
+        assert n == 1 or gcx == operator_count("z12", n)
         gates = z_mux_gates("01", list(range(n)), np.ones(3 ** (n - 1)))
         rep = count_gates(Circuit(n, tuple(gates)))
         assert rep.gcx == gcx, n
@@ -107,6 +109,15 @@ def test_mux_emitters_reject_wrong_angle_count(emitter, size):
     # two qutrits take exactly three angles; none is dropped or padded
     with pytest.raises(ValueError, match=f"need 3 angles for 2 qutrits, got {size}"):
         _EMITTERS[emitter]([0, 1], np.arange(float(size)))
+
+
+@pytest.mark.parametrize("emitter", sorted(_EMITTERS))
+def test_mux_emitters_reject_complex_angles_and_no_qutrits(emitter):
+    # a complex angle is refused, not silently cut to its real part
+    with pytest.raises(ValueError, match="real angles, got 2 and complex128"):
+        _EMITTERS[emitter]([0, 1], (1 + 1j) * np.ones(3))
+    with pytest.raises(ValueError, match="one or more qutrits and real angles, got 0 and float64"):
+        _EMITTERS[emitter]([], np.ones(1))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -345,6 +356,34 @@ def test_measured_operator_counts_match_formulas(gate_set, n):
         assert got == operator_count(kind, n, gate_set), (kind, n, gate_set)
 
 
+def test_measured_operator_counts_reject_one_qutrit():
+    with pytest.raises(ValueError, match="n >= 2"):
+        measured_operator_counts(1)
+
+
+@pytest.mark.parametrize("kind", synth.FACTOR_KINDS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_factor_emission_is_at_the_closed_form(kind, n):
+    # one factor emitted standalone with generic angles
+    angles = np.random.default_rng(n).uniform(0.2, 1.3, size=3 ** (n - 1))
+    c = Circuit(n, tuple(synth._factor_gates(kind, list(range(n)), angles)))
+    two = count_gates(c).two_qutrit
+    assert two == operator_count(kind, n, GateSet.GCX_ONLY)
+    # no within-factor GCX is left for the sweep to cancel ...
+    assert count_gates(pass_cancel(c)).two_qutrit == two
+    # ... and CINC fusion alone reaches the fused count
+    assert count_gates(pass_fuse_cinc(c)).two_qutrit == operator_count(kind, n, GateSet.GCX_CINC)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unswept_synthesis_is_at_the_closed_form(monkeypatch, n):
+    monkeypatch.setattr(synth, "simplify", lambda c, **_: c)
+    circ, rep = synthesize(haar_unitary(3**n, np.random.default_rng(0)))
+    counts = count_gates(circ)
+    assert counts.gcx == counts.two_qutrit == expected_count(n, GateSet.GCX_ONLY)
+    assert rep.ok
+
+
 def test_cited_totals_flag_the_inconsistent_entry():
     # the previously reported n=3 total disagrees with the closed form;
     # the other entries agree
@@ -529,15 +568,6 @@ def test_synthesize_five_qutrits_exact_count(tmp_path):
     entries = [[float(z.real), float(z.imag)] for z in u.ravel()]
     mat_file.write_text(json.dumps({"qutrits": 5, "dim": 243, "matrix": entries}))
     assert cli.main(["verify", str(circ_file), str(mat_file)]) == 0
-
-
-def test_synthesize_without_passes_still_correct():
-    u = haar_unitary(9, np.random.default_rng(63))
-    circ, rep = synthesize(u, SynthesisOptions(passes=False))
-    assert rep.distance < 1e-8
-    assert rep.expected_two_qutrit is None  # counts only hold after passes
-    assert rep.two_qutrit_count > 21
-    assert count_gates(circ).cinc == 0  # fusion lives in the passes
 
 
 def test_synthesize_report_serialization():

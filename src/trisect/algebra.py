@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "GeneratorId",
     "SubspaceId",
+    "AXES",
     "LEVELS",
     "CHECK_TOL",
     "CheckReport",
@@ -31,10 +32,12 @@ __all__ = [
     "random_subspace_element",
     "rotation",
     "rotations",
+    "rotations_by_code",
     "subspace_membership",
     "subspace_project",
 ]
 
+AXES = ("x", "y", "z")
 LEVELS = ("01", "02", "12")
 
 # Largest residual the sampled subspace and span checks accept.
@@ -105,9 +108,8 @@ def generator(gid: GeneratorId, override: dict[GeneratorId, np.ndarray] | None =
     return _GENERATORS[gid].copy()
 
 
-_AXES = ("x", "y", "z")
-# code 3 * axis + level -> (i, j, spectator) of the rotation's active 2x2 block
-_ROTATION_CODE = {(a, ij): 3 * ia + il for ia, a in enumerate(_AXES) for il, ij in enumerate(LEVELS)}
+# code 3 * axis + level (indices into AXES and LEVELS) -> (i, j, spectator) of the rotation's active 2x2 block
+_ROTATION_CODE = {(a, ij): 3 * ia + il for ia, a in enumerate(AXES) for il, ij in enumerate(LEVELS)}
 _ROTATION_SLOTS = np.array([(int(ij[0]), int(ij[1]), 3 - int(ij[0]) - int(ij[1])) for ij in LEVELS] * 3)
 
 
@@ -116,14 +118,19 @@ def rotations(axes, levels, thetas) -> np.ndarray:
 
     One vectorised pass over all R angles; each entry has period 4*pi.
     """
-    half = 0.5 * np.asarray(thetas, dtype=float).reshape(-1)
-    if not len(axes) == len(levels) == half.size:
+    if not len(axes) == len(levels) == np.size(thetas):
         raise ValueError("axes, levels and thetas must have one entry per rotation")
     try:
-        code = np.array([_ROTATION_CODE[key] for key in zip(axes, levels)], dtype=np.intp)
+        code = [_ROTATION_CODE[key] for key in zip(axes, levels)]
     except KeyError:
         bad = next(key for key in zip(axes, levels) if key not in _ROTATION_CODE)
         raise ValueError(f"bad rotation axis/level: {bad[0]!r}/{bad[1]!r}") from None
+    return rotations_by_code(np.array(code, dtype=np.intp), thetas)
+
+
+def rotations_by_code(code: np.ndarray, thetas) -> np.ndarray:
+    """:func:`rotations` for integer codes ``3 * axis + level`` (indices into AXES and LEVELS)."""
+    half = 0.5 * np.asarray(thetas, dtype=float).reshape(-1)
     ax = code // 3
     i, j, k = _ROTATION_SLOTS[code].T
     c, s = np.cos(half), np.sin(half)

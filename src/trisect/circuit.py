@@ -1,12 +1,19 @@
-"""Gate-list representation of qutrit circuits, plus a structured simulator.
+"""Qutrit circuits as one gate table, plus a structured simulator.
 
-Gates are stored in application order: ``gates[0]`` acts first, so the
-circuit matrix is the reversed product of the individual gate matrices.
-:func:`eval_circuit` builds that exact 3^n x 3^n unitary without forming
-any gate's full matrix: it cuts the gate list into runs on at most three
-qutrits, simulates each run on its own matrix of at most 27 x 27 (3x3
-rotations and row permutations) and applies it to the full unitary in
-one tensor contraction as soon as the run is cut, keeping nothing of it.
+A :class:`Circuit` is a width n and a numpy structured array of
+:data:`GATE_DTYPE`, one row per gate in application order (row 0 acts
+first).  Its columns: ``op`` (ROT, LOCAL_X, GCX, CINC, PHASE), ``q0`` (the
+qutrit, or a GCX/CINC control), ``q1`` (the target; q0 for a one-qutrit
+gate), ``value`` (control value), ``level`` and ``axis`` (indices into
+LEVELS and AXES) and ``angle`` (rotation angle or phase).  Unused fields
+are 0, so each gate has one row; the table is checked once, with array
+operations.  Gate objects (:class:`Rotation`, :class:`Gcx`, ...) build
+and inspect single gates: ``Circuit(n, gates)`` takes them and
+``Circuit.gates`` makes them on demand.  Counting, the passes, the text
+format and :func:`eval_circuit` read the columns.  :func:`eval_circuit`
+cuts the table into runs on at most three qutrits, simulates each run on
+its own matrix of at most 27 x 27 and applies it to the full unitary in
+one tensor contraction as soon as it is cut, keeping nothing of it.
 
 Text format (one gate per line, '#' starts a comment):
 
@@ -20,20 +27,23 @@ Text format (one gate per line, '#' starts a comment):
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import gc
+import itertools
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
 
 from . import algebra
-from .algebra import LEVELS
+from .algebra import AXES, LEVELS
 
 __all__ = [
     "Circuit",
     "CircuitParseError",
+    "GATE_DTYPE",
     "Cinc",
     "CountReport",
     "Gate",
@@ -124,37 +134,124 @@ class GlobalPhase:
 Gate = Union[Rotation, LocalX, Gcx, Cinc, GlobalPhase]
 
 
-def _gate_qutrits(g: Gate) -> tuple[int, ...]:
-    if isinstance(g, (Rotation, LocalX)):
-        return (g.qutrit,)
-    if isinstance(g, (Gcx, Cinc)):
-        return (g.control, g.target)
+# Op codes of the gate table, in CountReport's field order.
+ROT, LOCAL_X, GCX, CINC, PHASE = range(5)
+GATE_DTYPE = np.dtype({  # 16 bytes a row, the angle 8-byte aligned
+    "names": ["op", "q0", "q1", "value", "level", "axis", "angle"],
+    "formats": ["i1", "i2", "i2", "i1", "i1", "i1", "f8"],
+    "offsets": [0, 4, 6, 1, 2, 3, 8],
+})
+_CLASSES = (Rotation, LocalX, Gcx, Cinc, GlobalPhase)
+_AXIS = {a: i for i, a in enumerate(AXES)}
+_LEVEL = {lv: i for i, lv in enumerate(LEVELS)}
+
+
+def _row(g: Gate) -> tuple:
+    """The table row of one gate."""
+    if isinstance(g, Rotation):
+        return (ROT, g.qutrit, g.qutrit, 0, _LEVEL[g.level], _AXIS[g.axis], g.theta)
+    if isinstance(g, LocalX):
+        return (LOCAL_X, g.qutrit, g.qutrit, 0, _LEVEL[g.level], 0, 0.0)
+    if isinstance(g, Gcx):
+        return (GCX, g.control, g.target, g.value, _LEVEL[g.level], 0, 0.0)
+    if isinstance(g, Cinc):
+        return (CINC, g.control, g.target, g.value, 0, 0, 0.0)
     if isinstance(g, GlobalPhase):
-        return ()
+        return (PHASE, 0, 0, 0, 0, 0, g.phi)
     raise TypeError(f"not a gate: {g!r}")
 
 
-def _check_width(gates, n: int) -> None:
-    for g in gates:
-        for qt in _gate_qutrits(g):
-            if not 0 <= qt < n:
-                raise ValueError(f"gate {g} touches qutrit {qt} outside width {n}")
+def _columns(t: np.ndarray, names: tuple[str, ...] = GATE_DTYPE.names, chunk: int = 4096):
+    """The rows of ``t`` as tuples of Python scalars, one per column name, converted a chunk at a time."""
+    return itertools.chain.from_iterable(
+        zip(*(t[name][start : start + chunk].tolist() for name in names)) for start in range(0, len(t), chunk)
+    )
 
 
-@dataclass(frozen=True)
+def _gates(rows) -> list[Gate]:
+    """Gate objects of checked table rows, built without re-running their classes' field checks.
+
+    The collector is paused meanwhile: the new gates hold no cycles, and
+    each collection it would run walks every gate made so far.
+    """
+    enabled, out = gc.isenabled(), []
+    gc.disable()
+    try:
+        for op, q0, q1, value, level, axis, angle in rows:
+            out.append(g := object.__new__(_CLASSES[op]))
+            f = vars(g)
+            if op == ROT:
+                f["axis"], f["level"], f["qutrit"], f["theta"] = AXES[axis], LEVELS[level], q0, angle
+            elif op == LOCAL_X:
+                f["level"], f["qutrit"] = LEVELS[level], q0
+            elif op in (GCX, CINC):
+                f["control"], f["value"], f["target"] = q0, value, q1
+                if op == GCX:
+                    f["level"] = LEVELS[level]
+            else:
+                f["phi"] = angle
+    finally:
+        if enabled:
+            gc.enable()
+    return out
+
+
+def _row_error(n: int, row: tuple) -> ValueError:
+    """Why a row is not a gate on n qutrits: its gate constructor's error, the width, or its form."""
+    if not (0 <= row[0] <= PHASE and 0 <= row[4] < 3 and 0 <= row[5] < 3):
+        return ValueError(f"bad op, level or axis code in gate row {row}")
+    dataclasses.replace(g := _gates([row])[0])  # raises the gate constructor's ValueError on a bad field
+    for q in row[1:3]:
+        if not 0 <= q < n:
+            return ValueError(f"gate {g} touches qutrit {q} outside width {n}")
+    return ValueError(f"gate row {row} is not in canonical form")
+
+
+def _check_table(n: int, t: np.ndarray) -> None:
+    """Raise for the first row of ``t`` that is not one gate on n qutrits in canonical form."""
+    if t.dtype != GATE_DTYPE or t.ndim != 1:
+        raise TypeError(f"a gate table is a 1-D array of GATE_DTYPE, got {t.dtype} {t.shape}")
+    op, q0, q1, value, level, axis, angle = (t[name] for name in GATE_DTYPE.names)
+    two, rot, phase = (op == GCX) | (op == CINC), op == ROT, op == PHASE
+    ok = (op >= 0) & (op <= PHASE) & (q0 >= 0) & (q0 < n) & (q1 >= 0) & (q1 < n) & (level >= 0) & (level < 3)
+    ok &= np.where(two, (q0 != q1) & (value >= 0) & (value < 3), (q0 == q1) & (value == 0))
+    ok &= np.where(rot, (axis >= 0) & (axis < 3), axis == 0) & np.where(rot | phase, np.isfinite(angle), angle == 0)
+    ok &= ((op != CINC) & ~phase | (level == 0)) & (~phase | (q0 == 0))
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise _row_error(n, t[bad[0]].item())
+
+
+@dataclass(frozen=True, eq=False)
 class Circuit:
+    """A width n and its gate table (module docstring), checked once.
+
+    ``table`` is a 1-D array of :data:`GATE_DTYPE` or a sequence of gate objects.
+    """
+
     n: int
-    gates: tuple[Gate, ...]
+    table: np.ndarray
 
     def __post_init__(self):
         _check_ints(self.n)
         if self.n < 1:
             raise ValueError("circuit needs at least one qutrit")
-        object.__setattr__(self, "gates", tuple(self.gates))
-        _check_width(self.gates, self.n)
+        t = self.table
+        t = t.view() if isinstance(t, np.ndarray) else np.array([_row(g) for g in t], GATE_DTYPE)
+        _check_table(self.n, t)
+        t.flags.writeable = False
+        object.__setattr__(self, "table", t)
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """The table's gates as objects, made on each access."""
+        return tuple(_gates(_columns(self.table)))
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return len(self.table)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Circuit) and self.n == other.n and np.array_equal(self.table, other.table)
 
 
 # Widest support a run may have; its local matrix is at most 27 x 27.
@@ -223,7 +320,7 @@ def _run_matrix(steps: list, support: list[int], prods: np.ndarray) -> np.ndarra
 def eval_circuit(c: Circuit) -> np.ndarray:
     """Exact 3^n x 3^n unitary of the circuit (later gates multiply on the left).
 
-    One pass cuts the gate list, in order, into maximal runs on at most
+    One pass cuts the table, in order, into maximal runs on at most
     :data:`RUN_QUTRITS` qutrits.  Each run is simulated on its own 3^k x
     3^k matrix and applied to the full unitary, with one ``tensordot`` on
     its qutrit axes, as soon as it is cut (the next gate would widen it,
@@ -232,12 +329,13 @@ def eval_circuit(c: Circuit) -> np.ndarray:
     product is applied only when a GCX/CINC (a cached row permutation)
     touches that qutrit or the run ends; this is exact, since a deferred
     gate commutes with every gate on other qutrits.  A run's rotation
-    matrices and chain products are built in batched numpy passes.
-    Global phases are summed and applied once.
+    matrices, from their codes and angles, and its chain products are
+    built in batched numpy passes.  Global phases are summed and applied once.
     """
-    n, d = c.n, 3**c.n
+    n, d, t = c.n, 3**c.n, c.table
     u = np.eye(d, dtype=complex).reshape((3,) * n + (d,))
-    rots: list[Rotation] = []  # the run's rotations; chains index them, then _LOCAL_X
+    codes = 3 * t["axis"] + t["level"]  # algebra.rotations_by_code codes
+    rots: list[int] = []  # table rows of the run's rotations; chains index them, then _LOCAL_X
     chains: list[list[int]] = []  # indices deferred on one qutrit, first acting first
     support: list[int] = []  # the run's qutrits in first-touch order
     steps: list = []
@@ -252,9 +350,7 @@ def eval_circuit(c: Circuit) -> np.ndarray:
             flush(q)
         if steps:
             axes, k = sorted(support), len(support)
-            stack = np.concatenate(
-                [algebra.rotations([g.axis for g in rots], [g.level for g in rots], [g.theta for g in rots]), _LOCAL_X]
-            )
+            stack = np.concatenate([algebra.rotations_by_code(codes[rots], t["angle"][rots]), _LOCAL_X])
             m = _run_matrix(steps, support, _chain_products(stack, chains)).reshape((3,) * (2 * k))
             u = np.moveaxis(np.tensordot(m, u, axes=(range(k, 2 * k), axes)), range(k), axes)
         for part in (rots, chains, support, steps):
@@ -262,30 +358,26 @@ def eval_circuit(c: Circuit) -> np.ndarray:
         return u
 
     phase = 0.0
-    for g in c.gates:
-        if isinstance(g, (Rotation, LocalX)):
-            qs = (g.qutrit,)
-        elif isinstance(g, (Gcx, Cinc)):
-            qs = (g.control, g.target)
-        else:  # GlobalPhase; Circuit admits only the five gate classes
-            phase += g.phi
+    for i, (op, a, b, value, level, angle) in enumerate(_columns(t, ("op", "q0", "q1", "value", "level", "angle"))):
+        if op == PHASE:
+            phase += angle
             continue
-        if qs[0] not in support or qs[-1] not in support:
-            new = [q for q in qs if q not in support]
+        if a not in support or b not in support:
+            new = [q for q in ((a,) if a == b else (a, b)) if q not in support]
             if len(support) + len(new) > RUN_QUTRITS:
                 u = apply_run(u)
-                new = list(qs)
+                new = [a] if a == b else [a, b]
             support += new
-        if len(qs) == 2:
-            for q in qs:
+        if a != b:
+            for q in (a, b):
                 if q in pending:
                     flush(q)
-            steps.append((f"X{g.level}" if isinstance(g, Gcx) else "INC", g.control, g.target, g.value))
-        elif isinstance(g, Rotation):
-            pending.setdefault(g.qutrit, []).append(len(rots))
-            rots.append(g)
+            steps.append(("INC" if op == CINC else f"X{LEVELS[level]}", a, b, value))
+        elif op == ROT:
+            pending.setdefault(a, []).append(len(rots))
+            rots.append(i)
         else:
-            pending.setdefault(g.qutrit, []).append(LEVELS.index(g.level) - len(_LOCAL_X))
+            pending.setdefault(a, []).append(level - len(_LOCAL_X))
     u = apply_run(u)
     return np.exp(1j * phase) * np.ascontiguousarray(u).reshape(d, d)
 
@@ -311,8 +403,7 @@ class CountReport:
 
 
 def count_gates(c: Circuit) -> CountReport:
-    kinds = Counter(map(type, c.gates))
-    return CountReport(kinds[Rotation], kinds[LocalX], kinds[Gcx], kinds[Cinc], kinds[GlobalPhase])
+    return CountReport(*np.bincount(c.table["op"], minlength=len(_CLASSES)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -326,23 +417,19 @@ class CircuitParseError(ValueError):
         self.line_no = line_no
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def serialize(c: Circuit) -> str:
     lines = [f"QUTRITS {c.n}"]
-    for g in c.gates:
-        if isinstance(g, Rotation):
-            lines.append(f"R {g.axis} {g.level} q{g.qutrit} {_fmt(g.theta)}")
-        elif isinstance(g, LocalX):
-            lines.append(f"X {g.level} q{g.qutrit}")
-        elif isinstance(g, Gcx):
-            lines.append(f"GCX q{g.control}={g.value} q{g.target} {g.level}")
-        elif isinstance(g, Cinc):
-            lines.append(f"CINC q{g.control}={g.value} q{g.target}")
-        else:  # GlobalPhase
-            lines.append(f"PHASE {_fmt(g.phi)}")
+    for op, q0, q1, value, level, axis, angle in _columns(c.table):
+        if op == ROT:
+            lines.append(f"R {AXES[axis]} {LEVELS[level]} q{q0} {angle:.17g}")
+        elif op == LOCAL_X:
+            lines.append(f"X {LEVELS[level]} q{q0}")
+        elif op == GCX:
+            lines.append(f"GCX q{q0}={value} q{q1} {LEVELS[level]}")
+        elif op == CINC:
+            lines.append(f"CINC q{q0}={value} q{q1}")
+        else:
+            lines.append(f"PHASE {angle:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -366,56 +453,72 @@ def _parse_float(tok: str, line_no: int) -> float:
         raise CircuitParseError(line_no, f"bad number {tok!r}") from None
 
 
+# What a line of each kind must hold, said when it does not.
+_SYNTAX = {
+    "QUTRITS": "duplicate QUTRITS header",
+    "R": "R needs: axis level qutrit angle",
+    "X": "X needs: level qutrit",
+    "GCX": "GCX needs: control=value target level",
+    "CINC": "CINC needs: control=value target",
+    "PHASE": "PHASE needs one angle",
+}
+
+
 def parse(text: str) -> Circuit:
+    """The circuit of a text file, one table row per gate line.
+
+    The first faulty line raises :class:`CircuitParseError`: an unknown
+    axis or level name with its gate constructor's error, and a row whose
+    fields do not make a gate on n qutrits with :class:`Circuit`'s.
+    """
     n: int | None = None
-    gates: list[Gate] = []
+    rows: list[tuple] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        toks = (raw.partition("#")[0] if "#" in raw else raw).split()
+        if not toks:
             continue
-        toks = line.split()
-        kind, args = toks[0].upper(), toks[1:]
+        kind = toks[0].upper()
         try:
             if n is None:
                 if kind != "QUTRITS":
                     raise CircuitParseError(line_no, "file must start with 'QUTRITS <n>'")
-                if len(args) != 1 or not args[0].isdigit() or int(args[0]) < 1:
+                if len(toks) != 2 or not toks[1].isdigit() or int(toks[1]) < 1:
                     raise CircuitParseError(line_no, "QUTRITS needs a positive integer")
-                n = int(args[0])
+                n = int(toks[1])
                 continue
-            if kind == "QUTRITS":
-                raise CircuitParseError(line_no, "duplicate QUTRITS header")
-            elif kind == "R":
-                if len(args) != 4:
-                    raise CircuitParseError(line_no, "R needs: axis level qutrit angle")
-                gate = Rotation(args[0].lower(), args[1], _parse_qutrit(args[2], line_no),
-                                _parse_float(args[3], line_no))
-            elif kind == "X":
-                if len(args) != 2:
-                    raise CircuitParseError(line_no, "X needs: level qutrit")
-                gate = LocalX(args[0], _parse_qutrit(args[1], line_no))
-            elif kind == "GCX":
-                if len(args) != 3:
-                    raise CircuitParseError(line_no, "GCX needs: control=value target level")
-                ctl, val = _parse_control(args[0], line_no)
-                gate = Gcx(ctl, val, _parse_qutrit(args[1], line_no), args[2])
-            elif kind == "CINC":
-                if len(args) != 2:
-                    raise CircuitParseError(line_no, "CINC needs: control=value target")
-                ctl, val = _parse_control(args[0], line_no)
-                gate = Cinc(ctl, val, _parse_qutrit(args[1], line_no))
-            elif kind == "PHASE":
-                if len(args) != 1:
-                    raise CircuitParseError(line_no, "PHASE needs one angle")
-                gate = GlobalPhase(_parse_float(args[0], line_no))
+            if kind == "R" and len(toks) == 5:  # most lines: the qutrit is read inline
+                _, ax, lv, qs, th = toks
+                q = int(qs[1:]) if qs[:1] == "q" and qs[1:].isdigit() else _parse_qutrit(qs, line_no)
+                level, axis, theta = _LEVEL.get(lv), _AXIS.get(ax.lower()), _parse_float(th, line_no)
+                if level is None or axis is None:
+                    Rotation(ax.lower(), lv, q, theta)  # raises its bad-name error
+                row, bad = (ROT, q, q, 0, level, axis, theta), q >= n or not math.isfinite(theta)
+            elif kind == "X" and len(toks) == 3:
+                q = _parse_qutrit(toks[2], line_no)
+                row = (LOCAL_X, q, q, 0, _LEVEL.get(toks[1]), 0, 0.0)
+                if row[4] is None:
+                    LocalX(toks[1], q)
+                bad = q >= n
+            elif kind in ("GCX", "CINC") and len(toks) == (4 if kind == "GCX" else 3):
+                ctl, val = _parse_control(toks[1], line_no)
+                tgt = _parse_qutrit(toks[2], line_no)
+                level = _LEVEL.get(toks[3]) if kind == "GCX" else 0
+                row = (GCX if kind == "GCX" else CINC, ctl, tgt, val, level, 0, 0.0)
+                if level is None:
+                    Gcx(ctl, val, tgt, toks[3])
+                bad = ctl >= n or tgt >= n or ctl == tgt or val > 2
+            elif kind == "PHASE" and len(toks) == 2:
+                row = (PHASE, 0, 0, 0, 0, 0, _parse_float(toks[1], line_no))
+                bad = not math.isfinite(row[6])
             else:
-                raise CircuitParseError(line_no, f"unknown gate {toks[0]!r}")
-            _check_width((gate,), n)
-            gates.append(gate)
+                raise CircuitParseError(line_no, _SYNTAX.get(kind, f"unknown gate {toks[0]!r}"))
+            if bad:
+                raise _row_error(n, row)
+            rows.append(row)
         except CircuitParseError:
             raise
-        except ValueError as exc:  # gate constructor or width check rejected the fields
+        except ValueError as exc:  # a gate constructor or the width rejected the fields
             raise CircuitParseError(line_no, str(exc)) from None
     if n is None:
         raise CircuitParseError(0, "empty circuit file (missing QUTRITS header)")
-    return Circuit(n, tuple(gates))
+    return Circuit(n, np.array(rows, GATE_DTYPE))

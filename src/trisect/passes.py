@@ -1,4 +1,4 @@
-"""Rewrite passes over gate lists.
+"""Rewrite passes over gate tables.
 
 :func:`pass_cancel` is one sweep in which each gate looks back for a
 partner to cancel or merge with, past the gates it commutes with;
@@ -12,10 +12,11 @@ factor and leaf boundaries, folds the phases into one and, on structured
 inputs, drops zero-angle rotations and the GCX pairs they leave adjacent.
 
 Neither the commutation rules nor the merge rules read an angle.  The
-sweep therefore decides both on gate *shapes* (every field but the
-angle): each commutation answer is worked out once per ordered pair of
-shapes and looked up after that, and a merge is tried only between
-gates of equal shape, the one case in which a rule can apply.
+sweep therefore decides both on integer *shape codes* (every column of
+the gate table but the angle), computed for the whole table in one array
+operation: each commutation answer is worked out once per ordered pair
+of codes and looked up after that, and a merge is tried only between
+gates of equal code, the one case in which a rule can apply.
 """
 
 from __future__ import annotations
@@ -24,7 +25,10 @@ import math
 from bisect import bisect_left
 from collections.abc import Iterator
 
-from .circuit import Circuit, Cinc, Gate, Gcx, GlobalPhase, LocalX, Rotation, _gate_qutrits
+import numpy as np
+
+from .algebra import AXES, LEVELS
+from .circuit import CINC, GATE_DTYPE, GCX, LOCAL_X, PHASE, ROT, Circuit, Gate, _columns, _row
 
 __all__ = [
     "commutes",
@@ -35,6 +39,7 @@ __all__ = [
 
 # Angles below this are dropped after merging.
 ANGLE_EPS = 1e-12
+_X, _Z = AXES.index("x"), AXES.index("z")
 
 
 def _wrap(theta: float, period: float) -> float:
@@ -52,8 +57,8 @@ def _wrap(theta: float, period: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def commutes(a: Gate, b: Gate) -> bool:
-    """Sufficient structural test that a and b commute as matrices.
+def commutes(a: Gate | tuple, b: Gate | tuple) -> bool:
+    """Sufficient structural test that a and b, gates or gate-table rows, commute as matrices.
 
     Rules (conservative -- may return False for commuting pairs):
       * a global phase commutes with everything;
@@ -68,25 +73,27 @@ def commutes(a: Gate, b: Gate) -> bool:
       * same-axis same-level rotations on one qutrit commute; LocalX
         commutes with an x-rotation or a LocalX at its own level.
     """
-    if isinstance(a, GlobalPhase) or isinstance(b, GlobalPhase):
-        return True
-    if set(_gate_qutrits(a)).isdisjoint(_gate_qutrits(b)):
+    if not isinstance(a, tuple):
+        a, b = _row(a), _row(b)
+    if PHASE in (a[0], b[0]) or {a[1], a[2]}.isdisjoint((b[1], b[2])):
         return True
     # Controlled gate first, then LocalX; the rules below are symmetric.
-    if isinstance(b, (Gcx, Cinc)) or isinstance(b, LocalX) and isinstance(a, Rotation):
+    if b[0] in (GCX, CINC) or b[0] == LOCAL_X and a[0] == ROT:
         a, b = b, a
-    if isinstance(a, (Gcx, Cinc)):
-        if isinstance(b, Rotation):
-            return b.axis == "z" and b.qutrit == a.control
-        if isinstance(b, LocalX):
-            return isinstance(a, Gcx) and (b.qutrit, b.level) == (a.target, a.level)
-        if a.control == b.control and (a.value != b.value or a.target != b.target):
+    op, control, target, value, level, axis, _ = a
+    b_op, b_q0, b_q1, b_value, b_level, b_axis, _ = b
+    if op in (GCX, CINC):
+        if b_op == ROT:
+            return b_axis == _Z and b_q0 == control
+        if b_op == LOCAL_X:
+            return op == GCX and (b_q0, b_level) == (target, level)
+        if control == b_q0 and (value != b_value or target != b_q1):
             return True
-        return isinstance(a, Gcx) and isinstance(b, Gcx) and (a.target, a.level) == (b.target, b.level)
-    if isinstance(a, LocalX):
-        return a.level == b.level and (isinstance(b, LocalX) or b.axis == "x")
+        return op == b_op == GCX and (target, level) == (b_q1, b_level)
+    if op == LOCAL_X:
+        return level == b_level and (b_op == LOCAL_X or b_axis == _X)
     # two rotations on one qutrit
-    return a.axis == b.axis and (a.axis == "z" or a.level == b.level)
+    return axis == b_axis and (axis == _Z or level == b_level)
 
 
 # ---------------------------------------------------------------------------
@@ -94,37 +101,23 @@ def commutes(a: Gate, b: Gate) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _merge_pair(a: Gate, b: Gate) -> list[Gate] | None:
-    """Rewrite for the pair [a, b] brought adjacent; None means 'no rule applies'.
-
-    Every rule needs ``_shape(a) == _shape(b)``, which :func:`pass_cancel` checks first.
-    """
-    if isinstance(a, (Gcx, LocalX)) and a == b:
-        return []
-    if isinstance(a, Rotation) and isinstance(b, Rotation):
-        if (a.axis, a.level, a.qutrit) == (b.axis, b.level, b.qutrit):
-            theta = _wrap(a.theta + b.theta, 4 * math.pi)
-            return [] if abs(theta) < ANGLE_EPS else [Rotation(a.axis, a.level, a.qutrit, theta)]
-    return None
+def _merged_angle(op: int, a: float, b: float) -> float | None:
+    """Rewrite of two gates of equal shape brought adjacent: None for no rule, else the merged
+    angle, 0.0 when the pair vanishes (involutions annihilate, rotations add and vanish below ``ANGLE_EPS``)."""
+    if op == ROT:
+        theta = _wrap(a + b, 4 * math.pi)
+        return 0.0 if abs(theta) < ANGLE_EPS else theta
+    return 0.0 if op in (LOCAL_X, GCX) else None
 
 
-def _shape(g: Gate) -> tuple:
-    """Every field of g but its angle: all that :func:`commutes` and :func:`_merge_pair` read."""
-    if isinstance(g, Rotation):
-        return (g.axis, g.level, g.qutrit)
-    if isinstance(g, LocalX):
-        return ("X", g.level, g.qutrit)
-    if isinstance(g, Gcx):
-        return ("GCX", g.control, g.value, g.target, g.level)
-    if isinstance(g, Cinc):
-        return ("CINC", g.control, g.value, g.target)
-    if isinstance(g, GlobalPhase):
-        return ("PHASE",)
-    raise TypeError(f"not a gate: {g!r}")
+def _shape_codes(t: np.ndarray, n: int) -> np.ndarray:
+    """One integer per row of a gate table on n qutrits for every column but the angle."""
+    columns = tuple(t[name] for name in GATE_DTYPE.names[:-1])
+    return np.ravel_multi_index(columns, (PHASE + 1, n, n, 3, 3, len(AXES)))
 
 
-# commutes() answer per ordered pair of shapes, filled the first time a pair is seen
-_COMMUTES: dict[tuple[tuple, tuple], bool] = {}
+# commutes() answer per width and ordered pair of shape codes, filled the first time a pair is met
+_COMMUTES: dict[int, dict[int, bool]] = {}
 
 
 def _latest_first(a: list[int], b: list[int]) -> Iterator[int]:
@@ -140,66 +133,76 @@ def _latest_first(a: list[int], b: list[int]) -> Iterator[int]:
         yield max(x, y)
 
 
+def _sweep(t: np.ndarray, n: int) -> np.ndarray:
+    """The walk of :func:`pass_cancel` over a table without phases or zero rotations.
+
+    Merges rotation angles into ``t`` in place and returns the mask of the
+    rows that stay.  Codes, ops and angles are read through memoryviews,
+    which keep no Python object per row, and the frontier lists are freed
+    on return, before the caller builds the output table.
+    """
+    codes, ops, angles = memoryview(_shape_codes(t, n)), memoryview(t["op"]), memoryview(t["angle"])
+    keep = np.ones(len(t), dtype=bool)
+    frontier: list[list[int]] = [[] for _ in range(n)]
+    known, size = _COMMUTES.setdefault(n, {}), (PHASE + 1) * n * n * 3 * 3 * len(AXES)
+    for i, (s, (a, b)) in enumerate(zip(codes, _columns(t, ("q0", "q1")))):
+        if a == b:
+            fronts = (frontier[a],)
+            walk = reversed(fronts[0])
+        else:
+            fronts = (frontier[a], frontier[b])
+            walk = _latest_first(*fronts)
+        merged = None
+        for k in walk:
+            if codes[k] == s:
+                merged = _merged_angle(ops[i], angles[k], angles[i])
+                if merged is not None:
+                    break
+            key = codes[k] * size + s
+            ok = known.get(key)
+            if ok is None:
+                ok = known[key] = commutes(t[k].item(), t[i].item())
+            if not ok:
+                break
+        if merged is None:
+            for lst in fronts:
+                lst.append(i)
+            continue
+        keep[i] = False
+        if merged:
+            angles[k] = merged
+        else:
+            keep[k] = False
+            for lst in fronts:
+                del lst[bisect_left(lst, k)]
+    return keep
+
+
 def pass_cancel(c: Circuit) -> Circuit:
     """One sweep that cancels and merges gates across commuting neighbours.
 
     Each gate walks back over the earlier gates on its own qutrits while
     :func:`commutes` lets it pass, and merges into the first one that
-    :func:`_merge_pair` accepts: involution pairs annihilate, rotations
-    add their angles and vanish below ``ANGLE_EPS``.  A gate with no
-    partner is appended.  A per-qutrit list of live gate indices (the
-    frontier) keeps the walk off gates on other qutrits, which commute
-    by support.  Global phases are summed into one leading phase.
-
-    Each gate's :func:`_shape` is computed once.  :func:`commutes` is
-    answered from a table keyed by the ordered pair of shapes, filled by
-    calling it the first time a pair is met, and :func:`_merge_pair` is
-    called only when the two shapes are equal, since it rewrites no
-    other pair.
+    :func:`_merged_angle` rewrites.  A gate with no partner is kept.  A
+    per-qutrit list of live gate indices (the frontier) keeps the walk
+    off gates on other qutrits, which commute by support.  Global phases
+    are summed into one leading phase, and zero rotations are dropped.
+    :func:`commutes` is answered from a table keyed by the ordered pair
+    of shape codes (:func:`_shape_codes`), filled the first time a pair
+    is met.
     """
+    op, angle = c.table["op"], c.table["angle"]
+    t = c.table[(op != PHASE) & ~((op == ROT) & (np.abs(angle) < ANGLE_EPS))]
+    keep = _sweep(t, c.n)
     phi = 0.0
-    out: list[Gate | None] = []
-    shapes: list[tuple] = []
-    frontier: list[list[int]] = [[] for _ in range(c.n)]
-    for g in c.gates:
-        if isinstance(g, GlobalPhase):
-            phi += g.phi
-            continue
-        if isinstance(g, Rotation) and abs(g.theta) < ANGLE_EPS:
-            continue
-        s = _shape(g)
-        if isinstance(g, (Rotation, LocalX)):
-            fronts = (frontier[g.qutrit],)
-            walk = reversed(fronts[0])
-        else:
-            fronts = (frontier[g.control], frontier[g.target])
-            walk = _latest_first(*fronts)
-        merged = None
-        for k in walk:
-            if shapes[k] == s:
-                merged = _merge_pair(out[k], g)
-                if merged is not None:
-                    break
-            pair = (shapes[k], s)
-            ok = _COMMUTES.get(pair)
-            if ok is None:
-                ok = _COMMUTES[pair] = commutes(out[k], g)
-            if not ok:
-                break
-        if merged is None:
-            for lst in fronts:
-                lst.append(len(out))
-            out.append(g)
-            shapes.append(s)
-        elif merged:
-            out[k] = merged[0]
-        else:
-            out[k] = None
-            for lst in fronts:
-                del lst[bisect_left(lst, k)]
+    for p in angle[op == PHASE].tolist():  # one addition at a time, in order: sum() compensates from 3.12 on
+        phi += p
     phi = _wrap(phi, 2 * math.pi)
-    lead = [GlobalPhase(phi)] if abs(phi) >= ANGLE_EPS else []
-    return Circuit(c.n, tuple(lead + [g for g in out if g is not None]))
+    lead = int(abs(phi) >= ANGLE_EPS)
+    out = np.zeros(lead + np.count_nonzero(keep), GATE_DTYPE)
+    out[:lead] = (PHASE, 0, 0, 0, 0, 0, phi)
+    np.compress(keep, t, out=out[lead:])
+    return Circuit(c.n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +211,20 @@ def pass_cancel(c: Circuit) -> Circuit:
 
 
 def pass_fuse_cinc(c: Circuit) -> Circuit:
-    """Fuse an adjacent [GCX(m->X01), GCX(m->X02)] pair (same control,
-    value and target, applied in that order) into a single CINC."""
-    out: list[Gate] = []
-    for g in c.gates:
-        if isinstance(g, Gcx) and g.level == "02" and out and type(prev := out[-1]) is Gcx and prev.level == "01":
-            if (prev.control, prev.value, prev.target) == (g.control, g.value, g.target):
-                out[-1] = Cinc(g.control, g.value, g.target)
-                continue
-        out.append(g)
-    return Circuit(c.n, tuple(out))
+    """Fuse each adjacent [GCX(m->X01), GCX(m->X02)] pair (same control,
+    value and target, applied in that order) into a single CINC.  Pairs,
+    found by comparing each row with the next, never overlap."""
+    t = c.table
+    a, b = t[:-1], t[1:]
+    first = np.flatnonzero(
+        (a["op"] == GCX) & (a["level"] == LEVELS.index("01")) & (b["op"] == GCX) & (b["level"] == LEVELS.index("02"))
+        & (a["q0"] == b["q0"]) & (a["value"] == b["value"]) & (a["q1"] == b["q1"])
+    )
+    out = np.delete(t, first + 1)
+    fused = first - np.arange(len(first))  # the first gates' rows once the second ones are gone
+    out["op"][fused] = CINC
+    out["level"][fused] = 0
+    return Circuit(c.n, out)
 
 
 def simplify(c: Circuit, use_cinc: bool = False) -> Circuit:

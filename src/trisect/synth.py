@@ -11,17 +11,20 @@ interleaved factor kinds map to multiplexed-rotation circuits:
 
 :func:`synthesize` factorizes the recursion tree breadth-first, one
 :func:`~trisect.cartan.factorize_stack` call per level (stacks of 1, 9,
-81, ... matrices), then emits the stored nodes depth-first in
-application order.  The recursion bottoms out in 9^(n-1) single-qutrit
-leaves, all on the last qutrit; :func:`synthesize` decomposes them in
-one batched :func:`single_qutrit_gates` call before the emission, and
-leaf j takes its gates 10j..10j+9.  Each factor circuit is emitted at the
-closed-form size of :func:`operator_count`, which is also here.
+81, ... matrices), keeping per level only the stacked factor angles.  It
+then emits the tree bottom up into one gate table (:mod:`trisect.circuit`),
+a level at a time: the 9^(n-1) single-qutrit leaves, all on the last
+qutrit, in one batched call, and each factor position of a level in one
+call over the stacked angles of the level's nodes, so no gate object is
+built.  Each factor circuit is emitted at the closed-form size of
+:func:`operator_count`, which is also here.  The public ``*_gates``
+emitters return the same circuits as gate objects.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import time
 from collections.abc import Sequence
@@ -30,15 +33,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cartan import FactorizationNode, _qutrit_count, factorize_stack
+from .algebra import AXES, LEVELS
+from .cartan import _qutrit_count, factorize_stack
 from .circuit import (
+    GATE_DTYPE,
+    GCX,
+    LOCAL_X,
+    PHASE,
+    ROT,
     Circuit,
     CountReport,
     Gate,
-    Gcx,
-    GlobalPhase,
-    LocalX,
-    Rotation,
+    _check_ints,
     count_gates,
     eval_circuit,
 )
@@ -74,11 +80,41 @@ class GateSet(enum.Enum):
 # ---------------------------------------------------------------------------
 # multiplexed rotation emission
 # ---------------------------------------------------------------------------
+# An emitter returns a block ``(rows, angles)`` for a (batch, 3^(k-1)) angle
+# stack: integer gate-table columns (op, q0, q1, value, level, axis) shared
+# by every line, and per line the angles of its rotation and phase rows.
+
+_L01, _L02, _L12 = range(len(LEVELS))
+_Y, _Z = AXES.index("y"), AXES.index("z")
 
 
-def _mux_args(qutrits: Sequence[int], angles: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """``qutrits`` as a list and ``angles`` flattened, one real angle per control pattern."""
-    qutrits = list(qutrits)
+def _rows(*rows: tuple) -> np.ndarray:
+    return np.array(rows, dtype=np.int16).reshape(-1, 6)
+
+
+def _join(*blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of one batch in application order; a bare rows array carries no angles."""
+    pairs = [b if isinstance(b, tuple) else (b, None) for b in blocks]
+    return np.concatenate([r for r, _ in pairs]), np.concatenate([a for _, a in pairs if a is not None], axis=1)
+
+
+def _table(rows: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """The block as gate-table lines, shape (batch, R)."""
+    t = np.zeros((len(angles), len(rows)), GATE_DTYPE)
+    for name, column in zip(GATE_DTYPE.names, rows.T):
+        t[name] = column
+    t["angle"][:, (rows[:, 0] == ROT) | (rows[:, 0] == PHASE)] = angles
+    return t
+
+
+def _as_gates(block: tuple[np.ndarray, np.ndarray]) -> list[Gate]:
+    """The block's lines as gate objects, checked as one circuit on qutrits 0..max."""
+    return list(Circuit(int(block[0][:, 1:3].max()) + 1, _table(*block).reshape(-1)).gates)
+
+
+def _mux_args(qutrits: Sequence[int], angles: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """``qutrits`` as a tuple and ``angles`` as a (1, 3^(k-1)) stack of real angles."""
+    qutrits = tuple(qutrits)
     angles = np.asarray(angles).ravel()
     if not qutrits or angles.dtype.kind == "c":
         raise ValueError(f"need one or more qutrits and real angles, got {len(qutrits)} and {angles.dtype}")
@@ -86,12 +122,89 @@ def _mux_args(qutrits: Sequence[int], angles: np.ndarray) -> tuple[list[int], np
         raise ValueError(
             f"need {3 ** (len(qutrits) - 1)} angles for {len(qutrits)} qutrits, got {angles.size}"
         )
-    return qutrits, angles.astype(float, copy=False)
+    _check_ints(*qutrits)
+    return qutrits, angles.astype(float, copy=False)[None]
 
 
-def _closing_run(level: str, qutrits: list[int]) -> list[Gate]:
-    """The value-1 GCX run, one per control, that closes a mux on ``qutrits[0]``."""
-    return [Gcx(q, 1, qutrits[0], level) for q in qutrits[1:]]
+@functools.lru_cache(maxsize=256)
+def _z_core_rows(level: int, qutrits: tuple[int, ...]) -> np.ndarray:
+    """The z mux on k qutrits in application order without its closing run: 3^(k-1) - 1 GCX.
+
+    Each sub-mux drops its run too: the ``dv`` run and the reversed ``b``
+    run commute with the GCX between them and cancel, and the ``a`` run is
+    part of this mux's own run.
+    """
+    t, c = qutrits[0], qutrits[-1]
+    if len(qutrits) == 1:
+        rows = _rows((ROT, t, t, 0, level, _Z))
+    else:
+        sub = _z_core_rows(level, qutrits[:-1])
+        gcx2, x_gcx0 = _rows((GCX, c, t, 2, level, 0)), _rows((LOCAL_X, t, t, 0, level, 0), (GCX, c, t, 0, level, 0))
+        rows = np.concatenate([sub, gcx2, sub[::-1], x_gcx0, sub])
+    rows.flags.writeable = False  # shared by every caller through the cache
+    return rows
+
+
+def _z_core_angles(angles: np.ndarray) -> np.ndarray:
+    """The rotation angles of :func:`_z_core_rows`, in row order, for a (batch, 3^(k-1)) stack.
+
+    Each step splits all vectors by the value of the peeled control into the sub-mux angles dv, b, a.
+    """
+    if angles.shape[1] == 1:
+        return 2.0 * angles
+    t0, t1, t2 = angles.reshape(len(angles), -1, 3).transpose(2, 0, 1)
+    parts = np.stack([(t1 + t2) / 2.0, (t0 - t2) / 2.0, (t0 - t1) / 2.0], axis=1)  # dv, b, a
+    out = _z_core_angles(parts.reshape(-1, parts.shape[-1])).reshape(parts.shape)
+    out[:, 1] = out[:, 1, ::-1].copy()
+    return out.reshape(len(angles), -1)
+
+
+def _z_mux(level: int, qutrits: tuple[int, ...], angles: np.ndarray, closing: bool = True):
+    """exp(-i sz^level (x) diag(angles)) on ``qutrits[0]``, closed by the value-1 GCX run, one per control."""
+    run = [(GCX, q, qutrits[0], 1, level, 0) for q in qutrits[1:]] if closing else []
+    return _join((_z_core_rows(level, qutrits), _z_core_angles(angles)), _rows(*run))
+
+
+def _w_mux(level: int, qutrits: tuple[int, ...], angles: np.ndarray):
+    """The z mux with the rotation on ``qutrits[-1]``: reversed qutrits, angles at base-3 reversed indices."""
+    k = len(qutrits) - 1
+    return _z_mux(level, qutrits[::-1], angles[:, np.arange(3**k).reshape((3,) * k).T.ravel()])
+
+
+def _x_mux(level: int, qutrits: tuple[int, ...], angles: np.ndarray, absorb: bool):
+    """The y-conjugated z mux; ``absorb`` drops its closing run."""
+    y = _rows((ROT, qutrits[0], qutrits[0], 0, level, _Y))
+    quarter = np.full((len(angles), 1), math.pi / 2.0)
+    return _join((y, -quarter), _z_mux(level, qutrits, angles, closing=not absorb), (y, quarter))
+
+
+def _d_mux(kind: str, qutrits: tuple[int, ...], lam: np.ndarray):
+    """exp(-i D (x) diag(lam)) ("d") or exp(-i Dbar (x) diag(lam)) ("dbar"), see :func:`d_mux_gates`."""
+    if len(qutrits) == 1:
+        q = qutrits[0]
+        tp = 4.0 * lam / 3.0
+        rows = _rows((PHASE, 0, 0, 0, 0, 0), (ROT, q, q, 0, _L01, _Z), (ROT, q, q, 0, _L02, _Z))
+        return rows, np.concatenate([tp / 4.0, tp, tp if kind == "d" else -2.0 * tp], axis=1)
+    value = 0 if kind == "d" else 2
+    c, t = qutrits[0], qutrits[-1]
+    t0, t1, t2 = lam.reshape(len(lam), -1, 3).transpose(2, 0, 1)
+    th02 = (2.0 * t2 - t0 - t1) / 3.0
+    th01 = (2.0 * t1 - t0 - t2) / 3.0
+    mean = (t0 + t1 + t2) / 3.0
+    g01, g02 = _rows((GCX, c, t, value, _L01, 0)), _rows((GCX, c, t, value, _L02, 0))
+    inner = qutrits[1:]
+    return _join(
+        _d_mux(kind, qutrits[:-1], mean), g01, _w_mux(_L01, inner, th01), g01, g02, _w_mux(_L02, inner, th02), g02
+    )
+
+
+def _factor_block(kind: str, qutrits: tuple[int, ...], angles: np.ndarray):
+    """One interleaved factor of the chain per line of ``angles``, x factors absorbed."""
+    if kind in ("x01", "x12"):
+        return _x_mux(LEVELS.index(kind[1:]), qutrits, angles, absorb=True)
+    if kind == "z12":
+        return _z_mux(_L12, qutrits, angles)
+    return _d_mux(kind, qutrits, angles)
 
 
 def z_mux_gates(
@@ -106,38 +219,8 @@ def z_mux_gates(
     transpose in the computational basis, and the operator is diagonal.
     """
     qutrits, angles = _mux_args(qutrits, angles)
-    gates = _z_mux_core(level, qutrits, angles) + _closing_run(level, qutrits)
+    gates = _as_gates(_z_mux(LEVELS.index(level), qutrits, angles))
     return gates[::-1] if reverse else gates
-
-
-def _z_mux_core(level: str, qutrits: list[int], angles: np.ndarray) -> list[Gate]:
-    """The z mux on k qutrits in application order without its closing run: 3^(k-1) - 1 GCX.
-
-    Each sub-mux drops its run too: the ``dv`` run and the reversed ``b``
-    run commute with the GCX between them and cancel, and the ``a`` run is
-    part of this mux's own run.
-    """
-    t = qutrits[0]
-    if len(qutrits) == 1:
-        return [Rotation("z", level, t, 2.0 * float(angles[0]))]
-    c = qutrits[-1]
-    sub = qutrits[:-1]
-    tri = angles.reshape(-1, 3)  # columns = value of the control peeled off
-    a = (tri[:, 0] - tri[:, 1]) / 2.0
-    b = (tri[:, 0] - tri[:, 2]) / 2.0
-    dv = (tri[:, 1] + tri[:, 2]) / 2.0
-    return (
-        _z_mux_core(level, sub, dv)
-        + [Gcx(c, 2, t, level)]
-        + _z_mux_core(level, sub, b)[::-1]
-        + [LocalX(level, t), Gcx(c, 0, t, level)]
-        + _z_mux_core(level, sub, a)
-    )
-
-
-def _trit_reversal(k: int) -> np.ndarray:
-    """Permutation sending each index to the one with reversed base-3 digits."""
-    return np.arange(3**k).reshape((3,) * k).T.ravel()
 
 
 def w_mux_gates(level: str, qutrits: Sequence[int], angles: np.ndarray) -> list[Gate]:
@@ -147,8 +230,8 @@ def w_mux_gates(level: str, qutrits: Sequence[int], angles: np.ndarray) -> list[
     ``qutrits[-1]`` and ``qutrits[:-1]`` control, big-endian.  Realized by
     handing the emitter the reversed qutrit list and trit-reversed angles.
     """
-    qutrits, angles = _mux_args(qutrits[::-1], angles)
-    return _z_mux_core(level, qutrits, angles[_trit_reversal(len(qutrits) - 1)]) + _closing_run(level, qutrits)
+    qutrits, angles = _mux_args(qutrits, angles)
+    return _as_gates(_w_mux(LEVELS.index(level), qutrits, angles))
 
 
 def x_mux_gates(
@@ -164,13 +247,7 @@ def x_mux_gates(
     if level not in ("01", "12"):
         raise ValueError(f"x mux is emitted for levels 01 and 12 only, got {level!r}")
     qutrits, angles = _mux_args(qutrits, angles)
-    t = qutrits[0]
-    return [
-        Rotation("y", level, t, -math.pi / 2.0),
-        *_z_mux_core(level, qutrits, angles),
-        *([] if absorb else _closing_run(level, qutrits)),
-        Rotation("y", level, t, math.pi / 2.0),
-    ]
+    return _as_gates(_x_mux(LEVELS.index(level), qutrits, angles, absorb))
 
 
 def d_mux_gates(kind: str, qutrits: Sequence[int], angles: np.ndarray) -> list[Gate]:
@@ -185,38 +262,8 @@ def d_mux_gates(kind: str, qutrits: Sequence[int], angles: np.ndarray) -> list[G
     """
     if kind not in ("d", "dbar"):
         raise ValueError(f"unknown diagonal mux kind {kind!r}")
-    qutrits, lam = _mux_args(qutrits, angles)
-    if len(qutrits) == 1:
-        q = qutrits[0]
-        tp = 4.0 * float(lam[0]) / 3.0
-        return [
-            GlobalPhase(tp / 4.0),
-            Rotation("z", "01", q, tp),
-            Rotation("z", "02", q, tp if kind == "d" else -2.0 * tp),
-        ]
-    value = 0 if kind == "d" else 2
-    c, t = qutrits[0], qutrits[-1]
-    tri = lam.reshape(-1, 3)
-    th02 = (2.0 * tri[:, 2] - tri[:, 0] - tri[:, 1]) / 3.0
-    th01 = (2.0 * tri[:, 1] - tri[:, 0] - tri[:, 2]) / 3.0
-    mean = (tri[:, 0] + tri[:, 1] + tri[:, 2]) / 3.0
-    g01 = Gcx(c, value, t, "01")
-    g02 = Gcx(c, value, t, "02")
-    inner = qutrits[1:]
-    return (
-        d_mux_gates(kind, qutrits[:-1], mean)
-        + [g01, *w_mux_gates("01", inner, th01), g01]
-        + [g02, *w_mux_gates("02", inner, th02), g02]
-    )
-
-
-def _factor_gates(kind: str, qutrits: list[int], angles: np.ndarray) -> list[Gate]:
-    """Gates of one interleaved factor of the chain, x factors absorbed."""
-    if kind in ("x01", "x12"):
-        return x_mux_gates(kind[1:], qutrits, angles)
-    if kind == "z12":
-        return z_mux_gates("12", qutrits, angles)
-    return d_mux_gates(kind, qutrits, angles)
+    qutrits, angles = _mux_args(qutrits, angles)
+    return _as_gates(_d_mux(kind, qutrits, angles))
 
 
 # ---------------------------------------------------------------------------
@@ -262,20 +309,15 @@ def _zyz_angles(b: np.ndarray) -> np.ndarray:
     return np.stack([gamma, beta, alpha], axis=-1)
 
 
-def single_qutrit_gates(u: np.ndarray, qutrit: int = 0) -> list[Gate]:
-    """Any U(3) as nine rotations plus a global phase, for one matrix or a stack.
+def _leaf_block(u: np.ndarray, qutrit: int):
+    """Block of each matrix of a (k, 3, 3) stack as nine rotations on ``qutrit``, then its phase.
 
-    ``u`` is a (3, 3) matrix or a (k, 3, 3) stack; the result holds ten
-    gates per matrix, in stack order: nine rotations on ``qutrit``, then
-    the phase.  Pull out the determinant phase, zero the lower first
-    column with two unit-determinant two-level mixes, and expand each of
-    the three resulting det-1 blocks as a z-y-z rotation triple.  The
-    whole stack goes through each step as one array operation.
+    Pull out the determinant phase, zero the lower first column with two
+    unit-determinant two-level mixes, and expand each of the three
+    resulting det-1 blocks as a z-y-z rotation triple.  The whole stack
+    goes through each step as one array operation.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim not in (2, 3) or u.shape[-2:] != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix or a stack of them, got {u.shape}")
-    u = u.reshape(-1, 3, 3)
+    _check_ints(qutrit)
     defect = unitarity_defect(u)
     if defect > UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
@@ -291,16 +333,22 @@ def single_qutrit_gates(u: np.ndarray, qutrit: int = 0) -> list[Gate]:
     # |v1[1,0]|^2 = 1), and det B = det v2 = 1.
     dagger = (0, 2, 1)
     blocks = np.stack([v2[:, 1:, 1:], gb.conj().transpose(dagger), ga.conj().transpose(dagger)], 1)
-    gates: list[Gate] = []
-    for triples, p in zip(_zyz_angles(blocks).tolist(), phi.tolist()):
-        for level, (gamma, beta, alpha) in zip(_TRIPLE_LEVELS, triples):
-            gates += (
-                Rotation("z", level, qutrit, gamma),
-                Rotation("y", level, qutrit, beta),
-                Rotation("z", level, qutrit, alpha),
-            )
-        gates.append(GlobalPhase(p))
-    return gates
+    rows = [(ROT, qutrit, qutrit, 0, LEVELS.index(lv), axis) for lv in _TRIPLE_LEVELS for axis in (_Z, _Y, _Z)]
+    angles = np.concatenate([_zyz_angles(blocks).reshape(len(u), 9), phi[:, None]], axis=1)
+    return _rows(*rows, (PHASE, 0, 0, 0, 0, 0)), angles
+
+
+def single_qutrit_gates(u: np.ndarray, qutrit: int = 0) -> list[Gate]:
+    """Any U(3) as nine rotations plus a global phase, for one matrix or a stack.
+
+    ``u`` is a (3, 3) matrix or a (k, 3, 3) stack; the result holds ten
+    gates per matrix, in stack order: nine rotations on ``qutrit``, then
+    the phase (see :func:`_leaf_block`).
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.ndim not in (2, 3) or u.shape[-2:] != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix or a stack of them, got {u.shape}")
+    return _as_gates(_leaf_block(u.reshape(-1, 3, 3), qutrit))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +420,7 @@ def measured_operator_counts(
     counts: dict[str, int] = {}
     for kind in FACTOR_KINDS:
         angles = rng.uniform(0.2, 1.3, size=3 ** (n - 1))
-        circ = Circuit(n, tuple(_factor_gates(kind, list(range(n)), angles)))
+        circ = Circuit(n, _table(*_factor_block(kind, tuple(range(n)), angles[None]))[0])
         if gate_set is GateSet.GCX_CINC:
             circ = pass_fuse_cinc(circ)
         counts[kind] = count_gates(circ).two_qutrit
@@ -399,6 +447,7 @@ class SynthesisReport:
     ok: bool  # distance within SynthesisOptions.tolerance
     expected_two_qutrit: int | None
     elapsed_s: float
+    split_residuals: tuple[float, ...] = ()  # worst split residual per recursion level, top first
 
     @property
     def two_qutrit_count(self) -> int:
@@ -414,6 +463,7 @@ class SynthesisReport:
             "distance": self.distance,
             "ok": self.ok,
             "elapsed_s": self.elapsed_s,
+            "split_residuals": list(self.split_residuals),
         }
 
     def lines(self) -> list[str]:
@@ -429,45 +479,51 @@ class SynthesisReport:
             f"rotations:        {self.counts.rotations}",
             f"total gates:      {self.counts.total}",
             f"distance:         {self.distance:.3e}",
+            f"split residuals:  {' '.join(f'{r:.1e}' for r in self.split_residuals) or 'none'} (worst per level)",
             f"within tolerance: {'yes' if self.ok else 'no'}",
             f"elapsed:          {self.elapsed_s:.3f} s",
         ]
 
 
-def _factor_levels(m: np.ndarray, n: int) -> list[list[FactorizationNode]]:
+def _factor_levels(m: np.ndarray, n: int) -> tuple[list, np.ndarray]:
     """The recursion tree breadth-first: one :func:`factorize_stack` call per level.
 
-    Level j holds 9^j nodes; the children of node i of level j are nodes
-    9i..9i+8 of level j+1, its K factors in entry order.
+    Level j holds 9^j nodes; the children of node i are nodes 9i..9i+8 of
+    level j+1, its K factors in entry order.  A level keeps only what the
+    emission reads: its chain entries as (kind, stacked angles of its
+    nodes, or None for a K), and its worst split residual.  The last
+    level's K factors, the single-qutrit leaves, come back stacked.
     """
-    levels = [factorize_stack(m[None], absorb=True)]
-    while len(levels) < n - 1:
-        stack = np.stack([w for node in levels[-1] for w in node.k_factors])
-        levels.append(factorize_stack(stack, absorb=True))
-    return levels
+    levels, stack = [], m[None]
+    for _ in range(n - 1):
+        nodes = factorize_stack(stack, absorb=True)
+        entries = [
+            (e.kind, None if e.kind == "K" else np.stack([node.entries[j].angles for node in nodes]))
+            for j, e in enumerate(nodes[0].entries)
+        ]
+        levels.append((entries, max(max(node.residuals.values()) for node in nodes)))
+        stack = np.stack([w for node in nodes for w in node.k_factors])
+    return levels, stack
 
 
-def _emit_node(levels: list[list[FactorizationNode]], depth: int, i: int, leaf_gates: list[Gate]) -> list[Gate]:
-    """Gates for node i of level ``depth``.
+def _emit_tree(levels: list, leaves: np.ndarray, n: int) -> np.ndarray:
+    """The whole recursion tree as one gate table, in application order, built a level at a time.
 
-    ``leaf_gates`` holds the last level's K factors decomposed in stack
-    order, ten gates each, so single-qutrit leaf j is gates 10j..10j+9.
+    A level is one block whose line i is its node i: the nodes share their rows, each factor
+    position is one emitter call, and node i's K entries are lines 9i..9i+8 of the level below.
     """
-    node = levels[depth][i]
-    qs = list(range(depth, depth + node.n))
-    gates: list[Gate] = []
-    child = 9 * i + 9
-    # entries are in matrix order; emission is in application order
-    for e in reversed(node.entries):
-        if e.kind != "K":
-            gates += _factor_gates(e.kind, qs, e.angles)
-            continue
-        child -= 1
-        if depth + 1 < len(levels):
-            gates += _emit_node(levels, depth + 1, child, leaf_gates)
-        else:
-            gates += leaf_gates[10 * child : 10 * child + 10]
-    return gates
+    rows, angles = _leaf_block(leaves, n - 1)
+    for depth in range(n - 2, -1, -1):
+        kids = angles.reshape(9**depth, 9, -1)
+        blocks, child = [], 9
+        for kind, lam in reversed(levels[depth][0]):  # entries are in matrix order; emission in application order
+            if kind == "K":
+                child -= 1
+                blocks.append((rows, kids[:, child]))
+            else:
+                blocks.append(_factor_block(kind, tuple(range(depth, n)), lam))
+        rows, angles = _join(*blocks)
+    return _table(rows, angles).reshape(-1)
 
 
 def synthesize(
@@ -478,10 +534,11 @@ def synthesize(
     Returns the circuit and a report carrying the measured gate counts,
     the closed-form expected two-qutrit count (generic inputs; n >= 2),
     the phase-aligned Frobenius distance (:func:`unitary_distance`)
-    between the circuit's full simulated unitary and the input, and
-    whether that distance is within ``options.tolerance``.  A non-unitary
-    matrix raises ``ValueError`` from :func:`factorize_stack` (n = 1:
-    :func:`single_qutrit_gates`).
+    between the circuit's full simulated unitary and the input, whether
+    that distance is within ``options.tolerance``, and the worst split
+    residual of each recursion level.  A non-unitary matrix raises
+    ``ValueError`` from :func:`factorize_stack` (n = 1: from the leaf
+    decomposition of :func:`single_qutrit_gates`).
     """
     options = options or SynthesisOptions()
     m = np.asarray(m, dtype=complex)
@@ -491,12 +548,11 @@ def synthesize(
 
     t0 = time.perf_counter()
     if n == 1:
-        gates = single_qutrit_gates(m[None])
+        table, residuals = _table(*_leaf_block(m[None], 0)).reshape(-1), ()
     else:
-        levels = _factor_levels(m, n)
-        leaves = np.stack([w for node in levels[-1] for w in node.k_factors])
-        gates = _emit_node(levels, 0, 0, single_qutrit_gates(leaves, n - 1))
-    circ = simplify(Circuit(n, tuple(gates)), use_cinc=options.gate_set is GateSet.GCX_CINC)
+        levels, leaves = _factor_levels(m, n)
+        table, residuals = _emit_tree(levels, leaves, n), tuple(worst for _, worst in levels)
+    circ = simplify(Circuit(n, table), use_cinc=options.gate_set is GateSet.GCX_CINC)
     dist = unitary_distance(eval_circuit(circ), m)
     elapsed = time.perf_counter() - t0
 
@@ -508,5 +564,6 @@ def synthesize(
         ok=dist <= options.tolerance,
         expected_two_qutrit=expected_count(n, options.gate_set) if n >= 2 else None,
         elapsed_s=elapsed,
+        split_residuals=residuals,
     )
     return circ, report

@@ -2,8 +2,10 @@
 
 :func:`gate_matrix` is the dense matrix of one gate, the simulator's
 oracle.  :func:`reference_cancel` is the cancellation sweep in its plain
-form, with its own walk order, calling the rules on every pair it
-visits; ``pass_cancel`` must give the same gates.
+form on gate objects, with its own walk order and merge rules, calling
+the rules on every pair it visits; ``pass_cancel`` must give the same
+gates.  :func:`reference_fuse_cinc` is the CINC fusion as a
+left-to-right scan over gate objects.
 """
 
 import math
@@ -13,8 +15,8 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from trisect import algebra
-from trisect.circuit import Circuit, Cinc, Gate, Gcx, GlobalPhase, LocalX, Rotation, _gate_qutrits
-from trisect.passes import ANGLE_EPS, _merge_pair, _wrap, commutes
+from trisect.circuit import Circuit, Cinc, Gate, Gcx, GlobalPhase, LocalX, Rotation
+from trisect.passes import ANGLE_EPS, _wrap, commutes
 
 
 def gate_matrix(g: Gate, n: int) -> np.ndarray:
@@ -31,6 +33,25 @@ def gate_matrix(g: Gate, n: int) -> np.ndarray:
     if isinstance(g, GlobalPhase):
         return np.exp(1j * g.phi) * np.eye(3**n, dtype=complex)
     raise TypeError(f"not a gate: {g!r}")
+
+
+def _gate_qutrits(g: Gate) -> tuple[int, ...]:
+    if isinstance(g, (Rotation, LocalX)):
+        return (g.qutrit,)
+    if isinstance(g, (Gcx, Cinc)):
+        return (g.control, g.target)
+    return ()
+
+
+def _merge_pair(a: Gate, b: Gate) -> list[Gate] | None:
+    """Rewrite for the pair [a, b] brought adjacent; None means 'no rule applies'."""
+    if isinstance(a, (Gcx, LocalX)) and a == b:
+        return []
+    if isinstance(a, Rotation) and isinstance(b, Rotation):
+        if (a.axis, a.level, a.qutrit) == (b.axis, b.level, b.qutrit):
+            theta = _wrap(a.theta + b.theta, 4 * math.pi)
+            return [] if abs(theta) < ANGLE_EPS else [Rotation(a.axis, a.level, a.qutrit, theta)]
+    return None
 
 
 def _latest_first(a: list[int], b: Sequence[int] = ()) -> Iterator[int]:
@@ -76,3 +97,15 @@ def reference_cancel(c: Circuit) -> Circuit:
     phi = _wrap(phi, 2 * math.pi)
     lead = [GlobalPhase(phi)] if abs(phi) >= ANGLE_EPS else []
     return Circuit(c.n, tuple(lead + [g for g in out if g is not None]))
+
+
+def reference_fuse_cinc(c: Circuit) -> Circuit:
+    """Fuse an adjacent [GCX(m->X01), GCX(m->X02)] pair (same control, value and target) into a CINC."""
+    out: list[Gate] = []
+    for g in c.gates:
+        if isinstance(g, Gcx) and g.level == "02" and out and type(prev := out[-1]) is Gcx and prev.level == "01":
+            if (prev.control, prev.value, prev.target) == (g.control, g.value, g.target):
+                out[-1] = Cinc(g.control, g.value, g.target)
+                continue
+        out.append(g)
+    return Circuit(c.n, tuple(out))

@@ -10,6 +10,7 @@ import pytest
 from trisect import algebra, circuit
 from trisect.algebra import LEVELS
 from trisect.circuit import (
+    GATE_DTYPE,
     Circuit,
     CircuitParseError,
     Cinc,
@@ -23,9 +24,10 @@ from trisect.circuit import (
     serialize,
 )
 from trisect.linalg import haar_unitary
-from trisect.synth import synthesize
+from trisect.synth import GateSet, SynthesisOptions, synthesize
 
 from oracle import gate_matrix
+from test_structured import KINDS, structured_input
 
 
 def _random_circuit(n: int, length: int, rng: np.random.Generator) -> Circuit:
@@ -132,6 +134,80 @@ def test_circuit_validates_width():
         Circuit(2, (Rotation("x", "01", 2, 1.0),))
     with pytest.raises(ValueError, match="outside width"):
         Circuit(2, (Gcx(0, 1, 2, "01"),))
+
+
+def _table_with(gate, **fields) -> np.ndarray:
+    """The one-row table of ``gate`` with some columns overwritten."""
+    t = Circuit(3, (gate,)).table.copy()
+    for name, value in fields.items():
+        t[name] = value
+    return t
+
+
+# (valid gate, columns to overwrite, the gate whose constructor or width check must refuse the same way)
+_BAD_ROWS = {
+    "qutrit-outside-width": (
+        Rotation("x", "01", 0, 1.0), {"q0": 3, "q1": 3}, lambda: Circuit(3, (Rotation("x", "01", 3, 1.0),))
+    ),
+    "target-outside-width": (Gcx(0, 1, 2, "01"), {"q1": 5}, lambda: Circuit(3, (Gcx(0, 1, 5, "01"),))),
+    "control-is-target": (Gcx(0, 1, 2, "01"), {"q1": 0}, lambda: Gcx(0, 1, 0, "01")),
+    "cinc-control-is-target": (Cinc(1, 1, 2), {"q0": 2}, lambda: Cinc(2, 1, 2)),
+    "value-3": (Gcx(0, 1, 2, "12"), {"value": 3}, lambda: Gcx(0, 3, 2, "12")),
+    "value-negative": (Cinc(0, 1, 2), {"value": -1}, lambda: Cinc(0, -1, 2)),
+    "nan-angle": (Rotation("y", "02", 1, 0.5), {"angle": np.nan}, lambda: Rotation("y", "02", 1, np.nan)),
+    "inf-phase": (GlobalPhase(0.5), {"angle": -np.inf}, lambda: GlobalPhase(-np.inf)),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_ROWS.values(), ids=_BAD_ROWS.keys())
+def test_table_rejects_a_bad_field_with_the_gate_error(case):
+    gate, fields, reference = case
+    with pytest.raises(ValueError) as want:
+        reference()
+    with pytest.raises(ValueError) as got:
+        Circuit(3, _table_with(gate, **fields))
+    assert str(got.value) == str(want.value)
+
+
+def test_table_rejects_rows_off_canonical_form():
+    # an unused field that is not 0 would give one gate two rows
+    for gate, fields in [
+        (Rotation("x", "01", 0, 1.0), {"q1": 1}),
+        (LocalX("01", 1), {"angle": 0.5}),
+        (Cinc(0, 1, 2), {"level": 2}),
+        (GlobalPhase(0.5), {"q0": 1, "q1": 1}),
+        (Gcx(0, 1, 2, "01"), {"axis": 1}),
+    ]:
+        with pytest.raises(ValueError, match="canonical"):
+            Circuit(3, _table_with(gate, **fields))
+    with pytest.raises(ValueError, match="code"):
+        Circuit(3, _table_with(Rotation("x", "01", 0, 1.0), axis=3))
+    with pytest.raises(TypeError, match="GATE_DTYPE"):
+        Circuit(3, np.zeros(2))
+    with pytest.raises(ValueError, match="read-only"):
+        Circuit(3, _table_with(GlobalPhase(0.5))).table["angle"][0] = 1.0
+
+
+def _same_table(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal in every column, angles bit for bit."""
+    return a.dtype == b.dtype == GATE_DTYPE and all(
+        np.array_equal(a[name].view(np.int64) if name == "angle" else a[name],
+                       b[name].view(np.int64) if name == "angle" else b[name])
+        for name in GATE_DTYPE.names
+    )
+
+
+_SYNTHESES = [("haar", n) for n in (2, 3, 4)] + [(kind, n) for kind in KINDS for n in (2, 3)]
+
+
+@pytest.mark.parametrize("gate_set", list(GateSet), ids=lambda g: g.value)
+@pytest.mark.parametrize("kind,n", _SYNTHESES)
+def test_gate_objects_reproduce_the_table(kind, n, gate_set):
+    u = haar_unitary(3**n, np.random.default_rng(n)) if kind == "haar" else structured_input(kind, n)
+    c, _ = synthesize(u, SynthesisOptions(gate_set=gate_set))
+    again = Circuit(c.n, c.gates)
+    assert _same_table(again.table, c.table)
+    assert serialize(again) == serialize(c) and again == c and parse(serialize(c)) == c
 
 
 # ---------------------------------------------------------------------------

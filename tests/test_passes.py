@@ -23,8 +23,7 @@ from trisect.circuit import (
 )
 from trisect.linalg import haar_unitary
 from trisect.passes import (
-    _merge_pair,
-    _shape,
+    _shape_codes,
     commutes,
     pass_cancel,
     pass_fuse_cinc,
@@ -32,7 +31,7 @@ from trisect.passes import (
 )
 from trisect.synth import GateSet, SynthesisOptions, synthesize
 
-from oracle import gate_matrix, reference_cancel
+from oracle import _merge_pair, gate_matrix, reference_cancel, reference_fuse_cinc
 from test_structured import KINDS, structured_input
 
 TOL = 1e-11
@@ -111,13 +110,15 @@ def test_commutes_reads_no_angle():
 
 
 def test_merge_needs_equal_shapes():
-    # pass_cancel calls _merge_pair only on equal shapes; that skips no rewrite
+    # pass_cancel tries a merge only on equal shape codes; by the reference
+    # merge rules that skips no rewrite
     pool = _every_gate_kind(3)
-    assert len({_shape(g) for g in pool}) == len(pool)  # one shape per gate kind
+    shape = dict(zip(map(id, pool), _shape_codes(Circuit(3, tuple(pool)).table, 3).tolist()))
+    assert len(set(shape.values())) == len(pool)  # one shape per gate kind
     merges = 0
     for a in pool:
         for b in pool:
-            if _shape(a) != _shape(b):
+            if shape[id(a)] != shape[id(b)]:
                 assert _merge_pair(a, b) is None, (a, b)
             elif _merge_pair(a, b) is not None:
                 merges += 1
@@ -371,3 +372,32 @@ def test_simplify_idempotent():
     once = simplify(Circuit(2, gates))
     twice = simplify(once)
     assert once.gates == twice.gates
+
+
+_FUSE_RUNS = {
+    "gcx01-gcx01-gcx02": [Gcx(0, 1, 1, "01"), Gcx(0, 1, 1, "01"), Gcx(0, 1, 1, "02")],
+    "gcx01-cinc": [Gcx(0, 1, 1, "01"), Cinc(0, 1, 1)],
+    "gcx01-gcx02-gcx02": [Gcx(0, 1, 1, "01"), Gcx(0, 1, 1, "02"), Gcx(0, 1, 1, "02")],
+    "gcx02-gcx01-gcx02": [Gcx(0, 1, 1, "02"), Gcx(0, 1, 1, "01"), Gcx(0, 1, 1, "02")],
+    "two-pairs": [Gcx(0, 1, 1, "01"), Gcx(0, 1, 1, "02"), Gcx(1, 2, 0, "01"), Gcx(1, 2, 0, "02")],
+    "pair-at-the-end": [Rotation("z", "01", 0, 0.3), Gcx(1, 0, 0, "01"), Gcx(1, 0, 0, "02")],
+}
+
+
+@pytest.mark.parametrize("run", _FUSE_RUNS.values(), ids=_FUSE_RUNS.keys())
+def test_fuse_cinc_matches_reference_scan(run):
+    c = Circuit(2, tuple(run))
+    assert pass_fuse_cinc(c) == reference_fuse_cinc(c)
+
+
+def test_fuse_cinc_matches_reference_on_random_runs():
+    # runs drawn from the near misses, so pairs overlap, chain and break
+    rng = np.random.default_rng(31)
+    pool = [Gcx(0, 1, 1, "01"), Gcx(0, 1, 1, "02"), Gcx(0, 2, 1, "02"), Gcx(1, 1, 0, "02"), Cinc(0, 1, 1)]
+    fused = 0
+    for _ in range(300):
+        c = Circuit(2, tuple(pool[i] for i in rng.integers(0, len(pool), rng.integers(0, 12))))
+        got = pass_fuse_cinc(c)
+        assert got == reference_fuse_cinc(c)
+        fused += count_gates(got).cinc - count_gates(c).cinc
+    assert fused > 30  # the runs do fuse

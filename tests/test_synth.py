@@ -14,13 +14,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from trisect import cartan, cli, linalg, synth
+from trisect import cartan, circuit, cli, linalg, passes, synth
 from trisect.algebra import GeneratorId, gcx_matrix, generator, rotation
 from trisect.cartan import absorption_factor, factorize, factorize_stack
 from trisect.circuit import (
+    Cinc,
     Circuit,
     Gcx,
     GlobalPhase,
+    LocalX,
     Rotation,
     count_gates,
     eval_circuit,
@@ -366,7 +368,7 @@ def test_measured_operator_counts_reject_one_qutrit():
 def test_factor_emission_is_at_the_closed_form(kind, n):
     # one factor emitted standalone with generic angles
     angles = np.random.default_rng(n).uniform(0.2, 1.3, size=3 ** (n - 1))
-    c = Circuit(n, tuple(synth._factor_gates(kind, list(range(n)), angles)))
+    c = Circuit(n, synth._table(*synth._factor_block(kind, tuple(range(n)), angles[None]))[0])
     two = count_gates(c).two_qutrit
     assert two == operator_count(kind, n, GateSet.GCX_ONLY)
     # no within-factor GCX is left for the sweep to cancel ...
@@ -616,12 +618,13 @@ def test_synthesize_deterministic():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_synthesize_decomposes_all_leaves_in_one_call(monkeypatch, n):
     calls = []
+    leaf_block = synth._leaf_block
 
-    def spy(u, qutrit=0):
+    def spy(u, qutrit):
         calls.append((np.shape(u), qutrit))
-        return single_qutrit_gates(u, qutrit)
+        return leaf_block(u, qutrit)
 
-    monkeypatch.setattr(synth, "single_qutrit_gates", spy)
+    monkeypatch.setattr(synth, "_leaf_block", spy)
     u = haar_unitary(3**n, np.random.default_rng(67 + n))
     _, rep = synthesize(u)
     assert calls == [((9 ** (n - 1), 3, 3), n - 1)]
@@ -649,10 +652,11 @@ def test_synthesize_leaf_batch_matches_per_leaf_calls(monkeypatch):
         options = SynthesisOptions(gate_set=gate_set)
         batched, _ = synthesize(u, options)
         with monkeypatch.context() as m:
+            leaf_block = synth._leaf_block
             m.setattr(
                 synth,
-                "single_qutrit_gates",
-                lambda us, q: [g for leaf in us for g in single_qutrit_gates(leaf, q)],
+                "_leaf_block",
+                lambda us, q: (leaf_block(us[:1], q)[0], np.concatenate([leaf_block(u[None], q)[1] for u in us])),
             )
             per_leaf, _ = synthesize(u, options)
         _same_gates(batched.gates, per_leaf.gates, 1e-14)
@@ -728,3 +732,46 @@ def test_unitarity_is_checked_once_per_entry(monkeypatch):
     calls.clear()
     factorize(u)
     assert calls == [(1, 27, 27)]
+
+
+def test_synthesis_builds_no_gate_object(monkeypatch):
+    # emission, the sweep (from a cold commutation table), fusion, counting
+    # and verification all run on the gate table
+    def refuse(self):
+        raise AssertionError(f"built a gate object: {type(self).__name__}")
+
+    for cls in (Rotation, LocalX, Gcx, Cinc, GlobalPhase):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    monkeypatch.setattr(circuit, "_gates", lambda rows: refuse(None))  # the unchecked path from table rows
+    monkeypatch.setattr(passes, "_COMMUTES", {})
+    for gate_set in GateSet:
+        circ, rep = synthesize(haar_unitary(27, np.random.default_rng(0)), SynthesisOptions(gate_set=gate_set))
+        assert rep.ok and rep.two_qutrit_count == expected_count(3, gate_set)
+        assert serialize(circ).count("\nR ") == rep.counts.rotations
+    with pytest.raises(AssertionError, match="built a gate object"):
+        Rotation("x", "01", 0, 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_split_residuals_are_reported_per_level(n):
+    _, rep = synthesize(haar_unitary(3**n, np.random.default_rng(80 + n)))
+    assert len(rep.split_residuals) == n - 1 and all(r < 1e-10 for r in rep.split_residuals)
+    assert rep.as_dict()["split_residuals"] == list(rep.split_residuals)
+    line = next(line for line in rep.lines() if line.startswith("split residuals:"))
+    assert line.split()[2:] == ([f"{r:.1e}" for r in rep.split_residuals] or ["none"]) + ["(worst", "per", "level)"]
+
+
+def test_a_broken_split_shows_in_its_level(monkeypatch):
+    # the d split at level 1 (3x3 blocks at n=3) returns angles off by 0.1;
+    # the circuit may still be emitted, but the level's residual says so
+    split = cartan.split_off_d
+
+    def broken(k):
+        v, lam, w = split(k)
+        return v, lam + 0.1 if k.shape[-1] == 3 else lam, w
+
+    monkeypatch.setattr(cartan, "split_off_d", broken)
+    _, rep = synthesize(haar_unitary(27, np.random.default_rng(82)))
+    top, level1 = rep.split_residuals
+    assert top < 1e-10 < 1e-8 < level1
+    assert rep.as_dict()["split_residuals"][1] == level1

@@ -7,13 +7,14 @@ qutrit, or a GCX/CINC control), ``q1`` (the target; q0 for a one-qutrit
 gate), ``value`` (control value), ``level`` and ``axis`` (indices into
 LEVELS and AXES) and ``angle`` (rotation angle or phase).  Unused fields
 are 0, so each gate has one row; the table is checked once, with array
-operations.  Gate objects (:class:`Rotation`, :class:`Gcx`, ...) build
-and inspect single gates: ``Circuit(n, gates)`` takes them and
-``Circuit.gates`` makes them on demand.  Counting, the passes, the text
-format and :func:`eval_circuit` read the columns.  :func:`eval_circuit`
-cuts the table into runs on at most three qutrits, simulates each run on
-its own matrix of at most 27 x 27 and applies it to the full unitary in
-one tensor contraction as soon as it is cut, keeping nothing of it.
+operations, and kept as a read-only copy.  Gate objects
+(:class:`Rotation`, :class:`Gcx`, ...) build and inspect single gates:
+``Circuit(n, gates)`` takes them and ``Circuit.gates`` makes them on
+demand.  Counting, the passes, the text format and :func:`eval_circuit`
+read the columns.  :func:`eval_circuit` cuts the table into runs on at
+most three qutrits, simulates each run on its own matrix of at most
+27 x 27 and applies it to the full unitary in one tensor contraction as
+soon as it is cut, keeping nothing of it.
 
 Text format (one gate per line, '#' starts a comment):
 
@@ -141,6 +142,7 @@ GATE_DTYPE = np.dtype({  # 16 bytes a row, the angle 8-byte aligned
     "formats": ["i1", "i2", "i2", "i1", "i1", "i1", "f8"],
     "offsets": [0, 4, 6, 1, 2, 3, 8],
 })
+_CHUNK = 4096  # rows turned into Python scalars at a time, so no whole column is ever a list
 _CLASSES = (Rotation, LocalX, Gcx, Cinc, GlobalPhase)
 _AXIS = {a: i for i, a in enumerate(AXES)}
 _LEVEL = {lv: i for i, lv in enumerate(LEVELS)}
@@ -161,10 +163,10 @@ def _row(g: Gate) -> tuple:
     raise TypeError(f"not a gate: {g!r}")
 
 
-def _columns(t: np.ndarray, names: tuple[str, ...] = GATE_DTYPE.names, chunk: int = 4096):
-    """The rows of ``t`` as tuples of Python scalars, one per column name, converted a chunk at a time."""
+def _columns(t: np.ndarray, names: tuple[str, ...] = GATE_DTYPE.names):
+    """The rows of ``t`` as tuples of Python scalars, one per column name, converted _CHUNK rows at a time."""
     return itertools.chain.from_iterable(
-        zip(*(t[name][start : start + chunk].tolist() for name in names)) for start in range(0, len(t), chunk)
+        zip(*(t[name][start : start + _CHUNK].tolist() for name in names)) for start in range(0, len(t), _CHUNK)
     )
 
 
@@ -172,7 +174,8 @@ def _gates(rows) -> list[Gate]:
     """Gate objects of checked table rows, built without re-running their classes' field checks.
 
     The collector is paused meanwhile: the new gates hold no cycles, and
-    each collection it would run walks every gate made so far.
+    each collection it would run walks every gate made so far (with it
+    running, ``Circuit.gates`` of a 120k-gate circuit takes 1.6x as long).
     """
     enabled, out = gc.isenabled(), []
     gc.disable()
@@ -196,37 +199,52 @@ def _gates(rows) -> list[Gate]:
     return out
 
 
-def _row_error(n: int, row: tuple) -> ValueError:
-    """Why a row is not a gate on n qutrits: its gate constructor's error, the width, or its form."""
+def _row_error(n: int, row) -> ValueError:
+    """Why a row (a tuple or a table row) is not a gate on n qutrits: its gate's error, the width, or its form."""
+    row = row.item() if isinstance(row, np.void) else row
     if not (0 <= row[0] <= PHASE and 0 <= row[4] < 3 and 0 <= row[5] < 3):
         return ValueError(f"bad op, level or axis code in gate row {row}")
-    dataclasses.replace(g := _gates([row])[0])  # raises the gate constructor's ValueError on a bad field
+    try:
+        dataclasses.replace(g := _gates([row])[0])  # re-runs the gate constructor's field checks
+    except ValueError as exc:
+        return exc
     for q in row[1:3]:
         if not 0 <= q < n:
             return ValueError(f"gate {g} touches qutrit {q} outside width {n}")
     return ValueError(f"gate row {row} is not in canonical form")
 
 
-def _check_table(n: int, t: np.ndarray) -> None:
-    """Raise for the first row of ``t`` that is not one gate on n qutrits in canonical form."""
-    if t.dtype != GATE_DTYPE or t.ndim != 1:
-        raise TypeError(f"a gate table is a 1-D array of GATE_DTYPE, got {t.dtype} {t.shape}")
+def _bad_rows(n: int, t: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``t`` that are not one gate on n qutrits in canonical form."""
     op, q0, q1, value, level, axis, angle = (t[name] for name in GATE_DTYPE.names)
     two, rot, phase = (op == GCX) | (op == CINC), op == ROT, op == PHASE
     ok = (op >= 0) & (op <= PHASE) & (q0 >= 0) & (q0 < n) & (q1 >= 0) & (q1 < n) & (level >= 0) & (level < 3)
     ok &= np.where(two, (q0 != q1) & (value >= 0) & (value < 3), (q0 == q1) & (value == 0))
     ok &= np.where(rot, (axis >= 0) & (axis < 3), axis == 0) & np.where(rot | phase, np.isfinite(angle), angle == 0)
     ok &= ((op != CINC) & ~phase | (level == 0)) & (~phase | (q0 == 0))
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        raise _row_error(n, t[bad[0]].item())
+    return np.flatnonzero(~ok)
+
+
+# The table's columns at full width: rows made from gates or text are checked at this
+# width before they are narrowed, so no field can overflow on the way in.
+_WIDE = np.dtype([(name, "i8") for name in GATE_DTYPE.names[:-1]] + [("angle", "f8")])
+_MAX_QUTRITS = int(np.iinfo(GATE_DTYPE["q0"]).max)
+
+
+def _wide(rows: list[tuple]) -> np.ndarray:
+    """Rows as a full-width table; a field past int64, outside every range, is stored as -1 for the check to refuse."""
+    try:
+        return np.array(rows, _WIDE)
+    except OverflowError:
+        return np.array([(*(v if -(2**63) <= v < 2**63 else -1 for v in r[:-1]), r[-1]) for r in rows], _WIDE)
 
 
 @dataclass(frozen=True, eq=False)
 class Circuit:
     """A width n and its gate table (module docstring), checked once.
 
-    ``table`` is a 1-D array of :data:`GATE_DTYPE` or a sequence of gate objects.
+    ``table`` is a 1-D array of :data:`GATE_DTYPE`, which is copied, or a
+    sequence of gate objects.  The stored table is read-only.
     """
 
     n: int
@@ -234,11 +252,17 @@ class Circuit:
 
     def __post_init__(self):
         _check_ints(self.n)
-        if self.n < 1:
-            raise ValueError("circuit needs at least one qutrit")
-        t = self.table
-        t = t.view() if isinstance(t, np.ndarray) else np.array([_row(g) for g in t], GATE_DTYPE)
-        _check_table(self.n, t)
+        if not 1 <= self.n <= _MAX_QUTRITS:
+            raise ValueError(f"circuit needs 1 to {_MAX_QUTRITS} qutrits (the gate table's range), got {self.n}")
+        t = rows = self.table
+        if not isinstance(t, np.ndarray):
+            t = _wide(rows := [_row(g) for g in t])
+        elif t.dtype != GATE_DTYPE or t.ndim != 1:
+            raise TypeError(f"a gate table is a 1-D array of GATE_DTYPE, got {t.dtype} {t.shape}")
+        bad = _bad_rows(self.n, t)
+        if bad.size:
+            raise _row_error(self.n, rows[bad[0]])
+        t = t.astype(GATE_DTYPE)  # a copy, so no caller's array can change the checked table
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
 
@@ -434,9 +458,10 @@ def serialize(c: Circuit) -> str:
 
 
 def _parse_qutrit(tok: str, line_no: int) -> int:
-    if not tok.startswith("q") or not tok[1:].isdigit():
+    digits = tok[1:]
+    if tok[:1] != "q" or not digits.isdigit():
         raise CircuitParseError(line_no, f"expected qutrit like 'q0', got {tok!r}")
-    return int(tok[1:])
+    return int(digits)
 
 
 def _parse_control(tok: str, line_no: int) -> tuple[int, int]:
@@ -453,7 +478,8 @@ def _parse_float(tok: str, line_no: int) -> float:
         raise CircuitParseError(line_no, f"bad number {tok!r}") from None
 
 
-# What a line of each kind must hold, said when it does not.
+# Tokens after the kind on each gate line, and what a line of each kind must hold, said when it does not.
+_ARITY = {"R": 4, "X": 2, "GCX": 3, "CINC": 2, "PHASE": 1}
 _SYNTAX = {
     "QUTRITS": "duplicate QUTRITS header",
     "R": "R needs: axis level qutrit angle",
@@ -464,61 +490,68 @@ _SYNTAX = {
 }
 
 
+def _parse_row(toks: list[str], line_no: int) -> tuple:
+    """The table row of a gate line.  Its tokens and names are checked here, its fields with the table's."""
+    kind, args = toks[0].upper(), toks[1:]
+    if len(args) != _ARITY.get(kind):
+        raise CircuitParseError(line_no, _SYNTAX.get(kind, f"unknown gate {toks[0]!r}"))
+    if kind == "R":
+        ax, lv, q, th = args[0].lower(), args[1], _parse_qutrit(args[2], line_no), _parse_float(args[3], line_no)
+        if ax not in _AXIS or lv not in _LEVEL:
+            Rotation(ax, lv, q, th)  # raises its bad-name error
+        return (ROT, q, q, 0, _LEVEL[lv], _AXIS[ax], th)
+    if kind == "X":
+        q = _parse_qutrit(args[1], line_no)
+        if args[0] not in _LEVEL:
+            LocalX(args[0], q)
+        return (LOCAL_X, q, q, 0, _LEVEL[args[0]], 0, 0.0)
+    if kind == "PHASE":
+        return (PHASE, 0, 0, 0, 0, 0, _parse_float(args[0], line_no))
+    ctl, val = _parse_control(args[0], line_no)
+    tgt = _parse_qutrit(args[1], line_no)
+    if kind == "CINC":
+        return (CINC, ctl, tgt, val, 0, 0, 0.0)
+    if args[2] not in _LEVEL:
+        Gcx(ctl, val, tgt, args[2])
+    return (GCX, ctl, tgt, val, _LEVEL[args[2]], 0, 0.0)
+
+
 def parse(text: str) -> Circuit:
     """The circuit of a text file, one table row per gate line.
 
-    The first faulty line raises :class:`CircuitParseError`: an unknown
-    axis or level name with its gate constructor's error, and a row whose
-    fields do not make a gate on n qutrits with :class:`Circuit`'s.
+    The first faulty line raises :class:`CircuitParseError`; a row whose
+    fields do not make a gate on n qutrits gets :class:`Circuit`'s message,
+    that of its gate constructor or of the width.
     """
-    n: int | None = None
-    rows: list[tuple] = []
+    n, rows, line_nos = None, [], []
+
+    def checked() -> np.ndarray:  # the rows read so far, in full-width columns
+        t = _wide(rows)
+        bad = _bad_rows(n, t)
+        if bad.size:
+            raise CircuitParseError(line_nos[bad[0]], str(_row_error(n, rows[bad[0]])))
+        return t
+
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        toks = (raw.partition("#")[0] if "#" in raw else raw).split()
+        toks = raw.partition("#")[0].split()
         if not toks:
             continue
-        kind = toks[0].upper()
         try:
-            if n is None:
-                if kind != "QUTRITS":
-                    raise CircuitParseError(line_no, "file must start with 'QUTRITS <n>'")
-                if len(toks) != 2 or not toks[1].isdigit() or int(toks[1]) < 1:
-                    raise CircuitParseError(line_no, "QUTRITS needs a positive integer")
-                n = int(toks[1])
-                continue
-            if kind == "R" and len(toks) == 5:  # most lines: the qutrit is read inline
-                _, ax, lv, qs, th = toks
-                q = int(qs[1:]) if qs[:1] == "q" and qs[1:].isdigit() else _parse_qutrit(qs, line_no)
-                level, axis, theta = _LEVEL.get(lv), _AXIS.get(ax.lower()), _parse_float(th, line_no)
-                if level is None or axis is None:
-                    Rotation(ax.lower(), lv, q, theta)  # raises its bad-name error
-                row, bad = (ROT, q, q, 0, level, axis, theta), q >= n or not math.isfinite(theta)
-            elif kind == "X" and len(toks) == 3:
-                q = _parse_qutrit(toks[2], line_no)
-                row = (LOCAL_X, q, q, 0, _LEVEL.get(toks[1]), 0, 0.0)
-                if row[4] is None:
-                    LocalX(toks[1], q)
-                bad = q >= n
-            elif kind in ("GCX", "CINC") and len(toks) == (4 if kind == "GCX" else 3):
-                ctl, val = _parse_control(toks[1], line_no)
-                tgt = _parse_qutrit(toks[2], line_no)
-                level = _LEVEL.get(toks[3]) if kind == "GCX" else 0
-                row = (GCX if kind == "GCX" else CINC, ctl, tgt, val, level, 0, 0.0)
-                if level is None:
-                    Gcx(ctl, val, tgt, toks[3])
-                bad = ctl >= n or tgt >= n or ctl == tgt or val > 2
-            elif kind == "PHASE" and len(toks) == 2:
-                row = (PHASE, 0, 0, 0, 0, 0, _parse_float(toks[1], line_no))
-                bad = not math.isfinite(row[6])
+            if n is not None:
+                rows.append(_parse_row(toks, line_no))
+                line_nos.append(line_no)
+            elif toks[0].upper() != "QUTRITS":
+                raise CircuitParseError(line_no, "file must start with 'QUTRITS <n>'")
+            elif len(toks) != 2 or not toks[1].isdigit() or int(toks[1]) < 1:
+                raise CircuitParseError(line_no, "QUTRITS needs a positive integer")
             else:
-                raise CircuitParseError(line_no, _SYNTAX.get(kind, f"unknown gate {toks[0]!r}"))
-            if bad:
-                raise _row_error(n, row)
-            rows.append(row)
-        except CircuitParseError:
-            raise
-        except ValueError as exc:  # a gate constructor or the width rejected the fields
+                n = Circuit(int(toks[1]), ()).n  # raises for a width the table cannot hold
+        except ValueError as exc:
+            if n is not None:
+                checked()  # an earlier line with bad fields is the first faulty one
+            if isinstance(exc, CircuitParseError):
+                raise
             raise CircuitParseError(line_no, str(exc)) from None
     if n is None:
         raise CircuitParseError(0, "empty circuit file (missing QUTRITS header)")
-    return Circuit(n, np.array(rows, GATE_DTYPE))
+    return Circuit(n, checked().astype(GATE_DTYPE))

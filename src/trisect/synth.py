@@ -548,11 +548,11 @@ def synthesize(
 
     t0 = time.perf_counter()
     if n == 1:
-        table, residuals = _table(*_leaf_block(m[None], 0)).reshape(-1), ()
-    else:
+        circ, residuals = Circuit(1, _table(*_leaf_block(m[None], 0)).reshape(-1)), ()
+    else:  # the emitted table is dropped as soon as the circuit has copied it
         levels, leaves = _factor_levels(m, n)
-        table, residuals = _emit_tree(levels, leaves, n), tuple(worst for _, worst in levels)
-    circ = simplify(Circuit(n, table), use_cinc=options.gate_set is GateSet.GCX_CINC)
+        circ, residuals = Circuit(n, _emit_tree(levels, leaves, n)), tuple(worst for _, worst in levels)
+    circ = simplify(circ, use_cinc=options.gate_set is GateSet.GCX_CINC)
     dist = unitary_distance(eval_circuit(circ), m)
     elapsed = time.perf_counter() - t0
 

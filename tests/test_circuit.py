@@ -134,6 +134,12 @@ def test_circuit_validates_width():
         Circuit(2, (Rotation("x", "01", 2, 1.0),))
     with pytest.raises(ValueError, match="outside width"):
         Circuit(2, (Gcx(0, 1, 2, "01"),))
+    # the table's qutrit columns are int16: anything wider is refused, never wrapped
+    with pytest.raises(ValueError, match="the gate table's range"):
+        Circuit(2**15, ())
+    for gate in (Rotation("x", "01", 40000, 1.0), Cinc(0, 1, 2**40), Gcx(2**70, 1, 0, "01")):
+        with pytest.raises(ValueError, match="outside width"):
+            Circuit(3, (gate,))
 
 
 def _table_with(gate, **fields) -> np.ndarray:
@@ -186,6 +192,15 @@ def test_table_rejects_rows_off_canonical_form():
         Circuit(3, np.zeros(2))
     with pytest.raises(ValueError, match="read-only"):
         Circuit(3, _table_with(GlobalPhase(0.5))).table["angle"][0] = 1.0
+
+
+def test_table_is_a_copy_of_the_callers_array():
+    gates = (Gcx(0, 1, 2, "01"), Rotation("x", "01", 1, 0.5))
+    source = Circuit(3, gates).table.copy()
+    c = Circuit(3, source)
+    source["q1"][0], source["op"][1] = 7, 9  # out of width and no op code: must not reach c
+    assert not np.shares_memory(c.table, source)
+    assert c == Circuit(3, gates) and c.gates == gates
 
 
 def _same_table(a: np.ndarray, b: np.ndarray) -> bool:
@@ -451,6 +466,13 @@ def test_serialize_format_lines():
         ("QUTRITS 2\nR x 33 q0 1.0", 2, "bad rotation"),
         ("QUTRITS 1\nGCX q0=1 q0 01", 2, "must differ"),
         ("QUTRITS 2\nR x 01 q0 1.0\nGCX q0=1 q7 01\n", 3, "outside width"),
+        ("# past the widest table\nQUTRITS 32768", 2, "the gate table's range"),
+        ("QUTRITS 2\nR x 01 q40000 1.0", 2, "outside width"),
+        ("QUTRITS 2\nX 01 q1\nCINC q0=300 q1", 3, "control value must be 0, 1 or 2, got 300"),
+        ("QUTRITS 2\nR x 01 q0 1.0\nR y 12 q99999999999999999999 1.0", 3, "qutrit 99999999999999999999 outside"),
+        # fields are checked with the table, after later lines' tokens: the earlier line is still the one reported
+        ("QUTRITS 2\nGCX q0=1 q5 01\nR x 01 zz 1.0", 2, "outside width"),
+        ("QUTRITS 2\nGCX q0=1 q1 01\nR x 01 zz 1.0\nGCX q0=1 q5 01", 3, "expected qutrit"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no, fragment):

@@ -19,9 +19,10 @@ stack of those blocks, never as a zero-padded 3p x 3p matrix.
 Level j of the recursion holds 9^j independent matrices, so every step
 also takes a (k, d, d) stack: :func:`factorize_stack` runs one level
 for a whole stack in one pass of array operations, with only the LAPACK
-drivers looping per matrix, and :func:`factorize` is its one-matrix
-case.  Steps are called through this module's names (``csd``,
-``unitary_eig``, ``split_off_*``), so they can be wrapped from outside.
+drivers looping per matrix, and returns one stack per chain factor;
+:func:`factorize` is its one-matrix case, read off as a node.  Steps
+are called through this module's names (``csd``, ``unitary_eig``,
+``split_off_*``), so they can be wrapped from outside.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def _mix_columns(a: np.ndarray, kind: str, angles: np.ndarray) -> np.ndarray:
 
 def _worst(a: np.ndarray) -> np.ndarray:
     """Max-abs entry of each item of a stack, shape (k,)."""
-    return np.abs(a).reshape(len(a), -1).max(axis=1)
+    return np.abs(a).max(axis=tuple(range(1, a.ndim)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +280,7 @@ def _absorption_signs(kind: str, p: int) -> np.ndarray:
     return signs
 
 
-# Slotted: a recursion tree holds (9^(n-1) - 1) / 8 nodes of 17 entries each.
+# Slotted: a tree of factorize calls holds (9^(n-1) - 1) / 8 nodes of 17 entries each.
 @dataclass(frozen=True, slots=True)
 class NodeEntry:
     """One factor of the chain: a K (matrix) or an angle-vector factor."""
@@ -324,17 +325,19 @@ def _qutrit_count(d: int) -> int | None:
     return n if power == d else None
 
 
-def factorize_stack(ms: np.ndarray, absorb: bool = False) -> list[FactorizationNode]:
+def factorize_stack(ms: np.ndarray, absorb: bool = False) -> tuple[list[tuple[str, np.ndarray]], dict[str, np.ndarray]]:
     """One full level for each matrix of a (k, 3^n, 3^n) stack, n >= 2.
 
-    Every step runs once over the whole stack, so the k nodes cost one
-    pass of array operations plus the per-matrix LAPACK calls.  Each
-    node equals the one a single-matrix stack gives, and keeps its own
-    residuals.  With ``absorb=True`` the sign compensation of the
-    absorbed x01 and x12 circuits is folded into the neighbouring K
-    factors before the block rearrangement, so the node reconstructs
-    against the absorbed gate lists instead of the plain exponentials
-    (see ``absorption_factor``).  An empty stack gives no nodes.
+    Every step runs once over the whole stack: one pass of array
+    operations plus the per-matrix LAPACK calls.  Returns the chain in
+    matrix-product order as 17 ``(kind, stack)`` pairs (K factors
+    (k, p, p), angle factors (k, p), p = 3^(n-1)) and each step's worst
+    residual as a (k,) array by name; line i is what ``ms[i]`` alone
+    gives.  With ``absorb=True`` the sign compensation of the absorbed
+    x01 and x12 circuits is folded into the neighbouring K factors
+    before the block rearrangement, so the chain reconstructs against
+    the absorbed gate lists instead of the plain exponentials (see
+    ``absorption_factor``).
     """
     ms = np.asarray(ms, dtype=complex)
     n = _qutrit_count(ms.shape[-1]) if ms.ndim == 3 and ms.shape[1] == ms.shape[2] else None
@@ -342,8 +345,6 @@ def factorize_stack(ms: np.ndarray, absorb: bool = False) -> list[FactorizationN
         raise ValueError(f"expected a (k, 3^n, 3^n) stack, got shape {ms.shape}")
     if n < 2:
         raise ValueError("factorize needs at least two qutrits; n=1 is a local gate")
-    if not len(ms):
-        return []
     defect = unitarity_defect(ms)
     if defect > UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
@@ -399,33 +400,29 @@ def factorize_stack(ms: np.ndarray, absorb: bool = False) -> list[FactorizationN
         prod = (v[:, None] * _block_phases(kind, lam)[..., None, :]) @ w
         residuals[name] = _worst(prod - target)
 
-    # The chain in matrix-product order, as (kind, stack) pairs, one node
-    # per index of the leading axis: the nine K block stacks interleaved
-    # with the eight angle stacks of NONLOCAL_ORDER.
+    # The chain in matrix-product order: the nine K block stacks
+    # interleaved with the eight angle stacks of NONLOCAL_ORDER.
     ks = (v1, w1, v3, w3, v5, w5, v7, v8, w8)
     angles = (lam_b1, th_l, lam_d1, th_a, lam_b2, th_r, lam_e, lam_d2)
     chain = [("K", ks[0])]
     for kind, lam, k in zip(NONLOCAL_ORDER, angles, ks[1:], strict=True):
         chain += [(kind, lam), ("K", k)]
-    return [
-        FactorizationNode(
-            n=n,
-            entries=tuple(
-                NodeEntry(kind, x[i]) if kind == "K" else NodeEntry(kind, None, x[i]) for kind, x in chain
-            ),
-            residuals=dict(zip(residuals, worst)),
-            absorbed=absorb,
-        )
-        for i, worst in enumerate(zip(*(r.tolist() for r in residuals.values())))
-    ]
+    return chain, residuals
 
 
 def factorize(m: np.ndarray, absorb: bool = False) -> FactorizationNode:
     """One full level: M in U(3^n), n >= 2, into the 17-factor chain.
 
-    The single-matrix case of :func:`factorize_stack`.
+    Line 0 of :func:`factorize_stack` on the one-matrix stack; the
+    entries are views into its stacks.
     """
-    return factorize_stack(np.asarray(m)[None], absorb)[0]
+    chain, residuals = factorize_stack(np.asarray(m)[None], absorb)
+    return FactorizationNode(
+        n=_qutrit_count(np.shape(m)[-1]),
+        entries=tuple(NodeEntry(kind, x[0]) if kind == "K" else NodeEntry(kind, None, x[0]) for kind, x in chain),
+        residuals={name: float(r[0]) for name, r in residuals.items()},
+        absorbed=absorb,
+    )
 
 
 def reassemble(node: FactorizationNode) -> np.ndarray:

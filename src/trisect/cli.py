@@ -349,10 +349,11 @@ def _csd_residual(u: np.ndarray) -> float:
 
 def _stack_mismatch(ms: np.ndarray) -> float:
     """Worst entry gap between one stacked factorization and per-matrix calls."""
+    chain, _ = factorize_stack(ms)
     return _gap(
-        (a.matrix, b.matrix) if a.kind == "K" else (a.angles, b.angles)
-        for m, node in zip(ms, factorize_stack(ms))
-        for a, b in zip(node.entries, factorize(m).entries)
+        (x[i], e.matrix if kind == "K" else e.angles)
+        for i, m in enumerate(ms)
+        for (kind, x), e in zip(chain, factorize(m).entries, strict=True)
     )
 
 

@@ -73,8 +73,7 @@ def commutes(a: Gate | tuple, b: Gate | tuple) -> bool:
       * same-axis same-level rotations on one qutrit commute; LocalX
         commutes with an x-rotation or a LocalX at its own level.
     """
-    if not isinstance(a, tuple):
-        a, b = _row(a), _row(b)
+    a, b = (x if isinstance(x, tuple) else _row(x) for x in (a, b))
     if PHASE in (a[0], b[0]) or {a[1], a[2]}.isdisjoint((b[1], b[2])):
         return True
     # Controlled gate first, then LocalX; the rules below are symmetric.

@@ -11,12 +11,12 @@ interleaved factor kinds map to multiplexed-rotation circuits:
 
 :func:`synthesize` factorizes the recursion tree breadth-first, one
 :func:`~trisect.cartan.factorize_stack` call per level (stacks of 1, 9,
-81, ... matrices), keeping per level only the stacked factor angles.  It
-then emits the tree bottom up into one gate table (:mod:`trisect.circuit`),
+81, ... matrices, none at n = 1), keeping per level only its angle stacks.
+It then emits the tree bottom up into one gate table (:mod:`trisect.circuit`),
 a level at a time: the 9^(n-1) single-qutrit leaves, all on the last
 qutrit, in one batched call, and each factor position of a level in one
-call over the stacked angles of the level's nodes, so no gate object is
-built.  Each factor circuit is emitted at the closed-form size of
+call over its angle stack, so no per-node or gate object is built.  Each
+factor circuit is emitted at the closed-form size of
 :func:`operator_count`, which is also here.  The public ``*_gates``
 emitters return the same circuits as gate objects.
 """
@@ -108,8 +108,8 @@ def _table(rows: np.ndarray, angles: np.ndarray) -> np.ndarray:
 
 
 def _as_gates(block: tuple[np.ndarray, np.ndarray]) -> list[Gate]:
-    """The block's lines as gate objects, checked as one circuit on qutrits 0..max."""
-    return list(Circuit(int(block[0][:, 1:3].max()) + 1, _table(*block).reshape(-1)).gates)
+    """The block's lines as gate objects, checked as one circuit on qutrits 0..max (at least one)."""
+    return list(Circuit(max(int(block[0][:, 1:3].max()) + 1, 1), _table(*block).reshape(-1)).gates)
 
 
 def _mux_args(qutrits: Sequence[int], angles: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
@@ -437,6 +437,12 @@ class SynthesisOptions:
     gate_set: GateSet = GateSet.GCX_CINC
     tolerance: float = 1e-8
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.gate_set, GateSet):
+            raise ValueError(f"gate_set must be a GateSet, got {self.gate_set!r}")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be a finite positive number, got {self.tolerance!r}")
+
 
 @dataclass(frozen=True)
 class SynthesisReport:
@@ -488,21 +494,19 @@ class SynthesisReport:
 def _factor_levels(m: np.ndarray, n: int) -> tuple[list, np.ndarray]:
     """The recursion tree breadth-first: one :func:`factorize_stack` call per level.
 
-    Level j holds 9^j nodes; the children of node i are nodes 9i..9i+8 of
-    level j+1, its K factors in entry order.  A level keeps only what the
-    emission reads: its chain entries as (kind, stacked angles of its
-    nodes, or None for a K), and its worst split residual.  The last
-    level's K factors, the single-qutrit leaves, come back stacked.
+    Level j is a stack of 9^j matrices; the children of matrix i are lines
+    9i..9i+8 of level j+1, its K factors in chain order.  A level keeps only
+    what the emission reads: its chain as (kind, angle stack, or None for a
+    K), and its worst split residual.  The last level's K factors, the
+    single-qutrit leaves, come back stacked; for n = 1 that is ``m`` itself.
     """
     levels, stack = [], m[None]
     for _ in range(n - 1):
-        nodes = factorize_stack(stack, absorb=True)
-        entries = [
-            (e.kind, None if e.kind == "K" else np.stack([node.entries[j].angles for node in nodes]))
-            for j, e in enumerate(nodes[0].entries)
-        ]
-        levels.append((entries, max(max(node.residuals.values()) for node in nodes)))
-        stack = np.stack([w for node in nodes for w in node.k_factors])
+        chain, residuals = factorize_stack(stack, absorb=True)
+        entries = [(kind, None if kind == "K" else x) for kind, x in chain]
+        levels.append((entries, max(float(r.max()) for r in residuals.values())))
+        p = stack.shape[-1] // 3
+        stack = np.stack([x for kind, x in chain if kind == "K"], axis=1).reshape(-1, p, p)
     return levels, stack
 
 
@@ -537,8 +541,8 @@ def synthesize(
     between the circuit's full simulated unitary and the input, whether
     that distance is within ``options.tolerance``, and the worst split
     residual of each recursion level.  A non-unitary matrix raises
-    ``ValueError`` from :func:`factorize_stack` (n = 1: from the leaf
-    decomposition of :func:`single_qutrit_gates`).
+    ``ValueError`` from :func:`factorize_stack`, or at n = 1, where the
+    input is the one leaf, from the leaf decomposition.
     """
     options = options or SynthesisOptions()
     m = np.asarray(m, dtype=complex)
@@ -547,11 +551,8 @@ def synthesize(
         raise ValueError(f"matrix shape {m.shape} is not 3^n square")
 
     t0 = time.perf_counter()
-    if n == 1:
-        circ, residuals = Circuit(1, _table(*_leaf_block(m[None], 0)).reshape(-1)), ()
-    else:  # the emitted table is dropped as soon as the circuit has copied it
-        levels, leaves = _factor_levels(m, n)
-        circ, residuals = Circuit(n, _emit_tree(levels, leaves, n)), tuple(worst for _, worst in levels)
+    levels, leaves = _factor_levels(m, n)
+    circ = Circuit(n, _emit_tree(levels, leaves, n))  # the emitted table is dropped once copied
     circ = simplify(circ, use_cinc=options.gate_set is GateSet.GCX_CINC)
     dist = unitary_distance(eval_circuit(circ), m)
     elapsed = time.perf_counter() - t0
@@ -564,6 +565,6 @@ def synthesize(
         ok=dist <= options.tolerance,
         expected_two_qutrit=expected_count(n, options.gate_set) if n >= 2 else None,
         elapsed_s=elapsed,
-        split_residuals=residuals,
+        split_residuals=tuple(worst for _, worst in levels),
     )
     return circ, report

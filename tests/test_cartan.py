@@ -343,33 +343,40 @@ def test_factorize_rejects_bad_input():
 @pytest.mark.parametrize("absorb", [False, True], ids=["plain", "absorbed"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_factorize_stack_matches_single_calls(n, absorb):
-    # One stacked pass gives each matrix the node that a call on it alone
-    # gives.  Identity and permutation inputs have degenerate splits, where
-    # any eigenbasis is valid, so those are held to reassembly only.
+    # One stacked pass gives line i of every stack exactly what a call on
+    # matrix i alone gives.  Identity and permutation inputs have degenerate
+    # splits, where any eigenbasis is valid, so those are held to
+    # reassembly only.
     d = 3**n
     rng = np.random.default_rng(30 + n)
     haar = [haar_unitary(d, rng) for _ in range(4)]
     ms = np.stack(haar + [np.eye(d, dtype=complex), np.eye(d, dtype=complex)[rng.permutation(d)]])
-    nodes = factorize_stack(ms, absorb=absorb)
-    assert len(nodes) == len(ms)
-    for i, (m, node) in enumerate(zip(ms, nodes)):
-        assert node.n == n and node.absorbed == absorb
-        assert np.max(np.abs(reassemble(node) - m)) < 1e-10
-        assert len(node.residuals) == 8 and max(node.residuals.values()) < 1e-10
+    chain, residuals = factorize_stack(ms, absorb=absorb)
+    assert [kind for kind, _ in chain] == [kind for f in NONLOCAL_ORDER for kind in ("K", f)] + ["K"]
+    assert len(residuals) == 8 and all(r.shape == (len(ms),) for r in residuals.values())
+    for i, m in enumerate(ms):
+        line = FactorizationNode(
+            n=n,
+            entries=tuple(NodeEntry(kind, x[i]) if kind == "K" else NodeEntry(kind, None, x[i]) for kind, x in chain),
+            residuals={name: float(r[i]) for name, r in residuals.items()},
+            absorbed=absorb,
+        )
+        assert np.max(np.abs(reassemble(line) - m)) < 1e-10
+        assert max(line.residuals.values()) < 1e-10
         if i >= len(haar):
             continue
         single = factorize(m, absorb=absorb)
-        assert node.residuals == single.residuals
-        for a, b in zip(node.entries, single.entries):
-            assert a.kind == b.kind
-            if a.kind == "K":
-                assert np.array_equal(a.matrix, b.matrix)
-            else:
-                assert np.array_equal(a.angles, b.angles)
+        assert single.n == n and single.absorbed == absorb
+        assert line.residuals == single.residuals
+        for (kind, x), e in zip(chain, single.entries, strict=True):
+            assert e.kind == kind
+            assert np.array_equal(x[i], e.matrix if kind == "K" else e.angles)
 
 
 def test_factorize_stack_shapes():
-    assert factorize_stack(np.zeros((0, 9, 9))) == []
+    chain, residuals = factorize_stack(np.zeros((0, 9, 9)))
+    assert len(chain) == 17 and all(x.shape == ((0, 3, 3) if kind == "K" else (0, 3)) for kind, x in chain)
+    assert len(residuals) == 8 and all(r.shape == (0,) for r in residuals.values())
     for bad in (np.eye(9), np.zeros((1, 1, 9, 9)), np.zeros(9), np.zeros((2, 9, 3)), np.zeros((2, 8, 8))):
         with pytest.raises(ValueError, match="stack"):
             factorize_stack(bad)

@@ -89,6 +89,15 @@ def test_commutes_is_sound():
     assert commuting == 5077
 
 
+def test_commutes_takes_gates_and_rows_alike():
+    # each argument may be a gate or a table row, independently of the other
+    pool = _every_gate_kind(3)
+    rows = Circuit(3, tuple(pool)).table.tolist()
+    for a, ra in zip(pool, rows):
+        for b, rb in zip(pool, rows):
+            assert commutes(a, b) == commutes(ra, b) == commutes(a, rb) == commutes(ra, rb), (a, b)
+
+
 def _with_angle(g, angle: float):
     """g with its rotation angle or global phase set to ``angle``; other gates unchanged."""
     if isinstance(g, Rotation):

@@ -120,6 +120,10 @@ def test_mux_emitters_reject_complex_angles_and_no_qutrits(emitter):
         _EMITTERS[emitter]([0, 1], (1 + 1j) * np.ones(3))
     with pytest.raises(ValueError, match="one or more qutrits and real angles, got 0 and float64"):
         _EMITTERS[emitter]([], np.ones(1))
+    # a negative qutrit is named, also when no qutrit is in range
+    for qutrits in ([0, -1], [-2, -1]):
+        with pytest.raises(ValueError, match="touches qutrit -[12] outside width 1"):
+            _EMITTERS[emitter](qutrits, np.ones(3))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -441,6 +445,8 @@ def test_single_qutrit_rejects_bad_input():
         single_qutrit_gates(np.eye(9, dtype=complex))
     with pytest.raises(ValueError, match="not unitary"):
         single_qutrit_gates(np.ones((3, 3)))
+    with pytest.raises(ValueError, match="touches qutrit -1 outside width 1"):
+        single_qutrit_gates(np.eye(3), qutrit=-1)
 
 
 def _same_gates(got, want, atol):
@@ -592,6 +598,18 @@ def test_synthesize_reports_tolerance():
     assert strict.ok is False and strict.as_dict()["ok"] is False
     assert strict.distance == rep.distance
     assert "within tolerance: no" in strict.lines()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("gate_set", "gcx+cinc"), ("gate_set", None)]
+    + [("tolerance", t) for t in (float("nan"), 0.0, -1e-8, float("inf"), float("-inf"))],
+)
+def test_synthesis_options_check_their_fields(field, value):
+    # a gate-set string would give a GCX-only circuit and a report that cannot print;
+    # a tolerance outside (0, inf) would make ok constant
+    with pytest.raises(ValueError, match=field):
+        SynthesisOptions(**{field: value})
 
 
 def test_synthesize_report_flags_count_above_closed_form():
@@ -753,9 +771,24 @@ def test_synthesis_builds_no_gate_object(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_synthesis_builds_no_factorization_node(monkeypatch, n):
+    # each level goes from factorize_stack to the emitters as stacks, at every width
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a factorization node")
+
+    monkeypatch.setattr(cartan, "FactorizationNode", refuse)
+    monkeypatch.setattr(cartan, "NodeEntry", refuse)
+    _, rep = synthesize(haar_unitary(3**n, np.random.default_rng(84 + n)))
+    assert rep.ok and len(rep.split_residuals) == n - 1
+    with pytest.raises(AssertionError, match="built a factorization node"):
+        factorize(haar_unitary(9, np.random.default_rng(84)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_split_residuals_are_reported_per_level(n):
     _, rep = synthesize(haar_unitary(3**n, np.random.default_rng(80 + n)))
     assert len(rep.split_residuals) == n - 1 and all(r < 1e-10 for r in rep.split_residuals)
+    assert all(type(r) is float for r in rep.split_residuals)  # so the repr is the same as before
     assert rep.as_dict()["split_residuals"] == list(rep.split_residuals)
     line = next(line for line in rep.lines() if line.startswith("split residuals:"))
     assert line.split()[2:] == ([f"{r:.1e}" for r in rep.split_residuals] or ["none"]) + ["(worst", "per", "level)"]

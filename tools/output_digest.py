@@ -1,0 +1,72 @@
+"""Digest of trisect's outputs on a fixed set of inputs, for comparing two checkouts.
+
+    python3 tools/output_digest.py CHECKOUT
+
+imports ``trisect`` from ``CHECKOUT/src`` (and the input builders from
+``CHECKOUT/perfbench``) and synthesizes, with both gate sets:
+
+* Haar unitaries at n = 1..5, seeds 0-2 (``numpy.random.default_rng(seed)``);
+* perfbench's structured corpus for seeds 21-23.
+
+Each case prints one line: the SHA-256 of the serialized circuit, then
+``repr`` of the reported distance and of the split residuals.  One more
+line gives the ``check_factor_tree`` digest of the first ``factor-tree-n5``
+input of benchmark seed 0.  The last line is the SHA-256 of all lines
+before it.  Two checkouts that print the same total produce the same
+circuits, distances, residuals and factor trees on this machine.  A full
+run takes about 15 s on a 2-core machine with one BLAS thread.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    root = Path(argv[0]).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+
+    import numpy as np
+    import trisect
+    import workloads
+    from trisect import GateSet, SynthesisOptions, haar_unitary, serialize, synthesize
+
+    if not Path(trisect.__file__).resolve().is_relative_to(root):
+        print(f"trisect was imported from {trisect.__file__}, not from {root}", file=sys.stderr)
+        return 2
+
+    cases = [
+        (f"haar-n{n}-seed{seed}", haar_unitary(3**n, np.random.default_rng(seed)))
+        for n in range(1, 6)
+        for seed in range(3)
+    ]
+    cases += [
+        (f"{inp.label}-seed{seed}", inp.matrix)
+        for seed in (21, 22, 23)
+        for inp in workloads.structured_corpus(np.random.default_rng(seed))
+    ]
+    lines = []
+    for label, m in cases:
+        for gate_set in GateSet:
+            circ, rep = synthesize(m, SynthesisOptions(gate_set=gate_set))
+            text = hashlib.sha256(serialize(circ).encode()).hexdigest()
+            lines.append(f"{label} {gate_set.value} {text} {rep.distance!r} {rep.split_residuals!r}")
+            print(lines[-1], flush=True)
+
+    rng = workloads.rng_for(0, "factor-tree-n5", 0)
+    tree = workloads.WORKLOADS["factor-tree-n5"]
+    inp = tree.make_inputs(rng)[0]
+    lines.append(f"factor-tree-n5 {tree.check(inp, tree.op(inp), rng).digest}")
+    print(lines[-1])
+    total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    print(f"total {total}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -11,10 +11,12 @@ operations, and kept as a read-only copy.  Gate objects
 (:class:`Rotation`, :class:`Gcx`, ...) build and inspect single gates:
 ``Circuit(n, gates)`` takes them and ``Circuit.gates`` makes them on
 demand.  Counting, the passes, the text format and :func:`eval_circuit`
-read the columns.  :func:`eval_circuit` cuts the table into runs on at
-most three qutrits, simulates each run on its own matrix of at most
-27 x 27 and applies it to the full unitary in one tensor contraction as
-soon as it is cut, keeping nothing of it.
+read the columns.  :func:`eval_circuit` multiplies each stretch of
+one-qutrit gates on one qutrit into one 3 x 3 matrix, cuts these and the
+GCX/CINC gates into runs on at most three qutrits, simulates each run on
+its own 27 x 27 matrix (3^n x 3^n for n < 3) and applies it to the full
+unitary in one tensor contraction as soon as it is cut, keeping nothing
+of it.
 
 Text format (one gate per line, '#' starts a comment):
 
@@ -142,10 +144,23 @@ GATE_DTYPE = np.dtype({  # 16 bytes a row, the angle 8-byte aligned
     "formats": ["i1", "i2", "i2", "i1", "i1", "i1", "f8"],
     "offsets": [0, 4, 6, 1, 2, 3, 8],
 })
-_CHUNK = 4096  # rows turned into Python scalars at a time, so no whole column is ever a list
+_CHUNK = 1024  # rows turned into Python scalars at a time, so no whole column is ever a list
 _CLASSES = (Rotation, LocalX, Gcx, Cinc, GlobalPhase)
 _AXIS = {a: i for i, a in enumerate(AXES)}
 _LEVEL = {lv: i for i, lv in enumerate(LEVELS)}
+
+
+def _add_angles(a: float, b: float) -> float:
+    """``a + b`` modulo 4 pi, so also modulo 2 pi: the plain sum when it is finite.
+
+    Only a sum that overflows takes each term reduced first, as twice the
+    ``atan2`` of the sine and cosine of its half angle (whose argument
+    reduction is exact), so finite angles never sum to inf or NaN.
+    """
+    s = a + b
+    if math.isfinite(s):
+        return s
+    return sum(2 * math.atan2(math.sin(x / 2), math.cos(x / 2)) for x in (a, b))
 
 
 def _row(g: Gate) -> tuple:
@@ -278,11 +293,10 @@ class Circuit:
         return isinstance(other, Circuit) and self.n == other.n and np.array_equal(self.table, other.table)
 
 
-# Widest support a run may have; its local matrix is at most 27 x 27.
+# Widest support a run may have; its matrix is 3^k x 3^k for k = min(n, RUN_QUTRITS).
 RUN_QUTRITS = 3
 
-# X01, X02, X12; a chain reaches them by negative index, after its run's rotations.
-_LOCAL_X = np.array([algebra.generator(algebra.GeneratorId[f"X{lv}"]) for lv in LEVELS])
+_LOCAL_X = np.array([algebra.generator(algebra.GeneratorId[f"X{lv}"]) for lv in LEVELS])  # X01, X02, X12
 
 
 @functools.lru_cache(maxsize=None)
@@ -301,21 +315,33 @@ def _local_permutation(gid: str, target: int, control: int, value: int, width: i
     return p
 
 
-def _chain_products(stack: np.ndarray, chains: list[list[int]]) -> np.ndarray:
-    """Product of each chain of ``stack`` indices (first index acts first), (len(chains), 3, 3).
+def _steps(rows: np.ndarray) -> list[tuple]:
+    """The steps of phase-free table rows, in order, as ``(qutrits, what)``.
 
-    The chains of one length are multiplied together, step t of all of
-    them in one batched matmul, so the work is the total chain length.
+    Each maximal stretch of consecutive one-qutrit rows on one qutrit q is
+    one step ``((q,), r)``, r the 3x3 product of the stretch (first row
+    acting first); each GCX/CINC row is ``((control, target), (gid, value))``.
+    All rotation matrices come from one call, and all stretch products from
+    one batched matmul per position: factor j of every stretch longer than j.
     """
-    out = np.empty((len(chains), 3, 3), dtype=complex)
-    for length in set(map(len, chains)):
-        rows = [i for i, ch in enumerate(chains) if len(ch) == length]
-        mats = stack[np.array([chains[i] for i in rows])]
-        prod = mats[:, 0]
-        for t in range(1, length):
-            prod = mats[:, t] @ prod
-        out[rows] = prod
-    return out
+    op, q0, level = rows["op"], rows["q0"], rows["level"]
+    one, x = op <= LOCAL_X, op == LOCAL_X
+    first = one.copy()
+    first[1:] &= ~(one[:-1] & (q0[1:] == q0[:-1]))
+    starts = np.flatnonzero(first)
+    lengths = np.bincount(np.cumsum(first)[one] - 1, minlength=len(starts))
+    mats = algebra.rotations_by_code(3 * rows["axis"] + level, rows["angle"])
+    mats[x] = _LOCAL_X[level[x]]
+    prods = mats[starts]
+    for j in range(1, lengths.max(initial=0)):
+        longer = np.flatnonzero(lengths > j)
+        prods[longer] = mats[starts[longer] + j] @ prods[longer]
+    prods = iter(prods)
+    at = np.flatnonzero(first | ~one)
+    return [
+        ((a,), next(prods)) if a == b else ((a, b), ("INC" if o == CINC else f"X{LEVELS[lv]}", value))
+        for o, a, b, value, lv in zip(*(rows[name][at].tolist() for name in ("op", "q0", "q1", "value", "level")))
+    ]
 
 
 def _apply_local(m: np.ndarray, r: np.ndarray, axis: int) -> np.ndarray:
@@ -323,86 +349,46 @@ def _apply_local(m: np.ndarray, r: np.ndarray, axis: int) -> np.ndarray:
     return np.matmul(r, m.reshape(3**axis, 3, -1)).reshape(m.shape)
 
 
-def _run_matrix(steps: list, support: list[int], prods: np.ndarray) -> np.ndarray:
-    """The 3^k x 3^k matrix of a run's steps on its k qutrits ``support``, in sorted order.
-
-    A step ``(q, chain)`` applies the product of the single-qutrit gates
-    deferred on qutrit q; ``(gid, control, target, value)`` is a row gather.
-    """
-    width = len(support)
-    local = {q: i for i, q in enumerate(sorted(support))}
-    m = np.eye(3**width, dtype=complex)
-    for step in steps:
-        if len(step) == 2:
-            m = _apply_local(m, prods[step[1]], local[step[0]])
-        else:
-            gid, control, target, value = step
-            m = m.take(_local_permutation(gid, local[target], local[control], value, width), axis=0)
-    return m
+def _apply_run(u: np.ndarray, m: np.ndarray, axes: list[int]) -> np.ndarray:
+    """The run matrix ``m``, its local qutrit i on axis ``axes[i]``, applied on the left of ``u``."""
+    k = len(axes)
+    return np.moveaxis(np.tensordot(m.reshape((3,) * (2 * k)), u, axes=(range(k, 2 * k), axes)), range(k), axes)
 
 
 def eval_circuit(c: Circuit) -> np.ndarray:
     """Exact 3^n x 3^n unitary of the circuit (later gates multiply on the left).
 
-    One pass cuts the table, in order, into maximal runs on at most
-    :data:`RUN_QUTRITS` qutrits.  Each run is simulated on its own 3^k x
-    3^k matrix and applied to the full unitary, with one ``tensordot`` on
-    its qutrit axes, as soon as it is cut (the next gate would widen it,
-    or the circuit ends); nothing of it is kept.  Within a run a
-    single-qutrit gate is deferred into a chain on its qutrit, whose
-    product is applied only when a GCX/CINC (a cached row permutation)
-    touches that qutrit or the run ends; this is exact, since a deferred
-    gate commutes with every gate on other qutrits.  A run's rotation
-    matrices, from their codes and angles, and its chain products are
-    built in batched numpy passes.  Global phases are summed and applied once.
+    The table is read :data:`_CHUNK` rows at a time and each chunk, its
+    global phases summed apart, is turned into steps (:func:`_steps`): one
+    3x3 product per stretch of one-qutrit gates on one qutrit, one cached
+    row permutation per GCX/CINC.  The steps are cut, in order, into
+    maximal runs on at most k = min(n, :data:`RUN_QUTRITS`) qutrits.  Each
+    run is simulated on its own 3^k x 3^k matrix, whose axes are the run's
+    qutrits in first-touch order padded with the lowest untouched ones,
+    and applied to the full unitary with one ``tensordot`` as soon as the
+    next step would widen it (:func:`_apply_run`); nothing of it is kept.
     """
     n, d, t = c.n, 3**c.n, c.table
+    k = min(n, RUN_QUTRITS)
     u = np.eye(d, dtype=complex).reshape((3,) * n + (d,))
-    codes = 3 * t["axis"] + t["level"]  # algebra.rotations_by_code codes
-    rots: list[int] = []  # table rows of the run's rotations; chains index them, then _LOCAL_X
-    chains: list[list[int]] = []  # indices deferred on one qutrit, first acting first
-    support: list[int] = []  # the run's qutrits in first-touch order
-    steps: list = []
-    pending: dict[int, list[int]] = {}
-
-    def flush(q: int) -> None:
-        chains.append(pending.pop(q))
-        steps.append((q, len(chains) - 1))
-
-    def apply_run(u: np.ndarray) -> np.ndarray:
-        for q in list(pending):
-            flush(q)
-        if steps:
-            axes, k = sorted(support), len(support)
-            stack = np.concatenate([algebra.rotations_by_code(codes[rots], t["angle"][rots]), _LOCAL_X])
-            m = _run_matrix(steps, support, _chain_products(stack, chains)).reshape((3,) * (2 * k))
-            u = np.moveaxis(np.tensordot(m, u, axes=(range(k, 2 * k), axes)), range(k), axes)
-        for part in (rots, chains, support, steps):
-            part.clear()
-        return u
-
-    phase = 0.0
-    for i, (op, a, b, value, level, angle) in enumerate(_columns(t, ("op", "q0", "q1", "value", "level", "angle"))):
-        if op == PHASE:
-            phase += angle
-            continue
-        if a not in support or b not in support:
-            new = [q for q in ((a,) if a == b else (a, b)) if q not in support]
-            if len(support) + len(new) > RUN_QUTRITS:
-                u = apply_run(u)
-                new = [a] if a == b else [a, b]
-            support += new
-        if a != b:
-            for q in (a, b):
-                if q in pending:
-                    flush(q)
-            steps.append(("INC" if op == CINC else f"X{LEVELS[level]}", a, b, value))
-        elif op == ROT:
-            pending.setdefault(a, []).append(len(rots))
-            rots.append(i)
-        else:
-            pending.setdefault(a, []).append(level - len(_LOCAL_X))
-    u = apply_run(u)
+    m, axes, phase = np.eye(3**k, dtype=complex), [], 0.0
+    for start in range(0, len(t), _CHUNK):
+        rows = t[start : start + _CHUNK]
+        is_phase = rows["op"] == PHASE
+        for p in rows["angle"][is_phase].tolist():
+            phase = _add_angles(phase, p)
+        for qs, what in _steps(rows[~is_phase]):
+            new = [q for q in qs if q not in axes]
+            if len(axes) + len(new) > k:
+                u = _apply_run(u, m, axes + [q for q in range(n) if q not in axes][: k - len(axes)])
+                m, axes, new = np.eye(3**k, dtype=complex), [], list(qs)
+            axes += new
+            if len(qs) == 1:
+                m = _apply_local(m, what, axes.index(qs[0]))
+            else:
+                gid, value = what
+                m = m.take(_local_permutation(gid, axes.index(qs[1]), axes.index(qs[0]), value, k), axis=0)
+    u = _apply_run(u, m, axes + [q for q in range(n) if q not in axes][: k - len(axes)])
     return np.exp(1j * phase) * np.ascontiguousarray(u).reshape(d, d)
 
 

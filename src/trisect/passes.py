@@ -28,7 +28,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .algebra import AXES, LEVELS
-from .circuit import CINC, GATE_DTYPE, GCX, LOCAL_X, PHASE, ROT, Circuit, Gate, _columns, _row
+from .circuit import CINC, GATE_DTYPE, GCX, LOCAL_X, PHASE, ROT, Circuit, Gate, _add_angles, _columns, _row
 
 __all__ = [
     "commutes",
@@ -104,7 +104,7 @@ def _merged_angle(op: int, a: float, b: float) -> float | None:
     """Rewrite of two gates of equal shape brought adjacent: None for no rule, else the merged
     angle, 0.0 when the pair vanishes (involutions annihilate, rotations add and vanish below ``ANGLE_EPS``)."""
     if op == ROT:
-        theta = _wrap(a + b, 4 * math.pi)
+        theta = _wrap(_add_angles(a, b), 4 * math.pi)
         return 0.0 if abs(theta) < ANGLE_EPS else theta
     return 0.0 if op in (LOCAL_X, GCX) else None
 
@@ -195,7 +195,7 @@ def pass_cancel(c: Circuit) -> Circuit:
     keep = _sweep(t, c.n)
     phi = 0.0
     for p in angle[op == PHASE].tolist():  # one addition at a time, in order: sum() compensates from 3.12 on
-        phi += p
+        phi = _add_angles(phi, p)
     phi = _wrap(phi, 2 * math.pi)
     lead = int(abs(phi) >= ANGLE_EPS)
     out = np.zeros(lead + np.count_nonzero(keep), GATE_DTYPE)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -218,6 +219,8 @@ def z_mux_gates(
     is an equally valid realization: every gate in the list is its own
     transpose in the computational basis, and the operator is diagonal.
     """
+    if level not in LEVELS:
+        raise ValueError(f"z mux level must be one of {', '.join(LEVELS)}, got {level!r}")
     qutrits, angles = _mux_args(qutrits, angles)
     gates = _as_gates(_z_mux(LEVELS.index(level), qutrits, angles))
     return gates[::-1] if reverse else gates
@@ -230,6 +233,8 @@ def w_mux_gates(level: str, qutrits: Sequence[int], angles: np.ndarray) -> list[
     ``qutrits[-1]`` and ``qutrits[:-1]`` control, big-endian.  Realized by
     handing the emitter the reversed qutrit list and trit-reversed angles.
     """
+    if level not in LEVELS:
+        raise ValueError(f"w mux level must be one of {', '.join(LEVELS)}, got {level!r}")
     qutrits, angles = _mux_args(qutrits, angles)
     return _as_gates(_w_mux(LEVELS.index(level), qutrits, angles))
 
@@ -440,8 +445,9 @@ class SynthesisOptions:
     def __post_init__(self) -> None:
         if not isinstance(self.gate_set, GateSet):
             raise ValueError(f"gate_set must be a GateSet, got {self.gate_set!r}")
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be a finite positive number, got {self.tolerance!r}")
+        t = self.tolerance
+        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not 0 < t < math.inf:
+            raise ValueError(f"tolerance must be a finite positive number, got {t!r}")
 
 
 @dataclass(frozen=True)

@@ -315,6 +315,8 @@ _RUNS = {
     4: [(0, 1, 2), (3, 1, 0), (2, 0, 1), (3, 2)],
     5: [(0, 2, 4), (3, 4, 1), (2, 0, 3), (4, 1)],
 }
+# The axes each run is applied on: its qutrits, padded to three with the lowest untouched ones.
+_RUN_AXES = {4: _RUNS[4][:3] + [(3, 2, 0)], 5: _RUNS[5][:3] + [(4, 1, 0)]}
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -322,13 +324,10 @@ def test_eval_hand_placed_runs(n, monkeypatch):
     rng = np.random.default_rng(200 + n)
     gates = [g for qs in _RUNS[n] for g in _segment(qs, rng)]
     seen = []
-    run_matrix = circuit._run_matrix
-    monkeypatch.setattr(
-        circuit, "_run_matrix", lambda steps, support, prods: seen.append(tuple(support))
-        or run_matrix(steps, support, prods)
-    )
+    apply_run = circuit._apply_run
+    monkeypatch.setattr(circuit, "_apply_run", lambda u, m, axes: seen.append(tuple(axes)) or apply_run(u, m, axes))
     got = eval_circuit(Circuit(n, tuple(gates)))
-    assert seen == _RUNS[n]
+    assert seen == _RUN_AXES[n]
     assert got.shape == (3**n, 3**n) and got.dtype == np.complex128 and got.flags.c_contiguous
     if n == 4:
         assert np.max(np.abs(got - _dense_product(gates, n))) <= 1e-13
@@ -339,6 +338,22 @@ def test_eval_hand_placed_runs(n, monkeypatch):
     for g in gates:
         want = gate_matrix(g, n) @ want
     assert np.max(np.abs(got @ v - want)) <= 1e-12
+
+
+def test_eval_matches_dense_product_across_chunks():
+    # more than two chunks of random gates; a stretch of one-qutrit gates on q0
+    # crosses the first chunk boundary, and two rotations on q1 with only a
+    # phase between them form one stretch, as phases are left out first
+    rng = np.random.default_rng(300)
+    gates = list(_random_circuit(3, 2 * circuit._CHUNK + 100, rng).gates)
+    b = circuit._CHUNK
+    gates[b - 3 : b + 3] = [
+        Rotation("x", "01", 0, 0.3), LocalX("12", 0), Rotation("y", "02", 0, -1.2),
+        Rotation("z", "12", 0, 2.0), LocalX("01", 0), Rotation("x", "12", 0, 0.7),
+    ]
+    gates[b + 500 : b + 503] = [Rotation("y", "01", 1, 0.4), GlobalPhase(0.9), Rotation("x", "02", 1, -2.5)]
+    got = eval_circuit(Circuit(3, tuple(gates)))
+    assert np.max(np.abs(got - _dense_product(gates, 3))) <= 1e-12
 
 
 def test_eval_keeps_nothing_of_an_applied_run():

@@ -20,8 +20,9 @@ from trisect.circuit import (
     Rotation,
     count_gates,
     eval_circuit,
+    parse,
 )
-from trisect.linalg import haar_unitary
+from trisect.linalg import haar_unitary, unitary_distance
 from trisect.passes import (
     _shape_codes,
     commutes,
@@ -186,6 +187,18 @@ def test_cancel_wraps_rotation_angle_mod_4pi():
     assert len(out.gates) == 1
     assert out.gates[0].theta == pytest.approx(math.pi, abs=1e-12)  # 5*pi mod 4*pi
     assert _same_matrix(c, out)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["PHASE 1e308\nPHASE 1e308", "R z 01 q0 1e308\nR z 01 q0 1e308", "R y 12 q0 -1.7e308\nR y 12 q0 -1.7e308"],
+)
+def test_overflowing_angle_sums(text):
+    # every angle is finite, only their sum overflows: merged and simulated modulo the period
+    c = parse(f"QUTRITS 1\n{text}\n")
+    u = eval_circuit(c)
+    assert np.all(np.isfinite(u))
+    assert unitary_distance(eval_circuit(simplify(c)), u) < 1e-9
 
 
 def test_cancel_drops_negligible_angles():

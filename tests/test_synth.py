@@ -124,6 +124,10 @@ def test_mux_emitters_reject_complex_angles_and_no_qutrits(emitter):
     for qutrits in ([0, -1], [-2, -1]):
         with pytest.raises(ValueError, match="touches qutrit -[12] outside width 1"):
             _EMITTERS[emitter](qutrits, np.ones(3))
+    # a bad level or kind is named
+    emit = {"z": z_mux_gates, "w": w_mux_gates, "x": x_mux_gates, "d": d_mux_gates}[emitter]
+    with pytest.raises(ValueError, match="'03'"):
+        emit("03", [0, 1], np.ones(3))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -603,11 +607,11 @@ def test_synthesize_reports_tolerance():
 @pytest.mark.parametrize(
     "field, value",
     [("gate_set", "gcx+cinc"), ("gate_set", None)]
-    + [("tolerance", t) for t in (float("nan"), 0.0, -1e-8, float("inf"), float("-inf"))],
+    + [("tolerance", t) for t in (float("nan"), 0.0, -1e-8, float("inf"), float("-inf"), True, "1e-8")],
 )
 def test_synthesis_options_check_their_fields(field, value):
     # a gate-set string would give a GCX-only circuit and a report that cannot print;
-    # a tolerance outside (0, inf) would make ok constant
+    # a tolerance outside (0, inf) would make ok constant; a bool or a string is no tolerance
     with pytest.raises(ValueError, match=field):
         SynthesisOptions(**{field: value})
 

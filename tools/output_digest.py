@@ -11,10 +11,13 @@ imports ``trisect`` from ``CHECKOUT/src`` (and the input builders from
 Each case prints one line: the SHA-256 of the serialized circuit, then
 ``repr`` of the reported distance and of the split residuals.  One more
 line gives the ``check_factor_tree`` digest of the first ``factor-tree-n5``
-input of benchmark seed 0.  The last line is the SHA-256 of all lines
-before it.  Two checkouts that print the same total produce the same
-circuits, distances, residuals and factor trees on this machine.  A full
-run takes about 15 s on a 2-core machine with one BLAS thread.
+input of benchmark seed 0.  Then ``circuits`` gives the SHA-256 of those
+lines with the distance dropped, and ``total`` that of the lines as
+printed.  Two checkouts that print the same total produce the same
+circuits, distances, residuals and factor trees on this machine; the same
+``circuits`` line alone says that only the distances moved, as a change to
+the simulation arithmetic does, and the case lines show by how much.  A
+full run takes about 15 s on a 2-core machine with one BLAS thread.
 """
 
 from __future__ import annotations
@@ -50,21 +53,23 @@ def main(argv: list[str]) -> int:
         for seed in (21, 22, 23)
         for inp in workloads.structured_corpus(np.random.default_rng(seed))
     ]
-    lines = []
+    lines, circuits = [], []  # circuits: the lines without their distance
     for label, m in cases:
         for gate_set in GateSet:
             circ, rep = synthesize(m, SynthesisOptions(gate_set=gate_set))
             text = hashlib.sha256(serialize(circ).encode()).hexdigest()
             lines.append(f"{label} {gate_set.value} {text} {rep.distance!r} {rep.split_residuals!r}")
+            circuits.append(f"{label} {gate_set.value} {text} {rep.split_residuals!r}")
             print(lines[-1], flush=True)
 
     rng = workloads.rng_for(0, "factor-tree-n5", 0)
     tree = workloads.WORKLOADS["factor-tree-n5"]
     inp = tree.make_inputs(rng)[0]
     lines.append(f"factor-tree-n5 {tree.check(inp, tree.op(inp), rng).digest}")
+    circuits.append(lines[-1])
     print(lines[-1])
-    total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    print(f"total {total}")
+    for name, part in (("circuits", circuits), ("total", lines)):
+        print(name, hashlib.sha256("\n".join(part).encode()).hexdigest())
     return 0
 
 

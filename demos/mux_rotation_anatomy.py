@@ -42,11 +42,11 @@ print(f"  {count_gates(Circuit(2, tuple(stripped))).gcx} GCX gates")
 # the stripped circuit differs from the exponential only by a diagonal
 # sign factor on the first block row, which the caller folds into the
 # neighbouring I3 (x) W factor of the chain -- that is where the saved
-# gate goes
-from trisect.cartan import absorption_factor
-
+# gate goes.  Read it off the two circuits' matrices.
 op = scipy.linalg.expm(-1j * np.kron(sx01, np.diag(angles)))
-sign = absorption_factor("x01", 3)
-print("sign factor diagonal:", np.real(np.diag(sign)).astype(int))
-diff = np.max(np.abs(eval_circuit(Circuit(2, tuple(stripped))) - sign @ op))
+full_u = eval_circuit(Circuit(2, tuple(full)))
+print(f"full emission == exponential to {np.max(np.abs(full_u - op)):.3e}")
+sign = eval_circuit(Circuit(2, tuple(stripped))) @ full_u.conj().T
+print("sign factor diagonal:", np.real(np.diag(sign)).round().astype(int))
+diff = np.max(np.abs(sign - np.diag(np.diag(sign).real.round())))
 print(f"stripped emission == sign factor . exponential to {diff:.3e}")

@@ -31,7 +31,6 @@ __all__ = [
     "place",
     "random_subspace_element",
     "rotation",
-    "rotations",
     "rotations_by_code",
     "subspace_membership",
     "subspace_project",
@@ -108,28 +107,17 @@ def generator(gid: GeneratorId, override: dict[GeneratorId, np.ndarray] | None =
     return _GENERATORS[gid].copy()
 
 
-# code 3 * axis + level (indices into AXES and LEVELS) -> (i, j, spectator) of the rotation's active 2x2 block
+# (axis, level) -> code 3 * axis + level (indices into AXES and LEVELS); code -> (i, j, spectator) of its 2x2 block
 _ROTATION_CODE = {(a, ij): 3 * ia + il for ia, a in enumerate(AXES) for il, ij in enumerate(LEVELS)}
 _ROTATION_SLOTS = np.array([(int(ij[0]), int(ij[1]), 3 - int(ij[0]) - int(ij[1])) for ij in LEVELS] * 3)
 
 
-def rotations(axes, levels, thetas) -> np.ndarray:
-    """Stack of rotations exp(-i theta_r/2 sigma_{axes[r]}^{levels[r]}), shape (R, 3, 3).
-
-    One vectorised pass over all R angles; each entry has period 4*pi.
-    """
-    if not len(axes) == len(levels) == np.size(thetas):
-        raise ValueError("axes, levels and thetas must have one entry per rotation")
-    try:
-        code = [_ROTATION_CODE[key] for key in zip(axes, levels)]
-    except KeyError:
-        bad = next(key for key in zip(axes, levels) if key not in _ROTATION_CODE)
-        raise ValueError(f"bad rotation axis/level: {bad[0]!r}/{bad[1]!r}") from None
-    return rotations_by_code(np.array(code, dtype=np.intp), thetas)
-
-
 def rotations_by_code(code: np.ndarray, thetas) -> np.ndarray:
-    """:func:`rotations` for integer codes ``3 * axis + level`` (indices into AXES and LEVELS)."""
+    """Stack of rotations exp(-i theta_r/2 sigma_axis^level), shape (R, 3, 3), for integer codes 3 * axis + level.
+
+    ``axis`` and ``level`` index AXES and LEVELS.  One vectorised pass over
+    all R angles; each entry has period 4*pi.
+    """
     half = 0.5 * np.asarray(thetas, dtype=float).reshape(-1)
     ax = code // 3
     i, j, k = _ROTATION_SLOTS[code].T
@@ -149,7 +137,10 @@ def rotations_by_code(code: np.ndarray, thetas) -> np.ndarray:
 
 def rotation(axis: str, ij: str, theta: float) -> np.ndarray:
     """Single-qutrit rotation exp(-i theta/2 sigma_axis^ij); period 4*pi."""
-    return rotations((axis,), (ij,), (theta,))[0]
+    code = _ROTATION_CODE.get((axis, ij))
+    if code is None:
+        raise ValueError(f"bad rotation axis/level: {axis!r}/{ij!r}")
+    return rotations_by_code(np.array([code]), theta)[0]
 
 
 def place(n: int, ops: dict[int, np.ndarray]) -> np.ndarray:

@@ -38,7 +38,6 @@ __all__ = [
     "FactorizationNode",
     "NodeEntry",
     "NONLOCAL_ORDER",
-    "absorption_factor",
     "factorize",
     "factorize_stack",
     "nonlocal_matrix",
@@ -253,22 +252,18 @@ def _split_off_outer(p_blk: np.ndarray, q_blk: np.ndarray) -> tuple[np.ndarray, 
 # ---------------------------------------------------------------------------
 
 
-def absorption_factor(kind: str, p: int) -> np.ndarray:
+@functools.cache
+def _absorption_signs(kind: str, p: int) -> np.ndarray:
     """Diagonal sign compensation left over when the trailing all-value-1
-    GCX run of an x01 or x12 multiplexed-rotation circuit is left out.
+    GCX run of an x01 or x12 multiplexed-rotation circuit is left out,
+    as (3, p) block signs, read-only.
 
     The omitted run applies the level X once per control reading 1; after
     the y-conjugation that collapses to a -1 on one block per odd-parity
     control pattern:  diag(Zd, I, I) for x01, diag(I, Zd, I) for x12,
     where Zd is the tensor power of diag(1, -1, 1).  The absorbed
-    circuit's matrix is this factor times the full exponential.
+    circuit's matrix is this diagonal times the full exponential.
     """
-    return np.diag(_absorption_signs(kind, p).ravel())
-
-
-@functools.cache
-def _absorption_signs(kind: str, p: int) -> np.ndarray:
-    """The diagonal of :func:`absorption_factor` as (3, p) block signs, read-only."""
     if kind not in ("x01", "x12"):
         raise ValueError(f"no absorption for factor kind {kind!r}")
     zd = np.ones(1)
@@ -312,10 +307,6 @@ class FactorizationNode:
     residuals: dict[str, float]
     absorbed: bool = False
 
-    @property
-    def k_factors(self) -> list[np.ndarray]:
-        return [e.matrix for e in self.entries if e.kind == "K"]
-
 
 def _qutrit_count(d: int) -> int | None:
     """n with 3^n == d, or None; integer arithmetic, so any d is safe."""
@@ -337,7 +328,7 @@ def factorize_stack(ms: np.ndarray, absorb: bool = False) -> tuple[list[tuple[st
     x01 and x12 circuits is folded into the neighbouring K factors
     before the block rearrangement, so the chain reconstructs against
     the absorbed gate lists instead of the plain exponentials (see
-    ``absorption_factor``).
+    :func:`_absorption_signs`).
     """
     ms = np.asarray(ms, dtype=complex)
     n = _qutrit_count(ms.shape[-1]) if ms.ndim == 3 and ms.shape[1] == ms.shape[2] else None

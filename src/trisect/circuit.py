@@ -6,17 +6,13 @@ first).  Its columns: ``op`` (ROT, LOCAL_X, GCX, CINC, PHASE), ``q0`` (the
 qutrit, or a GCX/CINC control), ``q1`` (the target; q0 for a one-qutrit
 gate), ``value`` (control value), ``level`` and ``axis`` (indices into
 LEVELS and AXES) and ``angle`` (rotation angle or phase).  Unused fields
-are 0, so each gate has one row; the table is checked once, with array
-operations, and kept as a read-only copy.  Gate objects
-(:class:`Rotation`, :class:`Gcx`, ...) build and inspect single gates:
-``Circuit(n, gates)`` takes them and ``Circuit.gates`` makes them on
-demand.  Counting, the passes, the text format and :func:`eval_circuit`
-read the columns.  :func:`eval_circuit` multiplies each stretch of
-one-qutrit gates on one qutrit into one 3 x 3 matrix, cuts these and the
-GCX/CINC gates into runs on at most three qutrits, simulates each run on
-its own 27 x 27 matrix (3^n x 3^n for n < 3) and applies it to the full
-unitary in one tensor contraction as soon as it is cut, keeping nothing
-of it.
+are 0, so each gate has one row.  The table is checked once, against one
+list of gate rules applied with array operations (:func:`_fault`), and
+kept as a read-only copy.  Gate objects (:class:`Rotation`, :class:`Gcx`,
+...) are plain records: ``Circuit(n, gates)`` turns them into rows and
+checks them with the same rules, and ``Circuit.gates`` makes them on
+demand.  Counting, the passes, the text format and the simulator
+(:func:`eval_circuit`) read the columns.
 
 Text format (one gate per line, '#' starts a comment):
 
@@ -30,11 +26,11 @@ Text format (one gate per line, '#' starts a comment):
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import gc
 import itertools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Union
 
@@ -68,15 +64,6 @@ def _check_ints(*values) -> None:
             raise ValueError(f"qutrits and control values must be integers, got {v!r}")
 
 
-def _check_controlled(g: Gcx | Cinc) -> None:
-    """Control and target are distinct qutrits and the control value is a trit."""
-    _check_ints(g.control, g.value, g.target)
-    if g.control == g.target:
-        raise ValueError("control and target must differ")
-    if g.value not in (0, 1, 2):
-        raise ValueError(f"control value must be 0, 1 or 2, got {g.value}")
-
-
 @dataclass(frozen=True)
 class Rotation:
     axis: str  # 'x' | 'y' | 'z'
@@ -84,23 +71,11 @@ class Rotation:
     qutrit: int
     theta: float
 
-    def __post_init__(self):
-        _check_ints(self.qutrit)
-        if self.axis not in ("x", "y", "z") or self.level not in LEVELS:
-            raise ValueError(f"bad rotation {self.axis!r}/{self.level!r}")
-        if not math.isfinite(self.theta):
-            raise ValueError("rotation angle must be finite")
-
 
 @dataclass(frozen=True)
 class LocalX:
     level: str
     qutrit: int
-
-    def __post_init__(self):
-        _check_ints(self.qutrit)
-        if self.level not in LEVELS:
-            raise ValueError(f"bad level {self.level!r}")
 
 
 @dataclass(frozen=True)
@@ -110,11 +85,6 @@ class Gcx:
     target: int
     level: str
 
-    def __post_init__(self):
-        _check_controlled(self)
-        if self.level not in LEVELS:
-            raise ValueError(f"bad level {self.level!r}")
-
 
 @dataclass(frozen=True)
 class Cinc:
@@ -122,16 +92,10 @@ class Cinc:
     value: int
     target: int
 
-    __post_init__ = _check_controlled
-
 
 @dataclass(frozen=True)
 class GlobalPhase:
     phi: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.phi):
-            raise ValueError("phase must be finite")
 
 
 Gate = Union[Rotation, LocalX, Gcx, Cinc, GlobalPhase]
@@ -163,19 +127,32 @@ def _add_angles(a: float, b: float) -> float:
     return sum(2 * math.atan2(math.sin(x / 2), math.cos(x / 2)) for x in (a, b))
 
 
+def _named_row(op: int, q0, q1, value, level, axis, angle) -> tuple:
+    """A table row with the level and axis by name (axis None: the gate has none); an unknown name is refused."""
+    try:
+        return (op, q0, q1, value, _LEVEL[level], 0 if axis is None else _AXIS[axis], angle)
+    except (KeyError, TypeError):  # TypeError: a name that is not even hashable
+        raise ValueError(f"bad level {level!r}" if axis is None else f"bad rotation {axis!r}/{level!r}") from None
+
+
 def _row(g: Gate) -> tuple:
-    """The table row of one gate."""
+    """The table row of one gate.  Its names and field types are checked here, the rest by :func:`_fault`."""
     if isinstance(g, Rotation):
-        return (ROT, g.qutrit, g.qutrit, 0, _LEVEL[g.level], _AXIS[g.axis], g.theta)
-    if isinstance(g, LocalX):
-        return (LOCAL_X, g.qutrit, g.qutrit, 0, _LEVEL[g.level], 0, 0.0)
-    if isinstance(g, Gcx):
-        return (GCX, g.control, g.target, g.value, _LEVEL[g.level], 0, 0.0)
-    if isinstance(g, Cinc):
-        return (CINC, g.control, g.target, g.value, 0, 0, 0.0)
-    if isinstance(g, GlobalPhase):
-        return (PHASE, 0, 0, 0, 0, 0, g.phi)
-    raise TypeError(f"not a gate: {g!r}")
+        row = _named_row(ROT, g.qutrit, g.qutrit, 0, g.level, g.axis, g.theta)
+    elif isinstance(g, LocalX):
+        row = _named_row(LOCAL_X, g.qutrit, g.qutrit, 0, g.level, None, 0.0)
+    elif isinstance(g, Gcx):
+        row = _named_row(GCX, g.control, g.target, g.value, g.level, None, 0.0)
+    elif isinstance(g, Cinc):
+        row = (CINC, g.control, g.target, g.value, 0, 0, 0.0)
+    elif isinstance(g, GlobalPhase):
+        row = (PHASE, 0, 0, 0, 0, 0, g.phi)
+    else:
+        raise TypeError(f"not a gate: {g!r}")
+    _check_ints(*row[1:4])  # a float or bool would serialize as q1.0 or q0=True, which parse refuses
+    if not isinstance(row[6], numbers.Real):  # the table would read "1.5" as 1.5
+        raise TypeError(f"angles must be real numbers, got {row[6]!r}")
+    return row
 
 
 def _columns(t: np.ndarray, names: tuple[str, ...] = GATE_DTYPE.names):
@@ -186,7 +163,7 @@ def _columns(t: np.ndarray, names: tuple[str, ...] = GATE_DTYPE.names):
 
 
 def _gates(rows) -> list[Gate]:
-    """Gate objects of checked table rows, built without re-running their classes' field checks.
+    """Gate objects of table rows, their fields set directly rather than through the constructors.
 
     The collector is paused meanwhile: the new gates hold no cycles, and
     each collection it would run walks every gate made so far (with it
@@ -214,30 +191,36 @@ def _gates(rows) -> list[Gate]:
     return out
 
 
-def _row_error(n: int, row) -> ValueError:
-    """Why a row (a tuple or a table row) is not a gate on n qutrits: its gate's error, the width, or its form."""
-    row = row.item() if isinstance(row, np.void) else row
-    if not (0 <= row[0] <= PHASE and 0 <= row[4] < 3 and 0 <= row[5] < 3):
-        return ValueError(f"bad op, level or axis code in gate row {row}")
-    try:
-        dataclasses.replace(g := _gates([row])[0])  # re-runs the gate constructor's field checks
-    except ValueError as exc:
-        return exc
-    for q in row[1:3]:
-        if not 0 <= q < n:
-            return ValueError(f"gate {g} touches qutrit {q} outside width {n}")
-    return ValueError(f"gate row {row} is not in canonical form")
+def _fault(n: int, t: np.ndarray, rows) -> tuple[int, str] | None:
+    """The first row of ``t`` that is not one gate on n qutrits, and the message of its first broken rule, or None.
 
-
-def _bad_rows(n: int, t: np.ndarray) -> np.ndarray:
-    """Indices of the rows of ``t`` that are not one gate on n qutrits in canonical form."""
+    Each gate rule is one (mask of the rows that break it, message) pair;
+    a message names the row's columns as fields.  Unused fields must be 0,
+    so each gate has one row.  ``rows`` holds the rows as given (tuples, or
+    ``t`` itself), so a field too wide for ``t`` is reported as it was.
+    """
     op, q0, q1, value, level, axis, angle = (t[name] for name in GATE_DTYPE.names)
-    two, rot, phase = (op == GCX) | (op == CINC), op == ROT, op == PHASE
-    ok = (op >= 0) & (op <= PHASE) & (q0 >= 0) & (q0 < n) & (q1 >= 0) & (q1 < n) & (level >= 0) & (level < 3)
-    ok &= np.where(two, (q0 != q1) & (value >= 0) & (value < 3), (q0 == q1) & (value == 0))
-    ok &= np.where(rot, (axis >= 0) & (axis < 3), axis == 0) & np.where(rot | phase, np.isfinite(angle), angle == 0)
-    ok &= ((op != CINC) & ~phase | (level == 0)) & (~phase | (q0 == 0))
-    return np.flatnonzero(~ok)
+    two, rot, phase, same, finite = (op == GCX) | (op == CINC), op == ROT, op == PHASE, q0 == q1, np.isfinite(angle)
+    canonical = (two | same & (value == 0)) & (rot | (axis == 0)) & (rot | phase | (angle == 0))
+    canonical &= (~phase | (q0 == 0) & (level == 0)) & ((op != CINC) | (level == 0))
+    rules = [
+        ((op < 0) | (op > PHASE) | (level < 0) | (level > 2) | (axis < 0) | (axis > 2),
+         "bad op, level or axis code in gate row {row}"),
+        (two & same, "control and target must differ"),
+        (two & ((value < 0) | (value > 2)), "control value must be 0, 1 or 2, got {value}"),
+        (rot & ~finite, "rotation angle must be finite"),
+        (phase & ~finite, "phase must be finite"),
+        ((q0 < 0) | (q0 >= n), "gate row {row} touches qutrit {q0} outside width {n}"),
+        ((q1 < 0) | (q1 >= n), "gate row {row} touches qutrit {q1} outside width {n}"),
+        (~canonical, "gate row {row} is not in canonical form"),
+    ]
+    bad = functools.reduce(np.logical_or, (mask for mask, _ in rules))
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    row = rows[i].item() if isinstance(rows, np.ndarray) else rows[i]
+    message = next(message for mask, message in rules if mask[i])
+    return i, message.format(n=n, row=row, **dict(zip(GATE_DTYPE.names, row)))
 
 
 # The table's columns at full width: rows made from gates or text are checked at this
@@ -274,9 +257,9 @@ class Circuit:
             t = _wide(rows := [_row(g) for g in t])
         elif t.dtype != GATE_DTYPE or t.ndim != 1:
             raise TypeError(f"a gate table is a 1-D array of GATE_DTYPE, got {t.dtype} {t.shape}")
-        bad = _bad_rows(self.n, t)
-        if bad.size:
-            raise _row_error(self.n, rows[bad[0]])
+        fault = _fault(self.n, t, rows)
+        if fault:
+            raise ValueError(fault[1])
         t = t.astype(GATE_DTYPE)  # a copy, so no caller's array can change the checked table
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
@@ -482,40 +465,32 @@ def _parse_row(toks: list[str], line_no: int) -> tuple:
     if len(args) != _ARITY.get(kind):
         raise CircuitParseError(line_no, _SYNTAX.get(kind, f"unknown gate {toks[0]!r}"))
     if kind == "R":
-        ax, lv, q, th = args[0].lower(), args[1], _parse_qutrit(args[2], line_no), _parse_float(args[3], line_no)
-        if ax not in _AXIS or lv not in _LEVEL:
-            Rotation(ax, lv, q, th)  # raises its bad-name error
-        return (ROT, q, q, 0, _LEVEL[lv], _AXIS[ax], th)
+        q, th = _parse_qutrit(args[2], line_no), _parse_float(args[3], line_no)
+        return _named_row(ROT, q, q, 0, args[1], args[0].lower(), th)
     if kind == "X":
         q = _parse_qutrit(args[1], line_no)
-        if args[0] not in _LEVEL:
-            LocalX(args[0], q)
-        return (LOCAL_X, q, q, 0, _LEVEL[args[0]], 0, 0.0)
+        return _named_row(LOCAL_X, q, q, 0, args[0], None, 0.0)
     if kind == "PHASE":
         return (PHASE, 0, 0, 0, 0, 0, _parse_float(args[0], line_no))
     ctl, val = _parse_control(args[0], line_no)
     tgt = _parse_qutrit(args[1], line_no)
     if kind == "CINC":
         return (CINC, ctl, tgt, val, 0, 0, 0.0)
-    if args[2] not in _LEVEL:
-        Gcx(ctl, val, tgt, args[2])
-    return (GCX, ctl, tgt, val, _LEVEL[args[2]], 0, 0.0)
+    return _named_row(GCX, ctl, tgt, val, args[2], None, 0.0)
 
 
 def parse(text: str) -> Circuit:
     """The circuit of a text file, one table row per gate line.
 
-    The first faulty line raises :class:`CircuitParseError`; a row whose
-    fields do not make a gate on n qutrits gets :class:`Circuit`'s message,
-    that of its gate constructor or of the width.
+    The first faulty line raises :class:`CircuitParseError`, with the message of the gate rule its fields break.
     """
     n, rows, line_nos = None, [], []
 
     def checked() -> np.ndarray:  # the rows read so far, in full-width columns
         t = _wide(rows)
-        bad = _bad_rows(n, t)
-        if bad.size:
-            raise CircuitParseError(line_nos[bad[0]], str(_row_error(n, rows[bad[0]])))
+        fault = _fault(n, t, rows)
+        if fault:
+            raise CircuitParseError(line_nos[fault[0]], fault[1])
         return t
 
     for line_no, raw in enumerate(text.splitlines(), start=1):

@@ -42,10 +42,7 @@ from .algebra import (
 )
 from .cartan import _qutrit_count, factorize, factorize_stack, reassemble
 from .circuit import (
-    Cinc,
-    Circuit,
     CircuitParseError,
-    Gcx,
     count_gates,
     eval_circuit,
     parse,
@@ -185,6 +182,8 @@ def _load_matrix(path: str) -> tuple[np.ndarray, int]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.report == "-" and args.output in (None, "-"):
+        raise _BadInput("the circuit and the --report JSON cannot both go to stdout; give -o or a --report path")
     m, _ = _load_matrix(args.matrix)
     defect = unitarity_defect(m)
     if defect > UNITARY_ATOL:
@@ -317,9 +316,9 @@ def _identity_checks() -> list[tuple[str, float, float]]:
         (cinc_matrix(2, 0, m, 1), gcx_matrix(2, 0, m, 1, "02") @ gcx_matrix(2, 0, m, 1, "01"))
         for m in range(3)
     ]
-    raws = [Circuit(2, (Gcx(0, m, 1, "01"), Gcx(0, m, 1, "02"))) for m in range(3)]
+    raws = [parse(f"QUTRITS 2\nGCX q0={m} q1 01\nGCX q0={m} q1 02") for m in range(3)]
     fused = [pass_fuse_cinc(raw) for raw in raws]
-    if all(len(f.gates) == 1 and isinstance(f.gates[0], Cinc) for f in fused):
+    if all(count_gates(f).cinc == len(f) == 1 for f in fused):
         fusion = _gap((eval_circuit(f), eval_circuit(raw)) for f, raw in zip(fused, raws))
     else:
         fusion = math.inf

@@ -6,7 +6,8 @@ partner to cancel or merge with, past the gates it commutes with;
 the circuit matrix exactly (up to floating-point rounding in merged
 rotation angles) and are deterministic.  The commutation test is
 structural -- a small set of sufficient rules -- never numerical, so a
-gate only moves past gates it provably commutes with.  Synthesis emits each
+gate only moves past gates it provably commutes with.  :func:`commutes`
+reads two table rows as tuples; no pass builds a gate object.  Synthesis emits each
 factor at its closed-form size; there the sweep merges rotations across
 factor and leaf boundaries, folds the phases into one and, on structured
 inputs, drops zero-angle rotations and the GCX pairs they leave adjacent.
@@ -28,7 +29,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .algebra import AXES, LEVELS
-from .circuit import CINC, GATE_DTYPE, GCX, LOCAL_X, PHASE, ROT, Circuit, Gate, _add_angles, _columns, _row
+from .circuit import CINC, GATE_DTYPE, GCX, LOCAL_X, PHASE, ROT, Circuit, _add_angles, _columns
 
 __all__ = [
     "commutes",
@@ -57,8 +58,8 @@ def _wrap(theta: float, period: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def commutes(a: Gate | tuple, b: Gate | tuple) -> bool:
-    """Sufficient structural test that a and b, gates or gate-table rows, commute as matrices.
+def commutes(a: tuple, b: tuple) -> bool:
+    """Sufficient structural test that two gate-table rows, as tuples, commute as matrices.
 
     Rules (conservative -- may return False for commuting pairs):
       * a global phase commutes with everything;
@@ -73,7 +74,6 @@ def commutes(a: Gate | tuple, b: Gate | tuple) -> bool:
       * same-axis same-level rotations on one qutrit commute; LocalX
         commutes with an x-rotation or a LocalX at its own level.
     """
-    a, b = (x if isinstance(x, tuple) else _row(x) for x in (a, b))
     if PHASE in (a[0], b[0]) or {a[1], a[2]}.isdisjoint((b[1], b[2])):
         return True
     # Controlled gate first, then LocalX; the rules below are symmetric.

@@ -247,7 +247,7 @@ def x_mux_gates(
     With ``absorb=True`` the closing run of value-1 GCX gates (one per
     control) is not emitted; the omitted product equals a diagonal sign
     factor that the factorization folds into the neighbouring block
-    (see :func:`trisect.cartan.absorption_factor`).
+    (see :func:`trisect.cartan._absorption_signs`).
     """
     if level not in ("01", "12"):
         raise ValueError(f"x mux is emitted for levels 01 and 12 only, got {level!r}")
@@ -369,10 +369,22 @@ CITED_CINC_TOTALS = {2: 21, 3: 217, 4: 2686}
 FACTOR_KINDS = ("x01", "x12", "z12", "d", "dbar")
 
 
-def expected_count(n: int, gate_set: GateSet = GateSet.GCX_CINC) -> int:
-    """Closed-form two-qutrit gate count of a generic n-qutrit synthesis."""
+def _check_gate_set(gate_set) -> None:
+    if not isinstance(gate_set, GateSet):
+        raise ValueError(f"gate_set must be a GateSet, got {gate_set!r}")
+
+
+def _check_count(n, gate_set=GateSet.GCX_CINC) -> None:
+    """Refuse to count for a width that is not an integer n >= 2 or a gate_set that is not a GateSet."""
+    _check_ints(n)
     if n < 2:
         raise ValueError("two-qutrit counts are defined for n >= 2")
+    _check_gate_set(gate_set)
+
+
+def expected_count(n: int, gate_set: GateSet = GateSet.GCX_CINC) -> int:
+    """Closed-form two-qutrit gate count of a generic n-qutrit synthesis."""
+    _check_count(n, gate_set)
     if gate_set is GateSet.GCX_ONLY:
         return expected_count(n) + cinc_savings(n)
     val = (
@@ -387,8 +399,7 @@ def expected_count(n: int, gate_set: GateSet = GateSet.GCX_CINC) -> int:
 
 def cinc_savings(n: int) -> int:
     """Two-qutrit gates saved by fusing GCX pairs into CINC gates."""
-    if n < 2:
-        raise ValueError("two-qutrit counts are defined for n >= 2")
+    _check_count(n)
     val = Fraction(9) ** n / 16 - Fraction(n, 2) - Fraction(1, 16)
     if val.denominator != 1:
         raise ArithmeticError(f"savings formula did not give an integer: {val}")
@@ -397,8 +408,7 @@ def cinc_savings(n: int) -> int:
 
 def operator_count(kind: str, n: int, gate_set: GateSet = GateSet.GCX_CINC) -> int:
     """Two-qutrit gates that the emitters spend on one factor circuit spanning n qutrits."""
-    if n < 2:
-        raise ValueError("two-qutrit counts are defined for n >= 2")
+    _check_count(n, gate_set)
     p = 3 ** (n - 1)
     if kind in ("x01", "x12"):
         return p - 1
@@ -419,8 +429,7 @@ def measured_operator_counts(
     output, after :func:`~trisect.passes.pass_fuse_cinc` for
     ``GateSet.GCX_CINC``; no cancellation pass runs.
     """
-    if n < 2:
-        raise ValueError("two-qutrit counts are defined for n >= 2")
+    _check_count(n, gate_set)
     rng = np.random.default_rng(seed)
     counts: dict[str, int] = {}
     for kind in FACTOR_KINDS:
@@ -443,8 +452,7 @@ class SynthesisOptions:
     tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not isinstance(self.gate_set, GateSet):
-            raise ValueError(f"gate_set must be a GateSet, got {self.gate_set!r}")
+        _check_gate_set(self.gate_set)
         t = self.tolerance
         if isinstance(t, bool) or not isinstance(t, numbers.Real) or not 0 < t < math.inf:
             raise ValueError(f"tolerance must be a finite positive number, got {t!r}")

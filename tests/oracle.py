@@ -15,7 +15,7 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from trisect import algebra
-from trisect.circuit import Circuit, Cinc, Gate, Gcx, GlobalPhase, LocalX, Rotation
+from trisect.circuit import Circuit, Cinc, Gate, Gcx, GlobalPhase, LocalX, Rotation, _row
 from trisect.passes import ANGLE_EPS, _wrap, commutes
 
 
@@ -82,7 +82,7 @@ def reference_cancel(c: Circuit) -> Circuit:
         merged = None
         for k in _latest_first(*fronts):
             merged = _merge_pair(out[k], g)
-            if merged is not None or not commutes(out[k], g):
+            if merged is not None or not commutes(_row(out[k]), _row(g)):
                 break
         if merged is None:
             for lst in fronts:

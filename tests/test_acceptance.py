@@ -159,7 +159,7 @@ def test_criterion_5_factorization_soundness():
                 worst_recon, float(np.max(np.abs(reassemble(node) - u))) / dim
             )
             worst_stage = max(worst_stage, max(node.residuals.values()))
-            for w in node.k_factors:
+            for w in (e.matrix for e in node.entries if e.kind == "K"):
                 worst_defect = max(worst_defect, unitarity_defect(w))
                 recovered, resid = tensor_identity_residual(np.kron(np.eye(3), w))
                 worst_shape = max(worst_shape, resid, float(np.max(np.abs(recovered - w))))

@@ -18,7 +18,7 @@ from trisect.algebra import (
     place,
     random_subspace_element,
     rotation,
-    rotations,
+    rotations_by_code,
     subspace_membership,
     subspace_project,
 )
@@ -130,7 +130,8 @@ def test_rotations_match_exponential_for_every_axis_and_level():
     axes = [a for a in "xyz" for _ in LEVELS for _ in range(4)]
     levels = [ij for _ in "xyz" for ij in LEVELS for _ in range(4)]
     thetas = rng.uniform(-4 * np.pi, 4 * np.pi, size=len(axes))
-    got = rotations(axes, levels, thetas)
+    codes = np.array([3 * "xyz".index(a) + LEVELS.index(ij) for a, ij in zip(axes, levels)])
+    got = rotations_by_code(codes, thetas)
     assert got.shape == (len(axes), 3, 3)
     for r, a, ij, th in zip(got, axes, levels, thetas):
         want = scipy.linalg.expm(-0.5j * th * generator(GeneratorId[f"S{a.upper()}{ij}"]))
@@ -139,13 +140,10 @@ def test_rotations_match_exponential_for_every_axis_and_level():
 
 
 def test_rotations_empty_and_bad_input():
-    assert rotations([], [], []).shape == (0, 3, 3)
-    with pytest.raises(ValueError):
-        rotations(["x", "w"], ["01", "01"], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        rotations(["x", "y"], ["01", "21"], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        rotations(["x"], ["01"], [1.0, 2.0])
+    assert rotations_by_code(np.zeros(0, dtype=int), []).shape == (0, 3, 3)
+    for axis, ij in (("w", "01"), ("x", "21"), ("xy", "01"), ("x", "0")):
+        with pytest.raises(ValueError, match="bad rotation axis/level"):
+            rotation(axis, ij, 1.0)
 
 
 def test_swap_closed_forms():

@@ -12,7 +12,6 @@ from trisect.cartan import (
     NONLOCAL_ORDER,
     NodeEntry,
     FactorizationNode,
-    absorption_factor,
     factorize,
     factorize_stack,
     nonlocal_matrix,
@@ -210,20 +209,24 @@ def test_split_identity_input():
 # ---------------------------------------------------------------------------
 
 
+def _absorption_factor(kind: str, p: int) -> np.ndarray:
+    return np.diag(cartan._absorption_signs(kind, p).ravel())
+
+
 def test_absorption_factor_values():
-    za = absorption_factor("x01", 3)
+    za = _absorption_factor("x01", 3)
     zd = np.diag([1.0, -1.0, 1.0])
     assert np.array_equal(za, _bd(zd, np.eye(3), np.eye(3)))
-    zb = absorption_factor("x12", 9)
+    zb = _absorption_factor("x12", 9)
     assert np.array_equal(
         zb, _bd(np.eye(9), np.kron(zd, zd), np.eye(9))
     )
     with pytest.raises(ValueError):
-        absorption_factor("z12", 3)
+        _absorption_factor("z12", 3)
 
 
 def test_absorption_factor_is_an_involution():
-    z = absorption_factor("x12", 9)
+    z = _absorption_factor("x12", 9)
     assert np.array_equal(z @ z, np.eye(27))
 
 
@@ -242,7 +245,7 @@ def test_factorize_chain_structure():
     node = factorize(u)
     assert node.n == 2
     assert tuple(e.kind for e in node.entries) == _EXPECTED_KINDS
-    assert len(node.k_factors) == 9
+    assert sum(e.kind == "K" for e in node.entries) == 9
     assert [e.kind for e in node.entries if e.kind != "K"] == list(NONLOCAL_ORDER)
     assert set(node.residuals) == {
         "stage1", "stage2_left", "stage2_right",
@@ -257,7 +260,7 @@ def test_factorize_reconstructs(n):
     node = factorize(u)
     assert np.max(np.abs(reassemble(node) - u)) < 1e-9 * d
     assert max(node.residuals.values()) < 1e-10
-    for w in node.k_factors:
+    for w in (e.matrix for e in node.entries if e.kind == "K"):
         assert w.shape == (d // 3, d // 3)
         assert unitarity_defect(w) < 1e-10
 

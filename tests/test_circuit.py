@@ -53,41 +53,45 @@ def _random_circuit(n: int, length: int, rng: np.random.Generator) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# gate dataclasses
+# gate records, checked when a Circuit takes them
 # ---------------------------------------------------------------------------
 
 
 def test_gate_validation():
-    with pytest.raises(ValueError):
-        Rotation("q", "01", 0, 1.0)
-    with pytest.raises(ValueError):
-        Rotation("xy", "01", 0, 1.0)  # a substring of "xyz" is not an axis
-    with pytest.raises(ValueError):
-        Rotation("x", "10", 0, 1.0)
-    with pytest.raises(ValueError):
-        Rotation("x", "01", 0, float("nan"))
-    with pytest.raises(ValueError):
-        LocalX("21", 0)
-    with pytest.raises(ValueError):
-        Gcx(1, 1, 1, "01")  # control == target
-    with pytest.raises(ValueError):
-        Gcx(0, 5, 1, "01")
-    with pytest.raises(ValueError):
-        Cinc(0, -1, 1)
-    with pytest.raises(ValueError):
-        GlobalPhase(float("inf"))
+    # a gate object is a plain record: the Circuit that takes it names the rule it breaks
+    for gate, fragment in [
+        (Rotation("q", "01", 0, 1.0), "bad rotation"),
+        (Rotation("xy", "01", 0, 1.0), "bad rotation"),  # a substring of "xyz" is not an axis
+        (Rotation("x", "10", 0, 1.0), "bad rotation"),
+        (Rotation("x", "01", 0, float("nan")), "finite"),
+        (LocalX("21", 0), "bad level"),
+        (Gcx(0, 1, 1, "21"), "bad level"),
+        (Gcx(1, 1, 1, "01"), "must differ"),  # control == target
+        (Gcx(0, 5, 1, "01"), "control value must be 0, 1 or 2, got 5"),
+        (Cinc(0, -1, 1), "control value must be 0, 1 or 2, got -1"),
+        (GlobalPhase(float("inf")), "finite"),
+    ]:
+        with pytest.raises(ValueError, match=fragment):
+            Circuit(2, (gate,))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_angles_must_be_finite(bad):
     for value in (bad, np.float64(bad)):
         with pytest.raises(ValueError, match="finite"):
-            Rotation("z", "12", 0, value)
+            Circuit(1, (Rotation("z", "12", 0, value),))
         with pytest.raises(ValueError, match="finite"):
-            GlobalPhase(value)
+            Circuit(1, (GlobalPhase(value),))
     # numpy scalars are accepted and kept as given
     assert Rotation("z", "12", 0, np.float64(0.5)).theta == 0.5
     assert GlobalPhase(np.float64(-0.25)).phi == -0.25
+    c = Circuit(1, (Rotation("z", "12", 0, np.float64(0.5)), GlobalPhase(np.float64(-0.25))))
+    assert c.gates == (Rotation("z", "12", 0, 0.5), GlobalPhase(-0.25))
+    # an angle that is not a real number is refused, not converted ("1.5" would read as 1.5)
+    for value in ("1.5", None, 1 + 2j):
+        for gate in (Rotation("z", "12", 0, value), GlobalPhase(value)):
+            with pytest.raises(TypeError, match="angles must be real numbers"):
+                Circuit(1, (gate,))
 
 
 _NON_INTEGER_FIELDS = {
@@ -107,7 +111,7 @@ _NON_INTEGER_FIELDS = {
 def test_gate_fields_must_be_integers(build):
     # a float or bool would serialize as q1.0 or q0=True, which parse refuses
     with pytest.raises(ValueError, match="must be integers"):
-        build()
+        Circuit(3, (build(),))
 
 
 @pytest.mark.parametrize("to_int", [int, np.int64, np.int32, np.uint8, np.intp])
@@ -150,26 +154,28 @@ def _table_with(gate, **fields) -> np.ndarray:
     return t
 
 
-# (valid gate, columns to overwrite, the gate whose constructor or width check must refuse the same way)
+# (valid gate, columns to overwrite, the gate that breaks the same rule, a fragment of that rule's message)
 _BAD_ROWS = {
     "qutrit-outside-width": (
-        Rotation("x", "01", 0, 1.0), {"q0": 3, "q1": 3}, lambda: Circuit(3, (Rotation("x", "01", 3, 1.0),))
+        Rotation("x", "01", 0, 1.0), {"q0": 3, "q1": 3}, Rotation("x", "01", 3, 1.0), "touches qutrit 3 outside width 3"
     ),
-    "target-outside-width": (Gcx(0, 1, 2, "01"), {"q1": 5}, lambda: Circuit(3, (Gcx(0, 1, 5, "01"),))),
-    "control-is-target": (Gcx(0, 1, 2, "01"), {"q1": 0}, lambda: Gcx(0, 1, 0, "01")),
-    "cinc-control-is-target": (Cinc(1, 1, 2), {"q0": 2}, lambda: Cinc(2, 1, 2)),
-    "value-3": (Gcx(0, 1, 2, "12"), {"value": 3}, lambda: Gcx(0, 3, 2, "12")),
-    "value-negative": (Cinc(0, 1, 2), {"value": -1}, lambda: Cinc(0, -1, 2)),
-    "nan-angle": (Rotation("y", "02", 1, 0.5), {"angle": np.nan}, lambda: Rotation("y", "02", 1, np.nan)),
-    "inf-phase": (GlobalPhase(0.5), {"angle": -np.inf}, lambda: GlobalPhase(-np.inf)),
+    "target-outside-width": (Gcx(0, 1, 2, "01"), {"q1": 5}, Gcx(0, 1, 5, "01"), "touches qutrit 5 outside width 3"),
+    "control-is-target": (Gcx(0, 1, 2, "01"), {"q1": 0}, Gcx(0, 1, 0, "01"), "control and target must differ"),
+    "cinc-control-is-target": (Cinc(1, 1, 2), {"q0": 2}, Cinc(2, 1, 2), "control and target must differ"),
+    "value-3": (Gcx(0, 1, 2, "12"), {"value": 3}, Gcx(0, 3, 2, "12"), "control value must be 0, 1 or 2, got 3"),
+    "value-negative": (Cinc(0, 1, 2), {"value": -1}, Cinc(0, -1, 2), "control value must be 0, 1 or 2, got -1"),
+    "nan-angle": (
+        Rotation("y", "02", 1, 0.5), {"angle": np.nan}, Rotation("y", "02", 1, np.nan), "rotation angle must be finite"
+    ),
+    "inf-phase": (GlobalPhase(0.5), {"angle": -np.inf}, GlobalPhase(-np.inf), "phase must be finite"),
 }
 
 
 @pytest.mark.parametrize("case", _BAD_ROWS.values(), ids=_BAD_ROWS.keys())
 def test_table_rejects_a_bad_field_with_the_gate_error(case):
-    gate, fields, reference = case
-    with pytest.raises(ValueError) as want:
-        reference()
+    gate, fields, bad_gate, fragment = case
+    with pytest.raises(ValueError, match=fragment) as want:
+        Circuit(3, (bad_gate,))
     with pytest.raises(ValueError) as got:
         Circuit(3, _table_with(gate, **fields))
     assert str(got.value) == str(want.value)

@@ -129,6 +129,18 @@ def test_synth_report_to_stdout(tmp_path, capsys):
     assert json.loads(out)["qutrits"] == 1
 
 
+@pytest.mark.parametrize("circuit_to", [[], ["-o", "-"]], ids=["no-o", "o-stdout"])
+def test_synth_refuses_circuit_and_report_both_on_stdout(tmp_path, capsys, monkeypatch, circuit_to):
+    # the two texts would share one stream, and neither could be read back
+    calls = []
+    monkeypatch.setattr(cli, "synthesize", lambda *a, **k: calls.append(a))
+    mat = _matrix_file(tmp_path, "m.json", np.eye(3, dtype=complex), 1)
+    code, out, err = _run(capsys, "synth", mat, *circuit_to, "--report", "-")
+    assert code == EXIT_PARSE
+    assert "both go to stdout" in err
+    assert out == "" and calls == []
+
+
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])
 @pytest.mark.parametrize("command", ["random -o", "synth -o", "synth --report"])
 def test_unwritable_output_exits_2(tmp_path, capsys, command, where):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from trisect import synth
+from trisect import passes, synth
 from trisect.circuit import (
     Circuit,
     Cinc,
@@ -18,6 +18,7 @@ from trisect.circuit import (
     GlobalPhase,
     LocalX,
     Rotation,
+    _row,
     count_gates,
     eval_circuit,
     parse,
@@ -79,24 +80,16 @@ def test_commutes_is_sound():
     # whenever the structural rule says True, the matrices must commute
     pool = _every_gate_kind(3)
     assert len(pool) == 109
+    rows = Circuit(3, tuple(pool)).table.tolist()
     mats = [gate_matrix(g, 3) for g in pool]
     commuting = 0
-    for a, ma in zip(pool, mats):
-        for b, mb in zip(pool, mats):
-            if commutes(a, b):
+    for a, ra, ma in zip(pool, rows, mats):
+        for b, rb, mb in zip(pool, rows, mats):
+            if commutes(ra, rb):
                 commuting += 1
                 assert np.max(np.abs(ma @ mb - mb @ ma)) < 1e-12, (a, b)
     # the exact count pins the rules: any change in what they admit moves it
     assert commuting == 5077
-
-
-def test_commutes_takes_gates_and_rows_alike():
-    # each argument may be a gate or a table row, independently of the other
-    pool = _every_gate_kind(3)
-    rows = Circuit(3, tuple(pool)).table.tolist()
-    for a, ra in zip(pool, rows):
-        for b, rb in zip(pool, rows):
-            assert commutes(a, b) == commutes(ra, b) == commutes(a, rb) == commutes(ra, rb), (a, b)
 
 
 def _with_angle(g, angle: float):
@@ -112,10 +105,11 @@ def test_commutes_reads_no_angle():
     # pass_cancel looks commutes() up per pair of shapes, which holds only
     # if no angle can change its answer
     pool = _every_gate_kind(3)
+    rows = [_row(g) for g in pool]
     for angle in (0.0, -2.9, 5.1):
-        moved = [_with_angle(g, angle) for g in pool]
-        for a, a2 in zip(pool, moved):
-            for b, b2 in zip(pool, moved):
+        moved = [_row(_with_angle(g, angle)) for g in pool]
+        for a, a2 in zip(rows, moved):
+            for b, b2 in zip(rows, moved):
                 assert commutes(a2, b) == commutes(a, b2) == commutes(a, b), (a, b, angle)
 
 
@@ -137,6 +131,9 @@ def test_merge_needs_equal_shapes():
 
 
 def test_commutes_specific_rules():
+    def commutes(a, b):
+        return passes.commutes(_row(a), _row(b))
+
     # disjoint supports
     assert commutes(Rotation("x", "01", 0, 1.0), Rotation("y", "12", 1, 2.0))
     # z rotation through the control of a controlled gate

@@ -16,7 +16,7 @@ import scipy.linalg
 
 from trisect import cartan, circuit, cli, linalg, passes, synth
 from trisect.algebra import GeneratorId, gcx_matrix, generator, rotation
-from trisect.cartan import absorption_factor, factorize, factorize_stack
+from trisect.cartan import _absorption_signs, factorize, factorize_stack
 from trisect.circuit import (
     Cinc,
     Circuit,
@@ -153,7 +153,7 @@ def test_x_mux_matches_oracle(level, n):
 
     # absorbed emission realizes the sign factor times the exponential
     absorbed = x_mux_gates(level, qutrits, lam, absorb=True)
-    want = absorption_factor(f"x{level}", 3 ** (n - 1)) @ full
+    want = _absorption_signs(f"x{level}", 3 ** (n - 1)).reshape(-1, 1) * full
     assert np.max(np.abs(_eval(n, absorbed) - want)) < 1e-12
     # it is the plain list without the n-1 gates before the final y rotation,
     # each a value-1 GCX on the lead qutrit
@@ -369,6 +369,41 @@ def test_measured_operator_counts_match_formulas(gate_set, n):
 def test_measured_operator_counts_reject_one_qutrit():
     with pytest.raises(ValueError, match="n >= 2"):
         measured_operator_counts(1)
+
+
+# A gate set given by its name once counted as the other set, and a float width failed inside fractions.
+_NOT_A_GATE_SET = ("gcx", "gcx+cinc", None)
+_NOT_A_WIDTH = (2.0, True, "3", np.float64(3.0))
+
+
+def _refuses_what_it_cannot_count(count):
+    for gate_set in _NOT_A_GATE_SET:
+        with pytest.raises(ValueError, match="gate_set must be a GateSet"):
+            count(3, gate_set)
+    for n in _NOT_A_WIDTH:
+        with pytest.raises(ValueError, match="must be integers"):
+            count(n, GateSet.GCX_CINC)
+
+
+def test_expected_count_refuses_what_it_cannot_count():
+    _refuses_what_it_cannot_count(expected_count)
+    assert expected_count(np.int64(3), GateSet.GCX_ONLY) == 315
+
+
+def test_cinc_savings_refuses_a_non_integer_width():
+    for n in _NOT_A_WIDTH:
+        with pytest.raises(ValueError, match="must be integers"):
+            cinc_savings(n)
+    assert cinc_savings(np.int64(3)) == 44
+
+
+def test_operator_count_refuses_what_it_cannot_count():
+    _refuses_what_it_cannot_count(lambda n, gate_set: operator_count("d", n, gate_set))
+    assert operator_count("d", 3, GateSet.GCX_CINC) == 12
+
+
+def test_measured_operator_counts_refuse_what_they_cannot_count():
+    _refuses_what_it_cannot_count(measured_operator_counts)
 
 
 @pytest.mark.parametrize("kind", synth.FACTOR_KINDS)
@@ -759,12 +794,12 @@ def test_unitarity_is_checked_once_per_entry(monkeypatch):
 def test_synthesis_builds_no_gate_object(monkeypatch):
     # emission, the sweep (from a cold commutation table), fusion, counting
     # and verification all run on the gate table
-    def refuse(self):
+    def refuse(self, *fields):
         raise AssertionError(f"built a gate object: {type(self).__name__}")
 
     for cls in (Rotation, LocalX, Gcx, Cinc, GlobalPhase):
-        monkeypatch.setattr(cls, "__post_init__", refuse)
-    monkeypatch.setattr(circuit, "_gates", lambda rows: refuse(None))  # the unchecked path from table rows
+        monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr(circuit, "_gates", lambda rows: refuse(None))  # the path from table rows, which skips __init__
     monkeypatch.setattr(passes, "_COMMUTES", {})
     for gate_set in GateSet:
         circ, rep = synthesize(haar_unitary(27, np.random.default_rng(0)), SynthesisOptions(gate_set=gate_set))

@@ -8,11 +8,11 @@ gate), ``value`` (control value), ``level`` and ``axis`` (indices into
 LEVELS and AXES) and ``angle`` (rotation angle or phase).  Unused fields
 are 0, so each gate has one row.  The table is checked once, against one
 list of gate rules applied with array operations (:func:`_fault`), and
-kept as a read-only copy.  Gate objects (:class:`Rotation`, :class:`Gcx`,
-...) are plain records: ``Circuit(n, gates)`` turns them into rows and
-checks them with the same rules, and ``Circuit.gates`` makes them on
-demand.  Counting, the passes, the text format and the simulator
-(:func:`eval_circuit`) read the columns.
+kept read-only: a copy, unless parsing, synthesis or a pass built it
+(:func:`_adopt`).  Gate objects (:class:`Rotation`, ...) are plain
+records: ``Circuit(n, gates)`` turns them into rows and checks them with
+the same rules, and ``Circuit.gates`` makes them on demand.  Counting,
+the passes, the text format and the simulator read the columns.
 
 Text format (one gate per line, '#' starts a comment):
 
@@ -237,6 +237,13 @@ def _wide(rows: list[tuple]) -> np.ndarray:
         return np.array([(*(v if -(2**63) <= v < 2**63 else -1 for v in r[:-1]), r[-1]) for r in rows], _WIDE)
 
 
+def _check_width(n) -> int:
+    _check_ints(n)
+    if not 1 <= n <= _MAX_QUTRITS:
+        raise ValueError(f"circuit needs 1 to {_MAX_QUTRITS} qutrits (the gate table's range), got {n}")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class Circuit:
     """A width n and its gate table (module docstring), checked once.
@@ -249,16 +256,13 @@ class Circuit:
     table: np.ndarray
 
     def __post_init__(self):
-        _check_ints(self.n)
-        if not 1 <= self.n <= _MAX_QUTRITS:
-            raise ValueError(f"circuit needs 1 to {_MAX_QUTRITS} qutrits (the gate table's range), got {self.n}")
+        _check_width(self.n)
         t = rows = self.table
         if not isinstance(t, np.ndarray):
             t = _wide(rows := [_row(g) for g in t])
         elif t.dtype != GATE_DTYPE or t.ndim != 1:
             raise TypeError(f"a gate table is a 1-D array of GATE_DTYPE, got {t.dtype} {t.shape}")
-        fault = _fault(self.n, t, rows)
-        if fault:
+        if fault := _fault(self.n, t, rows):
             raise ValueError(fault[1])
         t = t.astype(GATE_DTYPE)  # a copy, so no caller's array can change the checked table
         t.flags.writeable = False
@@ -274,6 +278,16 @@ class Circuit:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Circuit) and self.n == other.n and np.array_equal(self.table, other.table)
+
+
+def _adopt(n: int, t: np.ndarray, check: bool = True) -> Circuit:
+    """The circuit of a GATE_DTYPE table made for it alone: checked unless its maker did, then kept uncopied."""
+    if check and (fault := _fault(n, t, t)):
+        raise ValueError(fault[1])
+    t.flags.writeable = False
+    c = object.__new__(Circuit)
+    vars(c).update(n=n, table=t)
+    return c
 
 
 # Widest support a run may have; its matrix is 3^k x 3^k for k = min(n, RUN_QUTRITS).
@@ -506,7 +520,7 @@ def parse(text: str) -> Circuit:
             elif len(toks) != 2 or not toks[1].isdigit() or int(toks[1]) < 1:
                 raise CircuitParseError(line_no, "QUTRITS needs a positive integer")
             else:
-                n = Circuit(int(toks[1]), ()).n  # raises for a width the table cannot hold
+                n = _check_width(int(toks[1]))
         except ValueError as exc:
             if n is not None:
                 checked()  # an earlier line with bad fields is the first faulty one
@@ -515,4 +529,4 @@ def parse(text: str) -> Circuit:
             raise CircuitParseError(line_no, str(exc)) from None
     if n is None:
         raise CircuitParseError(0, "empty circuit file (missing QUTRITS header)")
-    return Circuit(n, checked().astype(GATE_DTYPE))
+    return _adopt(n, checked().astype(GATE_DTYPE), check=False)

@@ -18,18 +18,25 @@ the gate table but the angle), computed for the whole table in one array
 operation: each commutation answer is worked out once per ordered pair
 of codes and looked up after that, and a merge is tried only between
 gates of equal code, the one case in which a rule can apply.
+
+Angles only decide which rotation merges vanish, so the sweep records its
+merges under a digest of the codes, and a later table of that skeleton
+(every Haar input of one width) replays the same :func:`_merged_angle`
+calls, to the bit.  If a merge vanishes unlike its record, it sweeps.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+from array import array
 from bisect import bisect_left
 from collections.abc import Iterator
 
 import numpy as np
 
 from .algebra import AXES, LEVELS
-from .circuit import CINC, GATE_DTYPE, GCX, LOCAL_X, PHASE, ROT, Circuit, _add_angles, _columns
+from .circuit import CINC, GATE_DTYPE, GCX, LOCAL_X, PHASE, ROT, Circuit, _add_angles, _adopt, _columns
 
 __all__ = [
     "commutes",
@@ -40,6 +47,7 @@ __all__ = [
 
 # Angles below this are dropped after merging.
 ANGLE_EPS = 1e-12
+_ROW = np.dtype((np.void, GATE_DTYPE.itemsize))  # rows as bytes: numpy moves structured rows ~10x slower
 _X, _Z = AXES.index("x"), AXES.index("z")
 
 
@@ -117,6 +125,8 @@ def _shape_codes(t: np.ndarray, n: int) -> np.ndarray:
 
 # commutes() answer per width and ordered pair of shape codes, filled the first time a pair is met
 _COMMUTES: dict[int, dict[int, bool]] = {}
+_PLANS: dict[tuple[int, bytes], np.ndarray] = {}  # _sweep's plan per width and digest of the swept shape codes
+_PLANS_MAX = 16  # plans kept; the oldest goes first
 
 
 def _latest_first(a: list[int], b: list[int]) -> Iterator[int]:
@@ -132,16 +142,16 @@ def _latest_first(a: list[int], b: list[int]) -> Iterator[int]:
         yield max(x, y)
 
 
-def _sweep(t: np.ndarray, n: int) -> np.ndarray:
+def _sweep(t: np.ndarray, n: int, codes: np.ndarray) -> np.ndarray:
     """The walk of :func:`pass_cancel` over a table without phases or zero rotations.
 
-    Merges rotation angles into ``t`` in place and returns the mask of the
-    rows that stay.  Codes, ops and angles are read through memoryviews,
-    which keep no Python object per row, and the frontier lists are freed
-    on return, before the caller builds the output table.
+    Merges rotation angles into ``t`` in place and returns the plan, one
+    ``(k, i, vanished)`` row per merge of row i into k.  Codes, ops and
+    angles are read through memoryviews, which keep no Python object per
+    row, and the frontier lists are freed on return.
     """
-    codes, ops, angles = memoryview(_shape_codes(t, n)), memoryview(t["op"]), memoryview(t["angle"])
-    keep = np.ones(len(t), dtype=bool)
+    codes, ops, angles = memoryview(codes), memoryview(t["op"]), memoryview(t["angle"])
+    merges = array("q")  # k, i, vanished per merge: 24 bytes, no Python object
     frontier: list[list[int]] = [[] for _ in range(n)]
     known, size = _COMMUTES.setdefault(n, {}), (PHASE + 1) * n * n * 3 * 3 * len(AXES)
     for i, (s, (a, b)) in enumerate(zip(codes, _columns(t, ("q0", "q1")))):
@@ -167,32 +177,47 @@ def _sweep(t: np.ndarray, n: int) -> np.ndarray:
             for lst in fronts:
                 lst.append(i)
             continue
-        keep[i] = False
+        merges.extend((k, i, not merged))
         if merged:
             angles[k] = merged
         else:
-            keep[k] = False
             for lst in fronts:
                 del lst[bisect_left(lst, k)]
-    return keep
+    return np.frombuffer(merges, dtype=np.int64).reshape(-1, 3)
+
+
+def _replay(t: np.ndarray, plan: np.ndarray) -> bool:
+    """Redo the merges of ``plan`` on ``t`` in place; False, with ``t`` as it was, if one vanishes unlike its record."""
+    ops, angles, saved = memoryview(t["op"]), memoryview(t["angle"]), t["angle"][plan[:, 0]]
+    for k, i, vanished in plan.tolist():
+        merged = _merged_angle(ops[i], angles[k], angles[i])
+        if (not merged) != vanished:
+            t["angle"][plan[:, 0]] = saved
+            return False
+        if merged:
+            angles[k] = merged
+    return True
 
 
 def pass_cancel(c: Circuit) -> Circuit:
     """One sweep that cancels and merges gates across commuting neighbours.
 
-    Each gate walks back over the earlier gates on its own qutrits while
-    :func:`commutes` lets it pass, and merges into the first one that
-    :func:`_merged_angle` rewrites.  A gate with no partner is kept.  A
-    per-qutrit list of live gate indices (the frontier) keeps the walk
-    off gates on other qutrits, which commute by support.  Global phases
-    are summed into one leading phase, and zero rotations are dropped.
-    :func:`commutes` is answered from a table keyed by the ordered pair
-    of shape codes (:func:`_shape_codes`), filled the first time a pair
-    is met.
+    Each gate walks back over the earlier live gates on its own qutrits
+    (per qutrit, the frontier) while :func:`commutes`, looked up per pair
+    of shape codes, lets it pass, and merges into the first one that
+    :func:`_merged_angle` rewrites; a gate with no partner is kept.  Global
+    phases are summed into one leading phase, and zero rotations dropped.
+    Codes swept before replay that sweep's plan (module docstring).
     """
     op, angle = c.table["op"], c.table["angle"]
-    t = c.table[(op != PHASE) & ~((op == ROT) & (np.abs(angle) < ANGLE_EPS))]
-    keep = _sweep(t, c.n)
+    t = c.table.view(_ROW)[(op != PHASE) & ~((op == ROT) & (np.abs(angle) < ANGLE_EPS))].view(GATE_DTYPE)
+    key = (c.n, hashlib.blake2b(codes := _shape_codes(t, c.n)).digest())
+    if (plan := _PLANS.get(key)) is None or not _replay(t, plan):
+        if plan is None and len(_PLANS) >= _PLANS_MAX:
+            _PLANS.pop(next(iter(_PLANS)), None)  # None: another thread may have dropped it
+        plan = _PLANS[key] = _sweep(t, c.n, codes)
+    keep = np.ones(len(t), dtype=bool)
+    keep[np.concatenate((plan[:, 1], plan[plan[:, 2] == 1, 0]))] = False
     phi = 0.0
     for p in angle[op == PHASE].tolist():  # one addition at a time, in order: sum() compensates from 3.12 on
         phi = _add_angles(phi, p)
@@ -200,8 +225,8 @@ def pass_cancel(c: Circuit) -> Circuit:
     lead = int(abs(phi) >= ANGLE_EPS)
     out = np.zeros(lead + np.count_nonzero(keep), GATE_DTYPE)
     out[:lead] = (PHASE, 0, 0, 0, 0, 0, phi)
-    np.compress(keep, t, out=out[lead:])
-    return Circuit(c.n, out)
+    np.compress(keep, t.view(_ROW), out=out[lead:].view(_ROW))
+    return _adopt(c.n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +244,11 @@ def pass_fuse_cinc(c: Circuit) -> Circuit:
         (a["op"] == GCX) & (a["level"] == LEVELS.index("01")) & (b["op"] == GCX) & (b["level"] == LEVELS.index("02"))
         & (a["q0"] == b["q0"]) & (a["value"] == b["value"]) & (a["q1"] == b["q1"])
     )
-    out = np.delete(t, first + 1)
+    out = np.delete(t.view(_ROW), first + 1).view(GATE_DTYPE)
     fused = first - np.arange(len(first))  # the first gates' rows once the second ones are gone
     out["op"][fused] = CINC
     out["level"][fused] = 0
-    return Circuit(c.n, out)
+    return _adopt(c.n, out)
 
 
 def simplify(c: Circuit, use_cinc: bool = False) -> Circuit:

@@ -45,6 +45,7 @@ from .circuit import (
     Circuit,
     CountReport,
     Gate,
+    _adopt,
     _check_ints,
     count_gates,
     eval_circuit,
@@ -566,7 +567,7 @@ def synthesize(
 
     t0 = time.perf_counter()
     levels, leaves = _factor_levels(m, n)
-    circ = Circuit(n, _emit_tree(levels, leaves, n))  # the emitted table is dropped once copied
+    circ = _adopt(n, _emit_tree(levels, leaves, n))
     circ = simplify(circ, use_cinc=options.gate_set is GateSet.GCX_CINC)
     dist = unitary_distance(eval_circuit(circ), m)
     elapsed = time.perf_counter() - t0

@@ -504,6 +504,14 @@ def test_parse_errors_carry_line_numbers(text, line_no, fragment):
     assert str(exc.value).startswith(f"line {line_no}:")
 
 
+def test_parse_checks_a_valid_file_once(monkeypatch):
+    checked = []
+    monkeypatch.setattr(circuit, "_fault", lambda n, t, rows, _fault=circuit._fault: checked.append(len(t)) or _fault(n, t, rows))
+    c = parse("QUTRITS 2\nR x 01 q0 1.0\nGCX q0=1 q1 01\n")
+    assert checked == [2]
+    assert not c.table.flags.writeable and c.table.base is None
+
+
 def test_parse_empty_file():
     with pytest.raises(CircuitParseError, match="missing QUTRITS"):
         parse("# nothing here\n")

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from trisect import passes, synth
+from trisect import circuit, passes, synth
 from trisect.circuit import (
     Circuit,
     Cinc,
@@ -22,6 +22,7 @@ from trisect.circuit import (
     count_gates,
     eval_circuit,
     parse,
+    serialize,
 )
 from trisect.linalg import haar_unitary, unitary_distance
 from trisect.passes import (
@@ -225,7 +226,16 @@ def _random_circuit(rng: np.random.Generator, pool: list, length: int) -> Circui
     return Circuit(3, tuple(gates))
 
 
-def test_cancel_matches_reference_on_random_circuits():
+def _fresh_angles(c: Circuit, rng: np.random.Generator) -> Circuit:
+    """``c`` with new nonzero angles on its rotations and phases: the same gate skeleton."""
+    t = c.table.copy()
+    angled = (t["op"] == circuit.ROT) | (t["op"] == circuit.PHASE)
+    t["angle"][angled] = rng.choice((0.7, -0.7, 1.3, 4 * math.pi - 0.7), size=np.count_nonzero(angled))
+    return Circuit(c.n, t)
+
+
+def test_cancel_matches_reference_on_random_circuits(monkeypatch):
+    monkeypatch.setattr(passes, "_PLANS", {})
     pool = _every_gate_kind(3)
     rng = np.random.default_rng(16)
     removed = 0
@@ -233,8 +243,75 @@ def test_cancel_matches_reference_on_random_circuits():
         c = _random_circuit(rng, pool, int(rng.integers(1, 60)))
         out = pass_cancel(c)
         assert out.gates == reference_cancel(c).gates
+        again = _fresh_angles(c, rng)  # replays the plan just recorded, or sweeps where a merge vanishes anew
+        assert pass_cancel(again).gates == reference_cancel(again).gates
         removed += len(c.gates) - len(out.gates)
     assert removed > 1000  # the corpus exercises merges, not just appends
+
+
+@pytest.mark.parametrize(
+    "recorded, replayed",
+    [((0.3, 0.4), (0.3, -0.3)), ((0.3, -0.3), (0.3, 0.4)), ((0.3, 0.4), (0.3, 1e-13 - 0.3))],
+    ids=["merge-vanishes-on-replay", "annihilation-stays-on-replay", "merge-falls-below-eps"],
+)
+def test_replay_that_meets_another_vanishing_sweeps_again(monkeypatch, recorded, replayed):
+    # the q1 merge is replayed before the q0 one disagrees, so its angle must be put back;
+    # whether the q0 rotations vanish decides whether the X12 pair around them annihilates
+    monkeypatch.setattr(passes, "_PLANS", {})
+    sweeps = []
+    monkeypatch.setattr(passes, "_sweep", lambda *a, _sweep=passes._sweep: sweeps.append(1) or _sweep(*a))
+
+    def circuit_of(a, b):
+        text = f"R z 01 q1 0.2\nR z 01 q1 0.5\nX 12 q0\nR y 01 q0 {a!r}\nR y 01 q0 {b!r}\nX 12 q0\n"
+        return parse(f"QUTRITS 2\n{text}")
+
+    first, second = circuit_of(*recorded), circuit_of(*replayed)
+    assert pass_cancel(first).gates == reference_cancel(first).gates
+    out = pass_cancel(second)
+    assert out.gates == reference_cancel(second).gates
+    assert out.gates[0] == Rotation("z", "01", 1, 0.2 + 0.5)
+    assert len(sweeps) == 2 and len(passes._PLANS) == 1  # the new plan replaced the old one
+    assert pass_cancel(second) == out and len(sweeps) == 2  # and is replayed
+
+
+def test_synthesis_with_a_filled_plan_store_equals_a_cold_one(monkeypatch):
+    runs = [(haar_unitary(3**n, np.random.default_rng(seed)), g) for n in (2, 3, 4) for seed in range(3) for g in GateSet]
+    runs += [(structured_input(kind, n), g) for kind in KINDS for n in (2, 3) for g in GateSet]
+    text = lambda m, g: serialize(synthesize(m, SynthesisOptions(gate_set=g))[0])
+    monkeypatch.setattr(passes, "_PLANS", {})
+    cold = []
+    for m, g in runs:
+        passes._PLANS.clear()
+        cold.append(text(m, g))
+    passes._PLANS.clear()
+    sweeps = []
+    monkeypatch.setattr(passes, "_sweep", lambda *a, _sweep=passes._sweep: sweeps.append(1) or _sweep(*a))
+    assert [text(m, g) for m, g in runs] == cold
+    # the later Haar inputs of each width and every gcx+cinc run replay a plan of another run
+    assert len(sweeps) <= 3 + 2 * len(KINDS)
+
+
+def test_cancel_leaves_its_input_unchanged(monkeypatch):
+    monkeypatch.setattr(passes, "_PLANS", {})
+    rng = np.random.default_rng(3)
+    c = _random_circuit(rng, _every_gate_kind(3), 60)
+    before = c.table.copy()
+    for _ in range(2):  # a sweep, then a replay
+        out = pass_cancel(c)
+        assert c.table.tobytes() == before.tobytes()
+        assert not out.table.flags.writeable
+    assert len(passes._PLANS) == 1
+
+
+def test_plan_store_stays_at_its_bound(monkeypatch):
+    monkeypatch.setattr(passes, "_PLANS", {})
+    circuits = [Circuit(2, (Rotation("x", "01", 0, 0.5),) * k) for k in range(1, passes._PLANS_MAX + 6)]
+    for c in circuits:
+        pass_cancel(c)
+        assert len(passes._PLANS) <= passes._PLANS_MAX
+    assert len(passes._PLANS) == passes._PLANS_MAX
+    for c in (circuits[0], circuits[-1]):  # a dropped plan and a kept one
+        assert pass_cancel(c) == reference_cancel(c)
 
 
 def _input(kind: str, n: int) -> np.ndarray:

@@ -16,8 +16,13 @@ lines with the distance dropped, and ``total`` that of the lines as
 printed.  Two checkouts that print the same total produce the same
 circuits, distances, residuals and factor trees on this machine; the same
 ``circuits`` line alone says that only the distances moved, as a change to
-the simulation arithmetic does, and the case lines show by how much.  A
-full run takes about 15 s on a 2-core machine with one BLAS thread.
+the simulation arithmetic does, and the case lines show by how much.
+
+The cases then run a second time in the same process, where the
+cancellation sweep may replay plans that the first run recorded, and
+``repeat identical: yes`` says that every case line came out the same
+again (``no`` names the first that did not).  A full run takes about
+30 s on a 2-core machine with one BLAS thread.
 """
 
 from __future__ import annotations
@@ -53,14 +58,20 @@ def main(argv: list[str]) -> int:
         for seed in (21, 22, 23)
         for inp in workloads.structured_corpus(np.random.default_rng(seed))
     ]
-    lines, circuits = [], []  # circuits: the lines without their distance
-    for label, m in cases:
-        for gate_set in GateSet:
-            circ, rep = synthesize(m, SynthesisOptions(gate_set=gate_set))
-            text = hashlib.sha256(serialize(circ).encode()).hexdigest()
-            lines.append(f"{label} {gate_set.value} {text} {rep.distance!r} {rep.split_residuals!r}")
-            circuits.append(f"{label} {gate_set.value} {text} {rep.split_residuals!r}")
-            print(lines[-1], flush=True)
+
+    def case_lines(echo: bool) -> tuple[list[str], list[str]]:
+        lines, circuits = [], []  # circuits: the lines without their distance
+        for label, m in cases:
+            for gate_set in GateSet:
+                circ, rep = synthesize(m, SynthesisOptions(gate_set=gate_set))
+                text = hashlib.sha256(serialize(circ).encode()).hexdigest()
+                lines.append(f"{label} {gate_set.value} {text} {rep.distance!r} {rep.split_residuals!r}")
+                circuits.append(f"{label} {gate_set.value} {text} {rep.split_residuals!r}")
+                if echo:
+                    print(lines[-1], flush=True)
+        return lines, circuits
+
+    lines, circuits = case_lines(echo=True)
 
     rng = workloads.rng_for(0, "factor-tree-n5", 0)
     tree = workloads.WORKLOADS["factor-tree-n5"]
@@ -70,6 +81,9 @@ def main(argv: list[str]) -> int:
     print(lines[-1])
     for name, part in (("circuits", circuits), ("total", lines)):
         print(name, hashlib.sha256("\n".join(part).encode()).hexdigest())
+    repeat, _ = case_lines(echo=False)
+    differ = [a for a, b in zip(lines, repeat) if a != b]  # zip stops before the factor-tree line
+    print("repeat identical:", f"no, first at {differ[0]}" if differ else "yes")
     return 0
 
 

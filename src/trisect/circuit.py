@@ -8,11 +8,14 @@ gate), ``value`` (control value), ``level`` and ``axis`` (indices into
 LEVELS and AXES) and ``angle`` (rotation angle or phase).  Unused fields
 are 0, so each gate has one row.  The table is checked once, against one
 list of gate rules applied with array operations (:func:`_fault`), and
-kept read-only: a copy, unless parsing, synthesis or a pass built it
-(:func:`_adopt`).  Gate objects (:class:`Rotation`, ...) are plain
-records: ``Circuit(n, gates)`` turns them into rows and checks them with
-the same rules, and ``Circuit.gates`` makes them on demand.  Counting,
-the passes, the text format and the simulator read the columns.
+kept read-only: a copy (of the rows' bytes, through :data:`_ROW`), unless
+parsing, synthesis or a pass built it (:func:`_adopt`).  Gate objects
+(:class:`Rotation`, ...) are plain records: ``Circuit(n, gates)`` turns
+them into rows and checks them with the same rules, and
+``Circuit.gates`` makes them on demand.  Counting,
+the passes, the text format and the simulator read the columns.  The
+simulator (:func:`eval_circuit`) reads the non-angle columns once per
+gate skeleton, into a run plan it keeps, and per circuit only the angles.
 
 Text format (one gate per line, '#' starts a comment):
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import hashlib
 import itertools
 import math
 import numbers
@@ -108,6 +112,7 @@ GATE_DTYPE = np.dtype({  # 16 bytes a row, the angle 8-byte aligned
     "formats": ["i1", "i2", "i2", "i1", "i1", "i1", "f8"],
     "offsets": [0, 4, 6, 1, 2, 3, 8],
 })
+_ROW = np.dtype((np.void, GATE_DTYPE.itemsize))  # rows as bytes: numpy moves structured rows ~10x slower
 _CHUNK = 1024  # rows turned into Python scalars at a time, so no whole column is ever a list
 _CLASSES = (Rotation, LocalX, Gcx, Cinc, GlobalPhase)
 _AXIS = {a: i for i, a in enumerate(AXES)}
@@ -125,6 +130,26 @@ def _add_angles(a: float, b: float) -> float:
     if math.isfinite(s):
         return s
     return sum(2 * math.atan2(math.sin(x / 2), math.cos(x / 2)) for x in (a, b))
+
+
+def _sum_angles(angles: np.ndarray) -> float:
+    """:func:`_add_angles` folded over ``angles`` in order, from 0.0.
+
+    ``np.add.accumulate`` adds strictly in order, so while the running sum
+    stays finite its last entry is the loop's result (``0.0 +`` turns a -0.0
+    into the loop's +0.0); only a sum that overflows takes the loop.
+    """
+    with np.errstate(over="ignore"):
+        s = 0.0 + float(np.add.accumulate(angles)[-1]) if len(angles) else 0.0
+    return s if math.isfinite(s) else functools.reduce(_add_angles, angles.tolist(), 0.0)
+
+
+def _keep(store: dict, bound: int, key, value):
+    """``store[key] = value``, first dropping the oldest entry if a new key would take ``store`` past ``bound``."""
+    if key not in store and len(store) >= bound:
+        store.pop(next(iter(store)), None)  # None: another thread may have dropped it
+    store[key] = value
+    return value
 
 
 def _named_row(op: int, q0, q1, value, level, axis, angle) -> tuple:
@@ -248,8 +273,8 @@ def _check_width(n) -> int:
 class Circuit:
     """A width n and its gate table (module docstring), checked once.
 
-    ``table`` is a 1-D array of :data:`GATE_DTYPE`, which is copied, or a
-    sequence of gate objects.  The stored table is read-only.
+    ``table`` is a 1-D array of :data:`GATE_DTYPE`, whose rows are copied as
+    bytes, or a sequence of gate objects.  The stored table is read-only.
     """
 
     n: int
@@ -264,7 +289,10 @@ class Circuit:
             raise TypeError(f"a gate table is a 1-D array of GATE_DTYPE, got {t.dtype} {t.shape}")
         if fault := _fault(self.n, t, rows):
             raise ValueError(fault[1])
-        t = t.astype(GATE_DTYPE)  # a copy, so no caller's array can change the checked table
+        if t is self.table:  # a copy, so no caller's array can change the checked table
+            t = t.view(_ROW).copy().view(GATE_DTYPE)
+        else:  # the full-width rows of gate objects, narrowed
+            t = t.astype(GATE_DTYPE)
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
 
@@ -296,54 +324,87 @@ RUN_QUTRITS = 3
 _LOCAL_X = np.array([algebra.generator(algebra.GeneratorId[f"X{lv}"]) for lv in LEVELS])  # X01, X02, X12
 
 
-@functools.lru_cache(maxsize=None)
-def _local_permutation(gid: str, target: int, control: int, value: int, width: int) -> np.ndarray:
-    """Index array p with ``m[p]`` applying a controlled generator to a width-qutrit ``m``.
+@functools.cache
+def _permutations(width: int) -> tuple:
+    """Index arrays p with ``m[p]`` applying a controlled generator to a width-qutrit ``m``.
 
-    ``gid`` names the 3x3 permutation applied to ``target`` when ``control``
-    reads ``value``.  Cached and read-only, since every caller shares it.
+    Entry ((g * width + target) * width + control) * 3 + value applies the
+    3x3 permutation g (X01, X02, X12 for a GCX's level, INC for a CINC) to
+    ``target`` when ``control`` reads ``value``; None where target is
+    control.  Read-only, since every caller shares them.
     """
-    # row i of the 3x3 generator has its single 1 in column src[i]
-    src = np.abs(algebra.generator(algebra.GeneratorId[gid])).argmax(axis=1)
-    idx = np.arange(3**width).reshape((3,) * width)
-    fires = (np.arange(3) == value).reshape([3 if k == control else 1 for k in range(width)])
-    p = np.where(fires, np.take(idx, src, axis=target), idx).ravel()
-    p.flags.writeable = False
-    return p
+    idx, out = np.arange(3**width).reshape((3,) * width), []
+    for gid in [f"X{lv}" for lv in LEVELS] + ["INC"]:
+        # row i of the 3x3 generator has its single 1 in column src[i]
+        src = np.abs(algebra.generator(algebra.GeneratorId[gid])).argmax(axis=1)
+        for target, control, value in itertools.product(range(width), range(width), range(3)):
+            if target == control:
+                out.append(None)
+                continue
+            fires = (np.arange(3) == value).reshape([3 if k == control else 1 for k in range(width)])
+            out.append(p := np.where(fires, np.take(idx, src, axis=target), idx).ravel())
+            p.flags.writeable = False
+    return tuple(out)
 
 
-def _steps(rows: np.ndarray) -> list[tuple]:
-    """The steps of phase-free table rows, in order, as ``(qutrits, what)``.
+# A run plan per width and digest of a table's non-angle bytes: eval_circuit's work that no angle decides.
+_RUN_PLANS: dict[tuple[int, bytes], tuple] = {}
+_RUN_PLANS_MAX = 16  # plans kept; the oldest goes first
+_CUT, _PERM = -1, RUN_QUTRITS  # step codes: apply the run so far and start the next; the first permutation
 
-    Each maximal stretch of consecutive one-qutrit rows on one qutrit q is
-    one step ``((q,), r)``, r the 3x3 product of the stretch (first row
-    acting first); each GCX/CINC row is ``((control, target), (gid, value))``.
-    All rotation matrices come from one call, and all stretch products from
-    one batched matmul per position: factor j of every stretch longer than j.
+
+def _run_plan(t: np.ndarray, n: int) -> tuple:
+    """What :func:`eval_circuit` does with ``t``, read from its non-angle columns only.
+
+    Per :data:`_CHUNK` rows of ``t``: the stretches, maximal sequences of
+    one-qutrit rows on one qutrit with no two-qutrit row between them, as
+    ``starts`` and ``lengths`` in the chunk's one-qutrit rows; and the
+    steps, one per stretch and per GCX/CINC row, in order, as int8
+    ``codes``.  A stretch on a run's local qutrit a is code a, a GCX/CINC
+    is :data:`_PERM` plus its :func:`_permutations` index, and :data:`_CUT`
+    comes before the step that would take a run past k = min(n,
+    :data:`RUN_QUTRITS`) qutrits.  ``code_at`` and ``stretch_at`` bound
+    each chunk's entries, and ``runs`` holds each run's axes: its qutrits
+    in first-touch order, padded with the lowest untouched ones.  The cut
+    is one lean loop over integer lists; the rest is array operations.
     """
-    op, q0, level = rows["op"], rows["q0"], rows["level"]
-    one, x = op <= LOCAL_X, op == LOCAL_X
-    first = one.copy()
-    first[1:] &= ~(one[:-1] & (q0[1:] == q0[:-1]))
-    starts = np.flatnonzero(first)
-    lengths = np.bincount(np.cumsum(first)[one] - 1, minlength=len(starts))
-    mats = algebra.rotations_by_code(3 * rows["axis"] + level, rows["angle"])
-    mats[x] = _LOCAL_X[level[x]]
-    prods = mats[starts]
-    for j in range(1, lengths.max(initial=0)):
-        longer = np.flatnonzero(lengths > j)
-        prods[longer] = mats[starts[longer] + j] @ prods[longer]
-    prods = iter(prods)
-    at = np.flatnonzero(first | ~one)
-    return [
-        ((a,), next(prods)) if a == b else ((a, b), ("INC" if o == CINC else f"X{LEVELS[lv]}", value))
-        for o, a, b, value, lv in zip(*(rows[name][at].tolist() for name in ("op", "q0", "q1", "value", "level")))
-    ]
+    k = min(n, RUN_QUTRITS)
+    codes, code_at, stretch_at, runs, axes = [], [0], [0], [], []
+    starts, lengths = [np.zeros(0, np.int16)], [np.zeros(0, np.int16)]
 
+    def padded(axes: list[int]) -> list[int]:  # a run's qutrits, then the lowest untouched ones
+        return axes + [q for q in range(n) if q not in axes][: k - len(axes)]
 
-def _apply_local(m: np.ndarray, r: np.ndarray, axis: int) -> np.ndarray:
-    """``r`` (3x3) applied on the left to qutrit ``axis`` of the square matrix ``m``."""
-    return np.matmul(r, m.reshape(3**axis, 3, -1)).reshape(m.shape)
+    for s in range(0, len(t), _CHUNK):
+        rows = t[s : s + _CHUNK]
+        op, q0 = rows["op"], rows["q0"]
+        two = (op == GCX) | (op == CINC)
+        one = np.flatnonzero(op <= LOCAL_X)
+        qutrit, before = q0[one], np.cumsum(two)[one]  # per one-qutrit row: its qutrit, two-qutrit rows before it
+        first = np.ones(len(one), dtype=bool)  # a stretch starts at a new qutrit or past a two-qutrit row
+        first[1:] = (qutrit[1:] != qutrit[:-1]) | (before[1:] != before[:-1])
+        st = np.flatnonzero(first)
+        starts.append(st)
+        lengths.append(np.diff(st, append=len(one)))
+        at = two.copy()
+        at[one[st]] = True
+        at = np.flatnonzero(at)
+        bases = _PERM + np.where(op[at] == CINC, 3, rows["level"][at]) * (3 * k * k) + rows["value"][at]
+        for a, b, base in zip(q0[at].tolist(), rows["q1"][at].tolist(), bases.tolist()):
+            if len(axes) + (a not in axes) + (b != a and b not in axes) > k:
+                codes.append(_CUT)
+                runs.append(padded(axes))
+                axes = []
+            if a not in axes:
+                axes.append(a)
+            if b not in axes:
+                axes.append(b)
+            codes.append(axes.index(a) if a == b else base + 3 * (k * axes.index(b) + axes.index(a)))
+        code_at.append(len(codes))
+        stretch_at.append(stretch_at[-1] + len(st))
+    runs.append(padded(axes))
+    starts, lengths = np.concatenate(starts, dtype=np.int16), np.concatenate(lengths, dtype=np.int16)
+    return np.array(codes, dtype=np.int8), code_at, starts, lengths, stretch_at, np.array(runs, dtype=np.int8)
 
 
 def _apply_run(u: np.ndarray, m: np.ndarray, axes: list[int]) -> np.ndarray:
@@ -355,37 +416,56 @@ def _apply_run(u: np.ndarray, m: np.ndarray, axes: list[int]) -> np.ndarray:
 def eval_circuit(c: Circuit) -> np.ndarray:
     """Exact 3^n x 3^n unitary of the circuit (later gates multiply on the left).
 
-    The table is read :data:`_CHUNK` rows at a time and each chunk, its
-    global phases summed apart, is turned into steps (:func:`_steps`): one
-    3x3 product per stretch of one-qutrit gates on one qutrit, one cached
-    row permutation per GCX/CINC.  The steps are cut, in order, into
-    maximal runs on at most k = min(n, :data:`RUN_QUTRITS`) qutrits.  Each
-    run is simulated on its own 3^k x 3^k matrix, whose axes are the run's
-    qutrits in first-touch order padded with the lowest untouched ones,
-    and applied to the full unitary with one ``tensordot`` as soon as the
-    next step would widen it (:func:`_apply_run`); nothing of it is kept.
+    Global phases are summed apart (:func:`_sum_angles`).  The rest is
+    simulated in steps: one 3x3 product per stretch of one-qutrit gates on
+    one qutrit, one cached row permutation per GCX/CINC.  The steps are
+    cut, in order, into maximal runs on at most k = min(n,
+    :data:`RUN_QUTRITS`) qutrits.  Each run is simulated on its own
+    3^k x 3^k matrix, whose axes are the run's qutrits in first-touch order
+    padded with the lowest untouched ones, and applied to the full unitary
+    with one ``tensordot`` as soon as it is cut (:func:`_apply_run`);
+    nothing of it is kept.
+
+    No angle decides the stretches, steps or cuts, so they come from a run
+    plan (:func:`_run_plan`), made once per skeleton: it is kept in
+    :data:`_RUN_PLANS` under a digest of the table's non-angle bytes (the
+    first 8 of each row), never a copy of the table, for at most
+    :data:`_RUN_PLANS_MAX` skeletons.  Per circuit, what is left is the
+    rotation matrices and stretch products of each :data:`_CHUNK` rows,
+    made with array operations, and one matrix operation per step.
     """
     n, d, t = c.n, 3**c.n, c.table
     k = min(n, RUN_QUTRITS)
+    key = (n, hashlib.blake2b(np.ascontiguousarray(t.view(np.int64)[::2])).digest())
+    if (plan := _RUN_PLANS.get(key)) is None:
+        plan = _keep(_RUN_PLANS, _RUN_PLANS_MAX, key, _run_plan(t, n))
+    codes, code_at, starts, lengths, stretch_at, runs = plan
+    perms, shapes, runs = _permutations(k), [(3**a, 3, -1) for a in range(k)], iter(runs.tolist())
     u = np.eye(d, dtype=complex).reshape((3,) * n + (d,))
-    m, axes, phase = np.eye(3**k, dtype=complex), [], 0.0
-    for start in range(0, len(t), _CHUNK):
-        rows = t[start : start + _CHUNK]
-        is_phase = rows["op"] == PHASE
-        for p in rows["angle"][is_phase].tolist():
-            phase = _add_angles(phase, p)
-        for qs, what in _steps(rows[~is_phase]):
-            new = [q for q in qs if q not in axes]
-            if len(axes) + len(new) > k:
-                u = _apply_run(u, m, axes + [q for q in range(n) if q not in axes][: k - len(axes)])
-                m, axes, new = np.eye(3**k, dtype=complex), [], list(qs)
-            axes += new
-            if len(qs) == 1:
-                m = _apply_local(m, what, axes.index(qs[0]))
+    m = eye = np.eye(3**k, dtype=complex)
+    for chunk, s in enumerate(range(0, len(t), _CHUNK)):
+        rows = t[s : s + _CHUNK]
+        op = rows["op"]
+        one = np.flatnonzero(op <= LOCAL_X)
+        level = rows["level"][one]
+        mats = algebra.rotations_by_code(3 * rows["axis"][one] + level, rows["angle"][one])
+        x = op[one] == LOCAL_X
+        mats[x] = _LOCAL_X[level[x]]
+        st, ln = starts[stretch_at[chunk] : stretch_at[chunk + 1]], lengths[stretch_at[chunk] : stretch_at[chunk + 1]]
+        prods = mats[st]  # factor j of every stretch longer than j, in one batched matmul per j
+        for j in range(1, ln.max(initial=0)):
+            longer = np.flatnonzero(ln > j)
+            prods[longer] = mats[st[longer] + j] @ prods[longer]
+        prods = iter(prods)
+        for code in codes[code_at[chunk] : code_at[chunk + 1]].tolist():
+            if code >= _PERM:
+                m = m.take(perms[code - _PERM], axis=0)
+            elif code >= 0:
+                m = np.matmul(next(prods), m.reshape(shapes[code])).reshape(eye.shape)
             else:
-                gid, value = what
-                m = m.take(_local_permutation(gid, axes.index(qs[1]), axes.index(qs[0]), value, k), axis=0)
-    u = _apply_run(u, m, axes + [q for q in range(n) if q not in axes][: k - len(axes)])
+                u, m = _apply_run(u, m, next(runs)), eye
+    u = _apply_run(u, m, next(runs))
+    phase = _sum_angles(t["angle"][t["op"] == PHASE])
     return np.exp(1j * phase) * np.ascontiguousarray(u).reshape(d, d)
 
 

@@ -36,7 +36,8 @@ from collections.abc import Iterator
 import numpy as np
 
 from .algebra import AXES, LEVELS
-from .circuit import CINC, GATE_DTYPE, GCX, LOCAL_X, PHASE, ROT, Circuit, _add_angles, _adopt, _columns
+from .circuit import _ROW, CINC, GATE_DTYPE, GCX, LOCAL_X, PHASE, ROT, Circuit, _add_angles, _adopt, _columns
+from .circuit import _keep, _sum_angles
 
 __all__ = [
     "commutes",
@@ -47,7 +48,6 @@ __all__ = [
 
 # Angles below this are dropped after merging.
 ANGLE_EPS = 1e-12
-_ROW = np.dtype((np.void, GATE_DTYPE.itemsize))  # rows as bytes: numpy moves structured rows ~10x slower
 _X, _Z = AXES.index("x"), AXES.index("z")
 
 
@@ -213,15 +213,10 @@ def pass_cancel(c: Circuit) -> Circuit:
     t = c.table.view(_ROW)[(op != PHASE) & ~((op == ROT) & (np.abs(angle) < ANGLE_EPS))].view(GATE_DTYPE)
     key = (c.n, hashlib.blake2b(codes := _shape_codes(t, c.n)).digest())
     if (plan := _PLANS.get(key)) is None or not _replay(t, plan):
-        if plan is None and len(_PLANS) >= _PLANS_MAX:
-            _PLANS.pop(next(iter(_PLANS)), None)  # None: another thread may have dropped it
-        plan = _PLANS[key] = _sweep(t, c.n, codes)
+        plan = _keep(_PLANS, _PLANS_MAX, key, _sweep(t, c.n, codes))
     keep = np.ones(len(t), dtype=bool)
     keep[np.concatenate((plan[:, 1], plan[plan[:, 2] == 1, 0]))] = False
-    phi = 0.0
-    for p in angle[op == PHASE].tolist():  # one addition at a time, in order: sum() compensates from 3.12 on
-        phi = _add_angles(phi, p)
-    phi = _wrap(phi, 2 * math.pi)
+    phi = _wrap(_sum_angles(angle[op == PHASE]), 2 * math.pi)  # in order: sum() compensates from 3.12 on
     lead = int(abs(phi) >= ANGLE_EPS)
     out = np.zeros(lead + np.count_nonzero(keep), GATE_DTYPE)
     out[:lead] = (PHASE, 0, 0, 0, 0, 0, phi)

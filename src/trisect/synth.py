@@ -14,9 +14,13 @@ interleaved factor kinds map to multiplexed-rotation circuits:
 81, ... matrices, none at n = 1), keeping per level only its angle stacks.
 It then emits the tree bottom up into one gate table (:mod:`trisect.circuit`),
 a level at a time: the 9^(n-1) single-qutrit leaves, all on the last
-qutrit, in one batched call, and each factor position of a level in one
-call over its angle stack, so no per-node or gate object is built.  Each
-factor circuit is emitted at the closed-form size of
+qutrit, in one batched call, and each factor position of a level as one
+affine map of its angle stack, so no per-node or gate object is built.
+Every factor emitter is affine in its angles, so its rows and its map
+``(M, c)`` are built once per factor kind and qutrits from two emitter
+calls (:func:`_factor_map`), and a level's stack ``lam`` then costs one
+``lam @ M + c``; the emitters stay the one definition of each circuit.
+Each factor circuit is emitted at the closed-form size of
 :func:`operator_count`, which is also here.  The public ``*_gates``
 emitters return the same circuits as gate objects.
 """
@@ -207,6 +211,22 @@ def _factor_block(kind: str, qutrits: tuple[int, ...], angles: np.ndarray):
     if kind == "z12":
         return _z_mux(_L12, qutrits, angles)
     return _d_mux(kind, qutrits, angles)
+
+
+@functools.lru_cache(maxsize=256)
+def _factor_map(kind: str, qutrits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, M, c)`` with ``_factor_block(kind, qutrits, lam)`` equal to ``(rows, lam @ M + c)``.
+
+    Every emitter is affine in its angles, so ``c`` is its angles on a zero
+    line and ``M + c`` those on the identity stack; the emitters stay the
+    one definition of each factor circuit.  Read-only, as the cache shares them.
+    """
+    p = 3 ** (len(qutrits) - 1)
+    rows, c = _factor_block(kind, qutrits, np.zeros((1, p)))
+    m = _factor_block(kind, qutrits, np.eye(p))[1] - c
+    for a in (rows, m, c):
+        a.flags.writeable = False
+    return rows, m, c[0]
 
 
 def z_mux_gates(
@@ -529,7 +549,8 @@ def _emit_tree(levels: list, leaves: np.ndarray, n: int) -> np.ndarray:
     """The whole recursion tree as one gate table, in application order, built a level at a time.
 
     A level is one block whose line i is its node i: the nodes share their rows, each factor
-    position is one emitter call, and node i's K entries are lines 9i..9i+8 of the level below.
+    position is one product with its cached :func:`_factor_map`, and node i's K entries are
+    lines 9i..9i+8 of the level below.
     """
     rows, angles = _leaf_block(leaves, n - 1)
     for depth in range(n - 2, -1, -1):
@@ -540,7 +561,8 @@ def _emit_tree(levels: list, leaves: np.ndarray, n: int) -> np.ndarray:
                 child -= 1
                 blocks.append((rows, kids[:, child]))
             else:
-                blocks.append(_factor_block(kind, tuple(range(depth, n)), lam))
+                factor_rows, m, c = _factor_map(kind, tuple(range(depth, n)))
+                blocks.append((factor_rows, lam @ m + c))
         rows, angles = _join(*blocks)
     return _table(rows, angles).reshape(-1)
 

@@ -209,6 +209,15 @@ def test_table_is_a_copy_of_the_callers_array():
     assert c == Circuit(3, gates) and c.gates == gates
 
 
+@pytest.mark.parametrize("step", [1, 3], ids=["contiguous", "strided"])
+def test_stored_table_is_a_read_only_copy_of_its_source(step):
+    source = np.repeat(_random_circuit(3, 40, np.random.default_rng(5)).table, step)[::step]
+    c = Circuit(3, source)
+    assert source.flags.writeable and not c.table.flags.writeable
+    assert not np.shares_memory(c.table, source) and c.table.dtype == GATE_DTYPE
+    assert c.table.tobytes() == np.ascontiguousarray(source).tobytes()
+
+
 def _same_table(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal in every column, angles bit for bit."""
     return a.dtype == b.dtype == GATE_DTYPE and all(
@@ -364,7 +373,8 @@ def test_eval_matches_dense_product_across_chunks():
 
 def test_eval_keeps_nothing_of_an_applied_run():
     # each run is applied as it is cut, so the peak is a few copies of the
-    # 81x81 unitary (~0.1 MB each), not a plan of the whole circuit
+    # 81x81 unitary (~0.1 MB each); the kept run plan (made while synthesize
+    # verified) is int8/int16 arrays, ~21 KB at n=4
     circ, _ = synthesize(haar_unitary(81, np.random.default_rng(1)))
     tracemalloc.start()
     try:
@@ -401,6 +411,68 @@ def test_eval_is_unitary_on_random_circuit():
     c = _random_circuit(2, 30, np.random.default_rng(0))
     u = eval_circuit(c)
     assert np.max(np.abs(u.conj().T @ u - np.eye(9))) < 1e-12
+
+
+def test_phases_that_overflow_sum_as_the_loop_does():
+    # finite phases whose running sum overflows, then a long finite run: both bit for bit as _add_angles in order
+    rng = np.random.default_rng(8)
+    for phases in ([1e308, 1e308, -0.5, 3.0], [-1.7e308, -1.7e308, 2.5], rng.uniform(-3, 3, 5000).tolist(), [-0.0]):
+        loop = 0.0
+        for p in phases:
+            loop = circuit._add_angles(loop, p)
+        assert math.isfinite(loop)
+        assert circuit._sum_angles(np.array(phases)).hex() == loop.hex()
+        c = Circuit(2, tuple(GlobalPhase(p) for p in phases))
+        assert np.array_equal(eval_circuit(c), np.exp(1j * loop) * np.eye(9))
+
+
+_REPLAYS = [("haar", n) for n in (1, 2, 3, 4, 5)] + [(kind, n) for kind in KINDS for n in (2, 3)]
+
+
+@pytest.mark.parametrize("gate_set", list(GateSet), ids=lambda g: g.value)
+@pytest.mark.parametrize("kind,n", _REPLAYS)
+def test_replayed_eval_equals_a_cold_one(monkeypatch, kind, n, gate_set):
+    monkeypatch.setattr(circuit, "_RUN_PLANS", {})
+    made = []
+    monkeypatch.setattr(circuit, "_run_plan", lambda *a, _run_plan=circuit._run_plan: made.append(1) or _run_plan(*a))
+    m = haar_unitary(3**n, np.random.default_rng(n)) if kind == "haar" else structured_input(kind, n)
+    c, _ = synthesize(m, SynthesisOptions(gate_set=gate_set))  # its verification makes the plan
+    if kind == "haar":  # which another table of the skeleton, with fresh angles, replays
+        t = c.table.copy()
+        angled = (t["op"] == circuit.ROT) | (t["op"] == circuit.PHASE)
+        t["angle"][angled] = np.random.default_rng(10 + n).uniform(-7, 7, np.count_nonzero(angled))
+        c = Circuit(n, t)
+    warm = eval_circuit(c)
+    assert len(made) == 1 and len(circuit._RUN_PLANS) == 1
+    circuit._RUN_PLANS.clear()
+    assert eval_circuit(c).tobytes() == warm.tobytes() and len(made) == 2
+
+
+@pytest.mark.parametrize("field", ["value", "qutrit"])
+def test_eval_of_a_table_one_field_off_a_stored_skeleton_misses(monkeypatch, field):
+    monkeypatch.setattr(circuit, "_RUN_PLANS", {})
+    gates = _every_gate_kind(4, np.random.default_rng(9)) * 2
+    c = Circuit(4, tuple(gates))
+    eval_circuit(c)
+    i = next(i for i, g in enumerate(gates) if isinstance(g, Gcx) and 3 not in (g.control, g.target))
+    g = gates[i]
+    value, target = ((g.value + 1) % 3, g.target) if field == "value" else (g.value, 3)
+    gates[i] = Gcx(g.control, value, target, g.level)
+    got = eval_circuit(Circuit(4, tuple(gates)))
+    assert len(circuit._RUN_PLANS) == 2
+    assert np.max(np.abs(got - _dense_product(gates, 4))) <= 1e-13
+
+
+def test_run_plan_store_stays_at_its_bound(monkeypatch):
+    monkeypatch.setattr(circuit, "_RUN_PLANS", {})
+    gates = (Rotation("x", "01", 0, 0.5), Gcx(0, 1, 1, "12"))
+    circuits = [Circuit(2, gates * k) for k in range(1, circuit._RUN_PLANS_MAX + 6)]
+    for c in circuits:
+        eval_circuit(c)
+        assert len(circuit._RUN_PLANS) <= circuit._RUN_PLANS_MAX
+    assert len(circuit._RUN_PLANS) == circuit._RUN_PLANS_MAX
+    for c in (circuits[0], circuits[-1]):  # a dropped plan and a kept one
+        assert np.max(np.abs(eval_circuit(c) - _dense_product(c.gates, 2))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,15 @@ def test_overflowing_angle_sums(text):
     assert unitary_distance(eval_circuit(simplify(c)), u) < 1e-9
 
 
+def test_cancel_sums_overflowing_phases_as_the_loop_does():
+    phases = (1e308, 1e308, -0.5, 3.0)
+    loop = 0.0
+    for p in phases:
+        loop = circuit._add_angles(loop, p)
+    out = pass_cancel(Circuit(1, tuple(GlobalPhase(p) for p in phases)))
+    assert out.gates == (GlobalPhase(passes._wrap(loop, 2 * math.pi)),)
+
+
 def test_cancel_drops_negligible_angles():
     c = Circuit(1, (Rotation("x", "01", 0, 1e-15), GlobalPhase(2 * math.pi)))
     assert pass_cancel(c).gates == ()
@@ -277,13 +286,17 @@ def test_replay_that_meets_another_vanishing_sweeps_again(monkeypatch, recorded,
 def test_synthesis_with_a_filled_plan_store_equals_a_cold_one(monkeypatch):
     runs = [(haar_unitary(3**n, np.random.default_rng(seed)), g) for n in (2, 3, 4) for seed in range(3) for g in GateSet]
     runs += [(structured_input(kind, n), g) for kind in KINDS for n in (2, 3) for g in GateSet]
-    text = lambda m, g: serialize(synthesize(m, SynthesisOptions(gate_set=g))[0])
+    text = lambda m, g: f"{serialize((out := synthesize(m, SynthesisOptions(gate_set=g)))[0])}{out[1].distance!r}"
     monkeypatch.setattr(passes, "_PLANS", {})
+    monkeypatch.setattr(circuit, "_RUN_PLANS", {})
     cold = []
-    for m, g in runs:
+    for m, g in runs:  # with the sweep plans, the run plans and the factor maps all emptied
         passes._PLANS.clear()
+        circuit._RUN_PLANS.clear()
+        synth._factor_map.cache_clear()
         cold.append(text(m, g))
     passes._PLANS.clear()
+    circuit._RUN_PLANS.clear()
     sweeps = []
     monkeypatch.setattr(passes, "_sweep", lambda *a, _sweep=passes._sweep: sweeps.append(1) or _sweep(*a))
     assert [text(m, g) for m, g in runs] == cold

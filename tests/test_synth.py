@@ -420,6 +420,18 @@ def test_factor_emission_is_at_the_closed_form(kind, n):
     assert count_gates(pass_fuse_cinc(c)).two_qutrit == operator_count(kind, n, GateSet.GCX_CINC)
 
 
+@pytest.mark.parametrize("kind", synth.FACTOR_KINDS)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_factor_map_is_the_emitter(kind, k):
+    qutrits = tuple(range(4 - k, 4))  # a factor's qutrits run to the last, as in synthesis
+    lam = np.random.default_rng(k).uniform(-np.pi, np.pi, size=(5, 3 ** (k - 1)))
+    rows, m, c = synth._factor_map(kind, qutrits)
+    want_rows, want = synth._factor_block(kind, qutrits, lam)
+    assert np.array_equal(rows, want_rows)
+    assert np.max(np.abs(lam @ m + c - want)) <= 1e-15 * max(1.0, np.abs(lam).max())
+    assert not any(a.flags.writeable for a in (rows, m, c))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_unswept_synthesis_is_at_the_closed_form(monkeypatch, n):
     monkeypatch.setattr(synth, "simplify", lambda c, **_: c)

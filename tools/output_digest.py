@@ -11,12 +11,17 @@ imports ``trisect`` from ``CHECKOUT/src`` (and the input builders from
 Each case prints one line: the SHA-256 of the serialized circuit, then
 ``repr`` of the reported distance and of the split residuals.  One more
 line gives the ``check_factor_tree`` digest of the first ``factor-tree-n5``
-input of benchmark seed 0.  Then ``circuits`` gives the SHA-256 of those
-lines with the distance dropped, and ``total`` that of the lines as
-printed.  Two checkouts that print the same total produce the same
-circuits, distances, residuals and factor trees on this machine; the same
-``circuits`` line alone says that only the distances moved, as a change to
-the simulation arithmetic does, and the case lines show by how much.
+input of benchmark seed 0.  Then ``skeletons`` gives the SHA-256 of those
+lines with the distance dropped and each circuit's angle tokens left out
+of its text (the last token of every ``R`` and ``PHASE`` line),
+``circuits`` that of the lines with the distance dropped, and ``total``
+that of the lines as printed.  Two checkouts that print the same total
+produce the same circuits, distances, residuals and factor trees on this
+machine; the same ``circuits`` line alone says that only the distances
+moved, as a change to the simulation arithmetic does, and the case lines
+show by how much; the same ``skeletons`` line alone says that the gates,
+residuals and factor trees are the same and only angles moved, as a
+change to the angle arithmetic of emission does.
 
 The cases then run a second time in the same process, where the
 cancellation sweep may replay plans that the first run recorded, and
@@ -59,29 +64,37 @@ def main(argv: list[str]) -> int:
         for inp in workloads.structured_corpus(np.random.default_rng(seed))
     ]
 
-    def case_lines(echo: bool) -> tuple[list[str], list[str]]:
-        lines, circuits = [], []  # circuits: the lines without their distance
+    def sha(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def case_lines(echo: bool) -> tuple[list[str], list[str], list[str]]:
+        lines, circuits, skeletons = [], [], []  # without the distance; and without the angles too
         for label, m in cases:
             for gate_set in GateSet:
                 circ, rep = synthesize(m, SynthesisOptions(gate_set=gate_set))
-                text = hashlib.sha256(serialize(circ).encode()).hexdigest()
-                lines.append(f"{label} {gate_set.value} {text} {rep.distance!r} {rep.split_residuals!r}")
-                circuits.append(f"{label} {gate_set.value} {text} {rep.split_residuals!r}")
+                text = serialize(circ)
+                gates = "\n".join(
+                    line.rsplit(" ", 1)[0] if line.startswith(("R ", "PHASE ")) else line for line in text.splitlines()
+                )
+                lines.append(f"{label} {gate_set.value} {sha(text)} {rep.distance!r} {rep.split_residuals!r}")
+                circuits.append(f"{label} {gate_set.value} {sha(text)} {rep.split_residuals!r}")
+                skeletons.append(f"{label} {gate_set.value} {sha(gates)} {rep.split_residuals!r}")
                 if echo:
                     print(lines[-1], flush=True)
-        return lines, circuits
+        return lines, circuits, skeletons
 
-    lines, circuits = case_lines(echo=True)
+    lines, circuits, skeletons = case_lines(echo=True)
 
     rng = workloads.rng_for(0, "factor-tree-n5", 0)
     tree = workloads.WORKLOADS["factor-tree-n5"]
     inp = tree.make_inputs(rng)[0]
     lines.append(f"factor-tree-n5 {tree.check(inp, tree.op(inp), rng).digest}")
     circuits.append(lines[-1])
+    skeletons.append(lines[-1])
     print(lines[-1])
-    for name, part in (("circuits", circuits), ("total", lines)):
-        print(name, hashlib.sha256("\n".join(part).encode()).hexdigest())
-    repeat, _ = case_lines(echo=False)
+    for name, part in (("skeletons", skeletons), ("circuits", circuits), ("total", lines)):
+        print(name, sha("\n".join(part)))
+    repeat = case_lines(echo=False)[0]
     differ = [a for a, b in zip(lines, repeat) if a != b]  # zip stops before the factor-tree line
     print("repeat identical:", f"no, first at {differ[0]}" if differ else "yes")
     return 0

@@ -274,7 +274,8 @@ class Circuit:
     """A width n and its gate table (module docstring), checked once.
 
     ``table`` is a 1-D array of :data:`GATE_DTYPE`, whose rows are copied as
-    bytes, or a sequence of gate objects.  The stored table is read-only.
+    bytes (or converted, if its fields are laid out otherwise, as joined
+    tables are), or a sequence of gate objects.  The stored table is read-only.
     """
 
     n: int
@@ -285,14 +286,13 @@ class Circuit:
         t = rows = self.table
         if not isinstance(t, np.ndarray):
             t = _wide(rows := [_row(g) for g in t])
-        elif t.dtype != GATE_DTYPE or t.ndim != 1:
+        elif t.ndim != 1 or not np.can_cast(t.dtype, GATE_DTYPE, "equiv"):  # its fields in any layout or byte order
             raise TypeError(f"a gate table is a 1-D array of GATE_DTYPE, got {t.dtype} {t.shape}")
         if fault := _fault(self.n, t, rows):
             raise ValueError(fault[1])
-        if t is self.table:  # a copy, so no caller's array can change the checked table
-            t = t.view(_ROW).copy().view(GATE_DTYPE)
-        else:  # the full-width rows of gate objects, narrowed
-            t = t.astype(GATE_DTYPE)
+        # a copy, so no caller's array can change the checked table; other layouts, and
+        # the full-width rows of gate objects, are converted (and narrowed) field by field
+        t = t.view(_ROW).copy().view(GATE_DTYPE) if t.dtype == GATE_DTYPE else t.astype(GATE_DTYPE)
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
 
@@ -347,30 +347,34 @@ def _permutations(width: int) -> tuple:
     return tuple(out)
 
 
-# A run plan per width and digest of a table's non-angle bytes: eval_circuit's work that no angle decides.
+# A run plan per skeleton key (:func:`_skeleton_key`): eval_circuit's work that no angle decides.
 _RUN_PLANS: dict[tuple[int, bytes], tuple] = {}
 _RUN_PLANS_MAX = 16  # plans kept; the oldest goes first
 _CUT, _PERM = -1, RUN_QUTRITS  # step codes: apply the run so far and start the next; the first permutation
 
 
-def _run_plan(t: np.ndarray, n: int) -> tuple:
+def _skeleton_key(n: int, t: np.ndarray) -> tuple[int, bytes]:
+    """``n`` and a digest of the first 8 bytes of each row of the contiguous table ``t``: every column but the angle."""
+    return n, hashlib.blake2b(np.ascontiguousarray(t.view(np.int64)[::2])).digest()
+
+
+def _run_plan(t: np.ndarray, n: int) -> tuple[list, np.ndarray]:
     """What :func:`eval_circuit` does with ``t``, read from its non-angle columns only.
 
-    Per :data:`_CHUNK` rows of ``t``: the stretches, maximal sequences of
-    one-qutrit rows on one qutrit with no two-qutrit row between them, as
-    ``starts`` and ``lengths`` in the chunk's one-qutrit rows; and the
-    steps, one per stretch and per GCX/CINC row, in order, as int8
-    ``codes``.  A stretch on a run's local qutrit a is code a, a GCX/CINC
-    is :data:`_PERM` plus its :func:`_permutations` index, and :data:`_CUT`
-    comes before the step that would take a run past k = min(n,
-    :data:`RUN_QUTRITS`) qutrits.  ``code_at`` and ``stretch_at`` bound
-    each chunk's entries, and ``runs`` holds each run's axes: its qutrits
-    in first-touch order, padded with the lowest untouched ones.  The cut
-    is one lean loop over integer lists; the rest is array operations.
+    One ``(starts, lengths, codes)`` record per :data:`_CHUNK` rows of
+    ``t``: the stretches, maximal sequences of one-qutrit rows on one
+    qutrit with no two-qutrit row between them, as ``starts`` and
+    ``lengths`` in the chunk's one-qutrit rows; and the steps, one per
+    stretch and per GCX/CINC row, in order, as int8 ``codes``.  A stretch
+    on a run's local qutrit a is code a, a GCX/CINC is :data:`_PERM` plus
+    its :func:`_permutations` index, and :data:`_CUT` comes before the step
+    that would take a run past k = min(n, :data:`RUN_QUTRITS`) qutrits.
+    Then ``runs`` holds each run's axes: its qutrits in first-touch order,
+    padded with the lowest untouched ones.  The cut is one lean loop over
+    integer lists; the rest is array operations.
     """
     k = min(n, RUN_QUTRITS)
-    codes, code_at, stretch_at, runs, axes = [], [0], [0], [], []
-    starts, lengths = [np.zeros(0, np.int16)], [np.zeros(0, np.int16)]
+    records, runs, axes = [], [], []
 
     def padded(axes: list[int]) -> list[int]:  # a run's qutrits, then the lowest untouched ones
         return axes + [q for q in range(n) if q not in axes][: k - len(axes)]
@@ -384,12 +388,11 @@ def _run_plan(t: np.ndarray, n: int) -> tuple:
         first = np.ones(len(one), dtype=bool)  # a stretch starts at a new qutrit or past a two-qutrit row
         first[1:] = (qutrit[1:] != qutrit[:-1]) | (before[1:] != before[:-1])
         st = np.flatnonzero(first)
-        starts.append(st)
-        lengths.append(np.diff(st, append=len(one)))
         at = two.copy()
         at[one[st]] = True
         at = np.flatnonzero(at)
         bases = _PERM + np.where(op[at] == CINC, 3, rows["level"][at]) * (3 * k * k) + rows["value"][at]
+        codes = []
         for a, b, base in zip(q0[at].tolist(), rows["q1"][at].tolist(), bases.tolist()):
             if len(axes) + (a not in axes) + (b != a and b not in axes) > k:
                 codes.append(_CUT)
@@ -400,11 +403,10 @@ def _run_plan(t: np.ndarray, n: int) -> tuple:
             if b not in axes:
                 axes.append(b)
             codes.append(axes.index(a) if a == b else base + 3 * (k * axes.index(b) + axes.index(a)))
-        code_at.append(len(codes))
-        stretch_at.append(stretch_at[-1] + len(st))
+        lengths = np.diff(st, append=len(one))
+        records.append((st.astype(np.int16), lengths.astype(np.int16), np.array(codes, dtype=np.int8)))
     runs.append(padded(axes))
-    starts, lengths = np.concatenate(starts, dtype=np.int16), np.concatenate(lengths, dtype=np.int16)
-    return np.array(codes, dtype=np.int8), code_at, starts, lengths, stretch_at, np.array(runs, dtype=np.int8)
+    return records, np.array(runs, dtype=np.int8)
 
 
 def _apply_run(u: np.ndarray, m: np.ndarray, axes: list[int]) -> np.ndarray:
@@ -428,22 +430,22 @@ def eval_circuit(c: Circuit) -> np.ndarray:
 
     No angle decides the stretches, steps or cuts, so they come from a run
     plan (:func:`_run_plan`), made once per skeleton: it is kept in
-    :data:`_RUN_PLANS` under a digest of the table's non-angle bytes (the
-    first 8 of each row), never a copy of the table, for at most
-    :data:`_RUN_PLANS_MAX` skeletons.  Per circuit, what is left is the
-    rotation matrices and stretch products of each :data:`_CHUNK` rows,
-    made with array operations, and one matrix operation per step.
+    :data:`_RUN_PLANS` under :func:`_skeleton_key`, never a copy of the
+    table, for at most :data:`_RUN_PLANS_MAX` skeletons.  Per circuit, what
+    is left is, for each :data:`_CHUNK` rows and the plan's record of them,
+    the rotation matrices and stretch products, made with array operations,
+    and one matrix operation per step.
     """
     n, d, t = c.n, 3**c.n, c.table
     k = min(n, RUN_QUTRITS)
-    key = (n, hashlib.blake2b(np.ascontiguousarray(t.view(np.int64)[::2])).digest())
+    key = _skeleton_key(n, t)
     if (plan := _RUN_PLANS.get(key)) is None:
         plan = _keep(_RUN_PLANS, _RUN_PLANS_MAX, key, _run_plan(t, n))
-    codes, code_at, starts, lengths, stretch_at, runs = plan
+    records, runs = plan
     perms, shapes, runs = _permutations(k), [(3**a, 3, -1) for a in range(k)], iter(runs.tolist())
     u = np.eye(d, dtype=complex).reshape((3,) * n + (d,))
     m = eye = np.eye(3**k, dtype=complex)
-    for chunk, s in enumerate(range(0, len(t), _CHUNK)):
+    for s, (st, ln, codes) in zip(range(0, len(t), _CHUNK), records):
         rows = t[s : s + _CHUNK]
         op = rows["op"]
         one = np.flatnonzero(op <= LOCAL_X)
@@ -451,13 +453,12 @@ def eval_circuit(c: Circuit) -> np.ndarray:
         mats = algebra.rotations_by_code(3 * rows["axis"][one] + level, rows["angle"][one])
         x = op[one] == LOCAL_X
         mats[x] = _LOCAL_X[level[x]]
-        st, ln = starts[stretch_at[chunk] : stretch_at[chunk + 1]], lengths[stretch_at[chunk] : stretch_at[chunk + 1]]
         prods = mats[st]  # factor j of every stretch longer than j, in one batched matmul per j
         for j in range(1, ln.max(initial=0)):
             longer = np.flatnonzero(ln > j)
             prods[longer] = mats[st[longer] + j] @ prods[longer]
         prods = iter(prods)
-        for code in codes[code_at[chunk] : code_at[chunk + 1]].tolist():
+        for code in codes.tolist():
             if code >= _PERM:
                 m = m.take(perms[code - _PERM], axis=0)
             elif code >= 0:
@@ -522,14 +523,14 @@ def serialize(c: Circuit) -> str:
 
 def _parse_qutrit(tok: str, line_no: int) -> int:
     digits = tok[1:]
-    if tok[:1] != "q" or not digits.isdigit():
+    if tok[:1] != "q" or not (digits.isascii() and digits.isdigit()):  # isdigit alone takes other scripts' digits
         raise CircuitParseError(line_no, f"expected qutrit like 'q0', got {tok!r}")
     return int(digits)
 
 
 def _parse_control(tok: str, line_no: int) -> tuple[int, int]:
     head, sep, val = tok.partition("=")
-    if not sep or not val.isdigit():
+    if not sep or not (val.isascii() and val.isdigit()):
         raise CircuitParseError(line_no, f"expected control like 'q0=1', got {tok!r}")
     return _parse_qutrit(head, line_no), int(val)
 
@@ -597,7 +598,7 @@ def parse(text: str) -> Circuit:
                 line_nos.append(line_no)
             elif toks[0].upper() != "QUTRITS":
                 raise CircuitParseError(line_no, "file must start with 'QUTRITS <n>'")
-            elif len(toks) != 2 or not toks[1].isdigit() or int(toks[1]) < 1:
+            elif len(toks) != 2 or not (toks[1].isascii() and toks[1].isdigit()) or int(toks[1]) < 1:
                 raise CircuitParseError(line_no, "QUTRITS needs a positive integer")
             else:
                 n = _check_width(int(toks[1]))

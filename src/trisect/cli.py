@@ -184,6 +184,12 @@ def _load_matrix(path: str) -> tuple[np.ndarray, int]:
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.report == "-" and args.output in (None, "-"):
         raise _BadInput("the circuit and the --report JSON cannot both go to stdout; give -o or a --report path")
+    files = [path for path in (args.output, args.report) if path not in (None, "-")]
+    if len(files) == 2 and (
+        os.path.realpath(files[0]) == os.path.realpath(files[1])  # one path, however spelled
+        or all(map(os.path.exists, files)) and os.path.samefile(*files)  # or one file under two names
+    ):
+        raise _BadInput(f"the circuit and the --report JSON cannot both go to {args.report}; give two paths")
     m, _ = _load_matrix(args.matrix)
     defect = unitarity_defect(m)
     if defect > UNITARY_ATOL:

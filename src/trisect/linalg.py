@@ -101,7 +101,7 @@ def unitary_distance(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    t = np.trace(u.conj().T @ v)
+    t = np.vdot(u, v)  # tr(U^dagger V), in O(d^2) without forming the product
     phase = np.conj(t) / abs(t) if abs(t) > 1e-300 else 1.0
     return float(np.linalg.norm(u - phase * v, "fro"))
 

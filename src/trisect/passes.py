@@ -20,14 +20,14 @@ of codes and looked up after that, and a merge is tried only between
 gates of equal code, the one case in which a rule can apply.
 
 Angles only decide which rotation merges vanish, so the sweep records its
-merges under a digest of the codes, and a later table of that skeleton
-(every Haar input of one width) replays the same :func:`_merged_angle`
-calls, to the bit.  If a merge vanishes unlike its record, it sweeps.
+merges under the table's :func:`~trisect.circuit._skeleton_key`, and a
+later table of that skeleton (every Haar input of one width) replays the
+same :func:`_merged_angle` calls, to the bit, with no shape codes.  If a
+merge vanishes unlike its record, it sweeps.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from array import array
 from bisect import bisect_left
@@ -37,7 +37,7 @@ import numpy as np
 
 from .algebra import AXES, LEVELS
 from .circuit import _ROW, CINC, GATE_DTYPE, GCX, LOCAL_X, PHASE, ROT, Circuit, _add_angles, _adopt, _columns
-from .circuit import _keep, _sum_angles
+from .circuit import _keep, _skeleton_key, _sum_angles
 
 __all__ = [
     "commutes",
@@ -125,7 +125,7 @@ def _shape_codes(t: np.ndarray, n: int) -> np.ndarray:
 
 # commutes() answer per width and ordered pair of shape codes, filled the first time a pair is met
 _COMMUTES: dict[int, dict[int, bool]] = {}
-_PLANS: dict[tuple[int, bytes], np.ndarray] = {}  # _sweep's plan per width and digest of the swept shape codes
+_PLANS: dict[tuple[int, bytes], np.ndarray] = {}  # _sweep's plan per skeleton key of the swept table
 _PLANS_MAX = 16  # plans kept; the oldest goes first
 
 
@@ -142,15 +142,15 @@ def _latest_first(a: list[int], b: list[int]) -> Iterator[int]:
         yield max(x, y)
 
 
-def _sweep(t: np.ndarray, n: int, codes: np.ndarray) -> np.ndarray:
+def _sweep(t: np.ndarray, n: int) -> np.ndarray:
     """The walk of :func:`pass_cancel` over a table without phases or zero rotations.
 
     Merges rotation angles into ``t`` in place and returns the plan, one
-    ``(k, i, vanished)`` row per merge of row i into k.  Codes, ops and
+    ``(k, i, vanished)`` row per merge of row i into k.  Shape codes, ops and
     angles are read through memoryviews, which keep no Python object per
     row, and the frontier lists are freed on return.
     """
-    codes, ops, angles = memoryview(codes), memoryview(t["op"]), memoryview(t["angle"])
+    codes, ops, angles = memoryview(_shape_codes(t, n)), memoryview(t["op"]), memoryview(t["angle"])
     merges = array("q")  # k, i, vanished per merge: 24 bytes, no Python object
     frontier: list[list[int]] = [[] for _ in range(n)]
     known, size = _COMMUTES.setdefault(n, {}), (PHASE + 1) * n * n * 3 * 3 * len(AXES)
@@ -207,13 +207,13 @@ def pass_cancel(c: Circuit) -> Circuit:
     of shape codes, lets it pass, and merges into the first one that
     :func:`_merged_angle` rewrites; a gate with no partner is kept.  Global
     phases are summed into one leading phase, and zero rotations dropped.
-    Codes swept before replay that sweep's plan (module docstring).
+    A table of a skeleton swept before replays that sweep's plan (module docstring).
     """
     op, angle = c.table["op"], c.table["angle"]
     t = c.table.view(_ROW)[(op != PHASE) & ~((op == ROT) & (np.abs(angle) < ANGLE_EPS))].view(GATE_DTYPE)
-    key = (c.n, hashlib.blake2b(codes := _shape_codes(t, c.n)).digest())
+    key = _skeleton_key(c.n, t)
     if (plan := _PLANS.get(key)) is None or not _replay(t, plan):
-        plan = _keep(_PLANS, _PLANS_MAX, key, _sweep(t, c.n, codes))
+        plan = _keep(_PLANS, _PLANS_MAX, key, _sweep(t, c.n))
     keep = np.ones(len(t), dtype=bool)
     keep[np.concatenate((plan[:, 1], plan[plan[:, 2] == 1, 0]))] = False
     phi = _wrap(_sum_angles(angle[op == PHASE]), 2 * math.pi)  # in order: sum() compensates from 3.12 on

@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AXES, LEVELS
-from .cartan import _qutrit_count, factorize_stack
+from .cartan import NONLOCAL_ORDER, _qutrit_count, factorize_stack
 from .circuit import (
     GATE_DTYPE,
     GCX,
@@ -132,7 +132,6 @@ def _mux_args(qutrits: Sequence[int], angles: np.ndarray) -> tuple[tuple[int, ..
     return qutrits, angles.astype(float, copy=False)[None]
 
 
-@functools.lru_cache(maxsize=256)
 def _z_core_rows(level: int, qutrits: tuple[int, ...]) -> np.ndarray:
     """The z mux on k qutrits in application order without its closing run: 3^(k-1) - 1 GCX.
 
@@ -142,13 +141,10 @@ def _z_core_rows(level: int, qutrits: tuple[int, ...]) -> np.ndarray:
     """
     t, c = qutrits[0], qutrits[-1]
     if len(qutrits) == 1:
-        rows = _rows((ROT, t, t, 0, level, _Z))
-    else:
-        sub = _z_core_rows(level, qutrits[:-1])
-        gcx2, x_gcx0 = _rows((GCX, c, t, 2, level, 0)), _rows((LOCAL_X, t, t, 0, level, 0), (GCX, c, t, 0, level, 0))
-        rows = np.concatenate([sub, gcx2, sub[::-1], x_gcx0, sub])
-    rows.flags.writeable = False  # shared by every caller through the cache
-    return rows
+        return _rows((ROT, t, t, 0, level, _Z))
+    sub = _z_core_rows(level, qutrits[:-1])
+    gcx2, x_gcx0 = _rows((GCX, c, t, 2, level, 0)), _rows((LOCAL_X, t, t, 0, level, 0), (GCX, c, t, 0, level, 0))
+    return np.concatenate([sub, gcx2, sub[::-1], x_gcx0, sub])
 
 
 def _z_core_angles(angles: np.ndarray) -> np.ndarray:
@@ -531,15 +527,14 @@ def _factor_levels(m: np.ndarray, n: int) -> tuple[list, np.ndarray]:
 
     Level j is a stack of 9^j matrices; the children of matrix i are lines
     9i..9i+8 of level j+1, its K factors in chain order.  A level keeps only
-    what the emission reads: its chain as (kind, angle stack, or None for a
-    K), and its worst split residual.  The last level's K factors, the
-    single-qutrit leaves, come back stacked; for n = 1 that is ``m`` itself.
+    what the emission reads: its eight angle stacks in chain order, of the
+    kinds NONLOCAL_ORDER, and its worst split residual.  The last level's K
+    factors, the single-qutrit leaves, come back stacked; for n = 1, ``m``.
     """
     levels, stack = [], m[None]
     for _ in range(n - 1):
         chain, residuals = factorize_stack(stack, absorb=True)
-        entries = [(kind, None if kind == "K" else x) for kind, x in chain]
-        levels.append((entries, max(float(r.max()) for r in residuals.values())))
+        levels.append(([x for kind, x in chain if kind != "K"], max(float(r.max()) for r in residuals.values())))
         p = stack.shape[-1] // 3
         stack = np.stack([x for kind, x in chain if kind == "K"], axis=1).reshape(-1, p, p)
     return levels, stack
@@ -555,14 +550,10 @@ def _emit_tree(levels: list, leaves: np.ndarray, n: int) -> np.ndarray:
     rows, angles = _leaf_block(leaves, n - 1)
     for depth in range(n - 2, -1, -1):
         kids = angles.reshape(9**depth, 9, -1)
-        blocks, child = [], 9
-        for kind, lam in reversed(levels[depth][0]):  # entries are in matrix order; emission in application order
-            if kind == "K":
-                child -= 1
-                blocks.append((rows, kids[:, child]))
-            else:
-                factor_rows, m, c = _factor_map(kind, tuple(range(depth, n)))
-                blocks.append((factor_rows, lam @ m + c))
+        blocks = [(rows, kids[:, 8])]  # the chain is in matrix order: emit it from its last K down
+        for j in range(7, -1, -1):
+            factor_rows, m, c = _factor_map(NONLOCAL_ORDER[j], tuple(range(depth, n)))
+            blocks += [(factor_rows, levels[depth][0][j] @ m + c), (rows, kids[:, j])]
         rows, angles = _join(*blocks)
     return _table(rows, angles).reshape(-1)
 

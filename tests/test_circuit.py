@@ -218,6 +218,29 @@ def test_stored_table_is_a_read_only_copy_of_its_source(step):
     assert c.table.tobytes() == np.ascontiguousarray(source).tobytes()
 
 
+@pytest.mark.parametrize("join", [np.concatenate, np.hstack])
+def test_circuit_takes_a_joined_table(join):
+    a, b = (_random_circuit(3, 20, np.random.default_rng(seed)) for seed in (6, 7))
+    joined = join([a.table, b.table])
+    assert joined.dtype != GATE_DTYPE  # numpy packs GATE_DTYPE's fields
+    c = Circuit(3, joined)
+    assert c.table.dtype == GATE_DTYPE and not c.table.flags.writeable
+    assert c.gates == a.gates + b.gates
+    with pytest.raises(ValueError, match="outside width"):  # still checked, before the conversion
+        Circuit(2, joined)
+    names = list(GATE_DTYPE.names)
+    swapped = joined.astype([(name, GATE_DTYPE[name].newbyteorder(">")) for name in names])
+    assert Circuit(3, swapped) == c  # the fields in the other byte order are converted too
+    for other in (
+        [(name, "i8") for name in names[:-1]] + [("angle", "f8")],  # the names, other types
+        [(name.upper(), GATE_DTYPE[name]) for name in names],  # the types, other names
+        [(name, GATE_DTYPE[name]) for name in names[::-1]],  # the fields in another order
+        [(name, GATE_DTYPE[name]) for name in names[:-1]],  # a field short
+    ):
+        with pytest.raises(TypeError, match="GATE_DTYPE"):
+            Circuit(3, np.zeros(len(joined), other))
+
+
 def _same_table(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal in every column, angles bit for bit."""
     return a.dtype == b.dtype == GATE_DTYPE and all(
@@ -407,6 +430,17 @@ def test_eval_empty_circuit_is_identity():
     assert np.array_equal(eval_circuit(Circuit(2, ())), np.eye(9))
 
 
+@pytest.mark.parametrize("rows", [0, 1, circuit._CHUNK - 1, circuit._CHUNK, circuit._CHUNK + 1, 2 * circuit._CHUNK + 5])
+def test_run_plan_has_one_record_per_chunk(monkeypatch, rows):
+    monkeypatch.setattr(circuit, "_RUN_PLANS", {})
+    gates = (Rotation("x", "01", 0, 0.5), Rotation("z", "12", 0, 0.25), Gcx(0, 1, 1, "12"), LocalX("02", 2))
+    c = Circuit(3, (gates * rows)[:rows])
+    got = eval_circuit(c)
+    (records, _), = circuit._RUN_PLANS.values()
+    assert len(records) == math.ceil(rows / circuit._CHUNK)  # an empty table has none, and is the identity
+    assert np.max(np.abs(got - _dense_product(c.gates, 3))) <= 1e-12
+
+
 def test_eval_is_unitary_on_random_circuit():
     c = _random_circuit(2, 30, np.random.default_rng(0))
     u = eval_circuit(c)
@@ -566,6 +600,12 @@ def test_serialize_format_lines():
         # fields are checked with the table, after later lines' tokens: the earlier line is still the one reported
         ("QUTRITS 2\nGCX q0=1 q5 01\nR x 01 zz 1.0", 2, "outside width"),
         ("QUTRITS 2\nGCX q0=1 q1 01\nR x 01 zz 1.0\nGCX q0=1 q5 01", 3, "expected qutrit"),
+        # digits are ASCII: other scripts' digits and superscripts, which str.isdigit takes, are refused
+        ("QUTRITS 2\nX 01 q\u0661", 2, "expected qutrit like 'q0'"),
+        ("QUTRITS \u0662", 1, "QUTRITS needs a positive integer"),
+        ("QUTRITS 2\nX 01 q\u00b2", 2, "expected qutrit like 'q0'"),
+        ("QUTRITS 2\nGCX q0=\u00b2 q1 01", 2, "expected control like 'q0=1'"),
+        ("QUTRITS \u00b2", 1, "QUTRITS needs a positive integer"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no, fragment):

@@ -141,6 +141,25 @@ def test_synth_refuses_circuit_and_report_both_on_stdout(tmp_path, capsys, monke
     assert out == "" and calls == []
 
 
+@pytest.mark.parametrize("spelling", ["same-name", "dot-dot", "hard-link"])
+def test_synth_refuses_circuit_and_report_in_one_file(tmp_path, capsys, monkeypatch, spelling):
+    # the report would overwrite the circuit; refused before synthesis, and before any file is made
+    calls = []
+    monkeypatch.setattr(cli, "synthesize", lambda *a, **k: calls.append(a))
+    mat = _matrix_file(tmp_path, "m.json", np.eye(3, dtype=complex), 1)
+    out = tmp_path / "out.txt"
+    circuit_to = {"same-name": out, "dot-dot": tmp_path / "x" / ".." / "out.txt", "hard-link": tmp_path / "link.txt"}
+    (tmp_path / "x").mkdir()
+    if spelling == "hard-link":
+        out.write_text("keep\n")
+        (tmp_path / "link.txt").hardlink_to(out)
+    code, out_text, err = _run(capsys, "synth", mat, "-o", str(circuit_to[spelling]), "--report", str(out))
+    assert code == EXIT_PARSE
+    assert f"cannot both go to {out}" in err
+    assert out_text == "" and calls == []
+    assert out.read_text() == "keep\n" if spelling == "hard-link" else not out.exists()
+
+
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])
 @pytest.mark.parametrize("command", ["random -o", "synth -o", "synth --report"])
 def test_unwritable_output_exits_2(tmp_path, capsys, command, where):

@@ -304,6 +304,25 @@ def test_synthesis_with_a_filled_plan_store_equals_a_cold_one(monkeypatch):
     assert len(sweeps) <= 3 + 2 * len(KINDS)
 
 
+def test_only_a_sweep_computes_shape_codes(monkeypatch):
+    monkeypatch.setattr(passes, "_PLANS", {})
+    made = []
+    monkeypatch.setattr(passes, "_shape_codes", lambda *a, _codes=passes._shape_codes: made.append(1) or _codes(*a))
+    rng = np.random.default_rng(4)
+    skeleton = _random_circuit(rng, _every_gate_kind(3), 60).table
+
+    def with_angles() -> Circuit:  # positive angles summing below 4 pi: no merge vanishes, so the plan replays
+        t = skeleton.copy()
+        t["angle"][t["op"] == circuit.ROT] = rng.uniform(0.1, 0.2, np.count_nonzero(t["op"] == circuit.ROT))
+        return Circuit(3, t)
+
+    first, again = with_angles(), with_angles()
+    assert pass_cancel(first).gates == reference_cancel(first).gates
+    assert len(made) == 1  # a miss sweeps, and computes the codes once
+    assert pass_cancel(again).gates == reference_cancel(again).gates
+    assert len(made) == 1 and len(passes._PLANS) == 1  # the replay computes none
+
+
 def test_cancel_leaves_its_input_unchanged(monkeypatch):
     monkeypatch.setattr(passes, "_PLANS", {})
     rng = np.random.default_rng(3)

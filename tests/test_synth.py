@@ -432,6 +432,18 @@ def test_factor_map_is_the_emitter(kind, k):
     assert not any(a.flags.writeable for a in (rows, m, c))
 
 
+def test_factor_levels_keep_eight_angle_stacks_in_chain_order():
+    n, m = 3, haar_unitary(27, np.random.default_rng(2))
+    levels, leaves = synth._factor_levels(m, n)
+    chain, _ = factorize_stack(m[None], absorb=True)
+    nonlocal_entries = [(kind, x) for kind, x in chain if kind != "K"]
+    assert [kind for kind, _ in nonlocal_entries] == list(cartan.NONLOCAL_ORDER)
+    assert all(np.array_equal(lam, x) for lam, (_, x) in zip(levels[0][0], nonlocal_entries, strict=True))
+    assert len(levels) == n - 1 and leaves.shape == (9 ** (n - 1), 3, 3)
+    for depth, (stacks, _) in enumerate(levels):  # one line per node of the level, 3^(n-1-depth) angles each
+        assert len(stacks) == 8 and all(lam.shape == (9**depth, 3 ** (n - 1 - depth)) for lam in stacks)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_unswept_synthesis_is_at_the_closed_form(monkeypatch, n):
     monkeypatch.setattr(synth, "simplify", lambda c, **_: c)

@@ -136,25 +136,19 @@ def _worst(a: np.ndarray) -> np.ndarray:
 # (3, p, p) block stack, so a stack of them is (k, 3, p, p).
 
 
-@functools.cache
-def _middle_phase(p: int) -> np.ndarray:
-    """Column scaling (1, i, 1) per block, built once per p and read-only."""
-    phase = np.concatenate([np.ones(p), 1j * np.ones(p), np.ones(p)])
-    phase.flags.writeable = False
-    return phase
-
-
 def stage1(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split U = L . exp(-i sx01 (x) diag(theta)) . R† at partition (p, 2p).
 
     L and R are block diagonal over (p, 2p).  The CSD middle factor is
     real; scaling the second block column of both L and R by i turns it
-    into the generator exponential with -i*sin off-diagonals.
+    into the generator exponential with -i*sin off-diagonals.  The other
+    columns are scaled by 1, as ``x * (1+0j)`` makes an imaginary -0.0
+    +0.0, and signs of zeros pick eigenbases on degenerate splits.
     """
     d = u.shape[-1]
     p = d // 3
     res = csd(u, p, 2 * p)
-    phase = _middle_phase(p)
+    phase = np.repeat((1.0, 1j, 1.0), p)
     left = np.zeros(u.shape, dtype=complex)
     left[..., :p, :p] = res.l1
     left[..., p:, p:] = res.l2

@@ -25,7 +25,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from . import __version__
 from .algebra import (
@@ -50,8 +49,6 @@ from .circuit import (
 )
 from .linalg import (
     UNITARY_ATOL,
-    csd,
-    csd_sigma,
     haar_unitary,
     nearest_unitary,
     unitarity_defect,
@@ -271,7 +268,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
             row = [operator_count(k, n, GateSet(args.gate_set)) for k in FACTOR_KINDS]
             print(f"{n:>2}  " + "  ".join(f"{v:>6}" for v in row))
             if args.measured and n <= 4:
-                measured = measured_operator_counts(n, GateSet(args.gate_set), seed=args.seed)
+                measured = measured_operator_counts(n, GateSet(args.gate_set))
                 meas = [measured[k] for k in FACTOR_KINDS]
                 print(f"    " + "  ".join(f"{v:>6}" for v in meas) + "  (measured)")
                 if meas != row:
@@ -343,55 +340,32 @@ def _identity_checks() -> list[tuple[str, float, float]]:
     ]
 
 
-def _csd_residual(u: np.ndarray) -> float:
-    d = u.shape[0]
-    p = d // 3
-    res = csd(u, p, 2 * p)
-    left = scipy.linalg.block_diag(res.l1, res.l2)
-    right = scipy.linalg.block_diag(res.r1, res.r2)
-    return _gap([(left @ csd_sigma(res.theta, p, 2 * p) @ right.conj().T, u)])
-
-
-def _stack_mismatch(ms: np.ndarray) -> float:
-    """Worst entry gap between one stacked factorization and per-matrix calls."""
-    chain, _ = factorize_stack(ms)
-    return _gap(
-        (x[i], e.matrix if kind == "K" else e.angles)
-        for i, m in enumerate(ms)
-        for (kind, x), e in zip(chain, factorize(m).entries, strict=True)
-    )
-
-
 def _factorization_checks(seed: int) -> list[tuple[str, float, float]]:
+    """Rows read off one ``factorize_stack`` call per width on (identity, permutation, Haar)."""
     rng = np.random.default_rng(seed)
     checks: list[tuple[str, float, float]] = []
     for n in (2, 3):
         d = 3**n
         # Identity and permutations have exactly-zero angles next to
         # nonzero ones (or only zeros), which Haar inputs never produce.
-        checks.append(
-            (f"cosine-sine split of the identity (d={d})", _csd_residual(np.eye(d)), 1e-10)
-        )
         perm = np.eye(d)[rng.permutation(d)]
-        checks.append(
-            (f"cosine-sine split of a permutation (d={d})", _csd_residual(perm), 1e-10)
+        ms = np.stack([np.eye(d), perm, haar_unitary(d, rng)])
+        chain, residuals = factorize_stack(ms)
+        nodes = [factorize(m) for m in ms]
+        stacked = _gap(
+            (x[i], e.matrix if kind == "K" else e.angles)
+            for i, node in enumerate(nodes)
+            for (kind, x), e in zip(chain, node.entries, strict=True)
         )
-        u = haar_unitary(d, rng)
-        checks.append(
-            (f"cosine-sine split reconstructs (d={d})", _csd_residual(u), 1e-10)
-        )
-
-        node = factorize(u)
-        checks.append(
-            (f"factorization reconstructs (d={d})", _gap([(reassemble(node), u)]), 1e-9 * d)
-        )
-        checks.append(
-            (f"factorization stage residuals (d={d})",
-             max(node.residuals.values()), 1e-10)
-        )
-        stack_rng = np.random.default_rng([seed, d])
-        ms = np.stack([haar_unitary(d, stack_rng) for _ in range(3)] + [np.eye(d, dtype=complex)])
-        checks.append((f"stacked factorize equals per-matrix (d={d})", _stack_mismatch(ms), 0.0))
+        checks += [
+            (f"cosine-sine split {what} (d={d})", float(res), 1e-10)
+            for what, res in zip(("of the identity", "of a permutation", "reconstructs"), residuals["stage1"])
+        ]
+        checks += [
+            (f"factorization reconstructs (d={d})", _gap([(reassemble(nodes[2]), ms[2])]), 1e-9 * d),
+            (f"factorization stage residuals (d={d})", max(float(r[2]) for r in residuals.values()), 1e-10),
+            (f"stacked factorize equals per-matrix (d={d})", stacked, 0.0),
+        ]
     return checks
 
 

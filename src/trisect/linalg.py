@@ -3,7 +3,8 @@
 Everything here works on plain complex ndarrays.  The two
 decompositions call their LAPACK drivers directly: the cosine-sine
 decomposition :func:`csd` is ``zuncsd`` (Sutton's algorithm) with its
-factors reordered to our layout, and :func:`unitary_eig` is the complex
+factors reordered to the middle factor [[C, -S, 0], [S, C, 0], [0, 0, I]]
+of the principal angles, and :func:`unitary_eig` is the complex
 Schur form ``zgees``.  Both pass the workspace sizes that each driver's
 own query reports (cached per shape), which is what
 ``scipy.linalg.cossin`` and ``scipy.linalg.schur`` do, so the results
@@ -12,9 +13,9 @@ take a (k, d, d) stack: the driver runs once per matrix into
 preallocated outputs, and everything around it is one array operation
 over the stack.
 
-Both decompositions require a unitary input and do not check it: trisect
-checks a matrix once, where it enters (``cartan.factorize_stack`` and
-``synth.single_qutrit_gates``), and the per-node residuals catch the rest.
+Both decompositions require a unitary input and do not check it: the
+guards run once per ``cartan.factorize_stack`` level and once per leaf
+stack in ``synth._leaf_block``, and the per-split residuals catch the rest.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "CSDResult",
     "EigResult",
     "csd",
-    "csd_sigma",
     "haar_unitary",
     "nearest_unitary",
     "unitarity_defect",
@@ -56,14 +56,6 @@ def _not_square(u: np.ndarray) -> ValueError:
     return ValueError(f"expected a square matrix or a stack of them, got shape {u.shape}")
 
 
-@functools.cache
-def _identity(d: int) -> np.ndarray:
-    """I_d, built once per d and read-only; boolean to keep the cache small."""
-    eye = np.eye(d, dtype=bool)
-    eye.flags.writeable = False
-    return eye
-
-
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry deviation of U†U from the identity; inf if U is not finite.
 
@@ -75,8 +67,9 @@ def unitarity_defect(u: np.ndarray) -> float:
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise _not_square(u)
+    d = u.shape[-1]
     g = u.conj().mT @ u
-    g -= _identity(u.shape[-1])
+    g.reshape(*g.shape[:-2], d * d)[..., :: d + 1] -= 1.0  # a view: the product is contiguous
     defect = float(np.abs(g).max(initial=0.0))
     return defect if math.isfinite(defect) else math.inf
 
@@ -168,7 +161,8 @@ class CSDResult:
     """Cosine-sine factors:  U = diag(L1,L2) @ Sigma(theta) @ diag(R1,R2)†.
 
     ``theta`` holds the p principal angles in [0, pi/2]; Sigma is the
-    real orthogonal middle factor produced by :func:`csd_sigma`.
+    real orthogonal [[C, -S, 0], [S, C, 0], [0, 0, I_{q-p}]] with
+    C = diag(cos theta) and S = diag(sin theta).
     """
 
     l1: np.ndarray
@@ -176,19 +170,6 @@ class CSDResult:
     r1: np.ndarray
     r2: np.ndarray
     theta: np.ndarray
-
-
-def csd_sigma(theta: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Middle CS factor: [[C, -S, 0], [S, C, 0], [0, 0, I_{q-p}]]."""
-    c = np.cos(theta)
-    s = np.sin(theta)
-    sig = np.zeros((p + q, p + q))
-    sig[:p, :p] = np.diag(c)
-    sig[:p, p : 2 * p] = -np.diag(s)
-    sig[p : 2 * p, :p] = np.diag(s)
-    sig[p : 2 * p, p : 2 * p] = np.diag(c)
-    sig[2 * p :, 2 * p :] = np.eye(q - p)
-    return sig
 
 
 @functools.cache
@@ -207,9 +188,9 @@ def csd(u: np.ndarray, p: int, q: int) -> CSDResult:
     tiny and clustered principal angles alike.  Its middle factor is
     [[C, 0, -S], [0, I, 0], [S, 0, C]]; moving the last p columns of L2
     and R2 to the front puts the C/S columns before the identity, as
-    :func:`csd_sigma` has them.  ``u`` may also be a (k, d, d) stack; the
-    result's fields then gain the same leading axis.  ``u`` must be
-    unitary; this is not checked here but at trisect's entry points.
+    :class:`CSDResult`'s Sigma has them.  ``u`` may also be a (k, d, d)
+    stack; the result's fields then gain the same leading axis.  ``u``
+    must be unitary; this is not checked here but at trisect's entry points.
     """
     u = np.asarray(u, dtype=complex)
     d = p + q

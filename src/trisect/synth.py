@@ -309,15 +309,6 @@ def _givens2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return g.reshape(-1, 2, 2)
 
 
-def _embed2(blocks: np.ndarray, ij: str) -> np.ndarray:
-    """(k, 3, 3) identities with the (k, 2, 2) blocks on levels i, j."""
-    i, j = int(ij[0]), int(ij[1])
-    m = np.zeros((len(blocks), 3, 3), dtype=complex)
-    m[:, range(3), range(3)] = 1.0
-    m[:, [[i], [j]], [i, j]] = blocks
-    return m
-
-
 def _zyz_angles(b: np.ndarray) -> np.ndarray:
     """(gamma, beta, alpha) of z(alpha) y(beta) z(gamma) = b for det-1 (..., 2, 2) b."""
     c = np.abs(b[..., 0, 0])
@@ -347,14 +338,14 @@ def _leaf_block(u: np.ndarray, qutrit: int):
     v = u * np.exp(-1j * phi)[:, None, None]
 
     ga = _givens2(v[:, 1, 0], v[:, 2, 0])  # rows 1,2 -> zero v[2,0]
-    v1 = _embed2(ga, "12") @ v
-    gb = _givens2(v1[:, 0, 0], v1[:, 1, 0])  # rows 0,1 -> zero v[1,0]
-    v2 = _embed2(gb, "01") @ v1
-    # The mixes leave v2 = diag(1, B): the corner entry is the first
-    # column's norm (gb's pivot never degenerates since |v1[0,0]|^2 +
-    # |v1[1,0]|^2 = 1), and det B = det v2 = 1.
+    v[:, 1:] = ga @ v[:, 1:]
+    gb = _givens2(v[:, 0, 0], v[:, 1, 0])  # rows 0,1 -> zero v[1,0]
+    v[:, :2] = gb @ v[:, :2]
+    # The mixes leave v = diag(1, B): the corner entry is the first
+    # column's norm (gb's pivot never degenerates since |v[0,0]|^2 +
+    # |v[1,0]|^2 = 1), and det B = det v = 1.
     dagger = (0, 2, 1)
-    blocks = np.stack([v2[:, 1:, 1:], gb.conj().transpose(dagger), ga.conj().transpose(dagger)], 1)
+    blocks = np.stack([v[:, 1:, 1:], gb.conj().transpose(dagger), ga.conj().transpose(dagger)], 1)
     rows = [(ROT, qutrit, qutrit, 0, LEVELS.index(lv), axis) for lv in _TRIPLE_LEVELS for axis in (_Z, _Y, _Z)]
     angles = np.concatenate([_zyz_angles(blocks).reshape(len(u), 9), phi[:, None]], axis=1)
     return _rows(*rows, (PHASE, 0, 0, 0, 0, 0)), angles
@@ -437,21 +428,18 @@ def operator_count(kind: str, n: int, gate_set: GateSet = GateSet.GCX_CINC) -> i
     raise ValueError(f"unknown factor kind {kind!r}")
 
 
-def measured_operator_counts(
-    n: int, gate_set: GateSet = GateSet.GCX_CINC, seed: int = 0
-) -> dict[str, int]:
-    """Emit each factor kind standalone with generic angles and count.
+def measured_operator_counts(n: int, gate_set: GateSet = GateSet.GCX_CINC) -> dict[str, int]:
+    """Emit each factor kind standalone and count.
 
     Cross-checks :func:`operator_count` by counting the emitters' own
     output, after :func:`~trisect.passes.pass_fuse_cinc` for
-    ``GateSet.GCX_CINC``; no cancellation pass runs.
+    ``GateSet.GCX_CINC``.  No cancellation pass runs, so the angles never
+    reach a count and are all zero.
     """
     _check_count(n, gate_set)
-    rng = np.random.default_rng(seed)
     counts: dict[str, int] = {}
     for kind in FACTOR_KINDS:
-        angles = rng.uniform(0.2, 1.3, size=3 ** (n - 1))
-        circ = Circuit(n, _table(*_factor_block(kind, tuple(range(n)), angles[None]))[0])
+        circ = Circuit(n, _table(*_factor_block(kind, tuple(range(n)), np.zeros((1, 3 ** (n - 1)))))[0])
         if gate_set is GateSet.GCX_CINC:
             circ = pass_fuse_cinc(circ)
         counts[kind] = count_gates(circ).two_qutrit

@@ -5,7 +5,8 @@ oracle.  :func:`reference_cancel` is the cancellation sweep in its plain
 form on gate objects, with its own walk order and merge rules, calling
 the rules on every pair it visits; ``pass_cancel`` must give the same
 gates.  :func:`reference_fuse_cinc` is the CINC fusion as a
-left-to-right scan over gate objects.
+left-to-right scan over gate objects.  :func:`csd_sigma` is the dense
+middle factor of a cosine-sine split, for reconstructing one.
 """
 
 import math
@@ -33,6 +34,19 @@ def gate_matrix(g: Gate, n: int) -> np.ndarray:
     if isinstance(g, GlobalPhase):
         return np.exp(1j * g.phi) * np.eye(3**n, dtype=complex)
     raise TypeError(f"not a gate: {g!r}")
+
+
+def csd_sigma(theta: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Middle CS factor: [[C, -S, 0], [S, C, 0], [0, 0, I_{q-p}]]."""
+    c = np.cos(theta)
+    s = np.sin(theta)
+    sig = np.zeros((p + q, p + q))
+    sig[:p, :p] = np.diag(c)
+    sig[:p, p : 2 * p] = -np.diag(s)
+    sig[p : 2 * p, :p] = np.diag(s)
+    sig[p : 2 * p, p : 2 * p] = np.diag(c)
+    sig[2 * p :, 2 * p :] = np.eye(q - p)
+    return sig
 
 
 def _gate_qutrits(g: Gate) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from oracle import csd_sigma
 from test_cartan import tensor_identity_residual
 from test_synth import golden_cases
 
@@ -27,7 +28,6 @@ from trisect.cli import _identity_checks, main
 from trisect.circuit import Circuit, eval_circuit
 from trisect.linalg import (
     csd,
-    csd_sigma,
     haar_unitary,
     unitarity_defect,
     unitary_distance,

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from trisect import cli
+from trisect import cli, linalg
 from trisect.cli import EXIT_NONUNITARY, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from trisect.linalg import haar_unitary
 
@@ -452,6 +452,21 @@ def test_selftest_detects_injected_fault(capsys):
     assert code == EXIT_VERIFY
     assert "FAILURES detected" in out
     assert "expect failures" in err
+
+
+def test_selftest_catches_a_faulty_cosine_sine_kernel(capsys, monkeypatch):
+    original = linalg._zuncsd
+
+    def shifted(*args, **kwargs):  # every principal angle off by 1e-3
+        *head, theta, u1, u2, v1t, v2t, info = original(*args, **kwargs)
+        return (*head, theta + 1e-3, u1, u2, v1t, v2t, info)
+
+    monkeypatch.setattr(linalg, "_zuncsd", shifted)
+    code, out, _ = _run(capsys, "selftest", "--qutrits", "2", "--trials", "2")
+    assert code == EXIT_VERIFY
+    rows = [line for line in out.splitlines() if "cosine-sine split" in line]
+    assert len(rows) == 6
+    assert all("[FAIL]" in row for row in rows)
 
 
 def test_selftest_status_column_is_aligned(capsys, monkeypatch):

@@ -9,7 +9,6 @@ from trisect.cartan import factorize, factorize_stack
 from trisect.linalg import (
     CSDResult,
     csd,
-    csd_sigma,
     haar_unitary,
     nearest_unitary,
     unitarity_defect,
@@ -17,6 +16,8 @@ from trisect.linalg import (
     unitary_eig,
 )
 from trisect.synth import single_qutrit_gates, synthesize
+
+from oracle import csd_sigma
 
 X01 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 

@@ -14,8 +14,9 @@ parsing, synthesis or a pass built it (:func:`_adopt`).  Gate objects
 them into rows and checks them with the same rules, and
 ``Circuit.gates`` makes them on demand.  Counting,
 the passes, the text format and the simulator read the columns.  The
-simulator (:func:`eval_circuit`) reads the non-angle columns once per
-gate skeleton, into a run plan it keeps, and per circuit only the angles.
+simulator (:func:`eval_circuit`) walks the table once, a chunk of rows at
+a time, and applies each run of gates on at most three qutrits to the
+full unitary as soon as the run ends; it keeps nothing between calls.
 
 Text format (one gate per line, '#' starts a comment):
 
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import hashlib
 import itertools
 import math
 import numbers
@@ -142,14 +142,6 @@ def _sum_angles(angles: np.ndarray) -> float:
     with np.errstate(over="ignore"):
         s = 0.0 + float(np.add.accumulate(angles)[-1]) if len(angles) else 0.0
     return s if math.isfinite(s) else functools.reduce(_add_angles, angles.tolist(), 0.0)
-
-
-def _keep(store: dict, bound: int, key, value):
-    """``store[key] = value``, first dropping the oldest entry if a new key would take ``store`` past ``bound``."""
-    if key not in store and len(store) >= bound:
-        store.pop(next(iter(store)), None)  # None: another thread may have dropped it
-    store[key] = value
-    return value
 
 
 def _named_row(op: int, q0, q1, value, level, axis, angle) -> tuple:
@@ -347,68 +339,6 @@ def _permutations(width: int) -> tuple:
     return tuple(out)
 
 
-# A run plan per skeleton key (:func:`_skeleton_key`): eval_circuit's work that no angle decides.
-_RUN_PLANS: dict[tuple[int, bytes], tuple] = {}
-_RUN_PLANS_MAX = 16  # plans kept; the oldest goes first
-_CUT, _PERM = -1, RUN_QUTRITS  # step codes: apply the run so far and start the next; the first permutation
-
-
-def _skeleton_key(n: int, t: np.ndarray) -> tuple[int, bytes]:
-    """``n`` and a digest of the first 8 bytes of each row of the contiguous table ``t``: every column but the angle."""
-    return n, hashlib.blake2b(np.ascontiguousarray(t.view(np.int64)[::2])).digest()
-
-
-def _run_plan(t: np.ndarray, n: int) -> tuple[list, np.ndarray]:
-    """What :func:`eval_circuit` does with ``t``, read from its non-angle columns only.
-
-    One ``(starts, lengths, codes)`` record per :data:`_CHUNK` rows of
-    ``t``: the stretches, maximal sequences of one-qutrit rows on one
-    qutrit with no two-qutrit row between them, as ``starts`` and
-    ``lengths`` in the chunk's one-qutrit rows; and the steps, one per
-    stretch and per GCX/CINC row, in order, as int8 ``codes``.  A stretch
-    on a run's local qutrit a is code a, a GCX/CINC is :data:`_PERM` plus
-    its :func:`_permutations` index, and :data:`_CUT` comes before the step
-    that would take a run past k = min(n, :data:`RUN_QUTRITS`) qutrits.
-    Then ``runs`` holds each run's axes: its qutrits in first-touch order,
-    padded with the lowest untouched ones.  The cut is one lean loop over
-    integer lists; the rest is array operations.
-    """
-    k = min(n, RUN_QUTRITS)
-    records, runs, axes = [], [], []
-
-    def padded(axes: list[int]) -> list[int]:  # a run's qutrits, then the lowest untouched ones
-        return axes + [q for q in range(n) if q not in axes][: k - len(axes)]
-
-    for s in range(0, len(t), _CHUNK):
-        rows = t[s : s + _CHUNK]
-        op, q0 = rows["op"], rows["q0"]
-        two = (op == GCX) | (op == CINC)
-        one = np.flatnonzero(op <= LOCAL_X)
-        qutrit, before = q0[one], np.cumsum(two)[one]  # per one-qutrit row: its qutrit, two-qutrit rows before it
-        first = np.ones(len(one), dtype=bool)  # a stretch starts at a new qutrit or past a two-qutrit row
-        first[1:] = (qutrit[1:] != qutrit[:-1]) | (before[1:] != before[:-1])
-        st = np.flatnonzero(first)
-        at = two.copy()
-        at[one[st]] = True
-        at = np.flatnonzero(at)
-        bases = _PERM + np.where(op[at] == CINC, 3, rows["level"][at]) * (3 * k * k) + rows["value"][at]
-        codes = []
-        for a, b, base in zip(q0[at].tolist(), rows["q1"][at].tolist(), bases.tolist()):
-            if len(axes) + (a not in axes) + (b != a and b not in axes) > k:
-                codes.append(_CUT)
-                runs.append(padded(axes))
-                axes = []
-            if a not in axes:
-                axes.append(a)
-            if b not in axes:
-                axes.append(b)
-            codes.append(axes.index(a) if a == b else base + 3 * (k * axes.index(b) + axes.index(a)))
-        lengths = np.diff(st, append=len(one))
-        records.append((st.astype(np.int16), lengths.astype(np.int16), np.array(codes, dtype=np.int8)))
-    runs.append(padded(axes))
-    return records, np.array(runs, dtype=np.int8)
-
-
 def _apply_run(u: np.ndarray, m: np.ndarray, axes: list[int]) -> np.ndarray:
     """The run matrix ``m``, its local qutrit i on axis ``axes[i]``, applied on the left of ``u``."""
     k = len(axes)
@@ -419,53 +349,63 @@ def eval_circuit(c: Circuit) -> np.ndarray:
     """Exact 3^n x 3^n unitary of the circuit (later gates multiply on the left).
 
     Global phases are summed apart (:func:`_sum_angles`).  The rest is
-    simulated in steps: one 3x3 product per stretch of one-qutrit gates on
-    one qutrit, one cached row permutation per GCX/CINC.  The steps are
-    cut, in order, into maximal runs on at most k = min(n,
-    :data:`RUN_QUTRITS`) qutrits.  Each run is simulated on its own
-    3^k x 3^k matrix, whose axes are the run's qutrits in first-touch order
-    padded with the lowest untouched ones, and applied to the full unitary
-    with one ``tensordot`` as soon as it is cut (:func:`_apply_run`);
-    nothing of it is kept.
-
-    No angle decides the stretches, steps or cuts, so they come from a run
-    plan (:func:`_run_plan`), made once per skeleton: it is kept in
-    :data:`_RUN_PLANS` under :func:`_skeleton_key`, never a copy of the
-    table, for at most :data:`_RUN_PLANS_MAX` skeletons.  Per circuit, what
-    is left is, for each :data:`_CHUNK` rows and the plan's record of them,
-    the rotation matrices and stretch products, made with array operations,
-    and one matrix operation per step.
+    simulated in steps: one 3x3 product per stretch, a maximal sequence of
+    one-qutrit gates on one qutrit with no GCX/CINC between them, and one
+    cached row permutation per GCX/CINC (:func:`_permutations`).  The table
+    is walked once, :data:`_CHUNK` rows at a time: the chunk's rotation
+    matrices and stretch products are made with array operations, then its
+    steps are applied in order to a run, a 3^k x 3^k matrix on at most
+    k = min(n, :data:`RUN_QUTRITS`) qutrits.  When a step would take the
+    run past k qutrits, the run is applied to the full unitary with one
+    ``tensordot`` (:func:`_apply_run`) and a new one starts; nothing of it
+    is kept.  A run's axes are its qutrits in first-touch order, padded
+    with the lowest untouched ones, and a run carries over from one chunk
+    to the next.
     """
     n, d, t = c.n, 3**c.n, c.table
     k = min(n, RUN_QUTRITS)
-    key = _skeleton_key(n, t)
-    if (plan := _RUN_PLANS.get(key)) is None:
-        plan = _keep(_RUN_PLANS, _RUN_PLANS_MAX, key, _run_plan(t, n))
-    records, runs = plan
-    perms, shapes, runs = _permutations(k), [(3**a, 3, -1) for a in range(k)], iter(runs.tolist())
+    perms, shapes = _permutations(k), [(3**a, 3, -1) for a in range(k)]
     u = np.eye(d, dtype=complex).reshape((3,) * n + (d,))
     m = eye = np.eye(3**k, dtype=complex)
-    for s, (st, ln, codes) in zip(range(0, len(t), _CHUNK), records):
+    local = {}  # the run's qutrits so far, in first-touch order, to their axes in the run
+
+    def padded(run: dict) -> list[int]:  # a run's qutrits, then the lowest untouched ones
+        return [*run, *[q for q in range(n) if q not in run][: k - len(run)]]
+
+    for s in range(0, len(t), _CHUNK):
         rows = t[s : s + _CHUNK]
-        op = rows["op"]
+        op, q0, level = rows["op"], rows["q0"], rows["level"]
+        two = (op == GCX) | (op == CINC)
         one = np.flatnonzero(op <= LOCAL_X)
-        level = rows["level"][one]
-        mats = algebra.rotations_by_code(3 * rows["axis"][one] + level, rows["angle"][one])
-        x = op[one] == LOCAL_X
-        mats[x] = _LOCAL_X[level[x]]
+        qutrit, before = q0[one], np.cumsum(two)[one]  # per one-qutrit row: its qutrit, two-qutrit rows before it
+        first = np.ones(len(one), dtype=bool)  # a stretch starts at a new qutrit or past a two-qutrit row
+        first[1:] = (qutrit[1:] != qutrit[:-1]) | (before[1:] != before[:-1])
+        st = np.flatnonzero(first)
+        at = two.copy()  # the rows that start a step: each stretch's first row and each GCX/CINC
+        at[one[st]] = True
+        at = np.flatnonzero(at)
+        lv, x = level[one], op[one] == LOCAL_X
+        mats = algebra.rotations_by_code(3 * rows["axis"][one] + lv, rows["angle"][one])
+        mats[x] = _LOCAL_X[lv[x]]
+        ln = np.diff(st, append=len(one))
         prods = mats[st]  # factor j of every stretch longer than j, in one batched matmul per j
         for j in range(1, ln.max(initial=0)):
             longer = np.flatnonzero(ln > j)
             prods[longer] = mats[st[longer] + j] @ prods[longer]
         prods = iter(prods)
-        for code in codes.tolist():
-            if code >= _PERM:
-                m = m.take(perms[code - _PERM], axis=0)
-            elif code >= 0:
-                m = np.matmul(next(prods), m.reshape(shapes[code])).reshape(eye.shape)
+        # per step, its _permutations index but for the part its qutrits' axes add
+        bases = np.where(op[at] == CINC, 3, level[at]) * (3 * k * k) + rows["value"][at]
+        for a, b, base in zip(q0[at].tolist(), rows["q1"][at].tolist(), bases.tolist()):
+            if a not in local or b not in local:  # only a step that brings in a qutrit can cut
+                if len(local) + (a not in local) + (b != a and b not in local) > k:
+                    u, m, local = _apply_run(u, m, padded(local)), eye, {}
+                local.setdefault(a, len(local))
+                local.setdefault(b, len(local))
+            if a == b:
+                m = np.matmul(next(prods), m.reshape(shapes[local[a]])).reshape(eye.shape)
             else:
-                u, m = _apply_run(u, m, next(runs)), eye
-    u = _apply_run(u, m, next(runs))
+                m = m.take(perms[base + 3 * (k * local[b] + local[a])], axis=0)
+    u = _apply_run(u, m, padded(local))
     phase = _sum_angles(t["angle"][t["op"] == PHASE])
     return np.exp(1j * phase) * np.ascontiguousarray(u).reshape(d, d)
 

@@ -20,14 +20,16 @@ of codes and looked up after that, and a merge is tried only between
 gates of equal code, the one case in which a rule can apply.
 
 Angles only decide which rotation merges vanish, so the sweep records its
-merges under the table's :func:`~trisect.circuit._skeleton_key`, and a
-later table of that skeleton (every Haar input of one width) replays the
-same :func:`_merged_angle` calls, to the bit, with no shape codes.  If a
-merge vanishes unlike its record, it sweeps.
+merges under the table's :func:`_skeleton_key` (its width and a digest of
+every column but the angle), and a later table of that skeleton (every
+Haar input of one width) replays the same :func:`_merged_angle` calls, to
+the bit, with no shape codes.  If a merge vanishes unlike its record, it
+sweeps.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from array import array
 from bisect import bisect_left
@@ -37,7 +39,7 @@ import numpy as np
 
 from .algebra import AXES, LEVELS
 from .circuit import _ROW, CINC, GATE_DTYPE, GCX, LOCAL_X, PHASE, ROT, Circuit, _add_angles, _adopt, _columns
-from .circuit import _keep, _skeleton_key, _sum_angles
+from .circuit import _sum_angles
 
 __all__ = [
     "commutes",
@@ -129,6 +131,11 @@ _PLANS: dict[tuple[int, bytes], np.ndarray] = {}  # _sweep's plan per skeleton k
 _PLANS_MAX = 16  # plans kept; the oldest goes first
 
 
+def _skeleton_key(n: int, t: np.ndarray) -> tuple[int, bytes]:
+    """``n`` and a digest of the first 8 bytes of each row of the contiguous table ``t``: every column but the angle."""
+    return n, hashlib.blake2b(np.ascontiguousarray(t.view(np.int64)[::2])).digest()
+
+
 def _latest_first(a: list[int], b: list[int]) -> Iterator[int]:
     """Merge ascending index lists, latest first, shared indices once."""
     i, j = len(a) - 1, len(b) - 1
@@ -213,7 +220,9 @@ def pass_cancel(c: Circuit) -> Circuit:
     t = c.table.view(_ROW)[(op != PHASE) & ~((op == ROT) & (np.abs(angle) < ANGLE_EPS))].view(GATE_DTYPE)
     key = _skeleton_key(c.n, t)
     if (plan := _PLANS.get(key)) is None or not _replay(t, plan):
-        plan = _keep(_PLANS, _PLANS_MAX, key, _sweep(t, c.n))
+        if key not in _PLANS and len(_PLANS) >= _PLANS_MAX:
+            _PLANS.pop(next(iter(_PLANS)), None)  # None: another thread may have dropped it
+        plan = _PLANS[key] = _sweep(t, c.n)
     keep = np.ones(len(t), dtype=bool)
     keep[np.concatenate((plan[:, 1], plan[plan[:, 2] == 1, 0]))] = False
     phi = _wrap(_sum_angles(angle[op == PHASE]), 2 * math.pi)  # in order: sum() compensates from 3.12 on

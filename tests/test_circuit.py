@@ -23,7 +23,7 @@ from trisect.circuit import (
     parse,
     serialize,
 )
-from trisect.linalg import haar_unitary
+from trisect.linalg import haar_unitary, unitary_distance
 from trisect.synth import GateSet, SynthesisOptions, synthesize
 
 from oracle import gate_matrix
@@ -378,6 +378,25 @@ def test_eval_hand_placed_runs(n, monkeypatch):
     assert np.max(np.abs(got @ v - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("spill", [0, 1, 20])
+def test_eval_cuts_a_run_across_a_chunk_boundary(spill, monkeypatch):
+    # n=4: a run on q0, q1, q2 fills the first chunk and its last ``spill`` rows
+    # open the second, where the next segment's q3 cuts it (spill 0: the cut
+    # comes before the second chunk's first row); the hand-placed runs follow
+    rng = np.random.default_rng(400 + spill)
+    segments = [_segment(qs, rng) for qs in _RUNS[4]]
+    lead = [Rotation("x", "01", q, 0.3) for q in range(3)]  # first touch in order q0, q1, q2
+    lead += _random_circuit(3, circuit._CHUNK + spill - len(segments[0]) - len(lead), rng).gates
+    gates = lead + [g for seg in segments for g in seg]
+    assert len(lead + segments[0]) == circuit._CHUNK + spill
+    seen = []
+    apply_run = circuit._apply_run
+    monkeypatch.setattr(circuit, "_apply_run", lambda u, m, axes: seen.append(tuple(axes)) or apply_run(u, m, axes))
+    got = eval_circuit(Circuit(4, tuple(gates)))
+    assert seen == _RUN_AXES[4]
+    assert np.max(np.abs(got - _dense_product(gates, 4))) <= 1e-12
+
+
 def test_eval_matches_dense_product_across_chunks():
     # more than two chunks of random gates; a stretch of one-qutrit gates on q0
     # crosses the first chunk boundary, and two rotations on q1 with only a
@@ -396,8 +415,8 @@ def test_eval_matches_dense_product_across_chunks():
 
 def test_eval_keeps_nothing_of_an_applied_run():
     # each run is applied as it is cut, so the peak is a few copies of the
-    # 81x81 unitary (~0.1 MB each); the kept run plan (made while synthesize
-    # verified) is int8/int16 arrays, ~21 KB at n=4
+    # 81x81 unitary (~0.1 MB each) and one chunk's rotation matrices and
+    # stretch products (~0.1 MB)
     circ, _ = synthesize(haar_unitary(81, np.random.default_rng(1)))
     tracemalloc.start()
     try:
@@ -431,14 +450,11 @@ def test_eval_empty_circuit_is_identity():
 
 
 @pytest.mark.parametrize("rows", [0, 1, circuit._CHUNK - 1, circuit._CHUNK, circuit._CHUNK + 1, 2 * circuit._CHUNK + 5])
-def test_run_plan_has_one_record_per_chunk(monkeypatch, rows):
-    monkeypatch.setattr(circuit, "_RUN_PLANS", {})
+def test_run_plan_has_one_record_per_chunk(rows):
+    # no chunk, one partial chunk, and tables that end on, just before and just past a chunk's edge
     gates = (Rotation("x", "01", 0, 0.5), Rotation("z", "12", 0, 0.25), Gcx(0, 1, 1, "12"), LocalX("02", 2))
     c = Circuit(3, (gates * rows)[:rows])
-    got = eval_circuit(c)
-    (records, _), = circuit._RUN_PLANS.values()
-    assert len(records) == math.ceil(rows / circuit._CHUNK)  # an empty table has none, and is the identity
-    assert np.max(np.abs(got - _dense_product(c.gates, 3))) <= 1e-12
+    assert np.max(np.abs(eval_circuit(c) - _dense_product(c.gates, 3))) <= 1e-12
 
 
 def test_eval_is_unitary_on_random_circuit():
@@ -465,48 +481,27 @@ _REPLAYS = [("haar", n) for n in (1, 2, 3, 4, 5)] + [(kind, n) for kind in KINDS
 
 @pytest.mark.parametrize("gate_set", list(GateSet), ids=lambda g: g.value)
 @pytest.mark.parametrize("kind,n", _REPLAYS)
-def test_replayed_eval_equals_a_cold_one(monkeypatch, kind, n, gate_set):
-    monkeypatch.setattr(circuit, "_RUN_PLANS", {})
-    made = []
-    monkeypatch.setattr(circuit, "_run_plan", lambda *a, _run_plan=circuit._run_plan: made.append(1) or _run_plan(*a))
+def test_replayed_eval_equals_a_cold_one(kind, n, gate_set):
+    # an eval run again, with the shared permutations that earlier evals used, equals
+    # one with them made afresh, bit for bit, and gives synthesize's distance
     m = haar_unitary(3**n, np.random.default_rng(n)) if kind == "haar" else structured_input(kind, n)
-    c, _ = synthesize(m, SynthesisOptions(gate_set=gate_set))  # its verification makes the plan
-    if kind == "haar":  # which another table of the skeleton, with fresh angles, replays
-        t = c.table.copy()
-        angled = (t["op"] == circuit.ROT) | (t["op"] == circuit.PHASE)
-        t["angle"][angled] = np.random.default_rng(10 + n).uniform(-7, 7, np.count_nonzero(angled))
-        c = Circuit(n, t)
+    c, report = synthesize(m, SynthesisOptions(gate_set=gate_set))  # its verification evaluated c
     warm = eval_circuit(c)
-    assert len(made) == 1 and len(circuit._RUN_PLANS) == 1
-    circuit._RUN_PLANS.clear()
-    assert eval_circuit(c).tobytes() == warm.tobytes() and len(made) == 2
+    assert unitary_distance(warm, m) == report.distance
+    circuit._permutations.cache_clear()
+    assert eval_circuit(c).tobytes() == warm.tobytes()
 
 
 @pytest.mark.parametrize("field", ["value", "qutrit"])
-def test_eval_of_a_table_one_field_off_a_stored_skeleton_misses(monkeypatch, field):
-    monkeypatch.setattr(circuit, "_RUN_PLANS", {})
+def test_eval_of_a_table_one_field_off_a_stored_skeleton_misses(field):
+    # every gate kind twice, with one GCX's value or target changed, against the dense product
     gates = _every_gate_kind(4, np.random.default_rng(9)) * 2
-    c = Circuit(4, tuple(gates))
-    eval_circuit(c)
     i = next(i for i, g in enumerate(gates) if isinstance(g, Gcx) and 3 not in (g.control, g.target))
     g = gates[i]
     value, target = ((g.value + 1) % 3, g.target) if field == "value" else (g.value, 3)
     gates[i] = Gcx(g.control, value, target, g.level)
     got = eval_circuit(Circuit(4, tuple(gates)))
-    assert len(circuit._RUN_PLANS) == 2
     assert np.max(np.abs(got - _dense_product(gates, 4))) <= 1e-13
-
-
-def test_run_plan_store_stays_at_its_bound(monkeypatch):
-    monkeypatch.setattr(circuit, "_RUN_PLANS", {})
-    gates = (Rotation("x", "01", 0, 0.5), Gcx(0, 1, 1, "12"))
-    circuits = [Circuit(2, gates * k) for k in range(1, circuit._RUN_PLANS_MAX + 6)]
-    for c in circuits:
-        eval_circuit(c)
-        assert len(circuit._RUN_PLANS) <= circuit._RUN_PLANS_MAX
-    assert len(circuit._RUN_PLANS) == circuit._RUN_PLANS_MAX
-    for c in (circuits[0], circuits[-1]):  # a dropped plan and a kept one
-        assert np.max(np.abs(eval_circuit(c) - _dense_product(c.gates, 2))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

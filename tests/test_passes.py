@@ -288,15 +288,12 @@ def test_synthesis_with_a_filled_plan_store_equals_a_cold_one(monkeypatch):
     runs += [(structured_input(kind, n), g) for kind in KINDS for n in (2, 3) for g in GateSet]
     text = lambda m, g: f"{serialize((out := synthesize(m, SynthesisOptions(gate_set=g)))[0])}{out[1].distance!r}"
     monkeypatch.setattr(passes, "_PLANS", {})
-    monkeypatch.setattr(circuit, "_RUN_PLANS", {})
     cold = []
-    for m, g in runs:  # with the sweep plans, the run plans and the factor maps all emptied
+    for m, g in runs:  # with the sweep plans and the factor maps emptied
         passes._PLANS.clear()
-        circuit._RUN_PLANS.clear()
         synth._factor_map.cache_clear()
         cold.append(text(m, g))
     passes._PLANS.clear()
-    circuit._RUN_PLANS.clear()
     sweeps = []
     monkeypatch.setattr(passes, "_sweep", lambda *a, _sweep=passes._sweep: sweeps.append(1) or _sweep(*a))
     assert [text(m, g) for m, g in runs] == cold

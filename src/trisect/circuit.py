@@ -17,6 +17,9 @@ the passes, the text format and the simulator read the columns.  The
 simulator (:func:`eval_circuit`) walks the table once, a chunk of rows at
 a time, and applies each run of gates on at most three qutrits to the
 full unitary as soon as the run ends; it keeps nothing between calls.
+Within a run, each region of monomial gates (z rotations, LocalX, GCX and
+CINC: each a permutation times a diagonal) is one gather and one phase,
+and each stretch with an x or y rotation one 3x3 matrix product.
 
 Text format (one gate per line, '#' starts a comment):
 
@@ -317,26 +320,89 @@ _LOCAL_X = np.array([algebra.generator(algebra.GeneratorId[f"X{lv}"]) for lv in 
 
 
 @functools.cache
-def _permutations(width: int) -> tuple:
-    """Index arrays p with ``m[p]`` applying a controlled generator to a width-qutrit ``m``.
+def _monomials(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each monomial gate on a width-qutrit run as a gather index and a phase sign per state.
 
-    Entry ((g * width + target) * width + control) * 3 + value applies the
-    3x3 permutation g (X01, X02, X12 for a GCX's level, INC for a CINC) to
-    ``target`` when ``control`` reads ``value``; None where target is
-    control.  Read-only, since every caller shares them.
+    Both tables are indexed by a table row's fields ``[op, level, value,
+    target, axis]``, the qutrits by their axes in the run (a one-qutrit gate
+    has target = axis = its qutrit's, a GCX/CINC its control on ``axis``).
+    Entry p of the index table gives ``m.take(p, axis=0)``, the gate applied
+    to a run matrix m: the identity for a z rotation, the LocalX of its
+    level, or the 3x3 permutation of a GCX's level (INC for a CINC) on
+    ``target`` when the control reads ``value``.  Entry c of the sign table
+    gives each state's phase under a z rotation by theta as c * theta / 2:
+    -1 and 1 on the level's two trits, 0 on the third and for other gates.
+    Entries no gate has hold the identity and 0.  Both are read-only, since
+    every caller shares them.
     """
-    idx, out = np.arange(3**width).reshape((3,) * width), []
-    for gid in [f"X{lv}" for lv in LEVELS] + ["INC"]:
-        # row i of the 3x3 generator has its single 1 in column src[i]
-        src = np.abs(algebra.generator(algebra.GeneratorId[gid])).argmax(axis=1)
-        for target, control, value in itertools.product(range(width), range(width), range(3)):
-            if target == control:
-                out.append(None)
-                continue
-            fires = (np.arange(3) == value).reshape([3 if k == control else 1 for k in range(width)])
-            out.append(p := np.where(fires, np.take(idx, src, axis=target), idx).ravel())
-            p.flags.writeable = False
-    return tuple(out)
+    idx, digits = np.arange(3**width).reshape((3,) * width), np.indices((3,) * width).reshape(width, -1)
+    index = np.tile(idx.ravel().astype(np.int8), (4, 3, 3, width, width, 1))  # 3^width <= 27 states
+    sign = np.zeros_like(index)
+    # row i of each 3x3 generator has its single 1 in column src[g][i]
+    src = [np.abs(algebra.generator(algebra.GeneratorId[g])).argmax(axis=1) for g in ("X01", "X02", "X12", "INC")]
+    for lv, a in itertools.product(range(3), range(width)):
+        index[LOCAL_X, lv, 0, a, a] = np.take(idx, src[lv], axis=a).ravel()
+        sign[ROT, lv, 0, a, a] = np.select([digits[a] == int(LEVELS[lv][0]), digits[a] == int(LEVELS[lv][1])], [-1, 1])
+    for g, target, control, value in itertools.product(range(4), range(width), range(width), range(3)):
+        if target != control:
+            fires = (np.arange(3) == value).reshape([3 if a == control else 1 for a in range(width)])
+            index[CINC if g == 3 else GCX, g % 3, value, target, control] = np.where(
+                fires, np.take(idx, src[g], axis=target), idx).ravel()
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
+
+
+def _doubling(first: np.ndarray, rows: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The rounds that fold each group of consecutive rows into its first row, pairwise.
+
+    Group g is rows ``first[g]`` up to the next group's first row (the last
+    up to ``rows``).  Round h is a pair (left, right = left + h) of index
+    arrays: the rows at an offset in their group divisible by 2h that have
+    h more rows of it after them.  Folding each right row into its left row,
+    round by round, leaves each group's first row holding all of the group.
+    """
+    if not rows:
+        return []
+    count = np.empty_like(first)
+    count[:-1], count[-1] = first[1:] - first[:-1], rows - first[-1]
+    pos = np.arange(rows) - np.repeat(first, count)  # offset in its group
+    rest = np.repeat(count, count) - pos  # rows from it to its group's end
+    rounds, h = [], 1
+    while len(left := ((pos & (2 * h - 1) == 0) & (rest > h)).nonzero()[0]):
+        rounds.append((left, left + h))
+        h *= 2
+    return rounds
+
+
+def _stretch_products(op, level, axis, angle, first: np.ndarray) -> np.ndarray:
+    """The 3x3 product of each stretch of one-qutrit rows (stretch g from row ``first[g]``), later rows on the left.
+
+    The rows' matrices are laid out as (3, 3, rows), so that each pairwise
+    round (:func:`_doubling`) multiplies all its pairs in one ``einsum``.
+    """
+    mats = algebra.rotations_by_code(3 * axis + level, angle)
+    x = op == LOCAL_X
+    mats[x] = _LOCAL_X[level[x]]
+    mats = np.ascontiguousarray(mats.transpose(1, 2, 0))  # entry (i, j) of every factor in a row of its own
+    for left, right in _doubling(first, len(op)):  # row E then row L: L @ E
+        mats[..., left] = np.einsum("ijs,jks->iks", mats.take(right, axis=2), mats.take(left, axis=2))
+    return mats.take(first, axis=2).transpose(2, 0, 1)
+
+
+def _regions(index: np.ndarray, alpha: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each region of monomial rows (region g from row ``first[g]``) as one gather index and one phase per state.
+
+    Row r maps a run matrix m to ``exp(1j * alpha[r])[:, None] * m[index[r]]``,
+    and row L after row E composes to (p_E[p_L], a_L + a_E[p_L]), pairwise
+    (:func:`_doubling`); each region's angles take one ``exp`` at the end.
+    """
+    for left, right in _doubling(first, len(index)):
+        at = (left * index.shape[1])[:, None] + index[right]  # the flat positions of p_E[p_L]
+        a = alpha.take(at)
+        a += alpha[right]
+        alpha[left] = a
+        index[left] = index.take(at)
+    return index[first], np.exp(1j * alpha[first])[:, :, None]
 
 
 def _apply_run(u: np.ndarray, m: np.ndarray, axes: list[int]) -> np.ndarray:
@@ -349,22 +415,32 @@ def eval_circuit(c: Circuit) -> np.ndarray:
     """Exact 3^n x 3^n unitary of the circuit (later gates multiply on the left).
 
     Global phases are summed apart (:func:`_sum_angles`).  The rest is
-    simulated in steps: one 3x3 product per stretch, a maximal sequence of
-    one-qutrit gates on one qutrit with no GCX/CINC between them, and one
-    cached row permutation per GCX/CINC (:func:`_permutations`).  The table
-    is walked once, :data:`_CHUNK` rows at a time: the chunk's rotation
-    matrices and stretch products are made with array operations, then its
-    steps are applied in order to a run, a 3^k x 3^k matrix on at most
+    simulated in steps: a stretch, a maximal sequence of one-qutrit gates
+    on one qutrit with no GCX/CINC between them, or a GCX/CINC.  The table
+    is walked once, :data:`_CHUNK` rows at a time, and the steps are
+    applied in order to a run, a 3^k x 3^k matrix on at most
     k = min(n, :data:`RUN_QUTRITS`) qutrits.  When a step would take the
     run past k qutrits, the run is applied to the full unitary with one
     ``tensordot`` (:func:`_apply_run`) and a new one starts; nothing of it
     is kept.  A run's axes are its qutrits in first-touch order, padded
     with the lowest untouched ones, and a run carries over from one chunk
     to the next.
+
+    Per chunk, one Python pass over the steps finds the cuts and the axes;
+    the rest is array operations, and the chunk's steps are applied as
+    items of two kinds.  A stretch with an x or y rotation is general: the
+    products of all such stretches are made together
+    (:func:`_stretch_products`), and each is applied with one matmul.
+    Every other step is monomial, a gather of the run matrix's rows and a
+    phase per row (:func:`_monomials`), and a region, a maximal sequence of
+    monomial steps in one run and chunk, is one item: all the chunk's
+    regions are composed together (:func:`_regions`), and each is applied
+    as ``phase[:, None] * m.take(index, axis=0)``.
     """
     n, d, t = c.n, 3**c.n, c.table
     k = min(n, RUN_QUTRITS)
-    perms, shapes = _permutations(k), [(3**a, 3, -1) for a in range(k)]
+    index, sign = _monomials(k)
+    shapes = [(3**a, 3, -1) for a in range(k)]
     u = np.eye(d, dtype=complex).reshape((3,) * n + (d,))
     m = eye = np.eye(3**k, dtype=complex)
     local = {}  # the run's qutrits so far, in first-touch order, to their axes in the run
@@ -374,37 +450,50 @@ def eval_circuit(c: Circuit) -> np.ndarray:
 
     for s in range(0, len(t), _CHUNK):
         rows = t[s : s + _CHUNK]
-        op, q0, level = rows["op"], rows["q0"], rows["level"]
-        two = (op == GCX) | (op == CINC)
-        one = np.flatnonzero(op <= LOCAL_X)
-        qutrit, before = q0[one], np.cumsum(two)[one]  # per one-qutrit row: its qutrit, two-qutrit rows before it
-        first = np.ones(len(one), dtype=bool)  # a stretch starts at a new qutrit or past a two-qutrit row
-        first[1:] = (qutrit[1:] != qutrit[:-1]) | (before[1:] != before[:-1])
-        st = np.flatnonzero(first)
-        at = two.copy()  # the rows that start a step: each stretch's first row and each GCX/CINC
-        at[one[st]] = True
-        at = np.flatnonzero(at)
-        lv, x = level[one], op[one] == LOCAL_X
-        mats = algebra.rotations_by_code(3 * rows["axis"][one] + lv, rows["angle"][one])
-        mats[x] = _LOCAL_X[lv[x]]
-        ln = np.diff(st, append=len(one))
-        prods = mats[st]  # factor j of every stretch longer than j, in one batched matmul per j
-        for j in range(1, ln.max(initial=0)):
-            longer = np.flatnonzero(ln > j)
-            prods[longer] = mats[st[longer] + j] @ prods[longer]
-        prods = iter(prods)
-        # per step, its _permutations index but for the part its qutrits' axes add
-        bases = np.where(op[at] == CINC, 3, level[at]) * (3 * k * k) + rows["value"][at]
-        for a, b, base in zip(q0[at].tolist(), rows["q1"][at].tolist(), bases.tolist()):
+        rows = rows.view(_ROW)[rows["op"] != PHASE].view(GATE_DTYPE)  # phases are summed apart
+        if not len(rows):
+            continue
+        op, q0, q1, level, axis, angle = (rows[name] for name in ("op", "q0", "q1", "level", "axis", "angle"))
+        two = op >= GCX
+        first = np.ones(len(rows), dtype=bool)  # a step starts at a GCX/CINC, past one, or at a new qutrit
+        first[1:] = two[1:] | two[:-1] | (q0[1:] != q0[:-1])
+        st = first.nonzero()[0]
+        step = np.cumsum(first) - 1  # per row, its step
+        general = np.logical_or.reduceat((op == ROT) & (axis != 2), st)
+        runs, cut = [local], np.zeros(len(st), dtype=bool)  # the runs the steps fall in; the steps that cut one
+        for i, (a, b) in enumerate(zip(q0[st].tolist(), q1[st].tolist())):
             if a not in local or b not in local:  # only a step that brings in a qutrit can cut
                 if len(local) + (a not in local) + (b != a and b not in local) > k:
-                    u, m, local = _apply_run(u, m, padded(local)), eye, {}
+                    runs.append(local := {})
+                    cut[i] = True
                 local.setdefault(a, len(local))
                 local.setdefault(b, len(local))
-            if a == b:
-                m = np.matmul(next(prods), m.reshape(shapes[local[a]])).reshape(eye.shape)
+        axis_of = np.zeros((len(runs), n), dtype=np.intp)  # per run, each qutrit's axis in it
+        for r, run in enumerate(runs):
+            axis_of[r, list(run)] = range(len(run))
+        in_run = np.cumsum(cut)[step]  # per row, its run's place in runs
+        ja, jb = axis_of[in_run, q0], axis_of[in_run, q1]  # per row, the axes of its qutrit (or control) and target
+        item = general | cut  # the steps that start an item: a general stretch, or a region
+        item[1:] |= general[:-1]
+        item[0] = True
+
+        in_general = general[step]
+        rot = in_general.nonzero()[0]  # the rows of general stretches
+        prods = _stretch_products(op[rot], level[rot], axis[rot], angle[rot], np.searchsorted(rot, st[general]))
+        mono = (~in_general).nonzero()[0]  # the rows of regions
+        fields = (op[mono], level[mono], rows["value"][mono], jb[mono], ja[mono])
+        half = 0.5 * angle[mono]  # reduced to (-pi, pi] by its sine and cosine first, so no sum overflows
+        sigmas, phases = _regions(index[fields], sign[fields] * np.arctan2(np.sin(half), np.cos(half))[:, None],
+                                  np.searchsorted(mono, st[item & ~general]))
+
+        prods, sigmas, phases, done = iter(prods), iter(sigmas), iter(phases), iter(runs)
+        for g, cuts, j in zip(general[item].tolist(), cut[item].tolist(), ja[st[item]].tolist()):
+            if cuts:
+                u, m = _apply_run(u, m, padded(next(done))), eye
+            if g:
+                m = np.matmul(next(prods), m.reshape(shapes[j])).reshape(eye.shape)
             else:
-                m = m.take(perms[base + 3 * (k * local[b] + local[a])], axis=0)
+                m = next(phases) * m.take(next(sigmas), axis=0)
     u = _apply_run(u, m, padded(local))
     phase = _sum_angles(t["angle"][t["op"] == PHASE])
     return np.exp(1j * phase) * np.ascontiguousarray(u).reshape(d, d)

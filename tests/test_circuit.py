@@ -330,12 +330,12 @@ def test_eval_matches_dense_gate_product(n):
     assert np.max(np.abs(got - _dense_product(gates, n))) <= 1e-13
 
 
-def _segment(qs: tuple[int, ...], rng: np.random.Generator) -> list:
+def _segment(qs: tuple[int, ...], rng: np.random.Generator, axes: str = "xyz") -> list:
     """Gates first touching the qutrits ``qs`` in that order, with rotations
-    pending on both ends of every two-qutrit gate and at the end."""
+    (about ``axes``) pending on both ends of every two-qutrit gate and at the end."""
 
     def rot(q):
-        return Rotation("xyz"[rng.integers(0, 3)], LEVELS[rng.integers(0, 3)], q,
+        return Rotation(axes[rng.integers(0, len(axes))], LEVELS[rng.integers(0, 3)], q,
                         float(rng.uniform(-7, 7)))
 
     gates = [rot(q) for q in qs] + [LocalX(LEVELS[rng.integers(0, 3)], qs[0])]
@@ -367,15 +367,20 @@ def test_eval_hand_placed_runs(n, monkeypatch):
     got = eval_circuit(Circuit(n, tuple(gates)))
     assert seen == _RUN_AXES[n]
     assert got.shape == (3**n, 3**n) and got.dtype == np.complex128 and got.flags.c_contiguous
-    if n == 4:
-        assert np.max(np.abs(got - _dense_product(gates, n))) <= 1e-13
+    _assert_gate_by_gate(got, gates, n, rng, 1e-13 if n == 4 else 1e-12)
+
+
+def _assert_gate_by_gate(got: np.ndarray, gates: list, n: int, rng: np.random.Generator, tol: float = 1e-12):
+    """``got`` against the gates' dense product, or at n=5 against the gates
+    applied one by one to three seeded vectors."""
+    if n < 5:
+        assert np.max(np.abs(got - _dense_product(gates, n))) <= tol
         return
-    # n=5: the gates applied one by one to three seeded vectors
     v = rng.standard_normal((3**n, 3)) + 1j * rng.standard_normal((3**n, 3))
     want = v
     for g in gates:
         want = gate_matrix(g, n) @ want
-    assert np.max(np.abs(got @ v - want)) <= 1e-12
+    assert np.max(np.abs(got @ v - want)) <= tol
 
 
 @pytest.mark.parametrize("spill", [0, 1, 20])
@@ -415,8 +420,10 @@ def test_eval_matches_dense_product_across_chunks():
 
 def test_eval_keeps_nothing_of_an_applied_run():
     # each run is applied as it is cut, so the peak is a few copies of the
-    # 81x81 unitary (~0.1 MB each) and one chunk's rotation matrices and
-    # stretch products (~0.1 MB)
+    # 81x81 unitary (~0.1 MB each) and one chunk's arrays: the 3x3 matrices
+    # of its general stretches (~0.1 MB), and a (rows, 27) array each of its
+    # monomial rows' gather indices (int8), their angles and the flat
+    # positions of one doubling round (up to ~0.2 MB each)
     circ, _ = synthesize(haar_unitary(81, np.random.default_rng(1)))
     tracemalloc.start()
     try:
@@ -488,7 +495,7 @@ def test_replayed_eval_equals_a_cold_one(kind, n, gate_set):
     c, report = synthesize(m, SynthesisOptions(gate_set=gate_set))  # its verification evaluated c
     warm = eval_circuit(c)
     assert unitary_distance(warm, m) == report.distance
-    circuit._permutations.cache_clear()
+    circuit._monomials.cache_clear()
     assert eval_circuit(c).tobytes() == warm.tobytes()
 
 
@@ -502,6 +509,102 @@ def test_eval_of_a_table_one_field_off_a_stored_skeleton_misses(field):
     gates[i] = Gcx(g.control, value, target, g.level)
     got = eval_circuit(Circuit(4, tuple(gates)))
     assert np.max(np.abs(got - _dense_product(gates, 4))) <= 1e-13
+
+
+def _monomial_gates(n: int, length: int, rng: np.random.Generator) -> list:
+    """Seeded z rotations, LocalX, GCX, CINC and phases: every step is monomial, so every run is regions alone."""
+    gates = []
+    for _ in range(length):
+        kind, q, lv = int(rng.integers(0, 5 if n > 1 else 3)), int(rng.integers(0, n)), LEVELS[rng.integers(0, 3)]
+        if kind == 0:
+            gates.append(Rotation("z", lv, q, float(rng.uniform(-7, 7))))
+        elif kind == 1:
+            gates.append(LocalX(lv, q))
+        elif kind == 2:
+            gates.append(GlobalPhase(float(rng.uniform(-3, 3))))
+        else:
+            t, v = (q + int(rng.integers(1, n))) % n, int(rng.integers(0, 3))
+            gates.append(Gcx(q, v, t, lv) if kind == 3 else Cinc(q, v, t))
+    return gates
+
+
+def _xy_gates(n: int, length: int, rng: np.random.Generator) -> list:
+    """Seeded x and y rotations: every step is a general stretch, so no run has a region."""
+    return [Rotation("xy"[rng.integers(0, 2)], LEVELS[rng.integers(0, 3)], int(rng.integers(0, n)),
+                     float(rng.uniform(-7, 7))) for _ in range(length)]
+
+
+@pytest.mark.parametrize("build", [_monomial_gates, _xy_gates], ids=["monomial", "xy"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_eval_of_regions_alone_and_of_general_stretches_alone(n, build):
+    rng = np.random.default_rng(500 + n)
+    gates = build(n, 300, rng)
+    _assert_gate_by_gate(eval_circuit(Circuit(n, tuple(gates))), gates, n, rng)
+
+
+def test_eval_region_across_a_chunk_boundary():
+    # general stretches up to 5 rows before the chunk's edge, then monomial steps
+    # only (each two-qutrit gate starts a step of its own) up to 5 rows past it
+    rng = np.random.default_rng(600)
+    lead = _xy_gates(3, circuit._CHUNK - 5, rng)
+    region = [Gcx(0, 1, 1, "01"), Rotation("z", "02", 2, 1.3), Cinc(1, 2, 0), LocalX("12", 2), GlobalPhase(0.4),
+              Gcx(2, 0, 1, "12"), Rotation("z", "12", 0, -0.8), Cinc(0, 0, 2), Rotation("z", "01", 1, 2.9),
+              Gcx(1, 2, 2, "02")]
+    gates = lead + region + _xy_gates(3, 20, rng)
+    _assert_gate_by_gate(eval_circuit(Circuit(3, tuple(gates))), gates, 3, rng)
+
+
+def test_eval_region_of_huge_z_angles():
+    # a region's z angles are summed, each reduced first: finite angles whose sum
+    # would overflow, or lose the phase to rounding, still simulate to the gates
+    gates = [Rotation("z", "01", 0, 1e308), Rotation("z", "01", 0, 1e308), Gcx(0, 1, 1, "02"),
+             Rotation("z", "12", 1, -1.7e308), LocalX("02", 1), Rotation("z", "02", 1, 3e15),
+             Rotation("z", "02", 1, 1e10)]
+    assert np.max(np.abs(eval_circuit(Circuit(2, tuple(gates))) - _dense_product(gates, 2))) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_eval_regions_end_at_run_cuts(n, monkeypatch):
+    # the hand-placed runs with z rotations alone: one region would span each cut
+    rng = np.random.default_rng(700 + n)
+    gates = [g for qs in _RUNS[n] for g in _segment(qs, rng, axes="z")]
+    seen = []
+    apply_run = circuit._apply_run
+    monkeypatch.setattr(circuit, "_apply_run", lambda u, m, axes: seen.append(tuple(axes)) or apply_run(u, m, axes))
+    got = eval_circuit(Circuit(n, tuple(gates)))
+    assert seen == _RUN_AXES[n]
+    _assert_gate_by_gate(got, gates, n, rng)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_eval_sees_every_row(n):
+    # a synthesized circuit with one row dropped, of each kind, or one z angle moved by 1e-6,
+    # no longer simulates to its input: no row of a region or a stretch goes missing
+    m = haar_unitary(3**n, np.random.default_rng(n))
+    c, report = synthesize(m, SynthesisOptions(gate_set=GateSet.GCX_CINC))
+    assert report.distance < 1e-10
+    t = c.table
+    kept = np.flatnonzero(t["op"] != circuit.PHASE)
+    op, q0, axis, angle = (t[name][kept] for name in ("op", "q0", "axis", "angle"))
+    one = op <= circuit.LOCAL_X
+    # a z rotation with no one-qutrit gate on its qutrit next to it is a stretch of its own, so in a region
+    alone = one & np.r_[True, ~one[:-1] | (q0[:-1] != q0[1:])] & np.r_[~one[1:] | (q0[1:] != q0[:-1]), True]
+    z = (op == circuit.ROT) & (axis == 2)
+    xy = (op == circuit.ROT) & (axis != 2)
+    weight = np.abs(np.sin(angle / 4))  # 0 only where the rotation is the identity
+
+    def pick(mask: np.ndarray) -> int:
+        assert mask.any()
+        return int(kept[np.flatnonzero(mask)[np.argmax(weight[mask])]])
+
+    rows = {"z in a region": pick(z & alone), "gcx": pick(op == circuit.GCX), "cinc": pick(op == circuit.CINC),
+            "local x": pick(op == circuit.LOCAL_X), "x/y in a stretch": pick(xy & ~alone)}
+    mutants = {f"without {kind}": np.delete(t, i) for kind, i in rows.items()}
+    moved = t.copy()
+    moved["angle"][rows["z in a region"]] += 1e-6
+    mutants["z moved by 1e-6"] = moved
+    for kind, table in mutants.items():
+        assert unitary_distance(eval_circuit(Circuit(n, table)), m) > 1e-7, kind
 
 
 # ---------------------------------------------------------------------------

@@ -125,10 +125,13 @@ def rotations_by_code(code: np.ndarray, thetas) -> np.ndarray:
     is_z = ax == 2
     # x: [[c, -is], [-is, c]]   y: [[c, -s], [s, c]]   z: diag(e^{-i half}, e^{i half})
     off = np.where(ax == 0, -1j * s, -s)
+    # e^{-i half} set field by field and e^{i half} as c + i s: bit for bit np.exp's.
+    z_minus = np.empty(half.size, dtype=complex)
+    z_minus.real, z_minus.imag = c, -s
     r = np.arange(half.size)
     m = np.zeros((half.size, 3, 3), dtype=complex)
-    m[r, i, i] = np.where(is_z, np.exp(-1j * half), c)
-    m[r, j, j] = np.where(is_z, np.exp(1j * half), c)
+    m[r, i, i] = np.where(is_z, z_minus, c)
+    m[r, j, j] = np.where(is_z, c + 1j * s, c)
     m[r, i, j] = np.where(is_z, 0.0, off)
     m[r, j, i] = np.where(is_z, 0.0, np.where(ax == 0, off, s))
     m[r, k, k] = 1.0

@@ -18,11 +18,11 @@ stack of those blocks, never as a zero-padded 3p x 3p matrix.
 
 Level j of the recursion holds 9^j independent matrices, so every step
 also takes a (k, d, d) stack: :func:`factorize_stack` runs one level
-for a whole stack in one pass of array operations, with only the LAPACK
-drivers looping per matrix, and returns one stack per chain factor;
-:func:`factorize` is its one-matrix case, read off as a node.  Steps
-are called through this module's names (``csd``, ``unitary_eig``,
-``split_off_*``), so they can be wrapped from outside.
+for a whole stack in two ``csd`` and two ``unitary_eig`` passes (see
+there), with only the LAPACK drivers looping per matrix, and returns
+one stack per chain factor; :func:`factorize` is its one-matrix case,
+read off as a node.  Kernels are called through this module's names
+(``csd``, ``unitary_eig``, ``split_off_d``), so they can be wrapped.
 """
 
 from __future__ import annotations
@@ -122,9 +122,10 @@ def _mix_columns(a: np.ndarray, kind: str, angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def _worst(a: np.ndarray) -> np.ndarray:
-    """Max-abs entry of each item of a stack, shape (k,)."""
-    return np.abs(a).max(axis=tuple(range(1, a.ndim)))
+def _worst(a: np.ndarray, target: np.ndarray, lead: int = 1) -> np.ndarray:
+    """Max-abs entry of a - target over all but the ``lead`` leading axes; a is overwritten."""
+    a -= target
+    return np.abs(a).max(axis=tuple(range(lead, a.ndim)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,26 +137,23 @@ def _worst(a: np.ndarray) -> np.ndarray:
 # (3, p, p) block stack, so a stack of them is (k, 3, p, p).
 
 
-def stage1(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def stage1(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split U = L . exp(-i sx01 (x) diag(theta)) . R† at partition (p, 2p).
 
-    L and R are block diagonal over (p, 2p).  The CSD middle factor is
-    real; scaling the second block column of both L and R by i turns it
-    into the generator exponential with -i*sin off-diagonals.  The other
-    columns are scaled by 1, as ``x * (1+0j)`` makes an imaginary -0.0
-    +0.0, and signs of zeros pick eigenbases on degenerate splits.
+    Returns L and R as one (2, ..., d, d) buffer, and theta.  L and R are
+    block diagonal over (p, 2p).  The CSD middle factor is real; scaling
+    the second block column of both L and R by i turns it into the
+    generator exponential with -i*sin off-diagonals.  The other columns
+    are scaled by 1, as ``x * (1+0j)`` makes an imaginary -0.0 +0.0, and
+    signs of zeros pick eigenbases on degenerate splits.
     """
-    d = u.shape[-1]
-    p = d // 3
+    p = u.shape[-1] // 3
     res = csd(u, p, 2 * p)
-    phase = np.repeat((1.0, 1j, 1.0), p)
-    left = np.zeros(u.shape, dtype=complex)
-    left[..., :p, :p] = res.l1
-    left[..., p:, p:] = res.l2
-    right = np.zeros(u.shape, dtype=complex)
-    right[..., :p, :p] = res.r1
-    right[..., p:, p:] = res.r2
-    return left * phase, res.theta, right * phase
+    lr = np.zeros((2, *u.shape), dtype=complex)
+    lr[0, ..., :p, :p], lr[0, ..., p:, p:] = res.l1, res.l2
+    lr[1, ..., :p, :p], lr[1, ..., p:, p:] = res.r1, res.r2
+    lr *= np.repeat((1.0, 1j, 1.0), p)
+    return lr, res.theta
 
 
 def stage2(l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,32 +167,34 @@ def stage2(l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     p = l.shape[-1] // 3
     res = csd(l[..., p:, p:], p, p)
-    left3 = np.stack((l[..., :p, :p], res.l1, 1j * res.l2), axis=-3)
-    right3 = np.stack((res.r1, res.r1, 1j * res.r2), axis=-3)
-    right3[..., 0, :, :] = np.eye(p)  # the first r1 only set block 0's shape
+    left3, right3 = np.empty((2, *l.shape[:-2], 3, p, p), dtype=complex)
+    left3[..., 0, :, :], left3[..., 1, :, :] = l[..., :p, :p], res.l1
+    right3[..., 0, :, :], right3[..., 1, :, :] = np.eye(p), res.r1
+    np.multiply(1j, res.l2, out=left3[..., 2, :, :])
+    np.multiply(1j, res.r2, out=right3[..., 2, :, :])
     return left3, res.theta, right3
 
 
-def rearrange(
-    k1: np.ndarray, k2: np.ndarray, k3: np.ndarray, k4: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def rearrange(k1: np.ndarray, k2: np.ndarray, k3: np.ndarray, k4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Regroup four block stacks around the fixed mixing factors.
 
     Factors of the form diag(X, I, I) slide through the blocks-1/2 mixers
     and diag(I, I, X) through the blocks-0/1 mixer, so each K can donate
     a block to its right neighbour.  The product K1.x12.K2.x01.K3.x12.K4
-    (mixer angles arbitrary) is preserved exactly, while the outputs
-    gain the shapes the splitters need: K1', K3' get equal blocks 0 and
-    1; K2' gets equal blocks 1 and 2.
+    (mixer angles arbitrary) is preserved exactly by K1' = diag(B0, B0, A0),
+    K2' = diag(A1, B1, B1), K3' = diag(B2, B2, A2) and K4' = diag(Z, A3, B3),
+    whose shapes the splitters need: each split factors its A B†.  Returns
+    the (4, ..., 2, p, p) buffer of the pairs (A, B), and Z.
     """
-    (u11, u12, u13), (u21, u22, u23), (u31, u32, u33), (u41, u42, u43) = (
+    (u11, u12, _), (u21, u22, u23), (u31, u32, u33), (u41, _, _) = (
         [k[..., i, :, :] for i in range(3)] for k in (k1, k2, k3, k4)
     )
-    k1n = np.stack((u12, u12, u13), axis=-3)
-    k2n = np.stack((u12.conj().mT @ u11 @ u21, u22, u22), axis=-3)
-    k3n = np.stack((u32, u32, u22.conj().mT @ u23 @ u33), axis=-3)
-    k4n = np.stack((u32.conj().mT @ u31 @ u41, u42, u43), axis=-3)
-    return k1n, k2n, k3n, k4n
+    ab = np.empty((4, *k1.shape[:-3], 2, *k1.shape[-2:]), dtype=complex)
+    ab[0] = k1[..., :0:-1, :, :]  # (u13, u12)
+    ab[1, ..., 0, :, :], ab[1, ..., 1, :, :] = u12.conj().mT @ u11 @ u21, u22
+    ab[2, ..., 0, :, :], ab[2, ..., 1, :, :] = u22.conj().mT @ u23 @ u33, u32
+    ab[3] = k4[..., 1:, :, :]  # (u42, u43)
+    return ab, u32.conj().mT @ u31 @ u41
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +202,13 @@ def rearrange(
 # ---------------------------------------------------------------------------
 
 
-def _split_conjugated_diag(prod: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V and lam with prod = V exp(-2i lam) V†, lam in (-pi/2, pi/2]."""
-    eig = unitary_eig(prod)
-    lam = -eig.phases / 2.0
+def _split_conjugated_diag(prod: np.ndarray, sign: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V, lam in (-pi/2, pi/2] and diag(exp(sign lam)) V† with prod = V exp(-2i lam) V†, any leading axes."""
+    eig = unitary_eig(prod.reshape(-1, *prod.shape[-2:]))
+    v = eig.vectors.reshape(prod.shape)
+    lam = -eig.phases.reshape(prod.shape[:-1]) / 2.0
     lam[lam <= -np.pi / 2] += np.pi
-    return eig.vectors, lam
+    return v, lam, _diag_matrix(np.exp(sign * lam)) @ v.conj().mT
 
 
 def split_off_z12(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,8 +219,8 @@ def split_off_z12(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     blocks, ready for :func:`split_off_d`.
     """
     u1, u2, u3 = (k[..., i, :, :] for i in range(3))
-    v, lam = _split_conjugated_diag(u2 @ u3.conj().mT)
-    w = _diag_matrix(np.exp(1j * lam)) @ v.conj().mT @ u2
+    v, lam, vw = _split_conjugated_diag(u2 @ u3.conj().mT, 1j)
+    w = vw @ u2
     rest = np.stack((v.conj().mT @ u1, w, w), axis=-3)
     return v, lam, rest
 
@@ -236,9 +237,17 @@ def split_off_dbar(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _split_off_outer(p_blk: np.ndarray, q_blk: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The d / dbar split from its outer block P and one copy of its repeated block Q."""
-    v, lam = _split_conjugated_diag(p_blk @ q_blk.conj().mT)
-    w = _diag_matrix(np.exp(-1j * lam)) @ v.conj().mT @ q_blk
-    return v, lam, w
+    v, lam, vw = _split_conjugated_diag(p_blk @ q_blk.conj().mT, -1j)
+    return v, lam, vw @ q_blk
+
+
+# i times the sign of lam in each W of the split pass: dbar, d, dbar, z12.
+_SPLIT_SIGNS = 1j * np.array([-1, -1, -1, 1])[:, None, None]
+
+
+def _pair_worst(v: np.ndarray, phases: np.ndarray, w: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    """Each line's worst entry of V diag(phases) W - (A, B); phases is (..., 2, p)."""
+    return _worst((v[..., None, :, :] * phases[..., None, :]) @ w[..., None, :, :], ab, phases.ndim - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +322,11 @@ def _qutrit_count(d: int) -> int | None:
 def factorize_stack(ms: np.ndarray, absorb: bool = False) -> tuple[list[tuple[str, np.ndarray]], dict[str, np.ndarray]]:
     """One full level for each matrix of a (k, 3^n, 3^n) stack, n >= 2.
 
-    Every step runs once over the whole stack: one pass of array
-    operations plus the per-matrix LAPACK calls.  Returns the chain in
+    Four kernel passes over stacks, each followed by its residual checks:
+    ``csd`` of the k matrices (stage 1) and of their L and R halves (2k
+    lines, stage 2); ``unitary_eig`` of the dbar, d, dbar and z12 splits
+    of the rearranged blocks (4k lines) and of the d split that the z12
+    split leaves (k lines).  Returns the chain in
     matrix-product order as 17 ``(kind, stack)`` pairs (K factors
     (k, p, p), angle factors (k, p), p = 3^(n-1)) and each step's worst
     residual as a (k,) array by name; line i is what ``ms[i]`` alone
@@ -334,21 +346,21 @@ def factorize_stack(ms: np.ndarray, absorb: bool = False) -> tuple[list[tuple[st
     if defect > UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
 
+    k, p = len(ms), ms.shape[-1] // 3
     residuals: dict[str, np.ndarray] = {}
 
-    left, th_a, right = stage1(ms)
-    residuals["stage1"] = _worst(_mix_columns(left, "x01", th_a) @ right.conj().mT - ms)
+    lr, th_a = stage1(ms)
+    residuals["stage1"] = _worst(_mix_columns(lr[0], "x01", th_a) @ lr[1].conj().mT, ms)
 
-    # From here on every K is a (k, 3, p, p) block stack.
-    k1p, th_l, r3 = stage2(left)
-    k2p = r3.conj().mT
-    residuals["stage2_left"] = _worst(_mix_columns(_block_diag(k1p), "x12", th_l) @ _block_diag(k2p) - left)
-    l3r, th_r_raw, r3r = stage2(right)
-    k3p = r3r
-    k4p = l3r.conj().mT
-    th_r = -th_r_raw
-    r3r_h = _block_diag(r3r).conj().mT
-    residuals["stage2_right"] = _worst(_mix_columns(_block_diag(l3r), "x12", th_r_raw) @ r3r_h - right)
+    # One stage-2 pass splits L (lines [0, k)) and R (lines [k, 2k)).  From
+    # here on every K is a (k, 3, p, p) block stack.  Each half is checked
+    # on its own, so no dense temporary outgrows a (k, 3p, 3p) stack.
+    l3, th_lr, r3 = stage2(lr.reshape(2 * k, 3 * p, 3 * p))
+    r3h = r3.conj().mT
+    for key, half, x in zip(("stage2_left", "stage2_right"), (slice(0, k), slice(k, None)), lr):
+        residuals[key] = _worst(_mix_columns(_block_diag(l3[half]), "x12", th_lr[half]) @ _block_diag(r3h[half]), x)
+    k1p, k2p, k3p, k4p = l3[:k], r3h[:k], r3[k:], l3[k:].conj().mT
+    th_l, th_r = th_lr[:k], -th_lr[k:]
 
     if absorb:
         # Fold each absorbed factor's sign diagonal into the K on its left as
@@ -356,42 +368,44 @@ def factorize_stack(ms: np.ndarray, absorb: bool = False) -> tuple[list[tuple[st
         # with the dense diagonal does: on degenerate splits the signs of
         # exact zeros decide which eigenbasis LAPACK returns, so without it
         # some structured inputs get other (equally valid) circuits.
-        p = ms.shape[-1] // 3
         za1 = _absorption_signs("x12", p)[:, None, :]
         za = _absorption_signs("x01", p)[:, None, :]
         k1p = k1p * za1 + 0.0
         k2p = k2p * za + 0.0
         k3p = k3p * za1 + 0.0
 
-    k1n, k2n, k3n, k4n = rearrange(k1p, k2p, k3p, k4p)
+    # One eigen-split pass for the four splits of the rearranged blocks,
+    # group g on lines [gk, (g+1)k): dbar of K1', d of K2', dbar of K3' and
+    # z12 of K4', each of A B† for its pair (A, B) (see rearrange).  A split
+    # leaves W = diag(exp(-i lam)) V† B, the z12 split diag(exp(i lam)) V† A.
+    ab, z = rearrange(k1p, k2p, k3p, k4p)
+    a, b = ab[:, :, 0], ab[:, :, 1]
+    v, lam, vw = _split_conjugated_diag(a @ b.conj().mT, _SPLIT_SIGNS)
+    w = np.empty((5, k, p, p), dtype=complex)  # the four W, then the z12 split's V†Z
+    np.matmul(vw[:3], b[:3], out=w[:3])
+    np.matmul(vw[3], a[3], out=w[3])
+    np.matmul(v[3].conj().mT, z, out=w[4])
+    # The z12 split leaves diag(V†Z, W, W), split on its own; k8 is its pair.
+    k8 = w[4:2:-1].swapaxes(0, 1)
+    v8, lam_d2, w8 = split_off_d(k8)
 
-    v1, lam_b1, w1 = split_off_dbar(k1n)
-    v3, lam_d1, w3 = split_off_d(k2n)
-    v5, lam_b2, w5 = split_off_dbar(k3n)
-    v7, lam_e, k8n = split_off_z12(k4n)
-    v8, lam_d2, w8 = split_off_d(k8n)
-
-    # (name, (left, kind, angles, right), target).  split_z12 alone leaves
-    # a full right block stack, k8n, which split_d_2 splits in turn.  The
-    # residual is the worst entry over the three blocks.
-    splits = (
-        ("split_dbar_1", (v1, "dbar", lam_b1, w1[:, None]), k1n),
-        ("split_d_1", (v3, "d", lam_d1, w3[:, None]), k2n),
-        ("split_dbar_2", (v5, "dbar", lam_b2, w5[:, None]), k3n),
-        ("split_z12", (v7, "z12", lam_e, k8n), k4n),
-        ("split_d_2", (v8, "d", lam_d2, w8[:, None]), k8n),
-    )
-    for name, (v, kind, lam, w), target in splits:
-        prod = (v[:, None] * _block_phases(kind, lam)[..., None, :]) @ w
-        residuals[name] = _worst(prod - target)
+    # Residuals, one array operation per pass: every split's V exp(-+i lam) W
+    # against its pair (A, B), as the phases of z12's blocks 1 and 2, and the
+    # z12 split's block 0, V V†Z against Z.
+    ph = _block_phases("z12", lam)
+    worst = _pair_worst(v, ph[:, :, 1:], w[:4], ab)
+    worst_z = _worst((v[3] * ph[3, :, 0, None, :]) @ w[4], z)
+    residuals.update(zip(("split_dbar_1", "split_d_1", "split_dbar_2"), worst[:3]))
+    residuals["split_z12"] = np.maximum(worst[3], worst_z)
+    residuals["split_d_2"] = _pair_worst(v8, _block_phases("z12", lam_d2)[:, 1:], w8, k8)
 
     # The chain in matrix-product order: the nine K block stacks
     # interleaved with the eight angle stacks of NONLOCAL_ORDER.
-    ks = (v1, w1, v3, w3, v5, w5, v7, v8, w8)
-    angles = (lam_b1, th_l, lam_d1, th_a, lam_b2, th_r, lam_e, lam_d2)
+    ks = (v[0], w[0], v[1], w[1], v[2], w[2], v[3], v8, w8)
+    angles = (lam[0], th_l, lam[1], th_a, lam[2], th_r, lam[3], lam_d2)
     chain = [("K", ks[0])]
-    for kind, lam, k in zip(NONLOCAL_ORDER, angles, ks[1:], strict=True):
-        chain += [(kind, lam), ("K", k)]
+    for kind, x, kx in zip(NONLOCAL_ORDER, angles, ks[1:], strict=True):
+        chain += [(kind, x), ("K", kx)]
     return chain, residuals
 
 

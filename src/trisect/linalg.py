@@ -11,7 +11,9 @@ own query reports (cached per shape), which is what
 are bitwise theirs without their per-call argument handling.  Both also
 take a (k, d, d) stack: the driver runs once per matrix into
 preallocated outputs, and everything around it is one array operation
-over the stack.
+over the stack.  A level of ``cartan.factorize_stack`` is two ``csd``
+passes (its k matrices, then their 2k halves) and two ``unitary_eig``
+passes (4k block products of four splits, then k of the last split).
 
 Both decompositions require a unitary input and do not check it: the
 guards run once per ``cartan.factorize_stack`` level and once per leaf

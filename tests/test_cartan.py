@@ -101,7 +101,7 @@ def test_stage1_reconstructs_with_block_diagonal_factors(d):
     rng = np.random.default_rng(d)
     p = d // 3
     u = haar_unitary(d, rng)
-    left, theta, right = stage1(u)
+    (left, right), theta = stage1(u)
     recon = left @ nonlocal_matrix("x01", theta) @ right.conj().T
     assert np.max(np.abs(recon - u)) < 1e-10
     for f in (left, right):
@@ -153,15 +153,17 @@ def test_rearrange_preserves_product_and_fixes_shapes(p):
             @ _bd(*k3) @ nonlocal_matrix("x12", c) @ _bd(*k4)
         )
 
-    k1n, k2n, k3n, k4n = rearrange(*ks)
+    ab, z = rearrange(*ks)
+    assert ab.shape == (4, 2, p, p) and z.shape == (p, p)
+    # the shapes the splitters need: K1' = diag(B0, B0, A0), K2' = diag(A1, B1, B1),
+    # K3' = diag(B2, B2, A2) and K4' = diag(Z, A3, B3)
+    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = ab
+    k1n, k2n, k3n, k4n = (b1, b1, a1), (a2, b2, b2), (b3, b3, a3), (z, a4, b4)
     assert np.max(np.abs(chain(k1n, k2n, k3n, k4n) - chain(*ks))) < 1e-12
-    # shapes required by the splitters
-    assert np.max(np.abs(k1n[0] - k1n[1])) < 1e-12
-    assert np.max(np.abs(k2n[1] - k2n[2])) < 1e-12
-    assert np.max(np.abs(k3n[0] - k3n[1])) < 1e-12
+    assert np.array_equal(a1, ks[0][2]) and np.array_equal(b1, ks[0][1])
+    assert np.array_equal(a4, ks[3][1]) and np.array_equal(b4, ks[3][2])
     for k in (k1n, k2n, k3n, k4n):
-        assert k.shape == (3, p, p)
-        assert unitarity_defect(k) < 1e-12  # every block is unitary
+        assert unitarity_defect(np.stack(k)) < 1e-12  # every block is unitary
 
 
 # ---------------------------------------------------------------------------
@@ -290,45 +292,60 @@ def test_factorize_absorbed_reconstructs(kind, n):
     assert max(node.residuals.values()) < 1e-10
 
 
-# An error of 1e-3 planted in one step, and the residuals that must see it.
+# An error of 1e-3 planted in one line group of one batched kernel call of a
+# level, by step and by the residual that must see it: (kernel, call, group).
+# Stage 1 is csd's first call; its second splits L on lines [0, k) and R on
+# [k, 2k).  unitary_eig's first call holds the four splits of the rearranged
+# blocks, group g on lines [gk, (g+1)k); its second is split_d_2 alone.
 _FAULT = 1e-3
-_FAULT_KEYS = {
-    "split_off_d": {"split_d_1", "split_d_2"},
-    "split_off_dbar": {"split_dbar_1", "split_dbar_2"},
-    "split_off_z12": {"split_z12"},
-    "csd": {"stage1", "stage2_left", "stage2_right"},
+_FAULT_SITES = {
+    "split_off_d": {"split_d_1": ("unitary_eig", 0, 1), "split_d_2": ("unitary_eig", 1, 0)},
+    "split_off_dbar": {"split_dbar_1": ("unitary_eig", 0, 0), "split_dbar_2": ("unitary_eig", 0, 2)},
+    "split_off_z12": {"split_z12": ("unitary_eig", 0, 3)},
+    "csd": {"stage1": ("csd", 0, 0), "stage2_left": ("csd", 1, 0), "stage2_right": ("csd", 1, 1)},
 }
 
 
-def _with_fault(name, original):
-    if name == "csd":
-        def shifted(u, p, q):
-            res = original(u, p, q)
-            return dataclasses.replace(res, theta=res.theta + _FAULT)
+def _with_fault(kernel, call, group, k):
+    """``cartan.<kernel>`` with _FAULT added to the angles of lines [group k, (group+1) k) of its call-th call."""
+    original = getattr(cartan, kernel)
+    field = "theta" if kernel == "csd" else "phases"
+    calls = []
 
-        return shifted
+    def faulty(u, *args):
+        res = original(u, *args)
+        calls.append(u.shape)
+        if len(calls) - 1 != call:
+            return res
+        angles = getattr(res, field).copy()
+        angles[group * k : (group + 1) * k] += _FAULT
+        return dataclasses.replace(res, **{field: angles})
 
-    def phased(k):
-        v, lam, w = original(k)
-        return v, lam, w * np.exp(1j * _FAULT)
-
-    return phased
+    return faulty, calls
 
 
 @pytest.mark.parametrize("absorb", [False, True], ids=["plain", "absorbed"])
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("name", list(_FAULT_KEYS))
+@pytest.mark.parametrize("name", list(_FAULT_SITES))
 def test_residuals_see_an_injected_fault(monkeypatch, name, n, absorb):
-    # The per-block residuals must still measure the product: a fault in
-    # one step shows in its own keys and nowhere else.
-    monkeypatch.setattr(cartan, name, _with_fault(name, getattr(cartan, name)))
-    u = haar_unitary(3**n, np.random.default_rng(20 + n))
-    residuals = factorize(u, absorb=absorb).residuals
-    for key, value in residuals.items():
-        if key in _FAULT_KEYS[name]:
-            assert 1e-4 < value < 1e-2, (key, value)
-        else:
-            assert value < 1e-10, (key, value)
+    # The residuals must still measure the product: a fault in one line
+    # group of a batched pass shows in its own key, on every line of the
+    # stack, and in no other key.
+    rng = np.random.default_rng(20 + n)
+    ms = np.stack([haar_unitary(3**n, rng) for _ in range(2)])
+    for key, (kernel, call, group) in _FAULT_SITES[name].items():
+        faulty, calls = _with_fault(kernel, call, group, len(ms))
+        with monkeypatch.context() as patch:
+            patch.setattr(cartan, kernel, faulty)
+            _, residuals = factorize_stack(ms, absorb=absorb)
+        # two passes of each kernel per level, over these many lines
+        assert [shape[0] for shape in calls] == {"csd": [2, 4], "unitary_eig": [8, 2]}[kernel]
+        for other, values in residuals.items():
+            for value in values:
+                if other == key:
+                    assert 1e-4 < value < 1e-2, (key, value)
+                else:
+                    assert value < 1e-10, (key, other, value)
 
 
 def test_factorize_rejects_bad_input():
@@ -347,13 +364,16 @@ def test_factorize_rejects_bad_input():
 @pytest.mark.parametrize("n", [2, 3])
 def test_factorize_stack_matches_single_calls(n, absorb):
     # One stacked pass gives line i of every stack exactly what a call on
-    # matrix i alone gives.  Identity and permutation inputs have degenerate
-    # splits, where any eigenbasis is valid, so those are held to
-    # reassembly only.
+    # matrix i alone gives, bit for bit: the batched kernel passes must not
+    # couple lines.  Identity, permutation, diagonal and permuted diagonal
+    # inputs have degenerate splits, where the signs of exact zeros pick
+    # the eigenbasis.
     d = 3**n
     rng = np.random.default_rng(30 + n)
     haar = [haar_unitary(d, rng) for _ in range(4)]
-    ms = np.stack(haar + [np.eye(d, dtype=complex), np.eye(d, dtype=complex)[rng.permutation(d)]])
+    perm = np.eye(d, dtype=complex)[rng.permutation(d)]
+    diag = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, d)))
+    ms = np.stack(haar + [np.eye(d, dtype=complex), perm, diag, perm @ diag])
     chain, residuals = factorize_stack(ms, absorb=absorb)
     assert [kind for kind, _ in chain] == [kind for f in NONLOCAL_ORDER for kind in ("K", f)] + ["K"]
     assert len(residuals) == 8 and all(r.shape == (len(ms),) for r in residuals.values())
@@ -366,14 +386,14 @@ def test_factorize_stack_matches_single_calls(n, absorb):
         )
         assert np.max(np.abs(reassemble(line) - m)) < 1e-10
         assert max(line.residuals.values()) < 1e-10
-        if i >= len(haar):
-            continue
         single = factorize(m, absorb=absorb)
         assert single.n == n and single.absorbed == absorb
         assert line.residuals == single.residuals
         for (kind, x), e in zip(chain, single.entries, strict=True):
             assert e.kind == kind
-            assert np.array_equal(x[i], e.matrix if kind == "K" else e.angles)
+            ref = e.matrix if kind == "K" else e.angles
+            assert x[i].shape == ref.shape
+            assert np.ascontiguousarray(x[i]).tobytes() == np.ascontiguousarray(ref).tobytes()  # signed zeros too
 
 
 def test_factorize_stack_shapes():

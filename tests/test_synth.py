@@ -784,8 +784,9 @@ def test_kernels_only_see_unitary_input_at_the_tolerance_edge(monkeypatch, n):
     assert max(node.residuals.values()) <= 1e-9
     internal = [defect for entry, defect in seen if not entry]
     assert [defect for entry, defect in seen if entry] == [unitarity_defect(m)] * 2
-    # Eight kernel calls per level (synthesize's n - 1, factorize's one), less the two entry CSDs.
-    assert len(internal) == 8 * n - 2 and max(internal) <= 1e-13
+    # Four kernel passes per level (two csd, two unitary_eig; synthesize's
+    # n - 1 levels, factorize's one), less the two entry CSDs.
+    assert len(internal) == 4 * n - 2 and max(internal) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3])

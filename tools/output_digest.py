@@ -11,7 +11,10 @@ imports ``trisect`` from ``CHECKOUT/src`` (and the input builders from
 Each case prints one line: the SHA-256 of the serialized circuit, then
 ``repr`` of the reported distance and of the split residuals.  One more
 line gives the ``check_factor_tree`` digest of the first ``factor-tree-n5``
-input of benchmark seed 0.  Then ``skeletons`` gives the SHA-256 of those
+input of benchmark seed 0, and one the SHA-256 of the chain stacks and
+residuals of ``factorize_stack(ms, absorb=False)`` (the self-test's mode)
+on a Haar unitary and the structured corpus of seed 21, at n = 2 and
+n = 3.  Then ``skeletons`` gives the SHA-256 of those
 lines with the distance dropped and each circuit's angle tokens left out
 of its text (the last token of every ``R`` and ``PHASE`` line),
 ``circuits`` that of the lines with the distance dropped, and ``total``
@@ -91,13 +94,22 @@ def main(argv: list[str]) -> int:
     tree = workloads.WORKLOADS["factor-tree-n5"]
     inp = tree.make_inputs(rng)[0]
     lines.append(f"factor-tree-n5 {tree.check(inp, tree.op(inp), rng).digest}")
-    circuits.append(lines[-1])
-    skeletons.append(lines[-1])
-    print(lines[-1])
+    corpus = workloads.structured_corpus(np.random.default_rng(21))
+    plain = hashlib.sha256()
+    for n in (2, 3):
+        ms = [haar_unitary(3**n, np.random.default_rng(n))] + [inp.matrix for inp in corpus if inp.matrix.shape[0] == 3**n]
+        chain, residuals = trisect.factorize_stack(np.stack(ms), absorb=False)
+        for x in [x for _, x in chain] + list(residuals.values()):
+            plain.update(np.ascontiguousarray(x).tobytes())
+    lines.append(f"factorize-stack-plain {plain.hexdigest()}")
+    for line in lines[-2:]:
+        circuits.append(line)
+        skeletons.append(line)
+        print(line)
     for name, part in (("skeletons", skeletons), ("circuits", circuits), ("total", lines)):
         print(name, sha("\n".join(part)))
     repeat = case_lines(echo=False)[0]
-    differ = [a for a, b in zip(lines, repeat) if a != b]  # zip stops before the factor-tree line
+    differ = [a for a, b in zip(lines, repeat) if a != b]  # zip stops before the factor-tree lines
     print("repeat identical:", f"no, first at {differ[0]}" if differ else "yes")
     print("src lines", sum(len(f.read_text().splitlines()) for f in (root / "src" / "trisect").glob("*.py")))
     return 0

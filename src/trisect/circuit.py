@@ -116,7 +116,7 @@ GATE_DTYPE = np.dtype({  # 16 bytes a row, the angle 8-byte aligned
     "offsets": [0, 4, 6, 1, 2, 3, 8],
 })
 _ROW = np.dtype((np.void, GATE_DTYPE.itemsize))  # rows as bytes: numpy moves structured rows ~10x slower
-_CHUNK = 1024  # rows turned into Python scalars at a time, so no whole column is ever a list
+_CHUNK = 2048  # rows read at a time: an n=3 circuit (~1400 rows) is one chunk, and no whole column is ever a list
 _CLASSES = (Rotation, LocalX, Gcx, Cinc, GlobalPhase)
 _AXIS = {a: i for i, a in enumerate(AXES)}
 _LEVEL = {lv: i for i, lv in enumerate(LEVELS)}
@@ -411,20 +411,22 @@ def _apply_run(u: np.ndarray, m: np.ndarray, axes: list[int]) -> np.ndarray:
     return np.moveaxis(np.tensordot(m.reshape((3,) * (2 * k)), u, axes=(range(k, 2 * k), axes)), range(k), axes)
 
 
-def eval_circuit(c: Circuit) -> np.ndarray:
-    """Exact 3^n x 3^n unitary of the circuit (later gates multiply on the left).
+def eval_circuit(c: Circuit, operand: np.ndarray | None = None) -> np.ndarray:
+    """The circuit applied to ``operand``, a (3^n, w) block; by default the identity, which gives the exact unitary.
 
-    Global phases are summed apart (:func:`_sum_angles`).  The rest is
+    An operand of another shape raises ``ValueError``.  Later gates multiply
+    on the left.  Global phases are summed apart (:func:`_sum_angles`).  The rest is
     simulated in steps: a stretch, a maximal sequence of one-qutrit gates
     on one qutrit with no GCX/CINC between them, or a GCX/CINC.  The table
     is walked once, :data:`_CHUNK` rows at a time, and the steps are
     applied in order to a run, a 3^k x 3^k matrix on at most
     k = min(n, :data:`RUN_QUTRITS`) qutrits.  When a step would take the
-    run past k qutrits, the run is applied to the full unitary with one
+    run past k qutrits, the run is applied to the block with one
     ``tensordot`` (:func:`_apply_run`) and a new one starts; nothing of it
     is kept.  A run's axes are its qutrits in first-touch order, padded
     with the lowest untouched ones, and a run carries over from one chunk
-    to the next.
+    to the next.  When n <= :data:`RUN_QUTRITS` the register is the one
+    run, qutrit q on axis q, and the steps act on the block itself.
 
     Per chunk, one Python pass over the steps finds the cuts and the axes;
     the rest is array operations, and the chunk's steps are applied as
@@ -438,12 +440,16 @@ def eval_circuit(c: Circuit) -> np.ndarray:
     as ``phase[:, None] * m.take(index, axis=0)``.
     """
     n, d, t = c.n, 3**c.n, c.table
+    u = np.eye(d, dtype=complex) if operand is None else np.asarray(operand, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != d or not u.shape[1]:
+        raise ValueError(f"operand of shape {u.shape} is not a ({d}, w) block, w >= 1")
     k = min(n, RUN_QUTRITS)
     index, sign = _monomials(k)
-    shapes = [(3**a, 3, -1) for a in range(k)]
-    u = np.eye(d, dtype=complex).reshape((3,) * n + (d,))
     m = eye = np.eye(3**k, dtype=complex)
     local = {}  # the run's qutrits so far, in first-touch order, to their axes in the run
+    if n == k:  # the register is the one run, and the block is its state
+        m, local = u, {q: q for q in range(n)}
+    u = u.reshape((3,) * n + (-1,))
 
     def padded(run: dict) -> list[int]:  # a run's qutrits, then the lowest untouched ones
         return [*run, *[q for q in range(n) if q not in run][: k - len(run)]]
@@ -491,12 +497,13 @@ def eval_circuit(c: Circuit) -> np.ndarray:
             if cuts:
                 u, m = _apply_run(u, m, padded(next(done))), eye
             if g:
-                m = np.matmul(next(prods), m.reshape(shapes[j])).reshape(eye.shape)
+                m = np.matmul(next(prods), m.reshape(3**j, 3, -1)).reshape(-1, m.shape[1])
             else:
                 m = next(phases) * m.take(next(sigmas), axis=0)
-    u = _apply_run(u, m, padded(local))
+    if n > k:
+        m = np.ascontiguousarray(_apply_run(u, m, padded(local))).reshape(d, -1)
     phase = _sum_angles(t["angle"][t["op"] == PHASE])
-    return np.exp(1j * phase) * np.ascontiguousarray(u).reshape(d, d)
+    return np.exp(1j * phase) * m
 
 
 @dataclass(frozen=True)

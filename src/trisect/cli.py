@@ -3,7 +3,7 @@
 Subcommands:
 
     synth     factor a unitary (JSON matrix file) into a simplified, verified circuit
-    verify    re-simulate a circuit file against a matrix file
+    verify    re-simulate a circuit file against a matrix file, on probe columns
     random    emit a Haar-random n-qutrit unitary as a matrix file
     counts    closed-form and measured two-qutrit gate counts
     selftest  algebraic identities, commutation tables, factorization checks
@@ -52,7 +52,6 @@ from .linalg import (
     haar_unitary,
     nearest_unitary,
     unitarity_defect,
-    unitary_distance,
 )
 from .passes import pass_fuse_cinc
 from .synth import (
@@ -64,6 +63,7 @@ from .synth import (
     expected_count,
     measured_operator_counts,
     operator_count,
+    probe_distance,
     synthesize,
 )
 
@@ -227,7 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     m, n = _load_matrix(args.matrix)
     if n != circuit.n:
         raise _BadInput(f"circuit is on {circuit.n} qutrits but the matrix is on {n}")
-    dist = unitary_distance(eval_circuit(circuit), m)
+    dist = probe_distance(circuit, m)
     ok = dist <= args.tolerance
     counts = count_gates(circuit)
     print(

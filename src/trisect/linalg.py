@@ -85,6 +85,7 @@ def nearest_unitary(a: np.ndarray) -> np.ndarray:
 def unitary_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Phase-aligned Frobenius distance  min_phi ||U - e^{i phi} V||_F.
 
+    U and V have one shape: d x d unitaries, or (d, k) blocks of probes.
     Zero iff U = e^{i phi} V; for d x d unitaries the value lies in
     [0, sqrt(2d)].  Insensitive to global phase, which the gate
     factorizations only determine up to the explicit PHASE gate.

@@ -24,7 +24,7 @@ from trisect.circuit import (
     serialize,
 )
 from trisect.linalg import haar_unitary, unitary_distance
-from trisect.synth import GateSet, SynthesisOptions, synthesize
+from trisect.synth import GateSet, SynthesisOptions, probe_distance, synthesize
 
 from oracle import gate_matrix
 from test_structured import KINDS, structured_input
@@ -397,9 +397,13 @@ def test_eval_cuts_a_run_across_a_chunk_boundary(spill, monkeypatch):
     seen = []
     apply_run = circuit._apply_run
     monkeypatch.setattr(circuit, "_apply_run", lambda u, m, axes: seen.append(tuple(axes)) or apply_run(u, m, axes))
-    got = eval_circuit(Circuit(4, tuple(gates)))
+    c = Circuit(4, tuple(gates))
+    got = eval_circuit(c)
     assert seen == _RUN_AXES[4]
     assert np.max(np.abs(got - _dense_product(gates, 4))) <= 1e-12
+    z = rng.standard_normal((81, 3)) + 1j * rng.standard_normal((81, 3))  # a block takes the same runs
+    assert np.max(np.abs(eval_circuit(c, z) - got @ z)) <= 1e-12
+    assert seen == _RUN_AXES[4] * 2
 
 
 def test_eval_matches_dense_product_across_chunks():
@@ -456,9 +460,12 @@ def test_eval_empty_circuit_is_identity():
     assert np.array_equal(eval_circuit(Circuit(2, ())), np.eye(9))
 
 
-@pytest.mark.parametrize("rows", [0, 1, circuit._CHUNK - 1, circuit._CHUNK, circuit._CHUNK + 1, 2 * circuit._CHUNK + 5])
+_EDGES = [circuit._CHUNK - 1, circuit._CHUNK, circuit._CHUNK + 1, 2 * circuit._CHUNK + 5]
+
+
+@pytest.mark.parametrize("rows", sorted({0, 1, 1023, 1024, 1025, 2053, *_EDGES}))
 def test_run_plan_has_one_record_per_chunk(rows):
-    # no chunk, one partial chunk, and tables that end on, just before and just past a chunk's edge
+    # no chunk, partial chunks, and tables that end on, just before and just past a chunk's edge
     gates = (Rotation("x", "01", 0, 0.5), Rotation("z", "12", 0, 0.25), Gcx(0, 1, 1, "12"), LocalX("02", 2))
     c = Circuit(3, (gates * rows)[:rows])
     assert np.max(np.abs(eval_circuit(c) - _dense_product(c.gates, 3))) <= 1e-12
@@ -490,11 +497,13 @@ _REPLAYS = [("haar", n) for n in (1, 2, 3, 4, 5)] + [(kind, n) for kind in KINDS
 @pytest.mark.parametrize("kind,n", _REPLAYS)
 def test_replayed_eval_equals_a_cold_one(kind, n, gate_set):
     # an eval run again, with the shared permutations that earlier evals used, equals
-    # one with them made afresh, bit for bit, and gives synthesize's distance
+    # one with them made afresh, bit for bit; the probe distance run again is synthesize's,
+    # bit for bit, and the exact distance is within tolerance
     m = haar_unitary(3**n, np.random.default_rng(n)) if kind == "haar" else structured_input(kind, n)
     c, report = synthesize(m, SynthesisOptions(gate_set=gate_set))  # its verification evaluated c
     warm = eval_circuit(c)
-    assert unitary_distance(warm, m) == report.distance
+    assert probe_distance(c, m) == report.distance
+    assert unitary_distance(warm, m) < 1e-8
     circuit._monomials.cache_clear()
     assert eval_circuit(c).tobytes() == warm.tobytes()
 

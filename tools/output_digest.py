@@ -9,7 +9,9 @@ imports ``trisect`` from ``CHECKOUT/src`` (and the input builders from
 * perfbench's structured corpus for seeds 21-23.
 
 Each case prints one line: the SHA-256 of the serialized circuit, then
-``repr`` of the reported distance and of the split residuals.  One more
+``repr`` of the reported distance (the estimate on probe columns of
+``synth.probe_distance``, so a change to the probes or to the simulation
+arithmetic moves it) and of the split residuals.  One more
 line gives the ``check_factor_tree`` digest of the first ``factor-tree-n5``
 input of benchmark seed 0, and one the SHA-256 of the chain stacks and
 residuals of ``factorize_stack(ms, absorb=False)`` (the self-test's mode)

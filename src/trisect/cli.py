@@ -3,7 +3,7 @@
 Subcommands:
 
     synth     factor a unitary (JSON matrix file) into a simplified, verified circuit
-    verify    re-simulate a circuit file against a matrix file, on probe columns
+    verify    re-simulate a circuit file against a matrix file, on probe columns (an estimate)
     random    emit a Haar-random n-qutrit unitary as a matrix file
     counts    closed-form and measured two-qutrit gate counts
     selftest  algebraic identities, commutation tables, factorization checks
@@ -47,12 +47,7 @@ from .circuit import (
     parse,
     serialize,
 )
-from .linalg import (
-    UNITARY_ATOL,
-    haar_unitary,
-    nearest_unitary,
-    unitarity_defect,
-)
+from .linalg import UNITARY_ATOL, haar_unitary, nearest_unitary, unitarity_defect
 from .passes import pass_fuse_cinc
 from .synth import (
     CITED_CINC_TOTALS,
@@ -445,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report", help="write a JSON synthesis report to this path (- for stdout)")
     sp.set_defaults(func=cmd_synth)
 
-    vp = sub.add_parser("verify", help="simulate a circuit against a matrix")
+    vp = sub.add_parser("verify", help="simulate a circuit against a matrix on probe columns (an estimate)")
     vp.add_argument("circuit", help="circuit file, or - for stdin")
     vp.add_argument("matrix", help="JSON matrix file, or - for stdin")
     vp.add_argument("--tolerance", type=_tolerance, default=SynthesisOptions().tolerance)

@@ -561,8 +561,10 @@ def _probe_block(d: int) -> np.ndarray:
 def probe_distance(c: Circuit, m: np.ndarray) -> float:
     """The circuit's distance to ``m`` on the fixed probe block Z: ``unitary_distance(C Z, m Z) / sqrt(PROBES)``.
 
-    For unit-variance complex Gaussian Z, E ||(C - m) Z||_F^2 = PROBES ||C - m||_F^2 (Freivalds; Hutchinson).  For a
-    rank-1 error the squared estimate is below a tenth of the true one with probability P(Gamma(8, 1) < 0.8) = 2.1e-6.
+    For unit-variance complex Gaussian Z, E ||(C - m) Z||_F^2 = PROBES ||C - m||_F^2 (Freivalds; Hutchinson).  At the
+    phase optimal for the exact distance, a rank-1 error's squared estimate is below a tenth of the true one with
+    probability P(Gamma(8, 1) < 0.8) = 2.1e-6; minimizing the phase on Z only lowers it.  Z is fixed: a circuit crafted
+    against it is not caught, and ``unitary_distance(eval_circuit(c), m)`` is the exact check.
     """
     z = _probe_block(3**c.n)
     return unitary_distance(eval_circuit(c, z), m @ z) / math.sqrt(PROBES)

@@ -27,6 +27,7 @@ from trisect.linalg import haar_unitary, unitary_distance
 from trisect.synth import GateSet, SynthesisOptions, probe_distance, synthesize
 
 from oracle import gate_matrix
+from test_probes import RATIO_BOUND
 from test_structured import KINDS, structured_input
 
 
@@ -498,12 +499,17 @@ _REPLAYS = [("haar", n) for n in (1, 2, 3, 4, 5)] + [(kind, n) for kind in KINDS
 def test_replayed_eval_equals_a_cold_one(kind, n, gate_set):
     # an eval run again, with the shared permutations that earlier evals used, equals
     # one with them made afresh, bit for bit; the probe distance run again is synthesize's,
-    # bit for bit, and the exact distance is within tolerance
+    # bit for bit, the exact distance is within tolerance, and the probe one tracks it
     m = haar_unitary(3**n, np.random.default_rng(n)) if kind == "haar" else structured_input(kind, n)
     c, report = synthesize(m, SynthesisOptions(gate_set=gate_set))  # its verification evaluated c
     warm = eval_circuit(c)
     assert probe_distance(c, m) == report.distance
-    assert unitary_distance(warm, m) < 1e-8
+    exact = unitary_distance(warm, m)
+    assert exact < 1e-8
+    if exact == 0.0:
+        assert report.distance == 0.0
+    else:
+        assert RATIO_BOUND[0] <= report.distance / exact <= RATIO_BOUND[1]
     circuit._monomials.cache_clear()
     assert eval_circuit(c).tobytes() == warm.tobytes()
 

@@ -1,12 +1,12 @@
 """Wall time per layer of a Haar synthesis, for two checkouts, written as ``BENCH_<label>.json``.
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/bench_layers.py LABEL PARENT CHANGE [--rounds R] [--widths 2-6]
+    OPENBLAS_NUM_THREADS=1 python3 tools/bench_layers.py LABEL PARENT CHANGE
 
 PARENT and CHANGE are checkout roots (``git archive`` or ``git clone``
-copies).  For each width n and round, each checkout runs one fresh
-process (``tools/bench_layers.py --worker CHECKOUT N``, with ``trisect``
-imported from ``CHECKOUT/src``), and the side that runs first alternates
-from round to round.  A process synthesizes the Haar inputs
+copies).  For each width n = 2..6 and each of five rounds, each
+checkout runs one fresh process (``tools/bench_layers.py --worker
+CHECKOUT N``, with ``trisect`` imported from ``CHECKOUT/src``), and the
+side that runs first alternates from round to round.  A process synthesizes the Haar inputs
 ``haar_unitary(3**n, numpy.random.default_rng(seed))`` for seeds 0 and
 then 1 with the default options (``gcx+cinc``); the second call of a
 width replays what the first one cached.  Each call records the wall
@@ -43,6 +43,8 @@ from pathlib import Path
 
 LAYERS = ("factorize", "emit", "cancel", "fuse", "verify", "synthesize")
 SEEDS = (0, 1)
+ROUNDS = 5
+WIDTHS = range(2, 7)
 
 
 def worker(root: Path, n: int) -> dict:
@@ -134,20 +136,17 @@ def main(argv: list[str]) -> int:
     p.add_argument("label")
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
-    p.add_argument("--rounds", type=int, default=5)
-    p.add_argument("--widths", default="2-6", help="first-last width, e.g. 2-6")
     args = p.parse_args(argv)
-    lo, hi = map(int, args.widths.split("-"))
     sides = {"parent": args.parent, "change": args.change}
-    samples = {(side, n): [] for side in sides for n in range(lo, hi + 1)}
-    for r in range(args.rounds):
-        for n in range(lo, hi + 1):
+    samples = {(side, n): [] for side in sides for n in WIDTHS}
+    for r in range(ROUNDS):
+        for n in WIDTHS:
             order = list(sides) if (r + n) % 2 == 0 else list(sides)[::-1]
             for side in order:
                 samples[side, n].append(run(sides[side], n))
                 print(f"round {r} n={n} {side}", file=sys.stderr)
     rows = []
-    for n in range(lo, hi + 1):
+    for n in WIDTHS:
         for seed in map(str, SEEDS):
             row = {"n": n, "seed": int(seed)}
             row.update({side: summary(samples[side, n], seed) for side in sides})
@@ -162,9 +161,8 @@ def main(argv: list[str]) -> int:
 
     doc = {
         "what": "wall time per layer of synthesize on Haar inputs (default options, gcx+cinc), parent against change",
-        "command": f"OPENBLAS_NUM_THREADS=1 python3 tools/bench_layers.py {args.label} PARENT CHANGE "
-        f"--rounds {args.rounds} --widths {args.widths}",
-        "timing": f"{args.rounds} rounds; per round and width one fresh process per side, the first side "
+        "command": f"OPENBLAS_NUM_THREADS=1 python3 tools/bench_layers.py {args.label} PARENT CHANGE",
+        "timing": f"{ROUNDS} rounds; per round and width one fresh process per side, the first side "
         "alternating; in each process seed 0, then seed 1 (which replays the caches seed 0 filled). "
         "median_s is the median over processes; ratio_of_medians is change/parent.",
         "environment": {

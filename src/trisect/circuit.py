@@ -15,11 +15,11 @@ them into rows and checks them with the same rules, and
 ``Circuit.gates`` makes them on demand.  Counting,
 the passes, the text format and the simulator read the columns.  The
 simulator (:func:`eval_circuit`) walks the table once, a chunk of rows at
-a time, and applies each run of gates on at most three qutrits to the
-full unitary as soon as the run ends; it keeps nothing between calls.
+a time, and applies each run of gates on at most three qutrits to its
+operand block as soon as the run ends; it keeps nothing between calls.
 Within a run, each region of monomial gates (z rotations, LocalX, GCX and
 CINC: each a permutation times a diagonal) is one gather and one phase,
-and each stretch with an x or y rotation one 3x3 matrix product.
+and each group of x and y rotations on distinct qutrits one 2-D product.
 
 Text format (one gate per line, '#' starts a comment):
 
@@ -377,8 +377,8 @@ def _doubling(first: np.ndarray, rows: int) -> list[tuple[np.ndarray, np.ndarray
 def _stretch_products(op, level, axis, angle, first: np.ndarray) -> np.ndarray:
     """The 3x3 product of each stretch of one-qutrit rows (stretch g from row ``first[g]``), later rows on the left.
 
-    The rows' matrices are laid out as (3, 3, rows), so that each pairwise
-    round (:func:`_doubling`) multiplies all its pairs in one ``einsum``.
+    The rows' matrices, and the products returned, are laid out as (3, 3, rows),
+    so that each pairwise round (:func:`_doubling`) multiplies all its pairs in one ``einsum``.
     """
     mats = algebra.rotations_by_code(3 * axis + level, angle)
     x = op == LOCAL_X
@@ -386,7 +386,7 @@ def _stretch_products(op, level, axis, angle, first: np.ndarray) -> np.ndarray:
     mats = np.ascontiguousarray(mats.transpose(1, 2, 0))  # entry (i, j) of every factor in a row of its own
     for left, right in _doubling(first, len(op)):  # row E then row L: L @ E
         mats[..., left] = np.einsum("ijs,jks->iks", mats.take(right, axis=2), mats.take(left, axis=2))
-    return mats.take(first, axis=2).transpose(2, 0, 1)
+    return mats.take(first, axis=2)
 
 
 def _regions(index: np.ndarray, alpha: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -411,33 +411,49 @@ def _apply_run(u: np.ndarray, m: np.ndarray, axes: list[int]) -> np.ndarray:
     return np.moveaxis(np.tensordot(m.reshape((3,) * (2 * k)), u, axes=(range(k, 2 * k), axes)), range(k), axes)
 
 
+@functools.cache
+def _orders(width: int) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each row order of a width-qutrit run state: its rows row-major over a permutation of its axes.
+
+    Order 0 is the natural one.  Row i of order o is natural row ``nat[o, i]``, natural row r is row ``pos[o, r]``,
+    ``canon[mask]`` leads with the axes in the bit mask (each part ascending), and ``rank[o, a]`` is axis a's place.
+    """
+    perms = list(itertools.permutations(range(width)))
+    nat = np.array([np.arange(3**width).reshape((3,) * width).transpose(p).ravel() for p in perms])
+    rank = [tuple(p.index(a) for a in range(width)) for p in perms]  # each order's inverse, so pos[o] = nat[rank[o]]
+    canon = [perms.index(tuple(sorted(range(width), key=lambda a: (not mask >> a & 1, a)))) for mask in range(2**width)]
+    tables = nat, nat[[perms.index(r) for r in rank]], np.array(canon), np.array(rank)
+    for table in tables:
+        table.flags.writeable = False
+    return perms, *tables
+
+
 def eval_circuit(c: Circuit, operand: np.ndarray | None = None) -> np.ndarray:
     """The circuit applied to ``operand``, a (3^n, w) block; by default the identity, which gives the exact unitary.
 
-    An operand of another shape raises ``ValueError``.  Later gates multiply
-    on the left.  Global phases are summed apart (:func:`_sum_angles`).  The rest is
-    simulated in steps: a stretch, a maximal sequence of one-qutrit gates
-    on one qutrit with no GCX/CINC between them, or a GCX/CINC.  The table
-    is walked once, :data:`_CHUNK` rows at a time, and the steps are
-    applied in order to a run, a 3^k x 3^k matrix on at most
-    k = min(n, :data:`RUN_QUTRITS`) qutrits.  When a step would take the
-    run past k qutrits, the run is applied to the block with one
+    An operand of another shape raises ``ValueError``; the operand is only
+    read.  Later gates multiply on the left.  Global phases are summed apart
+    (:func:`_sum_angles`).  The rest is simulated in steps: a stretch, a
+    maximal sequence of one-qutrit gates on one qutrit with no GCX/CINC
+    between them, or a GCX/CINC.  The table is walked :data:`_CHUNK` rows at
+    a time, and the steps are applied in order to a run, a 3^k x 3^k matrix
+    on at most k = min(n, :data:`RUN_QUTRITS`) qutrits.  When a step would
+    take the run past k qutrits, the run is applied to the block with one
     ``tensordot`` (:func:`_apply_run`) and a new one starts; nothing of it
     is kept.  A run's axes are its qutrits in first-touch order, padded
     with the lowest untouched ones, and a run carries over from one chunk
-    to the next.  When n <= :data:`RUN_QUTRITS` the register is the one
-    run, qutrit q on axis q, and the steps act on the block itself.
+    to the next.  When n <= k the register is the one run, qutrit q on axis
+    q, and the block its state, so no Python pass over the steps looks for cuts.
 
-    Per chunk, one Python pass over the steps finds the cuts and the axes;
-    the rest is array operations, and the chunk's steps are applied as
-    items of two kinds.  A stretch with an x or y rotation is general: the
-    products of all such stretches are made together
-    (:func:`_stretch_products`), and each is applied with one matmul.
-    Every other step is monomial, a gather of the run matrix's rows and a
-    phase per row (:func:`_monomials`), and a region, a maximal sequence of
-    monomial steps in one run and chunk, is one item: all the chunk's
-    regions are composed together (:func:`_regions`), and each is applied
-    as ``phase[:, None] * m.take(index, axis=0)``.
+    A group (consecutive stretches with x or y rotations on distinct axes of
+    a run) is one 2-D matmul by the Kronecker product of their 3x3 products
+    (:func:`_stretch_products`), its axes leading the state's rows; a region
+    (a maximal sequence of the other steps) is one gather and one phase per
+    row (:func:`_monomials`, :func:`_regions`).  The rows stand in a row
+    order (:func:`_orders`) that each region's gather also moves into the
+    one the next group needs, or the natural one in which a run is applied
+    and returned; only a group after no region whose axes do not lead, and
+    the end of a run after a group, take a gather of their own.
     """
     n, d, t = c.n, 3**c.n, c.table
     u = np.eye(d, dtype=complex) if operand is None else np.asarray(operand, dtype=complex)
@@ -445,10 +461,9 @@ def eval_circuit(c: Circuit, operand: np.ndarray | None = None) -> np.ndarray:
         raise ValueError(f"operand of shape {u.shape} is not a ({d}, w) block, w >= 1")
     k = min(n, RUN_QUTRITS)
     index, sign = _monomials(k)
-    m = eye = np.eye(3**k, dtype=complex)
-    local = {}  # the run's qutrits so far, in first-touch order, to their axes in the run
-    if n == k:  # the register is the one run, and the block is its state
-        m, local = u, {q: q for q in range(n)}
+    perms, nat, pos, canon, rank = _orders(k)
+    m = eye = u if n == k else np.eye(3**k, dtype=complex)  # if n == k the register is the one run, the block its state
+    local, o = {}, 0  # the run's qutrits so far, in first-touch order, to their axes in it; the state's row order
     u = u.reshape((3,) * n + (-1,))
 
     def padded(run: dict) -> list[int]:  # a run's qutrits, then the lowest untouched ones
@@ -466,40 +481,65 @@ def eval_circuit(c: Circuit, operand: np.ndarray | None = None) -> np.ndarray:
         st = first.nonzero()[0]
         step = np.cumsum(first) - 1  # per row, its step
         general = np.logical_or.reduceat((op == ROT) & (axis != 2), st)
-        runs, cut = [local], np.zeros(len(st), dtype=bool)  # the runs the steps fall in; the steps that cut one
-        for i, (a, b) in enumerate(zip(q0[st].tolist(), q1[st].tolist())):
-            if a not in local or b not in local:  # only a step that brings in a qutrit can cut
-                if len(local) + (a not in local) + (b != a and b not in local) > k:
-                    runs.append(local := {})
-                    cut[i] = True
-                local.setdefault(a, len(local))
-                local.setdefault(b, len(local))
-        axis_of = np.zeros((len(runs), n), dtype=np.intp)  # per run, each qutrit's axis in it
-        for r, run in enumerate(runs):
-            axis_of[r, list(run)] = range(len(run))
-        in_run = np.cumsum(cut)[step]  # per row, its run's place in runs
-        ja, jb = axis_of[in_run, q0], axis_of[in_run, q1]  # per row, the axes of its qutrit (or control) and target
-        item = general | cut  # the steps that start an item: a general stretch, or a region
-        item[1:] |= general[:-1]
-        item[0] = True
-
+        cut = np.zeros(len(st), dtype=bool)  # the steps that cut a run
+        ja, jb = q0, q1  # per row, the axes of its qutrit (or control) and target
+        if n > k:
+            runs = [local]  # the runs the steps fall in
+            for i, (a, b) in enumerate(zip(q0[st].tolist(), q1[st].tolist())):
+                if a not in local or b not in local:  # only a step that brings in a qutrit can cut
+                    if len(local) + (a not in local) + (b != a and b not in local) > k:
+                        runs.append(local := {})
+                        cut[i] = True
+                    local.setdefault(a, len(local))
+                    local.setdefault(b, len(local))
+            axis_of = np.zeros((len(runs), n), dtype=np.intp)  # per run, each qutrit's axis in it
+            for r, run in enumerate(runs):
+                axis_of[r, list(run)] = range(len(run))
+            in_run = np.cumsum(cut)[step]  # per row, its run's place in runs
+            ja, jb, done = axis_of[in_run, q0], axis_of[in_run, q1], iter(runs)
+        item = cut | np.concatenate(([True], general[1:] != general[:-1]))  # steps that start a region or a group
+        gax, gnew = ja[st[general]], item[general]  # per general stretch, its axis and whether it starts a group
+        for i in (~gnew & ~np.concatenate(([True], gnew[:-1]))).nonzero()[0].tolist():  # a third stretch or later
+            gnew[i] = gax[i] in gax[i - 1 - gnew[i - 1 :: -1].argmax() : i]  # repeats an axis of its group
+        item[general] = gnew
+        it = item.nonzero()[0]  # per item, its first step
+        group, icut, sizes = general[it], cut[it], np.add.reduceat(general, it, dtype=np.intp)
+        mask = np.bitwise_or.reduceat(1 << ja[st], it)  # per item, its axes as bits (a group's)
+        leaves = canon[mask] * group  # per item, the row order it leaves: a group's leads with its axes
+        for j in (group & np.concatenate(([True], icut[1:] | group[:-1]))).nonzero()[0].tolist():
+            was = 0 if icut[j] else leaves[j - 1] if j else o  # after no region, kept where its axes lead
+            leaves[j] = was if sum(1 << a for a in perms[was][: sizes[j]]) == mask[j] else leaves[j]
+        leaves[~group] = np.concatenate((leaves[1:] * ~icut[1:], [0]))[~group]  # a region's: the next group's, or 0
+        meets = np.concatenate(([o], leaves[:-1]))[~group] * ~icut[~group]  # per region, the order it meets
         in_general = general[step]
-        rot = in_general.nonzero()[0]  # the rows of general stretches
-        prods = _stretch_products(op[rot], level[rot], axis[rot], angle[rot], np.searchsorted(rot, st[general]))
         mono = (~in_general).nonzero()[0]  # the rows of regions
         fields = (op[mono], level[mono], rows["value"][mono], jb[mono], ja[mono])
         half = 0.5 * angle[mono]  # reduced to (-pi, pi] by its sine and cosine first, so no sum overflows
         sigmas, phases = _regions(index[fields], sign[fields] * np.arctan2(np.sin(half), np.cos(half))[:, None],
                                   np.searchsorted(mono, st[item & ~general]))
-
-        prods, sigmas, phases, done = iter(prods), iter(sigmas), iter(phases), iter(runs)
-        for g, cuts, j in zip(general[item].tolist(), cut[item].tolist(), ja[st[item]].tolist()):
+        to = nat[leaves[~group]] + np.arange(0, sigmas.size, sigmas.shape[1])[:, None]  # rows of the order it leaves
+        sigmas = iter(pos.take(sigmas.take(to) + meets[:, None] * sigmas.shape[1]))
+        phases = iter(phases.take(to)[:, :, None])
+        rot = in_general.nonzero()[0]  # the rows of general stretches
+        prods = _stretch_products(op[rot], level[rot], axis[rot], angle[rot], np.searchsorted(rot, st[general]))
+        gfirst, size, order, krons = gnew.nonzero()[0], sizes[group], leaves[group], {}  # per group
+        slot = np.empty_like(gfirst, shape=len(gax))  # the general stretches by group, each in its order's axis order
+        slot[np.repeat(gfirst, size) + rank[np.repeat(order, size), gax]] = np.arange(len(gax))
+        for g in set(size.tolist()):  # the Kronecker products of the groups of g stretches, leading axis first
+            kron, *factors = (prods.take(slot[gfirst[size == g] + p], axis=2) for p in range(g))
+            for b in factors:
+                kron = (kron[:, None, :, None] * b[:, None]).reshape(3 * len(kron), 3 * len(kron), -1)
+            krons[g] = iter(np.ascontiguousarray(kron.transpose(2, 0, 1)))
+        for g, cuts, want in zip(sizes.tolist(), icut.tolist(), leaves.tolist()):
             if cuts:
-                u, m = _apply_run(u, m, padded(next(done))), eye
+                u, m, o = _apply_run(u, m.take(pos[o], axis=0) if o else m, padded(next(done))), eye, 0
             if g:
-                m = np.matmul(next(prods), m.reshape(3**j, 3, -1)).reshape(-1, m.shape[1])
+                kron, m = next(krons[g]), m if want == o else m.take(pos[o][nat[want]], axis=0)
+                m = (kron @ m.reshape(len(kron), -1)).reshape(m.shape)
             else:
                 m = next(phases) * m.take(next(sigmas), axis=0)
+            o = want
+    m = m.take(pos[o], axis=0) if o else m
     if n > k:
         m = np.ascontiguousarray(_apply_run(u, m, padded(local))).reshape(d, -1)
     phase = _sum_angles(t["angle"][t["op"] == PHASE])

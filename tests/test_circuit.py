@@ -511,6 +511,7 @@ def test_replayed_eval_equals_a_cold_one(kind, n, gate_set):
     else:
         assert RATIO_BOUND[0] <= report.distance / exact <= RATIO_BOUND[1]
     circuit._monomials.cache_clear()
+    circuit._orders.cache_clear()
     assert eval_circuit(c).tobytes() == warm.tobytes()
 
 
@@ -589,6 +590,68 @@ def test_eval_regions_end_at_run_cuts(n, monkeypatch):
     got = eval_circuit(Circuit(n, tuple(gates)))
     assert seen == _RUN_AXES[n]
     _assert_gate_by_gate(got, gates, n, rng)
+
+
+def _group(qs: tuple[int, ...], rng: np.random.Generator) -> list:
+    """A general stretch on each qutrit of ``qs`` in turn: an x or y rotation, then a z rotation or a LocalX."""
+    gates = []
+    for q in qs:
+        gates.append(Rotation("xy"[rng.integers(0, 2)], LEVELS[rng.integers(0, 3)], q, float(rng.uniform(-7, 7))))
+        gates.append(Rotation("z", LEVELS[rng.integers(0, 3)], q, float(rng.uniform(-7, 7)))
+                     if rng.integers(0, 2) else LocalX(LEVELS[rng.integers(0, 3)], q))
+    return gates
+
+
+@pytest.mark.parametrize("n,size", [(n, size) for n in (2, 3, 4, 5) for size in (2, 3) if size <= n])
+def test_eval_groups_in_every_axis_order(n, size):
+    # stretches on every ordered choice of ``size`` of three qutrits (of two at n=2), each choice followed
+    # by every other: back to back (the second one splits into groups of its own, which meet their axes
+    # leading or not) and then with a region before the next pair; the highest qutrit is touched first,
+    # so at n >= 4 the run's axes are not the qutrits' numbers
+    rng = np.random.default_rng(800 + 10 * n + size)
+    orders = list(itertools.permutations((n - 1, 0, 1)[: min(n, 3)], size))
+    gates = []
+    for p, r in itertools.product(orders, repeat=2):
+        if p[-1] != r[0]:  # else their stretches on one qutrit would be one
+            gates += _group(p, rng) + _group(r, rng) + [Gcx(p[0], 2, p[1], "01"), Rotation("z", "02", r[0], 1.1)]
+    _assert_gate_by_gate(eval_circuit(Circuit(n, tuple(gates))), gates, n, rng)
+
+
+@pytest.mark.parametrize("head", ["q0", "q1", "region"])
+def test_eval_reorders_rows_at_a_chunk_start_and_after_a_cut(head, monkeypatch):
+    # n=4: the first chunk ends with a group on q1 and q2, so the second starts in a row order that leads
+    # with their axes; it opens with a group on q0 (which has to move the rows first), on q1 (whose axis
+    # already leads) or with a region.  The hand-placed runs follow, and the second of them starts with a
+    # GCX cut, then a group on q1 alone, whose axis the cut's region moves to the front
+    rng = np.random.default_rng(900 + len(head))
+    lead = [Rotation("x", "01", q, 0.3) for q in range(3)]  # first touch in order q0, q1, q2
+    tail = [Gcx(0, 1, 1, "01"), Rotation("y", "12", 1, 0.6), Rotation("x", "02", 2, -1.4)]
+    lead += [*_random_circuit(3, circuit._CHUNK - len(lead) - len(tail), rng).gates, *tail]
+    assert len(lead) == circuit._CHUNK
+    first = {"q0": Rotation("x", "12", 0, 0.9), "q1": Rotation("y", "01", 1, 2.2), "region": Cinc(2, 0, 0)}[head]
+    segments = [_segment(qs, rng) for qs in _RUNS[4]]
+    segments[1] = [Gcx(3, 0, 1, "01"), Rotation("x", "01", 1, 0.4), Cinc(1, 2, 3)] + segments[1]
+    gates = lead + [first] + [g for seg in segments for g in seg]
+    seen = []
+    apply_run = circuit._apply_run
+    monkeypatch.setattr(circuit, "_apply_run", lambda u, m, axes: seen.append(tuple(axes)) or apply_run(u, m, axes))
+    got = eval_circuit(Circuit(4, tuple(gates)))
+    assert seen == _RUN_AXES[4]
+    assert np.max(np.abs(got - _dense_product(gates, 4))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_eval_leaves_its_operand_untouched(n):
+    # a writable operand compares equal before and after, and a read-only one (as the probe block is) is taken
+    rng = np.random.default_rng(1000 + n)
+    c = _random_circuit(n, 300, rng)
+    z = rng.standard_normal((3**n, 4)) + 1j * rng.standard_normal((3**n, 4))
+    before = z.copy()
+    got = eval_circuit(c, z)
+    assert np.array_equal(z, before)
+    z.flags.writeable = False
+    assert np.array_equal(eval_circuit(c, z), got)
+    assert np.max(np.abs(got - eval_circuit(c) @ before)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

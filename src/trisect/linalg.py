@@ -15,6 +15,11 @@ over the stack.  A level of ``cartan.factorize_stack`` is two ``csd``
 passes (its k matrices, then their 2k halves) and two ``unitary_eig``
 passes (4k block products of four splits, then k of the last split).
 
+Each pass first runs :func:`_clear_upper_state`: numpy's complex matrix
+product (OpenBLAS's AVX-512 gemm) can leave the upper vector register
+state dirty, and scipy's SSE-compiled LAPACK then runs at about half
+speed until a ``VZEROUPPER``.  No operand or result changes.
+
 Both decompositions require a unitary input and do not check it: the
 guards run once per ``cartan.factorize_stack`` level and once per leaf
 stack in ``synth._leaf_block``, and the per-split residuals catch the rest.
@@ -47,6 +52,12 @@ UNITARY_ATOL = 1e-10
 _zuncsd = lapack.zuncsd
 _zuncsd_lwork = lapack.zuncsd_lwork
 _zgees = lapack.zgees
+_UPPER_SCRATCH = np.zeros(16)  # the operand of _clear_upper_state
+
+
+def _clear_upper_state() -> None:
+    """Run numpy's AVX-512 float64 add loop, which ends with ``VZEROUPPER`` (8 elements do not reach it)."""
+    np.add(_UPPER_SCRATCH, _UPPER_SCRATCH, out=_UPPER_SCRATCH)
 
 
 def _check_info(driver: str, info: int) -> None:
@@ -148,6 +159,7 @@ def unitary_eig(u: np.ndarray) -> EigResult:
     lwork = _zgees_lwork(n)
     eigvals = np.empty(stack.shape[:2], dtype=complex)
     vecs = np.empty(stack.shape, dtype=complex)
+    _clear_upper_state()
     for i, x in enumerate(stack):
         _, _, eigvals[i], vecs[i], _, info = _zgees(_no_sort, x, lwork=lwork)
         _check_info("zgees", info)
@@ -207,6 +219,7 @@ def csd(u: np.ndarray, p: int, q: int) -> CSDResult:
     r1h = np.empty((k, p, p), dtype=complex)
     l2 = np.empty((k, q, q), dtype=complex)
     r2h = np.empty((k, q, q), dtype=complex)
+    _clear_upper_state()
     for i, x in enumerate(stack):
         *_, theta[i], l1[i], l2[i], r1h[i], r2h[i], info = _zuncsd(
             x[:p, :p], x[:p, p:], x[p:, :p], x[p:, p:], lwork=lwork, lrwork=lrwork

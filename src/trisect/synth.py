@@ -391,6 +391,7 @@ def _check_count(n, gate_set=GateSet.GCX_CINC) -> None:
     _check_gate_set(gate_set)
 
 
+@functools.lru_cache(typed=True)  # typed, so 3.0 misses the entry of 3 and reaches _check_count
 def expected_count(n: int, gate_set: GateSet = GateSet.GCX_CINC) -> int:
     """Closed-form two-qutrit gate count of a generic n-qutrit synthesis."""
     _check_count(n, gate_set)

@@ -18,6 +18,7 @@ from trisect.linalg import (
 from trisect.synth import single_qutrit_gates, synthesize
 
 from oracle import csd_sigma
+from test_structured import KINDS, structured_input
 
 X01 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 
@@ -362,3 +363,54 @@ def test_csd_rejects_bad_input():
         csd(np.eye(9, dtype=complex), 4, 6)
     with pytest.raises(ValueError, match="partition"):
         csd(np.eye(9, dtype=complex), 6, 3)  # needs p <= q
+
+
+# ---------------------------------------------------------------------------
+# the vector-state clear before each LAPACK pass
+# ---------------------------------------------------------------------------
+
+# One pass of each kind that factorize runs: (label, matrix size, pass).
+_PASSES = [
+    ("csd-3-6", 9, lambda s: csd(s, 3, 6)),
+    ("csd-3-3", 6, lambda s: csd(s, 3, 3)),
+    ("eig-3", 3, unitary_eig),
+    ("eig-9", 9, unitary_eig),
+]
+
+
+def _arrays(res) -> list[np.ndarray]:
+    return [getattr(res, f) for f in res.__dataclass_fields__]
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (36,)], ids=["matrix", "stack-1", "stack-36"])
+@pytest.mark.parametrize("d,run", [p[1:] for p in _PASSES], ids=[p[0] for p in _PASSES])
+def test_each_pass_clears_the_vector_state_once(monkeypatch, d, run, shape):
+    rng = np.random.default_rng(len(shape) + d)
+    u = np.stack([haar_unitary(d, rng) for _ in range(shape[0] if shape else 1)]).reshape(*shape, d, d)
+    calls = []
+    monkeypatch.setattr(linalg, "_clear_upper_state", lambda: calls.append(None))
+    run(u)
+    assert len(calls) == 1
+
+
+def test_the_vector_state_clear_touches_no_data(monkeypatch):
+    # Every pass, and whole factorize levels of the structured corpus, give
+    # the same bytes with the clear replaced by a no-op.
+    rng = np.random.default_rng(32)
+    cases = [(run, np.stack([haar_unitary(d, rng) for _ in range(5)])) for _, d, run in _PASSES]
+    corpus = {n: np.stack([structured_input(kind, n) for kind in KINDS]).astype(complex) for n in (2, 3)}
+    cases += [(lambda s: csd(s, 3, 6), corpus[2]), (unitary_eig, corpus[2])]
+
+    def outputs():
+        out = [a for run, u in cases for a in _arrays(run(u))]
+        for ms in corpus.values():
+            chain, residuals = factorize_stack(ms)
+            out += [stack for _, stack in chain] + list(residuals.values())
+        return out
+
+    cleared = outputs()
+    monkeypatch.setattr(linalg, "_clear_upper_state", lambda: None)
+    plain = outputs()
+    assert len(cleared) == len(plain)
+    for a, b in zip(cleared, plain):
+        assert (a.shape, a.dtype) == (b.shape, b.dtype) and a.tobytes() == b.tobytes()

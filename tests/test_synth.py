@@ -387,6 +387,8 @@ def _refuses_what_it_cannot_count(count):
 
 
 def test_expected_count_refuses_what_it_cannot_count():
+    for gate_set in GateSet:  # memoized first, so np.float64(3.0) below meets a cached equal width
+        assert expected_count(3, gate_set) is expected_count(3, gate_set)  # 271 and 315 are not interned
     _refuses_what_it_cannot_count(expected_count)
     assert expected_count(np.int64(3), GateSet.GCX_ONLY) == 315
 

@@ -14,6 +14,8 @@ time of its layers, read by wrapping the module functions that
 ``synthesize`` calls:
 
 * ``factorize``: ``synth._factor_levels`` (every ``factorize_stack`` level);
+* ``csd`` and ``eig``: ``cartan.csd`` and ``cartan.unitary_eig``, the two
+  LAPACK kernels inside ``factorize``, each summed over its passes;
 * ``emit``: ``synth._emit_tree`` (leaves and factor maps, one gate table);
 * ``cancel`` and ``fuse``: ``passes.pass_cancel`` and ``passes.pass_fuse_cinc``;
 * ``verify``: from the return of ``simplify`` to the return of the
@@ -41,7 +43,7 @@ import sys
 import time
 from pathlib import Path
 
-LAYERS = ("factorize", "emit", "cancel", "fuse", "verify", "synthesize")
+LAYERS = ("factorize", "csd", "eig", "emit", "cancel", "fuse", "verify", "synthesize")
 SEEDS = (0, 1)
 ROUNDS = 5
 WIDTHS = range(2, 7)
@@ -52,7 +54,7 @@ def worker(root: Path, n: int) -> dict:
     import numpy as np
 
     import trisect
-    from trisect import eval_circuit, haar_unitary, linalg, passes, synth
+    from trisect import cartan, eval_circuit, haar_unitary, linalg, passes, synth
 
     if not Path(trisect.__file__).resolve().is_relative_to(root.resolve()):
         raise SystemExit(f"trisect was imported from {trisect.__file__}, not from {root}")
@@ -74,6 +76,8 @@ def worker(root: Path, n: int) -> dict:
         setattr(module, name, wrapper)
 
     timed(synth, "_factor_levels", "factorize")
+    timed(cartan, "csd", "csd")
+    timed(cartan, "unitary_eig", "eig")
     timed(synth, "_emit_tree", "emit")
     timed(passes, "pass_cancel", "cancel")
     timed(passes, "pass_fuse_cinc", "fuse")
@@ -85,7 +89,7 @@ def worker(root: Path, n: int) -> dict:
         marks.clear()
         start = time.perf_counter()
         circ, report = synth.synthesize(m)
-        times = {layer: marks.get(layer, 0.0) for layer in LAYERS[:4]}
+        times = {layer: marks.get(layer, 0.0) for layer in LAYERS[:-2]}
         times["verify"] = marks["distance"] - marks["simplified"]
         times["synthesize"] = time.perf_counter() - start
         counts = report.counts

@@ -4,14 +4,14 @@ The pipeline recursively factors a 3^n x 3^n unitary through nested
 cosine-sine and eigenvalue splits (:mod:`trisect.cartan`), emits the
 factors as multiplexed-rotation circuits (:mod:`trisect.synth`), and
 simplifies the result with local rewrite passes (:mod:`trisect.passes`).
-Every step is verifiable by simulating the circuit's exact unitary
-in runs of gates on at most three qutrits (:mod:`trisect.circuit`), and the
-Lie-algebra scaffolding behind the splits can be self-tested
-(:mod:`trisect.algebra`).  The package root re-exports the documented
-API; everything else is imported from its module.
+``synthesize`` checks its circuit on eight fixed probe columns, an
+estimate of the distance (:func:`trisect.synth.probe_distance`);
+``eval_circuit(c)`` simulates the circuit's exact unitary, in runs of
+gates on at most three qutrits (:mod:`trisect.circuit`).  The package
+root re-exports the documented API; everything else is imported from
+its module.
 """
 
-from .algebra import commutation_selftest, maximal_abelian_check
 from .cartan import factorize, factorize_stack
 from .circuit import Circuit, eval_circuit, parse, serialize
 from .linalg import haar_unitary, unitary_distance
@@ -33,13 +33,11 @@ __all__ = [
     "Circuit",
     "GateSet",
     "SynthesisOptions",
-    "commutation_selftest",
     "d_mux_gates",
     "eval_circuit",
     "factorize",
     "factorize_stack",
     "haar_unitary",
-    "maximal_abelian_check",
     "parse",
     "pass_cancel",
     "pass_fuse_cinc",

@@ -11,10 +11,11 @@ generator tensored with a real diagonal (see :func:`nonlocal_matrix`
 for the five kinds and :data:`NONLOCAL_ORDER` for their sequence).
 The machinery: two cosine-sine splits (:func:`stage1`, :func:`stage2`),
 a block rearrangement that regroups the four outer factors into
-splittable shapes (:func:`rearrange`), and three eigenvalue-based
-splitters.  From :func:`stage2` on, every K is block diagonal with
-three p x p blocks (p = 3^(n-1)) and is carried as the (..., 3, p, p)
-stack of those blocks, never as a zero-padded 3p x 3p matrix.
+splittable shapes (:func:`rearrange`), and eigenvalue-based splits of
+block ratios (:func:`split_off_d`).  From :func:`stage2` on, every K is
+block diagonal with three p x p blocks (p = 3^(n-1)) and is carried as
+the (..., 3, p, p) stack of those blocks, never as a zero-padded 3p x 3p
+matrix.
 
 Level j of the recursion holds 9^j independent matrices, so every step
 also takes a (k, d, d) stack: :func:`factorize_stack` runs one level
@@ -44,8 +45,6 @@ __all__ = [
     "rearrange",
     "reassemble",
     "split_off_d",
-    "split_off_dbar",
-    "split_off_z12",
     "stage1",
     "stage2",
 ]
@@ -211,32 +210,9 @@ def _split_conjugated_diag(prod: np.ndarray, sign: complex | np.ndarray) -> tupl
     return v, lam, _diag_matrix(np.exp(sign * lam)) @ v.conj().mT
 
 
-def split_off_z12(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split diag(U1,U2,U3) = (I3 (x) V) . exp(-i sz12 (x) lam) . K'.
-
-    V and lam come from the eigenstructure of U2 U3†; the remainder
-    K' = diag(V†U1, W, W), returned as its block stack, has equal lower
-    blocks, ready for :func:`split_off_d`.
-    """
-    u1, u2, u3 = (k[..., i, :, :] for i in range(3))
-    v, lam, vw = _split_conjugated_diag(u2 @ u3.conj().mT, 1j)
-    w = vw @ u2
-    rest = np.stack((v.conj().mT @ u1, w, w), axis=-3)
-    return v, lam, rest
-
-
 def split_off_d(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split diag(P,Q,Q) = (I3 (x) V) . exp(-i D (x) lam) . (I3 (x) W)."""
-    return _split_off_outer(k[..., 0, :, :], k[..., 1, :, :])
-
-
-def split_off_dbar(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split diag(Q,Q,P) = (I3 (x) V) . exp(-i Dbar (x) lam) . (I3 (x) W)."""
-    return _split_off_outer(k[..., 2, :, :], k[..., 0, :, :])
-
-
-def _split_off_outer(p_blk: np.ndarray, q_blk: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The d / dbar split from its outer block P and one copy of its repeated block Q."""
+    p_blk, q_blk = k[..., 0, :, :], k[..., 1, :, :]
     v, lam, vw = _split_conjugated_diag(p_blk @ q_blk.conj().mT, -1j)
     return v, lam, vw @ q_blk
 

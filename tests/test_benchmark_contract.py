@@ -1,19 +1,22 @@
-"""What the benchmark under perfbench/ needs of trisect still exists and still runs.
+"""What callers import from trisect still exists, and what the benchmark needs still runs.
 
-The tier-1 suite does not collect perfbench/, and the benchmark may change
-only on its own.  So every name it imports from trisect must resolve, the
-calls it makes with keyword options must still accept them, and its two
-timed operations must pass their own checks.  perfbench/ is only read.
+Every name in the package's ``__all__`` lists must resolve.  The tier-1
+suite does not collect perfbench/, and the benchmark may change only on
+its own.  So every name it imports from trisect must resolve, the calls it
+makes with keyword options must still accept them, and its two timed
+operations must pass their own checks.  perfbench/ is only read.
 """
 
 import ast
 import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trisect
 from trisect import cartan
 from trisect.circuit import Gcx
 from trisect.linalg import haar_unitary
@@ -38,6 +41,15 @@ def _imported_names() -> list[tuple[str, str, str]]:
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
                 out.append((path.name, aliases[node.value.id], node.attr))
     return out
+
+
+_MODULES = ["trisect"] + [f"trisect.{m.name}" for m in pkgutil.iter_modules(trisect.__path__)]
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_every_name_in_all_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 def test_every_name_perfbench_imports_resolves():

@@ -18,8 +18,6 @@ from trisect.cartan import (
     rearrange,
     reassemble,
     split_off_d,
-    split_off_dbar,
-    split_off_z12,
     stage1,
     stage2,
 )
@@ -41,6 +39,17 @@ def _bd(*blocks: np.ndarray) -> np.ndarray:
 def _random_blocks(p: int, rng: np.random.Generator) -> np.ndarray:
     """A block-diagonal K as the (3, p, p) stack of its blocks."""
     return np.stack([haar_unitary(p, rng) for _ in range(3)])
+
+
+def z12_split(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split diag(U1,U2,U3) = (I3 (x) V) . exp(-i sz12 (x) lam) . diag(V†U1, W, W), as a block stack.
+
+    V and lam are those of the d split of diag(U2, U3, U3): both factor
+    U2 U3† = V exp(-2i lam) V†, and the d split's W = exp(-i lam) V† U3
+    equals exp(i lam) V† U2, the lower blocks of the z12 split.
+    """
+    v, lam, w = split_off_d(k[[1, 2, 2]])
+    return v, lam, np.stack((v.conj().mT @ k[0], w, w))
 
 
 def tensor_identity_residual(u: np.ndarray) -> tuple[np.ndarray, float]:
@@ -175,12 +184,13 @@ def test_rearrange_preserves_product_and_fixes_shapes(p):
 def test_split_off_z12(p):
     rng = np.random.default_rng(p + 5)
     k = _random_blocks(p, rng)
-    v, lam, rest = split_off_z12(k)
+    v, lam, rest = z12_split(k)
     assert rest.shape == (3, p, p)
     recon = np.kron(np.eye(3), v) @ nonlocal_matrix("z12", lam) @ _bd(*rest)
     assert np.max(np.abs(recon - _bd(*k))) < 1e-10
     assert np.all(lam > -np.pi / 2) and np.all(lam <= np.pi / 2 + 1e-12)
-    assert np.max(np.abs(rest[1] - rest[2])) < 1e-10  # ready for the d split
+    # block 1 formed as the batched z12 split forms it equals block 2: ready for the d split
+    assert np.max(np.abs(np.exp(1j * lam)[:, None] * (v.conj().T @ k[1]) - rest[2])) < 1e-10
 
 
 @pytest.mark.parametrize("p", [3, 9])
@@ -193,7 +203,8 @@ def test_split_off_d_and_dbar(p):
     recon = np.kron(np.eye(3), v) @ nonlocal_matrix("d", lam) @ np.kron(np.eye(3), w)
     assert np.max(np.abs(recon - _bd(pm, q, q))) < 1e-10
 
-    v, lam, w = split_off_dbar(np.stack((q, q, pm)))
+    # Dbar's signs are D's with the outer block moved last: the same
+    # factors split diag(Q, Q, P)
     recon = np.kron(np.eye(3), v) @ nonlocal_matrix("dbar", lam) @ np.kron(np.eye(3), w)
     assert np.max(np.abs(recon - _bd(q, q, pm))) < 1e-10
 

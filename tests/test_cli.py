@@ -71,6 +71,20 @@ def test_random_defaults_to_stdout(capsys):
     assert json.loads(out)["dim"] == 3
 
 
+@pytest.mark.parametrize("width", [6, 7])
+def test_random_accepts_widths_up_to_7(width):
+    # parsed only: an n=7 matrix file holds 2187^2 entries
+    assert cli.build_parser().parse_args(["random", str(width)]).qutrits == width
+
+
+@pytest.mark.parametrize("width", ["0", "8"])
+def test_random_rejects_widths_outside_1_to_7(capsys, width):
+    with pytest.raises(SystemExit) as exc:
+        main(["random", width])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # synth + verify round trip
 # ---------------------------------------------------------------------------
@@ -404,14 +418,14 @@ def test_counts_measured(capsys):
 
 
 def test_selftest_passes(capsys):
-    code, out, _ = _run(capsys, "selftest", "--qutrits", "2", "--trials", "8")
+    code, out, _ = _run(capsys, "selftest")
     assert code == EXIT_OK
     assert "all checks passed" in out
     assert "FAIL" not in out
 
 
 def test_selftest_compares_stacked_factorize(capsys):
-    code, out, _ = _run(capsys, "selftest", "--qutrits", "2", "--trials", "2")
+    code, out, _ = _run(capsys, "selftest")
     assert code == EXIT_OK
     rows = [line for line in out.splitlines() if "stacked factorize equals per-matrix" in line]
     assert len(rows) == 2 and "(d=9)" in rows[0] and "(d=27)" in rows[1]
@@ -421,10 +435,6 @@ def test_selftest_compares_stacked_factorize(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["selftest", "--trials", "0"],
-        ["selftest", "--trials", "-5"],
-        ["selftest", "--qutrits", "0"],
-        ["selftest", "--qutrits", "2", "-1"],
         ["selftest", "--seed", "-1"],
         ["random", "1", "--seed", "-1"],
         ["counts", "--seed", "-3"],
@@ -433,8 +443,7 @@ def test_selftest_compares_stacked_factorize(capsys):
         ["random", "1", "--seed", "x"],
     ],
     ids=[
-        "trials-0", "trials-neg", "qutrits-0", "qutrits-neg", "selftest-seed", "random-seed", "counts-seed",
-        "n-max-1", "n-max-0", "not-int",
+        "selftest-seed", "random-seed", "counts-seed", "n-max-1", "n-max-0", "not-int",
     ],
 )
 def test_out_of_range_options_exit_2(capsys, argv):
@@ -445,15 +454,6 @@ def test_out_of_range_options_exit_2(capsys, argv):
     assert "must be at least" in err or "invalid int value" in err
 
 
-def test_selftest_detects_injected_fault(capsys):
-    code, out, err = _run(
-        capsys, "selftest", "--qutrits", "2", "--trials", "8", "--inject-fault"
-    )
-    assert code == EXIT_VERIFY
-    assert "FAILURES detected" in out
-    assert "expect failures" in err
-
-
 def test_selftest_catches_a_faulty_cosine_sine_kernel(capsys, monkeypatch):
     original = linalg._zuncsd
 
@@ -462,7 +462,7 @@ def test_selftest_catches_a_faulty_cosine_sine_kernel(capsys, monkeypatch):
         return (*head, theta + 1e-3, u1, u2, v1t, v2t, info)
 
     monkeypatch.setattr(linalg, "_zuncsd", shifted)
-    code, out, _ = _run(capsys, "selftest", "--qutrits", "2", "--trials", "2")
+    code, out, _ = _run(capsys, "selftest")
     assert code == EXIT_VERIFY
     rows = [line for line in out.splitlines() if "cosine-sine split" in line]
     assert len(rows) == 6
@@ -473,12 +473,24 @@ def test_selftest_status_column_is_aligned(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "_identity_checks", lambda: [("passing check", 0.0, 1.0), ("failing check", 2.0, 1.0)]
     )
-    code, out, _ = _run(capsys, "selftest", "--qutrits", "2", "--trials", "2")
+    code, out, _ = _run(capsys, "selftest")
     assert code == EXIT_VERIFY
     passing = next(line for line in out.splitlines() if "passing check" in line)
     failing = next(line for line in out.splitlines() if "failing check" in line)
     assert "[ok]" in passing and "[FAIL]" in failing
-    # every row of every section, commutation and abelian ones included
+    # every row, the factorization ones included
     rows = [line for line in out.splitlines() if line.lstrip().startswith(("[ok]", "[FAIL]"))]
-    assert len(rows) == 2 + 12 + 18 + 4
+    assert len(rows) == 2 + 12
     assert {line.rindex("residual") for line in rows} == {passing.index("residual")}
+
+
+def test_check_line_rows_pass_within_their_tolerance(capsys, monkeypatch):
+    assert cli.check_line("exact", 0.0, 0.0).startswith("[ok]")
+    assert cli.check_line("loose", 5e-11, 1e-10).startswith("[ok]")
+    for bad in (1e-300, float("nan")):
+        assert cli.check_line("strict", bad, 0.0).startswith("[FAIL]")
+    # one column layout for every row, whatever the name's length
+    assert len({cli.check_line(name, 0.0, 0.0).index("residual") for name in ("a", "a much longer name")}) == 1
+    # a NaN residual fails the run too
+    monkeypatch.setattr(cli, "_identity_checks", lambda: [("not a number", float("nan"), 1.0)])
+    assert _run(capsys, "selftest")[0] == EXIT_VERIFY

@@ -54,10 +54,10 @@ NONLOCAL_ORDER = ("dbar", "x12", "d", "x01", "dbar", "x12", "z12", "d")
 
 
 def _block_diag(blocks: np.ndarray) -> np.ndarray:
-    """The dense 3p x 3p matrix of a (..., 3, p, p) diagonal-block stack."""
-    p = blocks.shape[-1]
-    out = np.zeros((*blocks.shape[:-3], 3 * p, 3 * p), dtype=complex)
-    for i in range(3):
+    """The dense bp x bp matrix of a (..., b, p, p) stack of b diagonal blocks."""
+    b, p = blocks.shape[-3], blocks.shape[-1]
+    out = np.zeros((*blocks.shape[:-3], b * p, b * p), dtype=complex)
+    for i in range(b):
         out[..., i * p : (i + 1) * p, i * p : (i + 1) * p] = blocks[..., i, :, :]
     return out
 
@@ -329,12 +329,15 @@ def factorize_stack(ms: np.ndarray, absorb: bool = False) -> tuple[list[tuple[st
     residuals["stage1"] = _worst(_mix_columns(lr[0], "x01", th_a) @ lr[1].conj().mT, ms)
 
     # One stage-2 pass splits L (lines [0, k)) and R (lines [k, 2k)).  From
-    # here on every K is a (k, 3, p, p) block stack.  Each half is checked
-    # on its own, so no dense temporary outgrows a (k, 3p, 3p) stack.
-    l3, th_lr, r3 = stage2(lr.reshape(2 * k, 3 * p, 3 * p))
+    # here on every K is a (k, 3, p, p) block stack.  The check rebuilds only
+    # the lower 2p x 2p block that the CSD split (where x12 mixes its blocks
+    # 0 and 1, an x01): block 0 of left3 is a copy of the input's top block
+    # and block 0 of right3 the identity, so the rest reconstructs exactly.
+    lr2 = lr.reshape(2 * k, 3 * p, 3 * p)
+    l3, th_lr, r3 = stage2(lr2)
     r3h = r3.conj().mT
-    for key, half, x in zip(("stage2_left", "stage2_right"), (slice(0, k), slice(k, None)), lr):
-        residuals[key] = _worst(_mix_columns(_block_diag(l3[half]), "x12", th_lr[half]) @ _block_diag(r3h[half]), x)
+    worst = _worst(_mix_columns(_block_diag(l3[:, 1:]), "x01", th_lr) @ _block_diag(r3h[:, 1:]), lr2[:, p:, p:])
+    residuals["stage2_left"], residuals["stage2_right"] = worst[:k], worst[k:]
     k1p, k2p, k3p, k4p = l3[:k], r3h[:k], r3[k:], l3[k:].conj().mT
     th_l, th_r = th_lr[:k], -th_lr[k:]
 

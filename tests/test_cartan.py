@@ -126,6 +126,8 @@ def test_stage2_reconstructs_three_blocks(d):
     l = _bd(haar_unitary(p, rng), haar_unitary(2 * p, rng))
     left3, theta, right3 = stage2(l)
     assert left3.shape == right3.shape == (3, p, p)  # the three diagonal blocks
+    # block 0 rides along untouched, so factorize_stack checks only blocks 1-2
+    assert left3[0].tobytes() == l[:p, :p].tobytes() and right3[0].tobytes() == np.eye(p, dtype=complex).tobytes()
     recon = _bd(*left3) @ nonlocal_matrix("x12", theta) @ _bd(*right3).conj().T
     assert np.max(np.abs(recon - l)) < 1e-10
 

@@ -23,7 +23,8 @@ time of its layers, read by wrapping the module functions that
   simulation and the comparison);
 * ``synthesize``: the whole call.
 
-It also records the gate counts, the reported distance and, for n <= 5,
+It also records the gate counts, the reported distance, the split
+residuals (worst per recursion level) and, for n <= 5,
 the exact distance ``unitary_distance(eval_circuit(c), m)`` (untimed),
 and the peak RSS of the process.  The JSON gives, per width, seed and
 side, the median over processes of every time, and the change/parent
@@ -99,6 +100,7 @@ def worker(root: Path, n: int) -> dict:
             "two_qutrit": counts.two_qutrit,
             "rotations": counts.rotations,
             "distance": report.distance,
+            "split_residuals": report.split_residuals,
             "exact_distance": linalg.unitary_distance(eval_circuit(circ), m) if n <= 5 else None,
         }
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -126,6 +128,7 @@ def summary(samples: list[dict], seed: str) -> dict:
         "two_qutrit": first["two_qutrit"],
         "rotations": first["rotations"],
         "distance": first["distance"],
+        "split_residuals": first["split_residuals"],
         "exact_distance": first["exact_distance"],
         "peak_rss_mb": round(max(s["peak_rss_mb"] for s in samples), 1),
         "per_process_s": {layer: [round(s[seed]["times_s"][layer], 6) for s in samples] for layer in LAYERS},

@@ -16,17 +16,21 @@ line gives the ``check_factor_tree`` digest of the first ``factor-tree-n5``
 input of benchmark seed 0, and one the SHA-256 of the chain stacks and
 residuals of ``factorize_stack(ms, absorb=False)`` (the self-test's mode)
 on a Haar unitary and the structured corpus of seed 21, at n = 2 and
-n = 3.  Then ``skeletons`` gives the SHA-256 of those
-lines with the distance dropped and each circuit's angle tokens left out
-of its text (the last token of every ``R`` and ``PHASE`` line),
-``circuits`` that of the lines with the distance dropped, and ``total``
-that of the lines as printed.  Two checkouts that print the same total
-produce the same circuits, distances, residuals and factor trees on this
-machine; the same ``circuits`` line alone says that only the distances
-moved, as a change to the simulation arithmetic does, and the case lines
-show by how much; the same ``skeletons`` line alone says that the gates,
-residuals and factor trees are the same and only angles moved, as a
-change to the angle arithmetic of emission does.
+n = 3.  Then ``circuit-texts`` gives the SHA-256 of each case's label,
+gate set and circuit SHA (no distance, no residuals) and of the
+factor-tree line, ``skeletons`` that of the lines with the distance
+dropped and each circuit's angle tokens left out of its text (the last
+token of every ``R`` and ``PHASE`` line), ``circuits`` that of the lines
+with the distance dropped, and ``total`` that of the lines as printed.
+Two checkouts that print the same total produce the same circuits,
+distances, residuals and factor trees on this machine; the same
+``circuits`` line alone says that only the distances moved, as a change
+to the simulation arithmetic does, and the case lines show by how much;
+the same ``skeletons`` line alone says that the gates, residuals and
+factor trees are the same and only angles moved, as a change to the
+angle arithmetic of emission does; the same ``circuit-texts`` line alone
+says that the circuits and factor trees are the same and only distances
+or residuals moved, as a change to the rounding of a residual check does.
 
 The cases then run a second time in the same process, where the
 cancellation sweep may replay plans that the first run recorded, and
@@ -74,8 +78,9 @@ def main(argv: list[str]) -> int:
     def sha(text: str) -> str:
         return hashlib.sha256(text.encode()).hexdigest()
 
-    def case_lines(echo: bool) -> tuple[list[str], list[str], list[str]]:
-        lines, circuits, skeletons = [], [], []  # without the distance; and without the angles too
+    def case_lines(echo: bool) -> tuple[list[str], list[str], list[str], list[str]]:
+        # as printed; without the distance; without the angles too; the circuit alone
+        lines, circuits, skeletons, texts = [], [], [], []
         for label, m in cases:
             for gate_set in GateSet:
                 circ, rep = synthesize(m, SynthesisOptions(gate_set=gate_set))
@@ -86,16 +91,18 @@ def main(argv: list[str]) -> int:
                 lines.append(f"{label} {gate_set.value} {sha(text)} {rep.distance!r} {rep.split_residuals!r}")
                 circuits.append(f"{label} {gate_set.value} {sha(text)} {rep.split_residuals!r}")
                 skeletons.append(f"{label} {gate_set.value} {sha(gates)} {rep.split_residuals!r}")
+                texts.append(f"{label} {gate_set.value} {sha(text)}")
                 if echo:
                     print(lines[-1], flush=True)
-        return lines, circuits, skeletons
+        return lines, circuits, skeletons, texts
 
-    lines, circuits, skeletons = case_lines(echo=True)
+    lines, circuits, skeletons, texts = case_lines(echo=True)
 
     rng = workloads.rng_for(0, "factor-tree-n5", 0)
     tree = workloads.WORKLOADS["factor-tree-n5"]
     inp = tree.make_inputs(rng)[0]
     lines.append(f"factor-tree-n5 {tree.check(inp, tree.op(inp), rng).digest}")
+    texts.append(lines[-1])
     corpus = workloads.structured_corpus(np.random.default_rng(21))
     plain = hashlib.sha256()
     for n in (2, 3):
@@ -108,7 +115,8 @@ def main(argv: list[str]) -> int:
         circuits.append(line)
         skeletons.append(line)
         print(line)
-    for name, part in (("skeletons", skeletons), ("circuits", circuits), ("total", lines)):
+    parts = (("circuit-texts", texts), ("skeletons", skeletons), ("circuits", circuits), ("total", lines))
+    for name, part in parts:
         print(name, sha("\n".join(part)))
     repeat = case_lines(echo=False)[0]
     differ = [a for a, b in zip(lines, repeat) if a != b]  # zip stops before the factor-tree lines

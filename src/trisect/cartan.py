@@ -12,10 +12,12 @@ for the five kinds and :data:`NONLOCAL_ORDER` for their sequence).
 The machinery: two cosine-sine splits (:func:`stage1`, :func:`stage2`),
 a block rearrangement that regroups the four outer factors into
 splittable shapes (:func:`rearrange`), and eigenvalue-based splits of
-block ratios (:func:`split_off_d`).  From :func:`stage2` on, every K is
-block diagonal with three p x p blocks (p = 3^(n-1)) and is carried as
-the (..., 3, p, p) stack of those blocks, never as a zero-padded 3p x 3p
-matrix.
+block ratios (:func:`split_off_d`).  Each cosine-sine stage keeps the
+(2, ..., d, d) buffer of its L and R factors that ``csd`` fills; after
+stage 2 every K is block diagonal with three p x p blocks
+(p = 3^(n-1)) and is carried as the (..., 3, p, p) stack of those
+blocks, the four around the mixers as one (4, ..., 3, p, p) stack,
+never as a zero-padded 3p x 3p matrix.
 
 Level j of the recursion holds 9^j independent matrices, so every step
 also takes a (k, d, d) stack: :func:`factorize_stack` runs one level
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,7 +135,7 @@ def _worst(a: np.ndarray, target: np.ndarray, lead: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # Every step from here on takes one matrix or a (k, ...) stack of them,
-# and returns stacks in the second case.  From stage2 on, a K is its
+# and returns stacks in the second case.  After stage2, a K is its
 # (3, p, p) block stack, so a stack of them is (k, 3, p, p).
 
 
@@ -148,34 +151,31 @@ def stage1(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     p = u.shape[-1] // 3
     res = csd(u, p, 2 * p)
-    lr = np.zeros((2, *u.shape), dtype=complex)
-    lr[0, ..., :p, :p], lr[0, ..., p:, p:] = res.l1, res.l2
-    lr[1, ..., :p, :p], lr[1, ..., p:, p:] = res.r1, res.r2
-    lr *= np.repeat((1.0, 1j, 1.0), p)
+    lr = res.lr
+    lr *= np.array((1.0, 1j, 1.0)).repeat(p)
     return lr, res.theta
 
 
-def stage2(l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split block-diagonal L = left3 . exp(-i sx12 (x) diag(theta)) . right3†.
+def stage2(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split the lower 2p x 2p block L' of L = diag(L0, L') at partition (p, p).
 
     L must be unitary and block diagonal over (p, 2p), as :func:`stage1`
-    builds it; neither is checked.  Only the diagonal blocks are read:
-    the CSD runs on the lower 2p x 2p block at partition (p, p), and the
-    top block rides along in left3.  Both outputs are block diagonal over
-    (p, p, p) and come as their (..., 3, p, p) block stacks.
+    builds it; neither is checked, and only L' is read.  Returns the
+    factors of L' = left . exp(-i sx01 (x) diag(theta)) . right† as one
+    (2, ..., 2p, 2p) buffer, both block diagonal over (p, p), and theta;
+    the lower blocks are scaled by i as in :func:`stage1`.  So
+    L = diag(L0, left) . exp(-i sx12 (x) diag(theta)) . diag(I, right)†:
+    the top block rides along unsplit.
     """
     p = l.shape[-1] // 3
     res = csd(l[..., p:, p:], p, p)
-    left3, right3 = np.empty((2, *l.shape[:-2], 3, p, p), dtype=complex)
-    left3[..., 0, :, :], left3[..., 1, :, :] = l[..., :p, :p], res.l1
-    right3[..., 0, :, :], right3[..., 1, :, :] = np.eye(p), res.r1
-    np.multiply(1j, res.l2, out=left3[..., 2, :, :])
-    np.multiply(1j, res.r2, out=right3[..., 2, :, :])
-    return left3, res.theta, right3
+    lr = res.lr
+    lr[..., p:, p:] *= 1j
+    return lr, res.theta
 
 
-def rearrange(k1: np.ndarray, k2: np.ndarray, k3: np.ndarray, k4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Regroup four block stacks around the fixed mixing factors.
+def rearrange(kk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Regroup the (4, ..., 3, p, p) block stack of K1..K4 around the fixed mixing factors.
 
     Factors of the form diag(X, I, I) slide through the blocks-1/2 mixers
     and diag(I, I, X) through the blocks-0/1 mixer, so each K can donate
@@ -183,17 +183,18 @@ def rearrange(k1: np.ndarray, k2: np.ndarray, k3: np.ndarray, k4: np.ndarray) ->
     (mixer angles arbitrary) is preserved exactly by K1' = diag(B0, B0, A0),
     K2' = diag(A1, B1, B1), K3' = diag(B2, B2, A2) and K4' = diag(Z, A3, B3),
     whose shapes the splitters need: each split factors its A B†.  Returns
-    the (4, ..., 2, p, p) buffer of the pairs (A, B), and Z.
+    the (4, ..., 2, p, p) buffer of the pairs (A, B), and Z.  With Ki the
+    blocks (ui1, ui2, ui3): A1, A2 and Z are u12† u11 u21, u22† u23 u33 and
+    u32† u31 u41, one batched product.
     """
-    (u11, u12, _), (u21, u22, u23), (u31, u32, u33), (u41, _, _) = (
-        [k[..., i, :, :] for i in range(3)] for k in (k1, k2, k3, k4)
-    )
-    ab = np.empty((4, *k1.shape[:-3], 2, *k1.shape[-2:]), dtype=complex)
-    ab[0] = k1[..., :0:-1, :, :]  # (u13, u12)
-    ab[1, ..., 0, :, :], ab[1, ..., 1, :, :] = u12.conj().mT @ u11 @ u21, u22
-    ab[2, ..., 0, :, :], ab[2, ..., 1, :, :] = u22.conj().mT @ u23 @ u33, u32
-    ab[3] = k4[..., 1:, :, :]  # (u42, u43)
-    return ab, u32.conj().mT @ u31 @ u41
+    x = kk[:3, ..., 1, :, :]  # u12, u22, u32
+    y = kk[(0, 1, 2, 1, 2, 3), ..., (0, 2, 0, 0, 2, 0), :, :]  # u11, u23, u31, then u21, u33, u41
+    prod = x.conj().mT @ y[:3] @ y[3:]
+    ab = np.empty((4, *kk.shape[1:-3], 2, *kk.shape[-2:]), dtype=complex)
+    ab[0] = kk[0, ..., :0:-1, :, :]  # (u13, u12)
+    ab[1:3, ..., 0, :, :], ab[1:3, ..., 1, :, :] = prod[:2], x[1:]
+    ab[3] = kk[3, ..., 1:, :, :]  # (u42, u43)
+    return ab, prod[2]
 
 
 # ---------------------------------------------------------------------------
@@ -201,24 +202,19 @@ def rearrange(k1: np.ndarray, k2: np.ndarray, k3: np.ndarray, k4: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 
-def _split_conjugated_diag(prod: np.ndarray, sign: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """V, lam in (-pi/2, pi/2] and diag(exp(sign lam)) V† with prod = V exp(-2i lam) V†, any leading axes."""
+def _split_conjugated_diag(prod: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V, lam in (-pi/2, pi/2] and the (..., 2, p) phases exp(-+i lam), with prod = V exp(-2i lam) V†, any leading axes."""
     eig = unitary_eig(prod.reshape(-1, *prod.shape[-2:]))
-    v = eig.vectors.reshape(prod.shape)
-    lam = -eig.phases.reshape(prod.shape[:-1]) / 2.0
-    lam[lam <= -np.pi / 2] += np.pi
-    return v, lam, _diag_matrix(np.exp(sign * lam)) @ v.conj().mT
+    lam = eig.phases.reshape(prod.shape[:-1]) * -0.5
+    np.add(lam, np.pi, out=lam, where=lam <= -np.pi / 2)
+    return eig.vectors.reshape(prod.shape), lam, _block_phases("z12", lam)[..., 1:, :]
 
 
 def split_off_d(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split diag(P,Q,Q) = (I3 (x) V) . exp(-i D (x) lam) . (I3 (x) W)."""
     p_blk, q_blk = k[..., 0, :, :], k[..., 1, :, :]
-    v, lam, vw = _split_conjugated_diag(p_blk @ q_blk.conj().mT, -1j)
-    return v, lam, vw @ q_blk
-
-
-# i times the sign of lam in each W of the split pass: dbar, d, dbar, z12.
-_SPLIT_SIGNS = 1j * np.array([-1, -1, -1, 1])[:, None, None]
+    v, lam, ph = _split_conjugated_diag(p_blk @ q_blk.conj().mT)
+    return v, lam, _diag_matrix(ph[..., 0, :]) @ v.conj().mT @ q_blk
 
 
 def _pair_worst(v: np.ndarray, phases: np.ndarray, w: np.ndarray, ab: np.ndarray) -> np.ndarray:
@@ -254,9 +250,8 @@ def _absorption_signs(kind: str, p: int) -> np.ndarray:
     return signs
 
 
-# Slotted: a tree of factorize calls holds (9^(n-1) - 1) / 8 nodes of 17 entries each.
-@dataclass(frozen=True, slots=True)
-class NodeEntry:
+# A tuple: a tree of factorize calls holds (9^(n-1) - 1) / 8 nodes of 17 entries each.
+class NodeEntry(NamedTuple):
     """One factor of the chain: a K (matrix) or an angle-vector factor."""
 
     kind: str  # 'K' | 'x01' | 'x12' | 'z12' | 'd' | 'dbar'
@@ -328,18 +323,25 @@ def factorize_stack(ms: np.ndarray, absorb: bool = False) -> tuple[list[tuple[st
     lr, th_a = stage1(ms)
     residuals["stage1"] = _worst(_mix_columns(lr[0], "x01", th_a) @ lr[1].conj().mT, ms)
 
-    # One stage-2 pass splits L (lines [0, k)) and R (lines [k, 2k)).  From
-    # here on every K is a (k, 3, p, p) block stack.  The check rebuilds only
-    # the lower 2p x 2p block that the CSD split (where x12 mixes its blocks
-    # 0 and 1, an x01): block 0 of left3 is a copy of the input's top block
-    # and block 0 of right3 the identity, so the rest reconstructs exactly.
+    # One stage-2 pass splits L (lines [0, k)) and R (lines [k, 2k)).  Its
+    # check rebuilds only the lower 2p x 2p block that the CSD split: the top
+    # block rides along as block 0 of the left K, against the identity as
+    # block 0 of the right one, so the rest reconstructs exactly.
     lr2 = lr.reshape(2 * k, 3 * p, 3 * p)
-    l3, th_lr, r3 = stage2(lr2)
-    r3h = r3.conj().mT
-    worst = _worst(_mix_columns(_block_diag(l3[:, 1:]), "x01", th_lr) @ _block_diag(r3h[:, 1:]), lr2[:, p:, p:])
+    lr3, th_lr = stage2(lr2)
+    worst = _worst(_mix_columns(lr3[0], "x01", th_lr) @ lr3[1].conj().mT, lr2[:, p:, p:])
     residuals["stage2_left"], residuals["stage2_right"] = worst[:k], worst[k:]
-    k1p, k2p, k3p, k4p = l3[:k], r3h[:k], r3[k:], l3[k:].conj().mT
     th_l, th_r = th_lr[:k], -th_lr[k:]
+
+    # From here on every K is a block stack.  The four around the mixers are
+    # one (4, k, 3, p, p) stack: K1 and K2† are the left and right factors of
+    # L's lines, K3 and K4† the right and left factors of R's.
+    kk = np.zeros((4, k, 3, p, p), dtype=complex)
+    blocks = lr3.reshape(2, 2, k, 2, p, 2, p).diagonal(axis1=3, axis2=5).transpose(0, 1, 2, 5, 3, 4)
+    kk[::3, :, 0] = lr2[:, :p, :p].reshape(2, k, p, p)
+    kk[::3, :, 1:], kk[1:3, :, 1:] = blocks
+    kk[1:3, :, 0].reshape(2, k, p * p)[..., :: p + 1] = 1.0  # identities; the reshape is a view
+    kk[1::2] = kk[1::2].conj().mT
 
     if absorb:
         # Fold each absorbed factor's sign diagonal into the K on its left as
@@ -347,19 +349,17 @@ def factorize_stack(ms: np.ndarray, absorb: bool = False) -> tuple[list[tuple[st
         # with the dense diagonal does: on degenerate splits the signs of
         # exact zeros decide which eigenbasis LAPACK returns, so without it
         # some structured inputs get other (equally valid) circuits.
-        za1 = _absorption_signs("x12", p)[:, None, :]
-        za = _absorption_signs("x01", p)[:, None, :]
-        k1p = k1p * za1 + 0.0
-        k2p = k2p * za + 0.0
-        k3p = k3p * za1 + 0.0
+        kk[:3] *= np.array([_absorption_signs(kind, p) for kind in ("x12", "x01", "x12")])[:, None, :, None, :]
+        kk[:3] += 0.0
 
     # One eigen-split pass for the four splits of the rearranged blocks,
     # group g on lines [gk, (g+1)k): dbar of K1', d of K2', dbar of K3' and
     # z12 of K4', each of A B† for its pair (A, B) (see rearrange).  A split
     # leaves W = diag(exp(-i lam)) V† B, the z12 split diag(exp(i lam)) V† A.
-    ab, z = rearrange(k1p, k2p, k3p, k4p)
+    ab, z = rearrange(kk)
     a, b = ab[:, :, 0], ab[:, :, 1]
-    v, lam, vw = _split_conjugated_diag(a @ b.conj().mT, _SPLIT_SIGNS)
+    v, lam, ph = _split_conjugated_diag(a @ b.conj().mT)
+    vw = _diag_matrix(ph[(0, 1, 2, 3), :, (0, 0, 0, 1)]) @ v.conj().mT
     w = np.empty((5, k, p, p), dtype=complex)  # the four W, then the z12 split's V†Z
     np.matmul(vw[:3], b[:3], out=w[:3])
     np.matmul(vw[3], a[3], out=w[3])
@@ -371,9 +371,8 @@ def factorize_stack(ms: np.ndarray, absorb: bool = False) -> tuple[list[tuple[st
     # Residuals, one array operation per pass: every split's V exp(-+i lam) W
     # against its pair (A, B), as the phases of z12's blocks 1 and 2, and the
     # z12 split's block 0, V V†Z against Z.
-    ph = _block_phases("z12", lam)
-    worst = _pair_worst(v, ph[:, :, 1:], w[:4], ab)
-    worst_z = _worst((v[3] * ph[3, :, 0, None, :]) @ w[4], z)
+    worst = _pair_worst(v, ph, w[:4], ab)
+    worst_z = _worst(v[3] @ w[4], z)
     residuals.update(zip(("split_dbar_1", "split_d_1", "split_dbar_2"), worst[:3]))
     residuals["split_z12"] = np.maximum(worst[3], worst_z)
     residuals["split_d_2"] = _pair_worst(v8, _block_phases("z12", lam_d2)[:, 1:], w8, k8)

@@ -11,7 +11,9 @@ own query reports (cached per shape), which is what
 are bitwise theirs without their per-call argument handling.  Both also
 take a (k, d, d) stack: the driver runs once per matrix into
 preallocated outputs, and everything around it is one array operation
-over the stack.  A level of ``cartan.factorize_stack`` is two ``csd``
+over the stack.  ``csd`` writes the four factors straight into the one
+buffer of L and R that ``cartan``'s stages keep, so a factor is copied
+once after the driver returns it.  A level of ``cartan.factorize_stack`` is two ``csd``
 passes (its k matrices, then their 2k halves) and two ``unitary_eig``
 passes (4k block products of four splits, then k of the last split).
 
@@ -163,7 +165,7 @@ def unitary_eig(u: np.ndarray) -> EigResult:
     for i, x in enumerate(stack):
         _, _, eigvals[i], vecs[i], _, info = _zgees(_no_sort, x, lwork=lwork)
         _check_info("zgees", info)
-    phases = np.angle(eigvals)
+    phases = np.arctan2(eigvals.imag, eigvals.real)  # np.angle without its Python wrapper
     order = phases.argsort(kind="stable")
     rows = np.arange(len(stack))[:, None]
     phases = phases[rows, order]
@@ -173,17 +175,16 @@ def unitary_eig(u: np.ndarray) -> EigResult:
 
 @dataclass(frozen=True)
 class CSDResult:
-    """Cosine-sine factors:  U = diag(L1,L2) @ Sigma(theta) @ diag(R1,R2)†.
+    """Cosine-sine factors:  U = L @ Sigma(theta) @ R†.
 
-    ``theta`` holds the p principal angles in [0, pi/2]; Sigma is the
-    real orthogonal [[C, -S, 0], [S, C, 0], [0, 0, I_{q-p}]] with
-    C = diag(cos theta) and S = diag(sin theta).
+    ``lr`` holds L = diag(L1, L2) and R = diag(R1, R2), block diagonal over
+    (p, q), as ``lr[0]`` and ``lr[1]``.  ``theta`` holds the p principal
+    angles in [0, pi/2]; Sigma is the real orthogonal
+    [[C, -S, 0], [S, C, 0], [0, 0, I_{q-p}]] with C = diag(cos theta) and
+    S = diag(sin theta).
     """
 
-    l1: np.ndarray
-    l2: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
+    lr: np.ndarray
     theta: np.ndarray
 
 
@@ -203,8 +204,9 @@ def csd(u: np.ndarray, p: int, q: int) -> CSDResult:
     tiny and clustered principal angles alike.  Its middle factor is
     [[C, 0, -S], [0, I, 0], [S, 0, C]]; moving the last p columns of L2
     and R2 to the front puts the C/S columns before the identity, as
-    :class:`CSDResult`'s Sigma has them.  ``u`` may also be a (k, d, d)
-    stack; the result's fields then gain the same leading axis.  ``u``
+    :class:`CSDResult`'s Sigma has them.  The driver's four factors are
+    written straight into the zeroed ``lr`` buffer.  ``u`` may also be a
+    (k, d, d) stack; ``lr`` is then (2, k, d, d) and ``theta`` (k, p).  ``u``
     must be unitary; this is not checked here but at trisect's entry points.
     """
     u = np.asarray(u, dtype=complex)
@@ -212,20 +214,15 @@ def csd(u: np.ndarray, p: int, q: int) -> CSDResult:
     if u.ndim not in (2, 3) or u.shape[-2:] != (d, d) or p > q or p < 1:
         raise ValueError(f"bad partition ({p},{q}) for shape {u.shape}")
     stack = u.reshape(-1, d, d)
-    k = len(stack)
     lwork, lrwork = _zuncsd_lwork_for(d, p)
-    theta = np.empty((k, p))
-    l1 = np.empty((k, p, p), dtype=complex)
-    r1h = np.empty((k, p, p), dtype=complex)
-    l2 = np.empty((k, q, q), dtype=complex)
-    r2h = np.empty((k, q, q), dtype=complex)
+    lr = np.zeros((2, len(stack), d, d), dtype=complex)  # R† in lr[1] until the loop ends
+    theta = np.empty((len(stack), p))
     _clear_upper_state()
     for i, x in enumerate(stack):
-        *_, theta[i], l1[i], l2[i], r1h[i], r2h[i], info = _zuncsd(
+        *_, theta[i], lr[0, i, :p, :p], lr[0, i, p:, p:], lr[1, i, :p, :p], lr[1, i, p:, p:], info = _zuncsd(
             x[:p, :p], x[:p, p:], x[p:, :p], x[p:, p:], lwork=lwork, lrwork=lrwork
         )
         _check_info("zuncsd", info)
-    l2 = np.concatenate((l2[..., -p:], l2[..., :-p]), axis=-1)
-    r2 = np.concatenate((r2h[:, -p:], r2h[:, :-p]), axis=1).conj().mT
-    fields = (l1, l2, r1h.conj().mT, r2, theta)
-    return CSDResult(*(f[0] for f in fields) if u.ndim == 2 else fields)
+    lr[1] = lr[1].conj().mT
+    lr[..., p:, p:] = np.concatenate((lr[..., p:, -p:], lr[..., p:, p:-p]), axis=-1)
+    return CSDResult(lr, theta) if u.ndim == 3 else CSDResult(lr[:, 0], theta[0])

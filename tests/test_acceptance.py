@@ -225,10 +225,7 @@ def test_criterion_9_kernel_reconstruction_and_determinism():
         for _ in range(50):
             u = haar_unitary(dim, rng)
             res = csd(u, p, 2 * p)
-            left = np.zeros((dim, dim), dtype=complex)
-            left[:p, :p], left[p:, p:] = res.l1, res.l2
-            right = np.zeros((dim, dim), dtype=complex)
-            right[:p, :p], right[p:, p:] = res.r1, res.r2
+            left, right = res.lr
             recon = left @ csd_sigma(res.theta, p, 2 * p) @ right.conj().T
             worst_csd = max(worst_csd, float(np.max(np.abs(recon - u))))
 
@@ -250,7 +247,7 @@ def test_criterion_9_kernel_reconstruction_and_determinism():
         r1, r2 = csd(u, p, 2 * p), csd(u, p, 2 * p)
         deterministic &= all(
             np.array_equal(getattr(r1, f), getattr(r2, f))
-            for f in ("l1", "l2", "r1", "r2", "theta")
+            for f in ("lr", "theta")
         )
         bd = _bd3(haar_unitary(p, rng), haar_unitary(p, rng), haar_unitary(p, rng))
         deterministic &= all(

@@ -124,11 +124,13 @@ def test_stage2_reconstructs_three_blocks(d):
     rng = np.random.default_rng(d + 1)
     p = d // 3
     l = _bd(haar_unitary(p, rng), haar_unitary(2 * p, rng))
-    left3, theta, right3 = stage2(l)
-    assert left3.shape == right3.shape == (3, p, p)  # the three diagonal blocks
-    # block 0 rides along untouched, so factorize_stack checks only blocks 1-2
-    assert left3[0].tobytes() == l[:p, :p].tobytes() and right3[0].tobytes() == np.eye(p, dtype=complex).tobytes()
-    recon = _bd(*left3) @ nonlocal_matrix("x12", theta) @ _bd(*right3).conj().T
+    lr, theta = stage2(l)
+    assert lr.shape == (2, 2 * p, 2 * p)  # the factors of the lower 2p x 2p block
+    left, right = lr
+    for f in (left, right):  # block diagonal over (p, p)
+        assert not f[:p, p:].any() and not f[p:, :p].any()
+    # block 0 rides along untouched, so factorize_stack checks only the lower block
+    recon = _bd(l[:p, :p], left) @ nonlocal_matrix("x12", theta) @ _bd(np.eye(p), right).conj().T
     assert np.max(np.abs(recon - l)) < 1e-10
 
 
@@ -164,7 +166,7 @@ def test_rearrange_preserves_product_and_fixes_shapes(p):
             @ _bd(*k3) @ nonlocal_matrix("x12", c) @ _bd(*k4)
         )
 
-    ab, z = rearrange(*ks)
+    ab, z = rearrange(np.stack(ks))
     assert ab.shape == (4, 2, p, p) and z.shape == (p, p)
     # the shapes the splitters need: K1' = diag(B0, B0, A0), K2' = diag(A1, B1, B1),
     # K3' = diag(B2, B2, A2) and K4' = diag(Z, A3, B3)

@@ -24,8 +24,7 @@ X01 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 
 
 def _csd_reconstruct(res: CSDResult, p: int, q: int) -> np.ndarray:
-    left = scipy.linalg.block_diag(res.l1, res.l2)
-    right = scipy.linalg.block_diag(res.r1, res.r2)
+    left, right = res.lr
     return left @ csd_sigma(res.theta, p, q) @ right.conj().T
 
 
@@ -202,8 +201,7 @@ def test_stacked_decompositions_match_single_calls(d):
         assert np.array_equal(eig.phases[i], one.phases)
         assert np.array_equal(eig.vectors[i], one.vectors)
         single = csd(u, p, d - p)
-        for field in ("l1", "l2", "r1", "r2", "theta"):
-            assert np.array_equal(getattr(res, field)[i], getattr(single, field))
+        assert np.array_equal(res.lr[:, i], single.lr) and np.array_equal(res.theta[i], single.theta)
     assert unitary_eig(np.zeros((0, d, d))).vectors.shape == (0, d, d)
 
 
@@ -232,8 +230,7 @@ def test_csd_reconstructs_haar(d, p):
         u = haar_unitary(d, rng)
         res = csd(u, p, d - p)
         assert np.max(np.abs(_csd_reconstruct(res, p, d - p) - u)) < 1e-10
-        assert unitarity_defect(res.l2) < 1e-10
-        assert unitarity_defect(res.r2) < 1e-10
+        assert unitarity_defect(res.lr) < 1e-10  # L and R
         assert np.all(res.theta >= 0.0) and np.all(res.theta <= np.pi / 2 + 1e-12)
 
 
@@ -300,8 +297,7 @@ def test_csd_reconstructs_mixed_angles(theta, q):
     u = left @ csd_sigma(theta, p, q) @ right.conj().T
     res = csd(u, p, q)
     assert np.max(np.abs(_csd_reconstruct(res, p, q) - u)) < 1e-12
-    for f in (res.l1, res.l2, res.r1, res.r2):
-        assert unitarity_defect(f) < 1e-12
+    assert unitarity_defect(res.lr) < 1e-12  # L and R
     assert np.max(np.abs(np.sort(res.theta) - np.sort(theta))) < 1e-12
 
 
@@ -309,7 +305,7 @@ def test_csd_deterministic():
     u = haar_unitary(9, np.random.default_rng(12))
     r1 = csd(u, 3, 6)
     r2 = csd(u, 3, 6)
-    for field in ("l1", "l2", "r1", "r2", "theta"):
+    for field in ("lr", "theta"):
         assert np.array_equal(getattr(r1, field), getattr(r2, field))
 
 
@@ -324,10 +320,12 @@ def test_csd_equals_scipy_cossin(p, square):
         u = haar_unitary(p + q, rng)
         (l1, l2), theta, (r1h, r2h) = scipy.linalg.cossin(u, p=p, q=p, separate=True)
         res = csd(u, p, q)
-        assert np.array_equal(res.l1, l1)
-        assert np.array_equal(res.l2, np.roll(l2, p, axis=1))
-        assert np.array_equal(res.r1, r1h.conj().T)
-        assert np.array_equal(res.r2, np.roll(r2h.conj().T, p, axis=1))
+        (left, right) = res.lr
+        assert np.array_equal(left[:p, :p], l1)
+        assert np.array_equal(left[p:, p:], np.roll(l2, p, axis=1))
+        assert np.array_equal(right[:p, :p], r1h.conj().T)
+        assert np.array_equal(right[p:, p:], np.roll(r2h.conj().T, p, axis=1))
+        assert not res.lr[:, :p, p:].any() and not res.lr[:, p:, :p].any()  # block diagonal
         assert np.array_equal(res.theta, theta)
 
 

@@ -130,6 +130,20 @@ def _worst(a: np.ndarray, target: np.ndarray, lead: int = 1) -> np.ndarray:
     return np.abs(a).max(axis=tuple(range(lead, a.ndim)))
 
 
+def _cs_worst(lr: np.ndarray, theta: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Each line's worst entry of L . exp(-i sx01 (x) diag(theta)) . R† - U.
+
+    ``lr`` is the (2, k, d, d) buffer of L and R, block diagonal over
+    (p, d - p), as a cosine-sine stage leaves it.  Only blocks that can be
+    nonzero are multiplied: with M = L . exp(...), column block 0 of the
+    product is M[:, :p] R1† and the rest M[:, p:] R2†.
+    """
+    p = theta.shape[-1]
+    m = _mix_columns(lr[0], "x01", theta)
+    rh = lr[1].conj().mT
+    return _worst(np.concatenate((m[..., :p] @ rh[..., :p, :p], m[..., p:] @ rh[..., p:, p:]), axis=-1), u)
+
+
 # ---------------------------------------------------------------------------
 # the two cosine-sine stages
 # ---------------------------------------------------------------------------
@@ -321,7 +335,7 @@ def factorize_stack(ms: np.ndarray, absorb: bool = False) -> tuple[list[tuple[st
     residuals: dict[str, np.ndarray] = {}
 
     lr, th_a = stage1(ms)
-    residuals["stage1"] = _worst(_mix_columns(lr[0], "x01", th_a) @ lr[1].conj().mT, ms)
+    residuals["stage1"] = _cs_worst(lr, th_a, ms)
 
     # One stage-2 pass splits L (lines [0, k)) and R (lines [k, 2k)).  Its
     # check rebuilds only the lower 2p x 2p block that the CSD split: the top
@@ -329,7 +343,7 @@ def factorize_stack(ms: np.ndarray, absorb: bool = False) -> tuple[list[tuple[st
     # block 0 of the right one, so the rest reconstructs exactly.
     lr2 = lr.reshape(2 * k, 3 * p, 3 * p)
     lr3, th_lr = stage2(lr2)
-    worst = _worst(_mix_columns(lr3[0], "x01", th_lr) @ lr3[1].conj().mT, lr2[:, p:, p:])
+    worst = _cs_worst(lr3, th_lr, lr2[:, p:, p:])
     residuals["stage2_left"], residuals["stage2_right"] = worst[:k], worst[k:]
     th_l, th_r = th_lr[:k], -th_lr[k:]
 

@@ -149,9 +149,10 @@ def unitary_eig(u: np.ndarray) -> EigResult:
     ``u`` is one square matrix or a (k, n, n) stack; the result's fields
     gain the same leading axis.  ``u`` must be unitary; this is not
     checked here but at trisect's entry points.  Phases are returned
-    ascending in (-pi, pi].  Within a degenerate cluster the Schur vectors
-    are kept in their incoming column order (stable sort), so identical
-    inputs give identical outputs.
+    ascending in [-pi, pi]: an eigenvalue -1 gives pi, or -pi (sorted
+    first) when its imaginary part is -0.0.  Within a degenerate cluster
+    the Schur vectors are kept in their incoming column order (stable
+    sort), so identical inputs give identical outputs.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim not in (2, 3) or u.shape[-1] != u.shape[-2]:

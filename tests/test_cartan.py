@@ -425,6 +425,33 @@ def test_factorize_stack_shapes():
         factorize_stack(ms)
 
 
+@pytest.mark.parametrize("absorb", [False, True], ids=["plain", "absorbed"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_factorize_output_does_not_depend_on_input_layout(n, absorb):
+    # C order, Fortran order and strided views of one matrix give the same
+    # bytes (signed zeros included): a factor tree feeds the Fortran-ordered
+    # V's of unitary_eig back into factorize.  Identity, permutation and
+    # diagonal inputs have degenerate splits, where the signs of exact
+    # zeros pick the eigenbasis.
+    d = 3**n
+    rng = np.random.default_rng(50 + n)
+    perm = np.eye(d, dtype=complex)[rng.permutation(d)]
+    diag = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, d)))
+    for m in (haar_unitary(d, rng), np.eye(d, dtype=complex), perm, diag):
+        wide = np.zeros((d, 2 * d), dtype=complex)
+        wide[:, ::2] = m
+        flipped = np.flipud(m).copy()
+        layouts = [np.ascontiguousarray(m), np.asfortranarray(m), wide[:, ::2], flipped[::-1]]
+        nodes = [factorize(x, absorb=absorb) for x in layouts]
+        for node in nodes[1:]:
+            for e, f in zip(nodes[0].entries, node.entries, strict=True):
+                a, b = (e.matrix, f.matrix) if e.kind == "K" else (e.angles, f.angles)
+                assert e.kind == f.kind and a.shape == b.shape
+                assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+            assert list(node.residuals) == list(nodes[0].residuals)
+            assert np.array(list(node.residuals.values())).tobytes() == np.array(list(nodes[0].residuals.values())).tobytes()
+
+
 def test_factorize_deterministic():
     u = haar_unitary(9, np.random.default_rng(10))
     n1, n2 = factorize(u), factorize(u)

@@ -21,14 +21,21 @@ time of its layers, read by wrapping the module functions that
 * ``verify``: from the return of ``simplify`` to the return of the
   ``unitary_distance`` call that gives the reported distance (the
   simulation and the comparison);
-* ``synthesize``: the whole call.
+* ``synthesize``: the whole call;
+* ``factorize_call``: for n <= 5, after both syntheses and with the
+  wrappers removed, the median time of ``cartan.factorize(m, absorb=True)``
+  over ``CALLS[n]`` calls, the call that perfbench's ``factor-tree-n5``
+  makes at every node.
 
 It also records the gate counts, the reported distance, the split
 residuals (worst per recursion level) and, for n <= 5,
 the exact distance ``unitary_distance(eval_circuit(c), m)`` (untimed),
 and the peak RSS of the process.  The JSON gives, per width, seed and
-side, the median over processes of every time, and the change/parent
-ratio of the medians; every process's times are under ``per_process_s``.
+side, the median over processes of every time and of the peak RSS.  The
+parent and change processes of one round and width form a pair; per
+layer, ``paired_ratio`` gives the median and quartiles of the pairs'
+change/parent ratios, and ``per_pair`` every ratio.  Every process's
+times are under ``per_process_s``.
 """
 
 from __future__ import annotations
@@ -44,10 +51,11 @@ import sys
 import time
 from pathlib import Path
 
-LAYERS = ("factorize", "csd", "eig", "emit", "cancel", "fuse", "verify", "synthesize")
+LAYERS = ("factorize", "csd", "eig", "emit", "cancel", "fuse", "verify", "synthesize", "factorize_call")
 SEEDS = (0, 1)
 ROUNDS = 5
 WIDTHS = range(2, 7)
+CALLS = {2: 200, 3: 50, 4: 10, 5: 3}  # factorize calls timed per seed
 
 
 def worker(root: Path, n: int) -> dict:
@@ -60,9 +68,11 @@ def worker(root: Path, n: int) -> dict:
     if not Path(trisect.__file__).resolve().is_relative_to(root.resolve()):
         raise SystemExit(f"trisect was imported from {trisect.__file__}, not from {root}")
     marks: dict[str, float] = {}
+    originals = []
 
     def timed(module, name: str, layer: str | None, mark: str | None = None) -> None:
         fn = getattr(module, name)
+        originals.append((module, name, fn))
 
         def wrapper(*args, **kwargs):
             start = time.perf_counter()
@@ -90,7 +100,7 @@ def worker(root: Path, n: int) -> dict:
         marks.clear()
         start = time.perf_counter()
         circ, report = synth.synthesize(m)
-        times = {layer: marks.get(layer, 0.0) for layer in LAYERS[:-2]}
+        times = {layer: marks.get(layer, 0.0) for layer in LAYERS[:-3]}
         times["verify"] = marks["distance"] - marks["simplified"]
         times["synthesize"] = time.perf_counter() - start
         counts = report.counts
@@ -103,6 +113,16 @@ def worker(root: Path, n: int) -> dict:
             "split_residuals": report.split_residuals,
             "exact_distance": linalg.unitary_distance(eval_circuit(circ), m) if n <= 5 else None,
         }
+    for module, name, fn in originals:
+        setattr(module, name, fn)
+    for seed in SEEDS if n in CALLS else ():
+        m = haar_unitary(3**n, np.random.default_rng(seed))
+        calls = []
+        for _ in range(CALLS[n]):
+            start = time.perf_counter()
+            cartan.factorize(m, absorb=True)
+            calls.append(time.perf_counter() - start)
+        out[seed]["times_s"]["factorize_call"] = statistics.median(calls)
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return out
 
@@ -121,7 +141,8 @@ def src_lines(root: Path) -> int:
 
 def summary(samples: list[dict], seed: str) -> dict:
     first = samples[0][seed]
-    times = {layer: statistics.median(s[seed]["times_s"][layer] for s in samples) for layer in LAYERS}
+    layers = [layer for layer in LAYERS if layer in first["times_s"]]
+    times = {layer: statistics.median(s[seed]["times_s"][layer] for s in samples) for layer in layers}
     return {
         "median_s": {layer: round(t, 6) for layer, t in times.items()},
         "gates": first["gates"],
@@ -130,9 +151,23 @@ def summary(samples: list[dict], seed: str) -> dict:
         "distance": first["distance"],
         "split_residuals": first["split_residuals"],
         "exact_distance": first["exact_distance"],
-        "peak_rss_mb": round(max(s["peak_rss_mb"] for s in samples), 1),
-        "per_process_s": {layer: [round(s[seed]["times_s"][layer], 6) for s in samples] for layer in LAYERS},
+        "peak_rss_mb": round(statistics.median(s["peak_rss_mb"] for s in samples), 1),
+        "per_process_s": {layer: [round(s[seed]["times_s"][layer], 6) for s in samples] for layer in layers},
     }
+
+
+def paired(parent: list[dict], change: list[dict], seed: str) -> tuple[dict, dict]:
+    """Per layer, the quartiles of the pairs' change/parent ratios, and every ratio."""
+    per_pair = {
+        layer: [round(c[seed]["times_s"][layer] / p[seed]["times_s"][layer], 4) for p, c in zip(parent, change)]
+        for layer in LAYERS
+        if layer in parent[0][seed]["times_s"] and all(p[seed]["times_s"][layer] > 0 for p in parent)
+    }
+    quartiles = {
+        layer: dict(zip(("q1", "median", "q3"), (round(q, 4) for q in statistics.quantiles(r, n=4))))
+        for layer, r in per_pair.items()
+    }
+    return quartiles, per_pair
 
 
 def main(argv: list[str]) -> int:
@@ -157,11 +192,7 @@ def main(argv: list[str]) -> int:
         for seed in map(str, SEEDS):
             row = {"n": n, "seed": int(seed)}
             row.update({side: summary(samples[side, n], seed) for side in sides})
-            row["ratio_of_medians"] = {
-                layer: round(row["change"]["median_s"][layer] / row["parent"]["median_s"][layer], 4)
-                for layer in LAYERS
-                if row["parent"]["median_s"][layer] > 0
-            }
+            row["paired_ratio"], row["per_pair"] = paired(samples["parent", n], samples["change", n], seed)
             rows.append(row)
     import numpy
     import scipy
@@ -170,8 +201,10 @@ def main(argv: list[str]) -> int:
         "what": "wall time per layer of synthesize on Haar inputs (default options, gcx+cinc), parent against change",
         "command": f"OPENBLAS_NUM_THREADS=1 python3 tools/bench_layers.py {args.label} PARENT CHANGE",
         "timing": f"{ROUNDS} rounds; per round and width one fresh process per side, the first side "
-        "alternating; in each process seed 0, then seed 1 (which replays the caches seed 0 filled). "
-        "median_s is the median over processes; ratio_of_medians is change/parent.",
+        "alternating; in each process seed 0, then seed 1 (which replays the caches seed 0 filled), then "
+        "factorize_call for n <= 5 (median over CALLS[n] calls of factorize(m, absorb=True)). median_s and "
+        "peak_rss_mb are medians over processes; the two processes of a round form a pair, and paired_ratio "
+        "gives the quartiles (statistics.quantiles) of the pairs' change/parent ratios.",
         "environment": {
             "cores": os.cpu_count(),
             "python": platform.python_version(),

@@ -221,7 +221,7 @@ def _split_conjugated_diag(prod: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     eig = unitary_eig(prod.reshape(-1, *prod.shape[-2:]))
     lam = eig.phases.reshape(prod.shape[:-1]) * -0.5
     np.add(lam, np.pi, out=lam, where=lam <= -np.pi / 2)
-    return eig.vectors.reshape(prod.shape), lam, _block_phases("z12", lam)[..., 1:, :]
+    return eig.vectors.reshape(prod.shape), lam, np.exp(_BLOCK_SIGNS["z12"][1:, None] * lam[..., None, :])
 
 
 def split_off_d(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -205,8 +205,8 @@ def csd(u: np.ndarray, p: int, q: int) -> CSDResult:
     tiny and clustered principal angles alike.  Its middle factor is
     [[C, 0, -S], [0, I, 0], [S, 0, C]]; moving the last p columns of L2
     and R2 to the front puts the C/S columns before the identity, as
-    :class:`CSDResult`'s Sigma has them.  The driver's four factors are
-    written straight into the zeroed ``lr`` buffer.  ``u`` may also be a
+    :class:`CSDResult`'s Sigma has them, so each driver output is written
+    straight into its place in the zeroed ``lr`` buffer.  ``u`` may also be a
     (k, d, d) stack; ``lr`` is then (2, k, d, d) and ``theta`` (k, p).  ``u``
     must be unitary; this is not checked here but at trisect's entry points.
     """
@@ -220,10 +220,11 @@ def csd(u: np.ndarray, p: int, q: int) -> CSDResult:
     theta = np.empty((len(stack), p))
     _clear_upper_state()
     for i, x in enumerate(stack):
-        *_, theta[i], lr[0, i, :p, :p], lr[0, i, p:, p:], lr[1, i, :p, :p], lr[1, i, p:, p:], info = _zuncsd(
+        *_, theta[i], lr[0, i, :p, :p], u2, lr[1, i, :p, :p], v2h, info = _zuncsd(
             x[:p, :p], x[:p, p:], x[p:, :p], x[p:, p:], lwork=lwork, lrwork=lrwork
         )
         _check_info("zuncsd", info)
+        lr[0, i, p:, p : 2 * p], lr[0, i, p:, 2 * p :] = u2[:, -p:], u2[:, :-p]
+        lr[1, i, p : 2 * p, p:], lr[1, i, 2 * p :, p:] = v2h[-p:], v2h[:-p]
     lr[1] = lr[1].conj().mT
-    lr[..., p:, p:] = np.concatenate((lr[..., p:, -p:], lr[..., p:, p:-p]), axis=-1)
     return CSDResult(lr, theta) if u.ndim == 3 else CSDResult(lr[:, 0], theta[0])

@@ -36,11 +36,17 @@ parent and change processes of one round and width form a pair; per
 layer, ``paired_ratio`` gives the median and quartiles of the pairs'
 change/parent ratios, and ``per_pair`` every ratio.  Every process's
 times are under ``per_process_s``.
+
+Last, ``interleaved`` times ``factorize(m, absorb=True)`` of both
+checkouts in this one process (each loaded as its own package), for
+n = 2..5: per round, each side factorizes the same Haar matrices, the
+first side alternating, and each round's two mean times form a pair.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -56,6 +62,7 @@ SEEDS = (0, 1)
 ROUNDS = 5
 WIDTHS = range(2, 7)
 CALLS = {2: 200, 3: 50, 4: 10, 5: 3}  # factorize calls timed per seed
+INTERLEAVED = {2: (100, 60), 3: (20, 60), 4: (4, 30), 5: (1, 20)}  # n: (Haar matrices, rounds)
 
 
 def worker(root: Path, n: int) -> dict:
@@ -163,11 +170,51 @@ def paired(parent: list[dict], change: list[dict], seed: str) -> tuple[dict, dic
         for layer in LAYERS
         if layer in parent[0][seed]["times_s"] and all(p[seed]["times_s"][layer] > 0 for p in parent)
     }
-    quartiles = {
-        layer: dict(zip(("q1", "median", "q3"), (round(q, 4) for q in statistics.quantiles(r, n=4))))
-        for layer, r in per_pair.items()
-    }
-    return quartiles, per_pair
+    return {layer: quartiles(r) for layer, r in per_pair.items()}, per_pair
+
+
+def quartiles(ratios: list[float]) -> dict:
+    return dict(zip(("q1", "median", "q3"), (round(q, 4) for q in statistics.quantiles(ratios, n=4))))
+
+
+def load(name: str, root: Path):
+    """The trisect package of checkout ``root``, imported as ``name``."""
+    package = root / "src" / "trisect"
+    spec = importlib.util.spec_from_file_location(name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def interleaved(sides: dict[str, Path]) -> list[dict]:
+    """Per width, the per-call time of factorize(m, absorb=True) of both checkouts, alternating in one process."""
+    import numpy as np
+
+    libs = {side: load(f"trisect_{side}", root) for side, root in sides.items()}
+    rows = []
+    for n, (count, rounds) in INTERLEAVED.items():
+        ms = [libs["parent"].haar_unitary(3**n, np.random.default_rng(seed)) for seed in range(count)]
+        for lib in libs.values():
+            lib.factorize(ms[0], absorb=True)  # warm the per-shape caches
+        per_call = {side: [] for side in sides}
+        for r in range(rounds):
+            for side in list(sides) if r % 2 == 0 else list(sides)[::-1]:
+                start = time.perf_counter()
+                for m in ms:
+                    libs[side].factorize(m, absorb=True)
+                per_call[side].append((time.perf_counter() - start) / count)
+            print(f"interleaved n={n} round {r}", file=sys.stderr)
+        rows.append(
+            {
+                "n": n,
+                "matrices": count,
+                "rounds": rounds,
+                "median_s": {side: round(statistics.median(t), 7) for side, t in per_call.items()},
+                "paired_ratio": quartiles([c / p for p, c in zip(per_call["parent"], per_call["change"])]),
+            }
+        )
+    return rows
 
 
 def main(argv: list[str]) -> int:
@@ -194,6 +241,7 @@ def main(argv: list[str]) -> int:
             row.update({side: summary(samples[side, n], seed) for side in sides})
             row["paired_ratio"], row["per_pair"] = paired(samples["parent", n], samples["change", n], seed)
             rows.append(row)
+    per_call = interleaved(sides)
     import numpy
     import scipy
 
@@ -214,6 +262,11 @@ def main(argv: list[str]) -> int:
         },
         "src_lines": {side: src_lines(root) for side, root in sides.items()},
         "rows": rows,
+        "interleaved": {
+            "what": "factorize(m, absorb=True) per call, both checkouts in one process, Haar seeds 0.., "
+            "alternating per round; paired_ratio gives the quartiles of the rounds' change/parent ratios",
+            "rows": per_call,
+        },
     }
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(doc, indent=1) + "\n")
     return 0

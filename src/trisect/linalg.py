@@ -13,9 +13,10 @@ take a (k, d, d) stack: the driver runs once per matrix into
 preallocated outputs, and everything around it is one array operation
 over the stack.  ``csd`` writes the four factors straight into the one
 buffer of L and R that ``cartan``'s stages keep, so a factor is copied
-once after the driver returns it.  A level of ``cartan.factorize_stack`` is two ``csd``
-passes (its k matrices, then their 2k halves) and two ``unitary_eig``
-passes (4k block products of four splits, then k of the last split).
+once after the driver returns it.  A level of ``cartan.factorize_stack``
+is two ``csd`` passes (its k matrices, then their 2k halves) and two
+``unitary_eig`` passes (4k block products of four splits, then k of the
+last split).
 
 Each pass first runs :func:`_clear_upper_state`: numpy's complex matrix
 product (OpenBLAS's AVX-512 gemm) can leave the upper vector register

@@ -13,14 +13,14 @@ The machinery: two cosine-sine splits (:func:`stage1`, :func:`stage2`),
 a block rearrangement that regroups the four outer factors into
 splittable shapes (:func:`rearrange`), and eigenvalue-based splits of
 block ratios (:func:`split_off_d`).  Each cosine-sine stage keeps the
-(2, ..., d, d) buffer of its L and R factors that ``csd`` fills; after
+(2, k, d, d) buffer of its L and R factors that ``csd`` fills; after
 stage 2 every K is block diagonal with three p x p blocks
 (p = 3^(n-1)) and is carried as the (..., 3, p, p) stack of those
 blocks, the four around the mixers as one (4, ..., 3, p, p) stack,
 never as a zero-padded 3p x 3p matrix.
 
 Level j of the recursion holds 9^j independent matrices, so every step
-also takes a (k, d, d) stack: :func:`factorize_stack` runs one level
+takes a (k, d, d) stack: :func:`factorize_stack` runs one level
 for a whole stack in two ``csd`` and two ``unitary_eig`` passes (see
 there), with only the LAPACK drivers looping per matrix, and returns
 one stack per chain factor; :func:`factorize` is its one-matrix case,
@@ -54,15 +54,6 @@ __all__ = [
 
 # Kinds of the eight interleaved non-K factors, in chain order.
 NONLOCAL_ORDER = ("dbar", "x12", "d", "x01", "dbar", "x12", "z12", "d")
-
-
-def _block_diag(blocks: np.ndarray) -> np.ndarray:
-    """The dense bp x bp matrix of a (..., b, p, p) stack of b diagonal blocks."""
-    b, p = blocks.shape[-3], blocks.shape[-1]
-    out = np.zeros((*blocks.shape[:-3], b * p, b * p), dtype=complex)
-    for i in range(b):
-        out[..., i * p : (i + 1) * p, i * p : (i + 1) * p] = blocks[..., i, :, :]
-    return out
 
 
 def _diag_matrix(e: np.ndarray) -> np.ndarray:
@@ -102,7 +93,7 @@ def nonlocal_matrix(kind: str, angles: np.ndarray) -> np.ndarray:
         return _mix_columns(np.eye(3 * lam.size, dtype=complex), kind, lam)
     if kind not in _BLOCK_SIGNS:
         raise ValueError(f"unknown factor kind {kind!r}")
-    return _block_diag(_diag_matrix(_block_phases(kind, lam)))
+    return np.diag(_block_phases(kind, lam).ravel())
 
 
 def _mix_columns(a: np.ndarray, kind: str, angles: np.ndarray) -> np.ndarray:
@@ -148,44 +139,43 @@ def _cs_worst(lr: np.ndarray, theta: np.ndarray, u: np.ndarray) -> np.ndarray:
 # the two cosine-sine stages
 # ---------------------------------------------------------------------------
 #
-# Every step from here on takes one matrix or a (k, ...) stack of them,
-# and returns stacks in the second case.  After stage2, a K is its
+# Every step from here on takes a (k, ...) stack of matrices and returns
+# stacks, as ``csd`` and ``unitary_eig`` do.  After stage2, a K is its
 # (3, p, p) block stack, so a stack of them is (k, 3, p, p).
 
 
 def stage1(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split U = L . exp(-i sx01 (x) diag(theta)) . R† at partition (p, 2p).
+    """Split U = L . exp(-i sx01 (x) diag(theta)) . R† at partition (p, 2p), each U of a (k, d, d) stack.
 
-    Returns L and R as one (2, ..., d, d) buffer, and theta.  L and R are
-    block diagonal over (p, 2p).  The CSD middle factor is real; scaling
-    the second block column of both L and R by i turns it into the
-    generator exponential with -i*sin off-diagonals.  The other columns
-    are scaled by 1, as ``x * (1+0j)`` makes an imaginary -0.0 +0.0, and
-    signs of zeros pick eigenbases on degenerate splits.
+    Returns L and R as one (2, k, d, d) buffer, and the (k, p) angles
+    theta.  L and R are block diagonal over (p, 2p).  The CSD middle
+    factor is real; scaling the second block column of both L and R by i
+    turns it into the generator exponential with -i*sin off-diagonals.
+    The other columns are scaled by 1, as ``x * (1+0j)`` makes an
+    imaginary -0.0 +0.0, and signs of zeros pick eigenbases on
+    degenerate splits.
     """
     p = u.shape[-1] // 3
-    res = csd(u, p, 2 * p)
-    lr = res.lr
+    lr, theta = csd(u, p, 2 * p)
     lr *= np.array((1.0, 1j, 1.0)).repeat(p)
-    return lr, res.theta
+    return lr, theta
 
 
 def stage2(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split the lower 2p x 2p block L' of L = diag(L0, L') at partition (p, p).
+    """Split the lower 2p x 2p block L' of each L = diag(L0, L') of a (k, 3p, 3p) stack at partition (p, p).
 
     L must be unitary and block diagonal over (p, 2p), as :func:`stage1`
     builds it; neither is checked, and only L' is read.  Returns the
     factors of L' = left . exp(-i sx01 (x) diag(theta)) . right† as one
-    (2, ..., 2p, 2p) buffer, both block diagonal over (p, p), and theta;
+    (2, k, 2p, 2p) buffer, both block diagonal over (p, p), and theta;
     the lower blocks are scaled by i as in :func:`stage1`.  So
     L = diag(L0, left) . exp(-i sx12 (x) diag(theta)) . diag(I, right)†:
     the top block rides along unsplit.
     """
     p = l.shape[-1] // 3
-    res = csd(l[..., p:, p:], p, p)
-    lr = res.lr
+    lr, theta = csd(l[..., p:, p:], p, p)
     lr[..., p:, p:] *= 1j
-    return lr, res.theta
+    return lr, theta
 
 
 def rearrange(kk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,10 +208,10 @@ def rearrange(kk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _split_conjugated_diag(prod: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """V, lam in (-pi/2, pi/2] and the (..., 2, p) phases exp(-+i lam), with prod = V exp(-2i lam) V†, any leading axes."""
-    eig = unitary_eig(prod.reshape(-1, *prod.shape[-2:]))
-    lam = eig.phases.reshape(prod.shape[:-1]) * -0.5
+    phases, vectors = unitary_eig(prod.reshape(-1, *prod.shape[-2:]))
+    lam = phases.reshape(prod.shape[:-1]) * -0.5
     np.add(lam, np.pi, out=lam, where=lam <= -np.pi / 2)
-    return eig.vectors.reshape(prod.shape), lam, np.exp(_BLOCK_SIGNS["z12"][1:, None] * lam[..., None, :])
+    return vectors.reshape(prod.shape), lam, np.exp(_BLOCK_SIGNS["z12"][1:, None] * lam[..., None, :])
 
 
 def split_off_d(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -336,8 +336,8 @@ def _monomials(width: int) -> tuple[np.ndarray, np.ndarray]:
     every caller shares them.
     """
     idx, digits = np.arange(3**width).reshape((3,) * width), np.indices((3,) * width).reshape(width, -1)
-    index = np.tile(idx.ravel().astype(np.int8), (4, 3, 3, width, width, 1))  # 3^width <= 27 states
-    sign = np.zeros_like(index)
+    index = np.tile(idx.ravel().astype(np.int16), (4, 3, 3, width, width, 1))
+    sign = np.zeros_like(index)  # signed, for the -1 signs
     # row i of each 3x3 generator has its single 1 in column src[g][i]
     src = [np.abs(algebra.generator(algebra.GeneratorId[g])).argmax(axis=1) for g in ("X01", "X02", "X12", "INC")]
     for lv, a in itertools.product(range(3), range(width)):

@@ -323,7 +323,10 @@ def _identity_checks() -> list[tuple[str, float, float]]:
 
 
 def _factorization_checks(seed: int) -> list[tuple[str, float, float]]:
-    """Rows read off one ``factorize_stack`` call per width on (identity, permutation, Haar)."""
+    """Rows read off one ``factorize_stack`` call per width on (identity, permutation, Haar).
+
+    The calls absorb, as ``synthesize`` runs them, so the rows cover the absorption signs too.
+    """
     rng = np.random.default_rng(seed)
     checks: list[tuple[str, float, float]] = []
     for n in (2, 3):
@@ -332,8 +335,8 @@ def _factorization_checks(seed: int) -> list[tuple[str, float, float]]:
         # nonzero ones (or only zeros), which Haar inputs never produce.
         perm = np.eye(d)[rng.permutation(d)]
         ms = np.stack([np.eye(d), perm, haar_unitary(d, rng)])
-        chain, residuals = factorize_stack(ms)
-        nodes = [factorize(m) for m in ms]
+        chain, residuals = factorize_stack(ms, absorb=True)
+        nodes = [factorize(m, absorb=True) for m in ms]
         stacked = _gap(
             (x[i], e.matrix if kind == "K" else e.angles)
             for i, node in enumerate(nodes)

@@ -8,15 +8,15 @@ of the principal angles, and :func:`unitary_eig` is the complex
 Schur form ``zgees``.  Both pass the workspace sizes that each driver's
 own query reports (cached per shape), which is what
 ``scipy.linalg.cossin`` and ``scipy.linalg.schur`` do, so the results
-are bitwise theirs without their per-call argument handling.  Both also
-take a (k, d, d) stack: the driver runs once per matrix into
-preallocated outputs, and everything around it is one array operation
-over the stack.  ``csd`` writes the four factors straight into the one
-buffer of L and R that ``cartan``'s stages keep, so a factor is copied
-once after the driver returns it.  A level of ``cartan.factorize_stack``
-is two ``csd`` passes (its k matrices, then their 2k halves) and two
-``unitary_eig`` passes (4k block products of four splits, then k of the
-last split).
+are bitwise theirs without their per-call argument handling.  Both take
+only a (k, d, d) stack and return a plain tuple of stacked arrays: the
+driver runs once per matrix into preallocated outputs, and everything
+around it is one array operation over the stack.  ``csd`` writes the
+four factors straight into the one buffer of L and R that ``cartan``'s
+stages keep, so a factor is copied once after the driver returns it.  A
+level of ``cartan.factorize_stack`` is two ``csd`` passes (its k
+matrices, then their 2k halves) and two ``unitary_eig`` passes (4k
+block products of four splits, then k of the last split).
 
 Each pass first runs :func:`_clear_upper_state`: numpy's complex matrix
 product (OpenBLAS's AVX-512 gemm) can leave the upper vector register
@@ -32,14 +32,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
 
 __all__ = [
-    "CSDResult",
-    "EigResult",
     "csd",
     "haar_unitary",
     "nearest_unitary",
@@ -68,10 +65,6 @@ def _check_info(driver: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {driver} failed (info={info})")
 
 
-def _not_square(u: np.ndarray) -> ValueError:
-    return ValueError(f"expected a square matrix or a stack of them, got shape {u.shape}")
-
-
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry deviation of U†U from the identity; inf if U is not finite.
 
@@ -82,7 +75,7 @@ def unitarity_defect(u: np.ndarray) -> float:
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
-        raise _not_square(u)
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {u.shape}")
     d = u.shape[-1]
     g = u.conj().mT @ u
     g.reshape(*g.shape[:-2], d * d)[..., :: d + 1] -= 1.0  # a view: the product is contiguous
@@ -125,14 +118,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * ph
 
 
-@dataclass(frozen=True)
-class EigResult:
-    """Spectral data of a normal matrix: ``vectors @ diag(f(phases)) @ vectors†``."""
-
-    phases: np.ndarray
-    vectors: np.ndarray
-
-
 @functools.cache
 def _zgees_lwork(n: int) -> int:
     *_, work, info = _zgees(_no_sort, np.eye(n, dtype=complex), lwork=-1)
@@ -144,50 +129,32 @@ def _no_sort(x):
     return None
 
 
-def unitary_eig(u: np.ndarray) -> EigResult:
-    """Eigen-decomposition of a unitary via a complex Schur form (``zgees``).
+def unitary_eig(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-decomposition of each unitary of a (k, n, n) stack via a complex Schur form (``zgees``).
 
-    ``u`` is one square matrix or a (k, n, n) stack; the result's fields
-    gain the same leading axis.  ``u`` must be unitary; this is not
-    checked here but at trisect's entry points.  Phases are returned
-    ascending in [-pi, pi]: an eigenvalue -1 gives pi, or -pi (sorted
-    first) when its imaginary part is -0.0.  Within a degenerate cluster
-    the Schur vectors are kept in their incoming column order (stable
-    sort), so identical inputs give identical outputs.
+    Returns ``(phases, vectors)``, (k, n) and (k, n, n), with
+    ``us[i] = vectors[i] @ diag(exp(1j * phases[i])) @ vectors[i]†``;
+    anything but a (k, n, n) stack raises ``ValueError``.  ``us`` must be
+    unitary; this is not checked here but at trisect's entry points.
+    Phases are returned ascending in [-pi, pi]: an eigenvalue -1 gives pi,
+    or -pi (sorted first) when its imaginary part is -0.0.  Within a
+    degenerate cluster the Schur vectors are kept in their incoming column
+    order (stable sort), so identical inputs give identical outputs.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim not in (2, 3) or u.shape[-1] != u.shape[-2]:
-        raise _not_square(u)
-    n = u.shape[-1]
-    stack = u.reshape(-1, n, n)
-    lwork = _zgees_lwork(n)
-    eigvals = np.empty(stack.shape[:2], dtype=complex)
-    vecs = np.empty(stack.shape, dtype=complex)
+    us = np.asarray(us, dtype=complex)
+    if us.ndim != 3 or us.shape[1] != us.shape[2]:
+        raise ValueError(f"expected a (k, n, n) stack of square matrices, got shape {us.shape}")
+    lwork = _zgees_lwork(us.shape[-1])
+    eigvals = np.empty(us.shape[:2], dtype=complex)
+    vecs = np.empty(us.shape, dtype=complex)
     _clear_upper_state()
-    for i, x in enumerate(stack):
+    for i, x in enumerate(us):
         _, _, eigvals[i], vecs[i], _, info = _zgees(_no_sort, x, lwork=lwork)
         _check_info("zgees", info)
     phases = np.arctan2(eigvals.imag, eigvals.real)  # np.angle without its Python wrapper
     order = phases.argsort(kind="stable")
-    rows = np.arange(len(stack))[:, None]
-    phases = phases[rows, order]
-    vecs = vecs.mT[rows, order].mT
-    return EigResult(phases[0], vecs[0]) if u.ndim == 2 else EigResult(phases, vecs)
-
-
-@dataclass(frozen=True)
-class CSDResult:
-    """Cosine-sine factors:  U = L @ Sigma(theta) @ R†.
-
-    ``lr`` holds L = diag(L1, L2) and R = diag(R1, R2), block diagonal over
-    (p, q), as ``lr[0]`` and ``lr[1]``.  ``theta`` holds the p principal
-    angles in [0, pi/2]; Sigma is the real orthogonal
-    [[C, -S, 0], [S, C, 0], [0, 0, I_{q-p}]] with C = diag(cos theta) and
-    S = diag(sin theta).
-    """
-
-    lr: np.ndarray
-    theta: np.ndarray
+    rows = np.arange(len(us))[:, None]
+    return phases[rows, order], vecs.mT[rows, order].mT
 
 
 @functools.cache
@@ -197,8 +164,16 @@ def _zuncsd_lwork_for(m: int, p: int) -> tuple[int, int]:
     return int(work.real), int(rwork)
 
 
-def csd(u: np.ndarray, p: int, q: int) -> CSDResult:
-    """Cosine-sine decomposition of a (p+q) x (p+q) unitary, p <= q.
+def csd(us: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine-sine decomposition of each (p+q) x (p+q) unitary of a (k, d, d) stack, 1 <= p <= q.
+
+    Returns ``(lr, theta)`` with ``us[i] = lr[0, i] @ Sigma(theta[i]) @ lr[1, i]†``.
+    ``lr`` is the (2, k, d, d) buffer of L = diag(L1, L2) and R = diag(R1, R2),
+    block diagonal over (p, q); ``theta`` holds the (k, p) principal angles
+    in [0, pi/2]; Sigma is the real orthogonal
+    [[C, -S, 0], [S, C, 0], [0, 0, I_{q-p}]] with C = diag(cos theta) and
+    S = diag(sin theta).  Anything but a (k, d, d) stack, or a partition
+    with p > q or p < 1, raises ``ValueError``.
 
     Computed by LAPACK ``zuncsd`` (B. D. Sutton, "Computing the complete
     CS decomposition", Numer. Algorithms 50, 2009) on the four blocks of
@@ -206,21 +181,19 @@ def csd(u: np.ndarray, p: int, q: int) -> CSDResult:
     tiny and clustered principal angles alike.  Its middle factor is
     [[C, 0, -S], [0, I, 0], [S, 0, C]]; moving the last p columns of L2
     and R2 to the front puts the C/S columns before the identity, as
-    :class:`CSDResult`'s Sigma has them, so each driver output is written
-    straight into its place in the zeroed ``lr`` buffer.  ``u`` may also be a
-    (k, d, d) stack; ``lr`` is then (2, k, d, d) and ``theta`` (k, p).  ``u``
-    must be unitary; this is not checked here but at trisect's entry points.
+    Sigma has them, so each driver output is written straight into its
+    place in the zeroed ``lr`` buffer.  ``us`` must be unitary; this is
+    not checked here but at trisect's entry points.
     """
-    u = np.asarray(u, dtype=complex)
+    us = np.asarray(us, dtype=complex)
     d = p + q
-    if u.ndim not in (2, 3) or u.shape[-2:] != (d, d) or p > q or p < 1:
-        raise ValueError(f"bad partition ({p},{q}) for shape {u.shape}")
-    stack = u.reshape(-1, d, d)
+    if us.ndim != 3 or us.shape[1:] != (d, d) or p > q or p < 1:
+        raise ValueError(f"bad partition ({p},{q}) for shape {us.shape}: expected (k, p+q, p+q) and 1 <= p <= q")
     lwork, lrwork = _zuncsd_lwork_for(d, p)
-    lr = np.zeros((2, len(stack), d, d), dtype=complex)  # R† in lr[1] until the loop ends
-    theta = np.empty((len(stack), p))
+    lr = np.zeros((2, len(us), d, d), dtype=complex)  # R† in lr[1] until the loop ends
+    theta = np.empty((len(us), p))
     _clear_upper_state()
-    for i, x in enumerate(stack):
+    for i, x in enumerate(us):
         *_, theta[i], lr[0, i, :p, :p], u2, lr[1, i, :p, :p], v2h, info = _zuncsd(
             x[:p, :p], x[:p, p:], x[p:, :p], x[p:, p:], lwork=lwork, lrwork=lrwork
         )
@@ -228,4 +201,4 @@ def csd(u: np.ndarray, p: int, q: int) -> CSDResult:
         lr[0, i, p:, p : 2 * p], lr[0, i, p:, 2 * p :] = u2[:, -p:], u2[:, :-p]
         lr[1, i, p : 2 * p, p:], lr[1, i, 2 * p :, p:] = v2h[-p:], v2h[:-p]
     lr[1] = lr[1].conj().mT
-    return CSDResult(lr, theta) if u.ndim == 3 else CSDResult(lr[:, 0], theta[0])
+    return lr, theta

@@ -224,9 +224,9 @@ def test_criterion_9_kernel_reconstruction_and_determinism():
         p = dim // 3
         for _ in range(50):
             u = haar_unitary(dim, rng)
-            res = csd(u, p, 2 * p)
-            left, right = res.lr
-            recon = left @ csd_sigma(res.theta, p, 2 * p) @ right.conj().T
+            lr, theta = csd(u[None], p, 2 * p)
+            left, right = lr[:, 0]
+            recon = left @ csd_sigma(theta[0], p, 2 * p) @ right.conj().T
             worst_csd = max(worst_csd, float(np.max(np.abs(recon - u))))
 
             blocks = [haar_unitary(p, rng) for _ in range(3)]
@@ -244,12 +244,9 @@ def test_criterion_9_kernel_reconstruction_and_determinism():
 
         # repeated runs on one instance must agree bit for bit
         u = haar_unitary(dim, rng)
-        r1, r2 = csd(u, p, 2 * p), csd(u, p, 2 * p)
-        deterministic &= all(
-            np.array_equal(getattr(r1, f), getattr(r2, f))
-            for f in ("lr", "theta")
-        )
-        bd = _bd3(haar_unitary(p, rng), haar_unitary(p, rng), haar_unitary(p, rng))
+        r1, r2 = csd(u[None], p, 2 * p), csd(u[None], p, 2 * p)
+        deterministic &= all(np.array_equal(a, b) for a, b in zip(r1, r2))  # lr, then theta
+        bd = _bd3(haar_unitary(p, rng), haar_unitary(p, rng), haar_unitary(p, rng))[None]
         deterministic &= all(
             np.array_equal(a, b) for a, b in zip(stage2(bd), stage2(bd))
         )

@@ -1,7 +1,5 @@
 """Block factorization: stages, rearrangement, splitters, full chain."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -110,7 +108,8 @@ def test_stage1_reconstructs_with_block_diagonal_factors(d):
     rng = np.random.default_rng(d)
     p = d // 3
     u = haar_unitary(d, rng)
-    (left, right), theta = stage1(u)
+    lr, theta = stage1(u[None])
+    (left, right), theta = lr[:, 0], theta[0]
     recon = left @ nonlocal_matrix("x01", theta) @ right.conj().T
     assert np.max(np.abs(recon - u)) < 1e-10
     for f in (left, right):
@@ -124,9 +123,9 @@ def test_stage2_reconstructs_three_blocks(d):
     rng = np.random.default_rng(d + 1)
     p = d // 3
     l = _bd(haar_unitary(p, rng), haar_unitary(2 * p, rng))
-    lr, theta = stage2(l)
-    assert lr.shape == (2, 2 * p, 2 * p)  # the factors of the lower 2p x 2p block
-    left, right = lr
+    lr, theta = stage2(l[None])
+    assert lr.shape == (2, 1, 2 * p, 2 * p)  # the factors of the lower 2p x 2p block
+    (left, right), theta = lr[:, 0], theta[0]
     for f in (left, right):  # block diagonal over (p, p)
         assert not f[:p, p:].any() and not f[p:, :p].any()
     # block 0 rides along untouched, so factorize_stack checks only the lower block
@@ -324,17 +323,17 @@ _FAULT_SITES = {
 def _with_fault(kernel, call, group, k):
     """``cartan.<kernel>`` with _FAULT added to the angles of lines [group k, (group+1) k) of its call-th call."""
     original = getattr(cartan, kernel)
-    field = "theta" if kernel == "csd" else "phases"
+    field = 1 if kernel == "csd" else 0  # theta of (lr, theta), phases of (phases, vectors)
     calls = []
 
     def faulty(u, *args):
-        res = original(u, *args)
+        out = list(original(u, *args))
         calls.append(u.shape)
         if len(calls) - 1 != call:
-            return res
-        angles = getattr(res, field).copy()
-        angles[group * k : (group + 1) * k] += _FAULT
-        return dataclasses.replace(res, **{field: angles})
+            return tuple(out)
+        out[field] = out[field].copy()
+        out[field][group * k : (group + 1) * k] += _FAULT
+        return tuple(out)
 
     return faulty, calls
 

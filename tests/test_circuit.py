@@ -427,7 +427,7 @@ def test_eval_keeps_nothing_of_an_applied_run():
     # each run is applied as it is cut, so the peak is a few copies of the
     # 81x81 unitary (~0.1 MB each) and one chunk's arrays: the 3x3 matrices
     # of its general stretches (~0.1 MB), and a (rows, 27) array each of its
-    # monomial rows' gather indices (int8), their angles and the flat
+    # monomial rows' gather indices (int16), their angles and the flat
     # positions of one doubling round (up to ~0.2 MB each)
     circ, _ = synthesize(haar_unitary(81, np.random.default_rng(1)))
     tracemalloc.start()
@@ -444,6 +444,22 @@ def test_eval_phase_only_circuit_is_exact(n):
     got = eval_circuit(Circuit(n, (GlobalPhase(0.3), GlobalPhase(-1.1))))
     assert np.array_equal(got, np.exp(1j * (0.0 + 0.3 + -1.1)) * np.eye(3**n))
     assert got.dtype == np.complex128 and got.flags.c_contiguous
+
+
+@pytest.fixture(scope="module")
+def haar_n5_probes():
+    """The Haar seed-0 n=5 circuit applied to a probe block at the default run width."""
+    c, _ = synthesize(haar_unitary(243, np.random.default_rng(0)))
+    z = np.random.default_rng(1).standard_normal((243, 16)).view(complex)
+    return c, z, eval_circuit(c, z)
+
+
+@pytest.mark.parametrize("width", [4, 5])
+def test_eval_at_a_wider_run_width_agrees(haar_n5_probes, width, monkeypatch):
+    # a run of 243 states gathers rows past 127, where a signed 8-bit index table would wrap
+    c, z, want = haar_n5_probes
+    monkeypatch.setattr(circuit, "RUN_QUTRITS", width)
+    assert np.max(np.abs(eval_circuit(c, z) - want)) <= 1e-12
 
 
 def test_eval_rejects_non_gate():

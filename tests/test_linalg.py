@@ -7,7 +7,6 @@ import scipy.linalg
 from trisect import linalg
 from trisect.cartan import factorize, factorize_stack
 from trisect.linalg import (
-    CSDResult,
     csd,
     haar_unitary,
     nearest_unitary,
@@ -23,9 +22,21 @@ from test_structured import KINDS, structured_input
 X01 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 
 
-def _csd_reconstruct(res: CSDResult, p: int, q: int) -> np.ndarray:
-    left, right = res.lr
-    return left @ csd_sigma(res.theta, p, q) @ right.conj().T
+def _csd_one(u: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """``csd`` of the one-matrix stack ``u[None]``: L and R as a (2, d, d) pair, and theta."""
+    lr, theta = csd(u[None], p, q)
+    return lr[:, 0], theta[0]
+
+
+def _eig_one(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``unitary_eig`` of the one-matrix stack ``u[None]``: phases and vectors."""
+    phases, vectors = unitary_eig(u[None])
+    return phases[0], vectors[0]
+
+
+def _csd_reconstruct(lr: np.ndarray, theta: np.ndarray, p: int, q: int) -> np.ndarray:
+    left, right = lr
+    return left @ csd_sigma(theta, p, q) @ right.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -60,12 +71,19 @@ def test_non_square_input_is_refused(shape):
     with pytest.raises(ValueError, match="square"):
         unitarity_defect(u)
     with pytest.raises(ValueError, match="square"):
-        unitary_eig(u)
+        unitary_eig(u[None])
 
 
-def test_unitary_eig_takes_one_matrix_or_one_stack():
+def test_kernels_take_only_stacks():
+    # both kernels take a (k, d, d) stack and nothing else: one matrix is refused
     with pytest.raises(ValueError, match="square"):
         unitary_eig(np.eye(3)[None, None])
+    with pytest.raises(ValueError, match=r"\(k, n, n\) stack"):
+        unitary_eig(np.eye(3))
+    with pytest.raises(ValueError, match=r"\(k, p\+q, p\+q\)"):
+        csd(np.eye(9, dtype=complex), 3, 6)
+    with pytest.raises(ValueError, match=r"\(k, p\+q, p\+q\)"):
+        csd(np.eye(9, dtype=complex)[None, None], 3, 6)
 
 
 # Every entry point that checks a unitary, with an input size it accepts.
@@ -174,18 +192,18 @@ def test_haar_unitary_consumes_rng_state():
 def test_unitary_eig_reconstructs_and_sorts():
     rng = np.random.default_rng(6)
     u = haar_unitary(9, rng)
-    res = unitary_eig(u)
-    recon = res.vectors @ np.diag(np.exp(1j * res.phases)) @ res.vectors.conj().T
+    phases, vectors = _eig_one(u)
+    recon = vectors @ np.diag(np.exp(1j * phases)) @ vectors.conj().T
     assert np.max(np.abs(recon - u)) < 1e-12
-    assert np.all(np.diff(res.phases) >= 0)
-    assert np.all(res.phases > -np.pi) and np.all(res.phases <= np.pi)
+    assert np.all(np.diff(phases) >= 0)
+    assert np.all(phases > -np.pi) and np.all(phases <= np.pi)
 
 
 def test_unitary_eig_degenerate_spectrum():
     # repeated eigenvalues: vectors must still diagonalize exactly
     u = np.diag([1.0, 1.0, -1.0, 1j]).astype(complex)
-    res = unitary_eig(u)
-    recon = res.vectors @ np.diag(np.exp(1j * res.phases)) @ res.vectors.conj().T
+    phases, vectors = _eig_one(u)
+    recon = vectors @ np.diag(np.exp(1j * phases)) @ vectors.conj().T
     assert np.max(np.abs(recon - u)) < 1e-14
 
 
@@ -193,16 +211,16 @@ def test_unitary_eig_degenerate_spectrum():
 def test_stacked_decompositions_match_single_calls(d):
     rng = np.random.default_rng(40 + d)
     us = np.stack([haar_unitary(d, rng) for _ in range(3)] + [np.eye(d, dtype=complex)])
-    eig = unitary_eig(us)
+    phases, vectors = unitary_eig(us)
     p = d // 3
-    res = csd(us, p, d - p)
+    lr, theta = csd(us, p, d - p)
     for i, u in enumerate(us):
-        one = unitary_eig(u)
-        assert np.array_equal(eig.phases[i], one.phases)
-        assert np.array_equal(eig.vectors[i], one.vectors)
-        single = csd(u, p, d - p)
-        assert np.array_equal(res.lr[:, i], single.lr) and np.array_equal(res.theta[i], single.theta)
-    assert unitary_eig(np.zeros((0, d, d))).vectors.shape == (0, d, d)
+        one_phases, one_vectors = _eig_one(u)
+        assert np.array_equal(phases[i], one_phases)
+        assert np.array_equal(vectors[i], one_vectors)
+        one_lr, one_theta = _csd_one(u, p, d - p)
+        assert np.array_equal(lr[:, i], one_lr) and np.array_equal(theta[i], one_theta)
+    assert unitary_eig(np.zeros((0, d, d)))[1].shape == (0, d, d)
 
 
 @pytest.mark.parametrize("d", [3, 9, 27])
@@ -213,9 +231,9 @@ def test_unitary_eig_equals_scipy_schur(d):
         t, z = scipy.linalg.schur(u, output="complex")
         phases = np.angle(np.diagonal(t))
         order = np.argsort(phases, kind="stable")
-        res = unitary_eig(u)
-        assert np.array_equal(res.phases, phases[order])
-        assert np.array_equal(res.vectors, z[:, order])
+        got_phases, got_vectors = _eig_one(u)
+        assert np.array_equal(got_phases, phases[order])
+        assert np.array_equal(got_vectors, z[:, order])
 
 
 # ---------------------------------------------------------------------------
@@ -228,26 +246,26 @@ def test_csd_reconstructs_haar(d, p):
     rng = np.random.default_rng(d)
     for _ in range(10):
         u = haar_unitary(d, rng)
-        res = csd(u, p, d - p)
-        assert np.max(np.abs(_csd_reconstruct(res, p, d - p) - u)) < 1e-10
-        assert unitarity_defect(res.lr) < 1e-10  # L and R
-        assert np.all(res.theta >= 0.0) and np.all(res.theta <= np.pi / 2 + 1e-12)
+        lr, theta = _csd_one(u, p, d - p)
+        assert np.max(np.abs(_csd_reconstruct(lr, theta, p, d - p) - u)) < 1e-10
+        assert unitarity_defect(lr) < 1e-10  # L and R
+        assert np.all(theta >= 0.0) and np.all(theta <= np.pi / 2 + 1e-12)
 
 
 def test_csd_square_partition():
     rng = np.random.default_rng(8)
     for p in (3, 9):
         u = haar_unitary(2 * p, rng)
-        res = csd(u, p, p)
-        assert np.max(np.abs(_csd_reconstruct(res, p, p) - u)) < 1e-10
+        lr, theta = _csd_one(u, p, p)
+        assert np.max(np.abs(_csd_reconstruct(lr, theta, p, p) - u)) < 1e-10
 
 
 def test_csd_identity_input():
     # all principal angles are exactly zero; the factors must still be
     # consistent unitaries
-    res = csd(np.eye(9, dtype=complex), 3, 6)
-    assert np.max(np.abs(res.theta)) == 0.0
-    assert np.max(np.abs(_csd_reconstruct(res, 3, 6) - np.eye(9))) < 1e-12
+    lr, theta = _csd_one(np.eye(9, dtype=complex), 3, 6)
+    assert np.max(np.abs(theta)) == 0.0
+    assert np.max(np.abs(_csd_reconstruct(lr, theta, 3, 6) - np.eye(9))) < 1e-12
 
 
 def test_csd_block_diagonal_input():
@@ -256,9 +274,9 @@ def test_csd_block_diagonal_input():
     u = np.zeros((9, 9), dtype=complex)
     u[:3, :3] = haar_unitary(3, rng)
     u[3:, 3:] = haar_unitary(6, rng)
-    res = csd(u, 3, 6)
-    assert np.max(np.abs(res.theta)) == 0.0
-    assert np.max(np.abs(_csd_reconstruct(res, 3, 6) - u)) < 1e-10
+    lr, theta = _csd_one(u, 3, 6)
+    assert np.max(np.abs(theta)) == 0.0
+    assert np.max(np.abs(_csd_reconstruct(lr, theta, 3, 6) - u)) < 1e-10
 
 
 def test_csd_pure_mixing_input():
@@ -270,9 +288,9 @@ def test_csd_pure_mixing_input():
     u[:3, 3:6] = -1j * s
     u[3:6, :3] = -1j * s
     u[3:6, 3:6] = c
-    res = csd(u, 3, 6)
-    assert np.max(np.abs(np.sort(res.theta) - angles)) < 1e-12
-    assert np.max(np.abs(_csd_reconstruct(res, 3, 6) - u)) < 1e-10
+    lr, theta = _csd_one(u, 3, 6)
+    assert np.max(np.abs(np.sort(theta) - angles)) < 1e-12
+    assert np.max(np.abs(_csd_reconstruct(lr, theta, 3, 6) - u)) < 1e-10
 
 
 # Exactly-zero, tiny, repeated and right angles mixed with generic ones.
@@ -295,18 +313,18 @@ def test_csd_reconstructs_mixed_angles(theta, q):
     left = scipy.linalg.block_diag(haar_unitary(p, rng), haar_unitary(q, rng))
     right = scipy.linalg.block_diag(haar_unitary(p, rng), haar_unitary(q, rng))
     u = left @ csd_sigma(theta, p, q) @ right.conj().T
-    res = csd(u, p, q)
-    assert np.max(np.abs(_csd_reconstruct(res, p, q) - u)) < 1e-12
-    assert unitarity_defect(res.lr) < 1e-12  # L and R
-    assert np.max(np.abs(np.sort(res.theta) - np.sort(theta))) < 1e-12
+    lr, got = _csd_one(u, p, q)
+    assert np.max(np.abs(_csd_reconstruct(lr, got, p, q) - u)) < 1e-12
+    assert unitarity_defect(lr) < 1e-12  # L and R
+    assert np.max(np.abs(np.sort(got) - np.sort(theta))) < 1e-12
 
 
 def test_csd_deterministic():
     u = haar_unitary(9, np.random.default_rng(12))
-    r1 = csd(u, 3, 6)
-    r2 = csd(u, 3, 6)
-    for field in ("lr", "theta"):
-        assert np.array_equal(getattr(r1, field), getattr(r2, field))
+    r1 = csd(u[None], 3, 6)
+    r2 = csd(u[None], 3, 6)
+    for a, b in zip(r1, r2, strict=True):  # lr, then theta
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("square", [False, True], ids=["p-2p", "p-p"])
@@ -319,14 +337,14 @@ def test_csd_equals_scipy_cossin(p, square):
     for _ in range(3):
         u = haar_unitary(p + q, rng)
         (l1, l2), theta, (r1h, r2h) = scipy.linalg.cossin(u, p=p, q=p, separate=True)
-        res = csd(u, p, q)
-        (left, right) = res.lr
+        lr, got = _csd_one(u, p, q)
+        (left, right) = lr
         assert np.array_equal(left[:p, :p], l1)
         assert np.array_equal(left[p:, p:], np.roll(l2, p, axis=1))
         assert np.array_equal(right[:p, :p], r1h.conj().T)
         assert np.array_equal(right[p:, p:], np.roll(r2h.conj().T, p, axis=1))
-        assert not res.lr[:, :p, p:].any() and not res.lr[:, p:, :p].any()  # block diagonal
-        assert np.array_equal(res.theta, theta)
+        assert not lr[:, :p, p:].any() and not lr[:, p:, :p].any()  # block diagonal
+        assert np.array_equal(got, theta)
 
 
 def _info_1(driver):
@@ -347,7 +365,7 @@ def _info_1(driver):
     ids=["zuncsd", "zuncsd_lwork", "zgees"],
 )
 def test_lapack_failure_raises(monkeypatch, driver, run):
-    u = haar_unitary(9, np.random.default_rng(14))
+    u = haar_unitary(9, np.random.default_rng(14))[None]
     run(u)  # the workspace query of this shape is now cached
     if driver == "_zuncsd_lwork":
         linalg._zuncsd_lwork_for.cache_clear()
@@ -358,9 +376,9 @@ def test_lapack_failure_raises(monkeypatch, driver, run):
 
 def test_csd_rejects_bad_input():
     with pytest.raises(ValueError, match="partition"):
-        csd(np.eye(9, dtype=complex), 4, 6)
+        csd(np.eye(9, dtype=complex)[None], 4, 6)
     with pytest.raises(ValueError, match="partition"):
-        csd(np.eye(9, dtype=complex), 6, 3)  # needs p <= q
+        csd(np.eye(9, dtype=complex)[None], 6, 3)  # needs p <= q
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +394,19 @@ _PASSES = [
 ]
 
 
-def _arrays(res) -> list[np.ndarray]:
-    return [getattr(res, f) for f in res.__dataclass_fields__]
-
-
 @pytest.mark.parametrize("shape", [(), (1,), (36,)], ids=["matrix", "stack-1", "stack-36"])
 @pytest.mark.parametrize("d,run", [p[1:] for p in _PASSES], ids=[p[0] for p in _PASSES])
 def test_each_pass_clears_the_vector_state_once(monkeypatch, d, run, shape):
+    # a stack is one pass and one clear; one matrix is refused before any
     rng = np.random.default_rng(len(shape) + d)
     u = np.stack([haar_unitary(d, rng) for _ in range(shape[0] if shape else 1)]).reshape(*shape, d, d)
     calls = []
     monkeypatch.setattr(linalg, "_clear_upper_state", lambda: calls.append(None))
+    if not shape:
+        with pytest.raises(ValueError):
+            run(u)
+        assert not calls
+        return
     run(u)
     assert len(calls) == 1
 
@@ -400,7 +420,7 @@ def test_the_vector_state_clear_touches_no_data(monkeypatch):
     cases += [(lambda s: csd(s, 3, 6), corpus[2]), (unitary_eig, corpus[2])]
 
     def outputs():
-        out = [a for run, u in cases for a in _arrays(run(u))]
+        out = [a for run, u in cases for a in run(u)]
         for ms in corpus.values():
             chain, residuals = factorize_stack(ms)
             out += [stack for _, stack in chain] + list(residuals.values())

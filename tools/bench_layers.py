@@ -21,11 +21,7 @@ time of its layers, read by wrapping the module functions that
 * ``verify``: from the return of ``simplify`` to the return of the
   ``unitary_distance`` call that gives the reported distance (the
   simulation and the comparison);
-* ``synthesize``: the whole call;
-* ``factorize_call``: for n <= 5, after both syntheses and with the
-  wrappers removed, the median time of ``cartan.factorize(m, absorb=True)``
-  over ``CALLS[n]`` calls, the call that perfbench's ``factor-tree-n5``
-  makes at every node.
+* ``synthesize``: the whole call.
 
 It also records the gate counts, the reported distance, the split
 residuals (worst per recursion level) and, for n <= 5,
@@ -37,10 +33,13 @@ layer, ``paired_ratio`` gives the median and quartiles of the pairs'
 change/parent ratios, and ``per_pair`` every ratio.  Every process's
 times are under ``per_process_s``.
 
-Last, ``interleaved`` times ``factorize(m, absorb=True)`` of both
-checkouts in this one process (each loaded as its own package), for
-n = 2..5: per round, each side factorizes the same Haar matrices, the
-first side alternating, and each round's two mean times form a pair.
+Last, ``interleaved`` times ``factorize(m, absorb=True)``, the call that
+perfbench's ``factor-tree-n5`` makes at every node, of both checkouts in
+this one process (each loaded as its own package), for n = 2..5: per
+round, each side factorizes the same Haar matrices, the first side
+alternating, and each round's two mean times form a pair.  In one
+process the pairs resolve a change of a few percent, which fresh
+processes per side do not.
 """
 
 from __future__ import annotations
@@ -57,11 +56,10 @@ import sys
 import time
 from pathlib import Path
 
-LAYERS = ("factorize", "csd", "eig", "emit", "cancel", "fuse", "verify", "synthesize", "factorize_call")
+LAYERS = ("factorize", "csd", "eig", "emit", "cancel", "fuse", "verify", "synthesize")
 SEEDS = (0, 1)
 ROUNDS = 5
 WIDTHS = range(2, 7)
-CALLS = {2: 200, 3: 50, 4: 10, 5: 3}  # factorize calls timed per seed
 INTERLEAVED = {2: (100, 60), 3: (20, 60), 4: (4, 30), 5: (1, 20)}  # n: (Haar matrices, rounds)
 
 
@@ -75,11 +73,9 @@ def worker(root: Path, n: int) -> dict:
     if not Path(trisect.__file__).resolve().is_relative_to(root.resolve()):
         raise SystemExit(f"trisect was imported from {trisect.__file__}, not from {root}")
     marks: dict[str, float] = {}
-    originals = []
 
     def timed(module, name: str, layer: str | None, mark: str | None = None) -> None:
         fn = getattr(module, name)
-        originals.append((module, name, fn))
 
         def wrapper(*args, **kwargs):
             start = time.perf_counter()
@@ -107,7 +103,7 @@ def worker(root: Path, n: int) -> dict:
         marks.clear()
         start = time.perf_counter()
         circ, report = synth.synthesize(m)
-        times = {layer: marks.get(layer, 0.0) for layer in LAYERS[:-3]}
+        times = {layer: marks.get(layer, 0.0) for layer in LAYERS[:-2]}
         times["verify"] = marks["distance"] - marks["simplified"]
         times["synthesize"] = time.perf_counter() - start
         counts = report.counts
@@ -120,16 +116,6 @@ def worker(root: Path, n: int) -> dict:
             "split_residuals": report.split_residuals,
             "exact_distance": linalg.unitary_distance(eval_circuit(circ), m) if n <= 5 else None,
         }
-    for module, name, fn in originals:
-        setattr(module, name, fn)
-    for seed in SEEDS if n in CALLS else ():
-        m = haar_unitary(3**n, np.random.default_rng(seed))
-        calls = []
-        for _ in range(CALLS[n]):
-            start = time.perf_counter()
-            cartan.factorize(m, absorb=True)
-            calls.append(time.perf_counter() - start)
-        out[seed]["times_s"]["factorize_call"] = statistics.median(calls)
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return out
 
@@ -148,8 +134,7 @@ def src_lines(root: Path) -> int:
 
 def summary(samples: list[dict], seed: str) -> dict:
     first = samples[0][seed]
-    layers = [layer for layer in LAYERS if layer in first["times_s"]]
-    times = {layer: statistics.median(s[seed]["times_s"][layer] for s in samples) for layer in layers}
+    times = {layer: statistics.median(s[seed]["times_s"][layer] for s in samples) for layer in LAYERS}
     return {
         "median_s": {layer: round(t, 6) for layer, t in times.items()},
         "gates": first["gates"],
@@ -159,7 +144,7 @@ def summary(samples: list[dict], seed: str) -> dict:
         "split_residuals": first["split_residuals"],
         "exact_distance": first["exact_distance"],
         "peak_rss_mb": round(statistics.median(s["peak_rss_mb"] for s in samples), 1),
-        "per_process_s": {layer: [round(s[seed]["times_s"][layer], 6) for s in samples] for layer in layers},
+        "per_process_s": {layer: [round(s[seed]["times_s"][layer], 6) for s in samples] for layer in LAYERS},
     }
 
 
@@ -168,7 +153,7 @@ def paired(parent: list[dict], change: list[dict], seed: str) -> tuple[dict, dic
     per_pair = {
         layer: [round(c[seed]["times_s"][layer] / p[seed]["times_s"][layer], 4) for p, c in zip(parent, change)]
         for layer in LAYERS
-        if layer in parent[0][seed]["times_s"] and all(p[seed]["times_s"][layer] > 0 for p in parent)
+        if all(p[seed]["times_s"][layer] > 0 for p in parent)
     }
     return {layer: quartiles(r) for layer, r in per_pair.items()}, per_pair
 
@@ -249,9 +234,8 @@ def main(argv: list[str]) -> int:
         "what": "wall time per layer of synthesize on Haar inputs (default options, gcx+cinc), parent against change",
         "command": f"OPENBLAS_NUM_THREADS=1 python3 tools/bench_layers.py {args.label} PARENT CHANGE",
         "timing": f"{ROUNDS} rounds; per round and width one fresh process per side, the first side "
-        "alternating; in each process seed 0, then seed 1 (which replays the caches seed 0 filled), then "
-        "factorize_call for n <= 5 (median over CALLS[n] calls of factorize(m, absorb=True)). median_s and "
-        "peak_rss_mb are medians over processes; the two processes of a round form a pair, and paired_ratio "
+        "alternating; in each process seed 0, then seed 1 (which replays the caches seed 0 filled). median_s "
+        "and peak_rss_mb are medians over processes; the two processes of a round form a pair, and paired_ratio "
         "gives the quartiles (statistics.quantiles) of the pairs' change/parent ratios.",
         "environment": {
             "cores": os.cpu_count(),

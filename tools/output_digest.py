@@ -14,14 +14,14 @@ Each case prints one line: the SHA-256 of the serialized circuit, then
 arithmetic moves it) and of the split residuals.  One more
 line gives the ``check_factor_tree`` digest of the first ``factor-tree-n5``
 input of benchmark seed 0, and one the SHA-256 of the chain stacks and
-residuals of ``factorize_stack(ms, absorb=False)`` (the self-test's mode)
-on a Haar unitary and the structured corpus of seed 21, at n = 2 and
-n = 3.  Then ``circuit-texts`` gives the SHA-256 of each case's label,
-gate set and circuit SHA (no distance, no residuals) and of the
-factor-tree line, ``skeletons`` that of the lines with the distance
-dropped and each circuit's angle tokens left out of its text (the last
-token of every ``R`` and ``PHASE`` line), ``circuits`` that of the lines
-with the distance dropped, and ``total`` that of the lines as printed.
+residuals of ``factorize_stack(ms, absorb=False)`` (plain mode, which
+``synthesize`` does not run) on a Haar unitary and the structured corpus
+of seed 21, at n = 2 and n = 3.  Then ``circuit-texts`` gives the
+SHA-256 of each case's label, gate set and circuit SHA (no distance, no
+residuals) and of the factor-tree line, ``skeletons`` that of the lines
+with the distance dropped and each circuit's angle tokens left out of
+its text (the last token of every ``R`` and ``PHASE`` line),
+``circuits`` that of the lines with the distance dropped, and ``total`` that of the lines as printed.
 Two checkouts that print the same total produce the same circuits,
 distances, residuals and factor trees on this machine; the same
 ``circuits`` line alone says that only the distances moved, as a change
@@ -37,15 +37,39 @@ cancellation sweep may replay plans that the first run recorded, and
 ``repeat identical: yes`` says that every case line came out the same
 again (``no`` names the first that did not).  Last, ``src lines`` gives
 the total line count of the checkout's ``src/trisect/*.py``, which none
-of the digests covers.  A full run takes about 30 s on a 2-core machine
+of the digests covers, and ``src code lines`` the lines of those files
+that hold a token other than a comment, less the lines of module, class
+and function docstrings, so that deleting comments or prose does not
+read as less code.  A full run takes about 30 s on a 2-core machine
 with one BLAS thread.
 """
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import io
 import sys
+import tokenize
 from pathlib import Path
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(path: Path) -> int:
+    """The lines of a Python file that hold a token other than a comment, less its docstrings' lines."""
+    text = path.read_text()
+    lines = {
+        line
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+        if tok.type not in _NOT_CODE
+        for line in range(tok.start[0], tok.end[0] + 1)
+    }
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, scopes) and ast.get_docstring(node, clean=False) is not None:
+            lines -= set(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return len(lines)
 
 
 def main(argv: list[str]) -> int:
@@ -121,7 +145,9 @@ def main(argv: list[str]) -> int:
     repeat = case_lines(echo=False)[0]
     differ = [a for a, b in zip(lines, repeat) if a != b]  # zip stops before the factor-tree lines
     print("repeat identical:", f"no, first at {differ[0]}" if differ else "yes")
-    print("src lines", sum(len(f.read_text().splitlines()) for f in (root / "src" / "trisect").glob("*.py")))
+    sources = sorted((root / "src" / "trisect").glob("*.py"))
+    print("src lines", sum(len(f.read_text().splitlines()) for f in sources))
+    print("src code lines", sum(code_lines(f) for f in sources))
     return 0
 
 

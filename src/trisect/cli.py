@@ -329,10 +329,11 @@ def _factorization_checks(seed: int) -> list[tuple[str, float, float]]:
     """
     rng = np.random.default_rng(seed)
     checks: list[tuple[str, float, float]] = []
-    for n in (2, 3):
+    for n in (2, 3, 4):
         d = 3**n
         # Identity and permutations have exactly-zero angles next to
         # nonzero ones (or only zeros), which Haar inputs never produce.
+        # At d = 81 both cosine-sine stages take csd's batched route.
         perm = np.eye(d)[rng.permutation(d)]
         ms = np.stack([np.eye(d), perm, haar_unitary(d, rng)])
         chain, residuals = factorize_stack(ms, absorb=True)

@@ -1,27 +1,37 @@
 """Dense linear-algebra kernels used by the synthesis pipeline.
 
-Everything here works on plain complex ndarrays.  The two
-decompositions call their LAPACK drivers directly: the cosine-sine
-decomposition :func:`csd` is ``zuncsd`` (Sutton's algorithm) with its
-factors reordered to the middle factor [[C, -S, 0], [S, C, 0], [0, 0, I]]
-of the principal angles, and :func:`unitary_eig` is the complex
-Schur form ``zgees``.  Both pass the workspace sizes that each driver's
-own query reports (cached per shape), which is what
-``scipy.linalg.cossin`` and ``scipy.linalg.schur`` do, so the results
-are bitwise theirs without their per-call argument handling.  Both take
-only a (k, d, d) stack and return a plain tuple of stacked arrays: the
-driver runs once per matrix into preallocated outputs, and everything
-around it is one array operation over the stack.  ``csd`` writes the
-four factors straight into the one buffer of L and R that ``cartan``'s
-stages keep, so a factor is copied once after the driver returns it.  A
-level of ``cartan.factorize_stack`` is two ``csd`` passes (its k
-matrices, then their 2k halves) and two ``unitary_eig`` passes (4k
-block products of four splits, then k of the last split).
+Everything here works on plain complex ndarrays.  The eigen-split
+:func:`unitary_eig` is the complex Schur form ``zgees``, called
+directly.  The cosine-sine decomposition :func:`csd`, with its factors
+ordered for the middle factor [[C, -S, 0], [S, C, 0], [0, 0, I]] of the
+principal angles, has two routes chosen by the smaller block size p
+alone.  Below ``CSD_BATCHED_P`` it calls ``zuncsd`` (Sutton's algorithm)
+once per matrix; from there on it is the classic construction from
+batched SVDs and a QR (:func:`_csd_batched`), in which every step is one
+numpy call over the whole stack.  The constant sits at the measured
+crossover (per matrix, one BLAS thread, stacks of one and two matrices,
+both partitions): ``zuncsd`` is 1.7-2.9x faster at p = 9 and still
+1.3x faster for one matrix at p = 15, while the batched route is
+1.0-1.25x faster at p = 18, 1.5-1.8x at p = 27 and 2-3x at p = 81.  So
+the splits of 27 x 27 and smaller matrices (p <= 9) stay on ``zuncsd``,
+and those of 81 x 81 and larger ones take the batched route.  The
+LAPACK calls pass the workspace sizes that each driver's own query
+reports (cached per shape), which is what ``scipy.linalg.cossin`` and
+``scipy.linalg.schur`` do, so their results are bitwise theirs without
+their per-call argument handling.  Both kernels take only a (k, d, d)
+stack and return a plain tuple of stacked arrays, and line i of a
+result is what ``us[i]`` alone gives: a driver runs once per matrix
+into preallocated outputs, and everything around it is one array
+operation over the stack.  ``csd`` writes the four factors straight
+into the one buffer of L and R that ``cartan``'s stages keep.  A level
+of ``cartan.factorize_stack`` is two ``csd`` passes (its k matrices,
+then their 2k halves) and two ``unitary_eig`` passes (4k block products
+of four splits, then k of the last split).
 
-Each pass first runs :func:`_clear_upper_state`: numpy's complex matrix
-product (OpenBLAS's AVX-512 gemm) can leave the upper vector register
-state dirty, and scipy's SSE-compiled LAPACK then runs at about half
-speed until a ``VZEROUPPER``.  No operand or result changes.
+Each LAPACK pass first runs :func:`_clear_upper_state`: numpy's complex
+matrix product (OpenBLAS's AVX-512 gemm) can leave the upper vector
+register state dirty, and scipy's SSE-compiled LAPACK then runs at about
+half speed until a ``VZEROUPPER``.  No operand or result changes.
 
 Both decompositions require a unitary input and do not check it: the
 guards run once per ``cartan.factorize_stack`` level and once per leaf
@@ -47,6 +57,9 @@ __all__ = [
 
 # Entry-wise bound on |U†U - I| below which a matrix is accepted as unitary.
 UNITARY_ATOL = 1e-10
+
+# Smallest block size p that csd splits with batched SVDs rather than zuncsd.
+CSD_BATCHED_P = 18
 
 # The LAPACK drivers, looked up at call time so tests can replace them.
 _zuncsd = lapack.zuncsd
@@ -175,20 +188,26 @@ def csd(us: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     S = diag(sin theta).  Anything but a (k, d, d) stack, or a partition
     with p > q or p < 1, raises ``ValueError``.
 
-    Computed by LAPACK ``zuncsd`` (B. D. Sutton, "Computing the complete
-    CS decomposition", Numer. Algorithms 50, 2009) on the four blocks of
-    the (p, q) x (p, q) partition; it stays accurate for exactly-zero,
+    For p < ``CSD_BATCHED_P`` it is computed by LAPACK ``zuncsd``
+    (B. D. Sutton, "Computing the complete CS decomposition", Numer.
+    Algorithms 50, 2009) on the four blocks of the (p, q) x (p, q)
+    partition, one matrix at a time; it stays accurate for exactly-zero,
     tiny and clustered principal angles alike.  Its middle factor is
     [[C, 0, -S], [0, I, 0], [S, 0, C]]; moving the last p columns of L2
     and R2 to the front puts the C/S columns before the identity, as
     Sigma has them, so each driver output is written straight into its
-    place in the zeroed ``lr`` buffer.  ``us`` must be unitary; this is
+    place in the zeroed ``lr`` buffer.  For larger p, where batched SVDs
+    cost less than ``zuncsd`` (see the module docstring), it is
+    :func:`_csd_batched`, with the angles ascending.  The route depends on
+    p alone, never on the stack height.  ``us`` must be unitary; this is
     not checked here but at trisect's entry points.
     """
     us = np.asarray(us, dtype=complex)
     d = p + q
     if us.ndim != 3 or us.shape[1:] != (d, d) or p > q or p < 1:
         raise ValueError(f"bad partition ({p},{q}) for shape {us.shape}: expected (k, p+q, p+q) and 1 <= p <= q")
+    if p >= CSD_BATCHED_P:
+        return _csd_batched(us, p, q)
     lwork, lrwork = _zuncsd_lwork_for(d, p)
     lr = np.zeros((2, len(us), d, d), dtype=complex)  # R† in lr[1] until the loop ends
     theta = np.empty((len(us), p))
@@ -201,4 +220,79 @@ def csd(us: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
         lr[0, i, p:, p : 2 * p], lr[0, i, p:, 2 * p :] = u2[:, -p:], u2[:, :-p]
         lr[1, i, p : 2 * p, p:], lr[1, i, 2 * p :, p:] = v2h[-p:], v2h[:-p]
     lr[1] = lr[1].conj().mT
+    return lr, theta
+
+
+def _csd_batched(us: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`csd` from batched SVDs and a QR (C. F. Van Loan, Numer. Math. 46, 1985), one array operation per step.
+
+    With the blocks Q11 (p x p), Q12, Q21 and Q22 of each line:
+
+    * The SVD Q11 = U1 C V1† gives the angles, ascending.
+    * The columns whose angles lie below a split point are refined by an
+      SVD of Q21 V1, so that their angles come from the sines, which fix
+      small angles better than the cosines do; their U1 columns become
+      the columns of Q11 V1, normalized.  The split point is the widest
+      gap of the angles inside [pi/6, pi/3] (an end of the spectrum
+      counts as a gap), so no cluster of angles is cut in two, the
+      cosines stay >= 1/2 on the refined side and the sines >= 1/2 on
+      the other.
+    * The paired columns of U2 are Q21 V1 / s.  A complete QR of Q21 V1,
+      largest sine first, orthonormalizes them in the order in which
+      they are well determined and completes U2, so the columns of zero
+      sines span the complement of the others.
+    * R2† is the lower block of Sigma^T L† U: c U2†Q22 - s U1†Q12 on the
+      paired rows (Q22†U2/c and -Q12†U1/s, whichever is well
+      conditioned, in one formula without a division) and U2†Q22 on the
+      rest, followed by one Newton-Schulz step.
+    """
+    k = len(us)
+    x11, x12, x21, x22 = us[:, :p, :p], us[:, :p, p:], us[:, p:, :p], us[:, p:, p:]
+    u1, c, v1h = np.linalg.svd(x11)  # c descending: angles ascending
+    v1 = v1h.conj().mT
+    angle = np.arccos(np.minimum(c, 1.0))
+    # the split point r: columns [0, r) are refined
+    end = np.full((k, 1), np.inf)
+    upper = np.minimum(np.concatenate((angle, end), axis=1), np.pi / 3)
+    gap = upper - np.maximum(np.concatenate((-end, angle), axis=1), np.pi / 6)
+    small = np.arange(p) < gap.argmax(axis=1)[:, None]
+    # Scaling the other columns to unit norm puts their singular values
+    # above the refined ones (s <= sin(pi/3)), so the r smallest right
+    # vectors, ascending, stay in the span of V1's first r columns.  A
+    # larger scale would separate them further, but would also raise the
+    # floor of the small singular values, which is eps times the largest.
+    z = x21 @ v1
+    z /= np.where(small, 1.0, np.sin(angle))[:, None, :]
+    _, s, wh = np.linalg.svd(z, full_matrices=False)
+    # Orders are stable sorts, so that the columns of equal values keep
+    # their order: an exact cluster, as structured inputs have, keeps the
+    # basis the SVD of Q11 gave it instead of coming back reversed.
+    ascending = s.argsort(axis=1, kind="stable")[:, None, :]
+    wh = np.take_along_axis(wh.conj().mT, ascending, axis=2)
+    v1 = v1 @ np.where(small[:, None, :], wh, np.eye(p))
+    s = np.take_along_axis(s, ascending[:, 0], axis=1)
+    theta = np.where(small, np.arcsin(np.minimum(s, 1.0)), angle)
+    cos, sin = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    y = x11 @ v1  # normalized rather than divided by c, so the input's scale drops out
+    np.divide(y, np.linalg.norm(y, axis=1, keepdims=True), out=u1, where=small[:, None, :])
+    # U2's paired columns are Q of the complete QR of Q21 V1, columns
+    # largest angle first, each times the sign of its entry of diag(R),
+    # which LAPACK's Householder QR (zgeqrf) makes real.
+    descending = (-theta).argsort(axis=1, kind="stable")[:, None, :]
+    u2, r2 = np.linalg.qr(np.take_along_axis(x21 @ v1, descending, axis=2), mode="complete")
+    u2[..., :p] *= np.where(np.diagonal(r2, axis1=1, axis2=2).real < 0, -1.0, 1.0)[:, None, :]
+    lr = np.zeros((2, k, p + q, p + q), dtype=complex)
+    lr[0, :, :p, :p], lr[1, :, :p, :p] = u1, v1
+    lr[0, :, p:, p : 2 * p] = np.take_along_axis(u2[..., :p], descending.argsort(axis=2), axis=2)
+    lr[0, :, p:, 2 * p :] = u2[..., p:]
+    v2h = lr[0, :, p:, p:].conj().mT @ x22
+    v2h[:, :p] = cos * v2h[:, :p] - sin * (u1.conj().mT @ x12)
+    # R2 is built from products with the input, so it carries the input's
+    # own distance from unitary over (the QFT's np.exp phases leave ~1e-14).
+    # One Newton-Schulz step R2 (I - G / 2), G = R2†R2 - I, squares that
+    # distance, which takes it to rounding level, as zuncsd has it.
+    v2 = v2h.conj().mT
+    g = v2h @ v2
+    g.reshape(k, q * q)[:, :: q + 1] -= 1.0
+    lr[1, :, p:, p:] = v2 - 0.5 * (v2 @ g)
     return lr, theta

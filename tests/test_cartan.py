@@ -339,12 +339,13 @@ def _with_fault(kernel, call, group, k):
 
 
 @pytest.mark.parametrize("absorb", [False, True], ids=["plain", "absorbed"])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("name", list(_FAULT_SITES))
 def test_residuals_see_an_injected_fault(monkeypatch, name, n, absorb):
     # The residuals must still measure the product: a fault in one line
     # group of a batched pass shows in its own key, on every line of the
-    # stack, and in no other key.
+    # stack, and in no other key.  At n = 4 both cosine-sine stages take
+    # csd's batched route (p = 27), at n = 2, 3 zuncsd.
     rng = np.random.default_rng(20 + n)
     ms = np.stack([haar_unitary(3**n, rng) for _ in range(2)])
     for key, (kernel, call, group) in _FAULT_SITES[name].items():

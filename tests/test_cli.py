@@ -428,7 +428,7 @@ def test_selftest_compares_stacked_factorize(capsys):
     code, out, _ = _run(capsys, "selftest")
     assert code == EXIT_OK
     rows = [line for line in out.splitlines() if "stacked factorize equals per-matrix" in line]
-    assert len(rows) == 2 and "(d=9)" in rows[0] and "(d=27)" in rows[1]
+    assert len(rows) == 3 and "(d=9)" in rows[0] and "(d=27)" in rows[1] and "(d=81)" in rows[2]
     assert all("[ok]" in row for row in rows)
 
 
@@ -455,18 +455,30 @@ def test_out_of_range_options_exit_2(capsys, argv):
 
 
 def test_selftest_catches_a_faulty_cosine_sine_kernel(capsys, monkeypatch):
-    original = linalg._zuncsd
+    # Both routes of csd are faulty: zuncsd (d = 9, 27) and the batched
+    # SVD split (d = 81), every principal angle off by 1e-3.
+    zuncsd, batched = linalg._zuncsd, linalg._csd_batched
+    routes = []
 
-    def shifted(*args, **kwargs):  # every principal angle off by 1e-3
-        *head, theta, u1, u2, v1t, v2t, info = original(*args, **kwargs)
+    def shifted_zuncsd(*args, **kwargs):
+        routes.append("zuncsd")
+        *head, theta, u1, u2, v1t, v2t, info = zuncsd(*args, **kwargs)
         return (*head, theta + 1e-3, u1, u2, v1t, v2t, info)
 
-    monkeypatch.setattr(linalg, "_zuncsd", shifted)
+    def shifted_batched(*args):
+        routes.append("batched")
+        lr, theta = batched(*args)
+        return lr, theta + 1e-3
+
+    monkeypatch.setattr(linalg, "_zuncsd", shifted_zuncsd)
+    monkeypatch.setattr(linalg, "_csd_batched", shifted_batched)
     code, out, _ = _run(capsys, "selftest")
     assert code == EXIT_VERIFY
+    assert set(routes) == {"zuncsd", "batched"}
     rows = [line for line in out.splitlines() if "cosine-sine split" in line]
-    assert len(rows) == 6
+    assert len(rows) == 9
     assert all("[FAIL]" in row for row in rows)
+    assert {row.split("(d=")[1].split(")")[0] for row in rows} == {"9", "27", "81"}
 
 
 def test_selftest_status_column_is_aligned(capsys, monkeypatch):
@@ -480,7 +492,7 @@ def test_selftest_status_column_is_aligned(capsys, monkeypatch):
     assert "[ok]" in passing and "[FAIL]" in failing
     # every row, the factorization ones included
     rows = [line for line in out.splitlines() if line.lstrip().startswith(("[ok]", "[FAIL]"))]
-    assert len(rows) == 2 + 12
+    assert len(rows) == 2 + 18
     assert {line.rindex("residual") for line in rows} == {passing.index("residual")}
 
 

@@ -207,7 +207,7 @@ def test_unitary_eig_degenerate_spectrum():
     assert np.max(np.abs(recon - u)) < 1e-14
 
 
-@pytest.mark.parametrize("d", [3, 9])
+@pytest.mark.parametrize("d", [3, 9, 81])
 def test_stacked_decompositions_match_single_calls(d):
     rng = np.random.default_rng(40 + d)
     us = np.stack([haar_unitary(d, rng) for _ in range(3)] + [np.eye(d, dtype=complex)])
@@ -241,7 +241,24 @@ def test_unitary_eig_equals_scipy_schur(d):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("d,p", [(9, 3), (27, 9)])
+# A block size below CSD_BATCHED_P (zuncsd) and one at or above it (batched SVDs).
+ROUTES = [3, 27]
+
+
+def test_routes_split_at_the_constant(monkeypatch):
+    # zuncsd takes p = 9, the batched route p = 27, and nothing else moves them
+    assert 9 < linalg.CSD_BATCHED_P <= 27
+    rng = np.random.default_rng(15)
+    calls = []
+    monkeypatch.setattr(linalg, "_zuncsd", lambda *a, **kw: calls.append(None) or linalg.lapack.zuncsd(*a, **kw))
+    csd(haar_unitary(27, rng)[None], 9, 18)
+    assert len(calls) == 1
+    csd(haar_unitary(81, rng)[None], 27, 54)
+    csd(haar_unitary(54, rng)[None], 27, 27)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d,p", [(9, 3), (27, 9), (81, 27)])
 def test_csd_reconstructs_haar(d, p):
     rng = np.random.default_rng(d)
     for _ in range(10):
@@ -254,43 +271,48 @@ def test_csd_reconstructs_haar(d, p):
 
 def test_csd_square_partition():
     rng = np.random.default_rng(8)
-    for p in (3, 9):
+    for p in (3, 9, 27):
         u = haar_unitary(2 * p, rng)
         lr, theta = _csd_one(u, p, p)
         assert np.max(np.abs(_csd_reconstruct(lr, theta, p, p) - u)) < 1e-10
 
 
-def test_csd_identity_input():
+@pytest.mark.parametrize("p", ROUTES)
+def test_csd_identity_input(p):
     # all principal angles are exactly zero; the factors must still be
     # consistent unitaries
-    lr, theta = _csd_one(np.eye(9, dtype=complex), 3, 6)
+    d = 3 * p
+    lr, theta = _csd_one(np.eye(d, dtype=complex), p, 2 * p)
     assert np.max(np.abs(theta)) == 0.0
-    assert np.max(np.abs(_csd_reconstruct(lr, theta, 3, 6) - np.eye(9))) < 1e-12
+    assert np.max(np.abs(_csd_reconstruct(lr, theta, p, 2 * p) - np.eye(d))) < 1e-12
+    # the factors are the identity itself: a cluster of equal angles keeps
+    # the basis it comes with, on both routes
+    assert np.array_equal(lr, np.broadcast_to(np.eye(d), lr.shape))
 
 
-def test_csd_block_diagonal_input():
+@pytest.mark.parametrize("p", ROUTES)
+def test_csd_block_diagonal_input(p):
     # blockdiag input has zero coupling: every angle is exactly 0
     rng = np.random.default_rng(9)
-    u = np.zeros((9, 9), dtype=complex)
-    u[:3, :3] = haar_unitary(3, rng)
-    u[3:, 3:] = haar_unitary(6, rng)
-    lr, theta = _csd_one(u, 3, 6)
+    u = scipy.linalg.block_diag(haar_unitary(p, rng), haar_unitary(2 * p, rng))
+    lr, theta = _csd_one(u, p, 2 * p)
     assert np.max(np.abs(theta)) == 0.0
-    assert np.max(np.abs(_csd_reconstruct(lr, theta, 3, 6) - u)) < 1e-10
+    assert np.max(np.abs(_csd_reconstruct(lr, theta, p, 2 * p) - u)) < 1e-10
 
 
-def test_csd_pure_mixing_input():
+@pytest.mark.parametrize("p", ROUTES)
+def test_csd_pure_mixing_input(p):
     # the generator exponential itself: angles must come back (sorted)
-    angles = np.array([0.3, 0.7, 1.1])
+    angles = np.array([0.3, 0.7, 1.1]) if p == 3 else np.linspace(0.05, 1.5, p)
     c, s = np.diag(np.cos(angles)), np.diag(np.sin(angles))
-    u = np.eye(9, dtype=complex)
-    u[:3, :3] = c
-    u[:3, 3:6] = -1j * s
-    u[3:6, :3] = -1j * s
-    u[3:6, 3:6] = c
-    lr, theta = _csd_one(u, 3, 6)
+    u = np.eye(3 * p, dtype=complex)
+    u[:p, :p] = c
+    u[:p, p : 2 * p] = -1j * s
+    u[p : 2 * p, :p] = -1j * s
+    u[p : 2 * p, p : 2 * p] = c
+    lr, theta = _csd_one(u, p, 2 * p)
     assert np.max(np.abs(np.sort(theta) - angles)) < 1e-12
-    assert np.max(np.abs(_csd_reconstruct(lr, theta, 3, 6) - u)) < 1e-10
+    assert np.max(np.abs(_csd_reconstruct(lr, theta, p, 2 * p) - u)) < 1e-10
 
 
 # Exactly-zero, tiny, repeated and right angles mixed with generic ones.
@@ -302,14 +324,10 @@ MIXED_ANGLES = [
 ]
 
 
-@pytest.mark.parametrize("q", [6, 3], ids=["p-2p", "p-p"])
-@pytest.mark.parametrize("theta", MIXED_ANGLES, ids=["zero", "tiny", "zeros-right", "repeated-tiny"])
-def test_csd_reconstructs_mixed_angles(theta, q):
-    # U = diag(L1, L2) Sigma(theta) diag(R1, R2)† with Haar blocks: the
-    # split must reproduce U and recover the planted angles.
-    p = 3
-    theta = np.array(theta)
-    rng = np.random.default_rng(13)
+def _check_planted(theta: np.ndarray, q: int, rng: np.random.Generator) -> None:
+    # U = diag(L1, L2) Sigma(theta) diag(R1, R2)† with Haar blocks, p = len(theta):
+    # the split must reproduce U and recover the planted angles.
+    p = len(theta)
     left = scipy.linalg.block_diag(haar_unitary(p, rng), haar_unitary(q, rng))
     right = scipy.linalg.block_diag(haar_unitary(p, rng), haar_unitary(q, rng))
     u = left @ csd_sigma(theta, p, q) @ right.conj().T
@@ -317,6 +335,62 @@ def test_csd_reconstructs_mixed_angles(theta, q):
     assert np.max(np.abs(_csd_reconstruct(lr, got, p, q) - u)) < 1e-12
     assert unitarity_defect(lr) < 1e-12  # L and R
     assert np.max(np.abs(np.sort(got) - np.sort(theta))) < 1e-12
+
+
+@pytest.mark.parametrize("p", ROUTES)
+@pytest.mark.parametrize("square", [False, True], ids=["p-2p", "p-p"])
+@pytest.mark.parametrize("theta", MIXED_ANGLES, ids=["zero", "tiny", "zeros-right", "repeated-tiny"])
+def test_csd_reconstructs_mixed_angles(theta, square, p):
+    # each angle of the list p // 3 times, so the batched route meets the
+    # same exact zeros, tiny, right and repeated angles in clusters
+    _check_planted(np.repeat(theta, p // 3), p if square else 2 * p, np.random.default_rng(13))
+
+
+@pytest.mark.parametrize("spread", [1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("square", [False, True], ids=["p-2p", "p-p"])
+@pytest.mark.parametrize("p", [27, 81])
+def test_csd_reconstructs_angle_clusters(p, square, spread):
+    # Three clusters at 0, pi/4 and pi/2 whose members lie `spread` apart:
+    # the pi/4 cluster straddles c = 1/sqrt(2), where the cosines and the
+    # sines fix the angles equally well, and no cluster may be cut in two.
+    m = p // 3
+    step = spread * np.arange(m)
+    theta = np.concatenate((step, np.pi / 4 + step - step[m // 2], np.pi / 2 - step))
+    rng = np.random.default_rng([p, int(square), int(-np.log10(spread))])
+    _check_planted(rng.permutation(theta), p if square else 2 * p, rng)
+
+
+@pytest.mark.parametrize("square", [False, True], ids=["p-2p", "p-p"])
+@pytest.mark.parametrize("d", [81, 243])
+def test_csd_of_permutations(d, square):
+    # Every angle is exactly 0 or pi/2, each many times over: the U2
+    # columns of the zero sines must complete the others to a unitary.
+    p = d // 3
+    rng = np.random.default_rng(d + square)
+    size = 2 * p if square else d
+    for _ in range(3):
+        u = np.eye(size, dtype=complex)[rng.permutation(size)]
+        lr, theta = _csd_one(u, p, size - p)
+        assert np.max(np.abs(_csd_reconstruct(lr, theta, p, size - p) - u)) < 1e-12
+        assert unitarity_defect(lr) < 1e-12
+        assert np.all((np.abs(theta) < 1e-15) | (np.abs(theta - np.pi / 2) < 1e-15))
+
+
+@pytest.mark.parametrize("p", ROUTES)
+def test_csd_factors_are_unitary_for_a_nearly_unitary_input(p):
+    # An input 2e-12 from unitary (within the entry points' 1e-10) still
+    # gets L and R unitary to rounding level; its own defect shows in the
+    # reconstruction instead, as it does with zuncsd.
+    u = haar_unitary(3 * p, np.random.default_rng(16)) * (1 + 1e-12)
+    lr, theta = _csd_one(u, p, 2 * p)
+    assert unitarity_defect(lr) < 1e-14
+    assert np.max(np.abs(_csd_reconstruct(lr, theta, p, 2 * p) - u)) < 1e-11
+
+
+def test_csd_of_an_empty_stack():
+    for p in ROUTES:
+        lr, theta = csd(np.zeros((0, 3 * p, 3 * p), dtype=complex), p, 2 * p)
+        assert lr.shape == (2, 0, 3 * p, 3 * p) and theta.shape == (0, p)
 
 
 def test_csd_deterministic():
@@ -330,8 +404,9 @@ def test_csd_deterministic():
 @pytest.mark.parametrize("square", [False, True], ids=["p-2p", "p-p"])
 @pytest.mark.parametrize("p", [3, 9])
 def test_csd_equals_scipy_cossin(p, square):
-    # zuncsd is called directly; the result must be bitwise cossin's,
-    # with the columns of L2 and R2 rolled by p.
+    # Below CSD_BATCHED_P, zuncsd is called directly; the result must be
+    # bitwise cossin's, with the columns of L2 and R2 rolled by p.  The
+    # batched route at and above the constant is not cossin's.
     q = p if square else 2 * p
     rng = np.random.default_rng(200 + p)
     for _ in range(3):

@@ -45,9 +45,10 @@ def structured_input(kind: str, n: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("gate_set", list(GateSet), ids=lambda g: g.value)
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("kind", KINDS)
 def test_structured_input_synthesizes(kind, n, gate_set):
+    # at n = 4 the top split of every kind takes csd's batched route
     u = structured_input(kind, n)
     _, rep = synthesize(u, SynthesisOptions(gate_set=gate_set))
     assert rep.ok

@@ -40,6 +40,11 @@ round, each side factorizes the same Haar matrices, the first side
 alternating, and each round's two mean times form a pair.  In one
 process the pairs resolve a change of a few percent, which fresh
 processes per side do not.
+
+Then one process per side (``--worker CHECKOUT 7 0``) synthesizes the
+seed-0 Haar n = 7 input alone, and ``n7`` records its layer times and
+the process's peak RSS (about 2 minutes and 1.3 GB a side on a 2-core
+machine).
 """
 
 from __future__ import annotations
@@ -61,9 +66,10 @@ SEEDS = (0, 1)
 ROUNDS = 5
 WIDTHS = range(2, 7)
 INTERLEAVED = {2: (100, 60), 3: (20, 60), 4: (4, 30), 5: (1, 20)}  # n: (Haar matrices, rounds)
+WIDEST = 7  # one seed-0 synthesis per side, after the rest
 
 
-def worker(root: Path, n: int) -> dict:
+def worker(root: Path, n: int, seeds: tuple[int, ...] = SEEDS) -> dict:
     sys.path.insert(0, str(root / "src"))
     import numpy as np
 
@@ -98,7 +104,7 @@ def worker(root: Path, n: int) -> dict:
     timed(synth, "simplify", None, "simplified")
     timed(synth, "unitary_distance", None, "distance")
     out = {}
-    for seed in SEEDS:
+    for seed in seeds:
         m = haar_unitary(3**n, np.random.default_rng(seed))
         marks.clear()
         start = time.perf_counter()
@@ -120,10 +126,10 @@ def worker(root: Path, n: int) -> dict:
     return out
 
 
-def run(root: Path, n: int) -> dict:
+def run(root: Path, n: int, *seeds: int) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.pop("PYTHONPATH", None)
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(root), str(n)]
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(root), str(n), *map(str, seeds)]
     out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
@@ -204,7 +210,7 @@ def interleaved(sides: dict[str, Path]) -> list[dict]:
 
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--worker"]:
-        print(json.dumps(worker(Path(argv[1]), int(argv[2]))))
+        print(json.dumps(worker(Path(argv[1]), int(argv[2]), tuple(map(int, argv[3:])) or SEEDS)))
         return 0
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("label")
@@ -227,6 +233,12 @@ def main(argv: list[str]) -> int:
             row["paired_ratio"], row["per_pair"] = paired(samples["parent", n], samples["change", n], seed)
             rows.append(row)
     per_call = interleaved(sides)
+    widest = {}
+    for side, root in sides.items():
+        sample = run(root, WIDEST, 0)
+        widest[side] = {"times_s": sample["0"]["times_s"], "peak_rss_mb": round(sample["peak_rss_mb"], 1)}
+        widest[side].update({key: sample["0"][key] for key in ("two_qutrit", "distance", "split_residuals")})
+        print(f"n={WIDEST} {side}", file=sys.stderr)
     import numpy
     import scipy
 
@@ -250,6 +262,11 @@ def main(argv: list[str]) -> int:
             "what": "factorize(m, absorb=True) per call, both checkouts in one process, Haar seeds 0.., "
             "alternating per round; paired_ratio gives the quartiles of the rounds' change/parent ratios",
             "rows": per_call,
+        },
+        f"n{WIDEST}": {
+            "what": f"one process per side (parent first) synthesizing the seed-0 Haar n={WIDEST} input alone: "
+            "its layer times and the process's peak RSS",
+            **widest,
         },
     }
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(doc, indent=1) + "\n")
